@@ -225,8 +225,7 @@ func BenchmarkLSMGet(b *testing.B) {
 	e.Go("r", func(p *sim.Proc) {
 		for i := 0; i < b.N; i++ {
 			if _, ok := tr.Get(p, keys[i%len(keys)]); !ok {
-				// Errorf, not Fatal: Fatal must not run off the bench
-				// goroutine and would deadlock the engine.
+				// Errorf and return: the process ends and Run drains.
 				b.Errorf("missing key %s", keys[i%len(keys)])
 				return
 			}

@@ -1,6 +1,9 @@
 package sim
 
-import "testing"
+import (
+	"runtime"
+	"testing"
+)
 
 // TestKillParkedProc kills a process idling in Park (the WAL-flusher shape)
 // and checks it unwinds promptly without deadlocking the engine.
@@ -71,7 +74,7 @@ func TestWakeThenKillSameInstant(t *testing.T) {
 
 // TestKillThenLateWake kills a parked process and then delivers a wake that
 // was scheduled before the kill landed: the stale wake must be dropped, not
-// sent to a dead goroutine.
+// delivered to a finished coroutine.
 func TestKillThenLateWake(t *testing.T) {
 	e := NewEngine(1)
 	p := e.Go("bg", func(p *Proc) { p.Park() })
@@ -140,8 +143,9 @@ func TestKilledQueuedWaiterCompletesAcquisition(t *testing.T) {
 }
 
 // TestKillBeforeStart kills a process that has not begun executing: the
-// body must never run.
+// body must never run, and its coroutine must still exit.
 func TestKillBeforeStart(t *testing.T) {
+	before := runtime.NumGoroutine()
 	e := NewEngine(1)
 	var ran bool
 	p := e.GoAt(100, "late", func(p *Proc) { ran = true })
@@ -155,6 +159,9 @@ func TestKillBeforeStart(t *testing.T) {
 	}
 	if e.Procs() != 0 {
 		t.Fatalf("Procs() = %d, want 0", e.Procs())
+	}
+	if got := runtime.NumGoroutine(); got > before {
+		t.Fatalf("NumGoroutine = %d, want <= %d", got, before)
 	}
 }
 

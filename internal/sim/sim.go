@@ -2,10 +2,11 @@
 //
 // The engine advances a virtual clock from event to event. Simulated
 // activities are written as ordinary Go functions running in "processes"
-// (goroutines that are resumed one at a time by the engine, so process code
-// never races with other process code). Processes sleep in virtual time,
-// queue on counted resources, and park/wake explicitly, which is enough to
-// express clients, servers, disks, NICs and background daemons.
+// (coroutines resumed one at a time from the goroutine calling Run, so
+// process code never races with other process code and a context switch is
+// a direct handoff). Processes sleep in virtual time, queue on counted
+// resources, and park/wake explicitly, which is enough to express clients,
+// servers, disks, NICs and background daemons.
 //
 // All randomness used by a simulation should come from Engine.Rand so that a
 // run is fully determined by its seed.
@@ -13,6 +14,7 @@ package sim
 
 import (
 	"fmt"
+	"iter"
 	"math/rand"
 )
 
@@ -121,21 +123,13 @@ type Engine struct {
 	seq    uint64
 	rng    *rand.Rand
 
-	// yield is signaled by the currently running process when it parks or
-	// terminates, handing control back to the engine loop. Exactly one
-	// process runs at any instant.
-	yield chan struct{}
-
 	procs   int // live processes (started and not yet finished)
 	stopped bool
 }
 
 // NewEngine returns an engine whose random source is seeded with seed.
 func NewEngine(seed int64) *Engine {
-	return &Engine{
-		rng:   rand.New(rand.NewSource(seed)),
-		yield: make(chan struct{}),
-	}
+	return &Engine{rng: rand.New(rand.NewSource(seed))}
 }
 
 // Now returns the current virtual time.
@@ -191,13 +185,17 @@ func (e *Engine) Pending() int { return len(e.events) }
 // Procs reports the number of live processes.
 func (e *Engine) Procs() int { return e.procs }
 
-// Proc is a simulated process: a goroutine that runs in lockstep with the
-// engine. Process code calls Sleep/Park/Acquire to advance virtual time.
+// Proc is a simulated process: an iter.Pull coroutine that the engine
+// resumes from its event loop. Process code calls Sleep/Park/Acquire to
+// advance virtual time; a panic in it re-panics in Engine.Run. A process
+// parked forever holds its suspended coroutine until the program exits.
 type Proc struct {
-	eng    *Engine
-	name   string
-	resume chan struct{}
-	dead   bool
+	eng  *Engine
+	name string
+	// next resumes the coroutine; yield, called inside it, suspends it.
+	next  func() (struct{}, bool)
+	yield func(struct{}) bool
+	dead  bool
 	// killed marks a process cancelled by Kill. The process unwinds the
 	// next time it reaches a cancellation point (Sleep or Park).
 	killed bool
@@ -207,8 +205,8 @@ type Proc struct {
 	// (the grant is already accounted) and unwinds at its next Sleep/Park.
 	killable bool
 	// pendingWakes counts scheduled-but-undelivered wake events, so Kill
-	// never double-schedules a resume (two sends on an unbuffered resume
-	// channel with one receiver would deadlock the simulation).
+	// never double-schedules a resume (a second resume would run the
+	// process early, from whatever wait it reached next).
 	pendingWakes int
 	// wakeFn is the event callback that resumes this process. It is built
 	// once at process creation and rescheduled for every Sleep/Wake, so the
@@ -228,36 +226,34 @@ func (e *Engine) Go(name string, fn func(p *Proc)) *Proc {
 
 // GoAt starts fn as a new process after delay.
 func (e *Engine) GoAt(delay Time, name string, fn func(p *Proc)) *Proc {
-	p := &Proc{eng: e, name: name, resume: make(chan struct{})}
+	p := &Proc{eng: e, name: name}
+	// No stop: a process ends only by returning or by a Kill unwind.
+	p.next, _ = iter.Pull(func(yield func(struct{}) bool) {
+		p.yield = yield
+		defer func() {
+			if r := recover(); r != nil {
+				if _, ok := r.(procKilled); !ok {
+					panic(r)
+				}
+			}
+			p.dead = true
+			e.procs--
+		}()
+		if !p.killed {
+			fn(p)
+		}
+	})
 	p.wakeFn = func() {
 		p.pendingWakes--
 		if p.dead {
 			// The wake raced with the process's death (e.g. a timer fired
-			// after a kill-unwind); there is no goroutine left to resume.
+			// after a kill-unwind); there is no coroutine left to resume.
 			return
 		}
-		p.resume <- struct{}{}
-		<-e.yield
+		p.next()
 	}
 	e.procs++
-	e.Schedule(delay, func() {
-		go func() {
-			defer func() {
-				if r := recover(); r != nil {
-					if _, ok := r.(procKilled); !ok {
-						panic(r)
-					}
-				}
-				p.dead = true
-				e.procs--
-				e.yield <- struct{}{}
-			}()
-			if !p.killed {
-				fn(p)
-			}
-		}()
-		<-e.yield
-	})
+	e.Schedule(delay, func() { p.next() })
 	return p
 }
 
@@ -274,15 +270,15 @@ func (p *Proc) Now() Time { return p.eng.now }
 func (p *Proc) Rand() *rand.Rand { return p.eng.rng }
 
 // park hands control back to the engine and blocks until woken.
-func (p *Proc) park() {
-	p.eng.yield <- struct{}{}
-	<-p.resume
-}
+func (p *Proc) park() { p.yield(struct{}{}) }
 
-// wake schedules p to resume at now+delay, reusing the process's
-// pre-allocated wake callback.
+// wake schedules p to resume at now+delay, reusing its wake callback. A
+// second pending wake would resume a live process early, so it panics.
 func (e *Engine) wake(p *Proc, delay Time) {
 	p.pendingWakes++
+	if p.pendingWakes > 1 && !p.dead && !p.killed {
+		panic("sim: double wake of " + p.name)
+	}
 	e.Schedule(delay, p.wakeFn)
 }
 
@@ -316,11 +312,11 @@ func (p *Proc) Park() {
 }
 
 // Wake resumes a process parked with Park at the current virtual time.
-// Calling Wake on a process that is not parked is a programming error and
-// will deadlock the simulation; the engine cannot detect it cheaply. The
-// exception is a process that already finished or was killed: such wakes
-// are dropped, so owners of long-lived background processes need not
-// synchronize Wake against teardown.
+// Calling Wake on a process that already has a wake pending (a sleeping
+// process, or one woken twice) is a programming error and panics with
+// "sim: double wake". The exception is a process that already finished or
+// was killed: such wakes are dropped, so owners of long-lived background
+// processes need not synchronize Wake against teardown.
 func (p *Proc) Wake() { p.eng.wake(p, 0) }
 
 // Kill cancels the process. The cancellation is cooperative: the process

@@ -354,6 +354,22 @@ func BenchmarkResourceUse(b *testing.B) {
 	e.Run(0)
 }
 
+// BenchmarkProcSpawn measures a whole process lifecycle: Go, one Sleep,
+// exit. Processes run in batches of 64 so the event heap stays at one
+// steady size (Run releases larger drained heaps) and only per-process
+// setup and teardown is counted.
+func BenchmarkProcSpawn(b *testing.B) {
+	const batch = 64
+	e := NewEngine(1)
+	body := func(p *Proc) { p.Sleep(Microsecond) }
+	for i := 0; i < b.N; i += batch {
+		for j := i; j < min(i+batch, b.N); j++ {
+			e.Go("w", body)
+		}
+		e.Run(0)
+	}
+}
+
 func TestStopHaltsRun(t *testing.T) {
 	e := NewEngine(1)
 	ran := 0

@@ -27,8 +27,9 @@ type Log struct {
 	// the first append and then persists for the log's lifetime, parking
 	// between busy periods instead of exiting: an idle→busy transition is
 	// one Wake (an event-heap push) rather than a fresh closure, Proc and
-	// goroutine per transition. The parked goroutine is the price — one
-	// per log that ever flushed, held until the engine is dropped.
+	// coroutine per transition. The price is one suspended coroutine per
+	// log that ever flushed (a parked sim process costs no scheduling, only
+	// its stack), held until the program exits or Close kills the flusher.
 	flusher     *sim.Proc
 	flusherBusy bool
 	// closed marks the log torn down by a node kill: appends no longer

@@ -2,7 +2,7 @@
 # Emit a JSON perf baseline (ns/op, B/op, allocs/op) for the tracked
 # hot-path benchmarks, so future PRs have a trajectory to diff against:
 #
-#   scripts/bench_baseline.sh             # writes BENCH_PR10.json
+#   scripts/bench_baseline.sh             # writes BENCH_PR12.json
 #   scripts/bench_baseline.sh out.json    # custom path
 #   BENCHTIME=1000000x scripts/bench_baseline.sh   # higher fidelity
 #
@@ -10,11 +10,12 @@
 # otherwise idle machine.
 set -euo pipefail
 cd "$(dirname "$0")/.."
-out="${1:-BENCH_PR10.json}"
+out="${1:-BENCH_PR12.json}"
 bt="${BENCHTIME:-100000x}"
 
 {
   go test -run '^$' -bench 'BenchmarkEngineSchedule$|BenchmarkLSMGet$|BenchmarkLSMScan$|BenchmarkLSMInsert$|BenchmarkLSMInsertNoReuse$|BenchmarkBTreeInsert$|BenchmarkBTreeBulkLoad$|BenchmarkBTreeUpdate$' -benchtime "$bt" -benchmem .
+  go test -run '^$' -bench 'BenchmarkProcSleepSwitch$|BenchmarkResourceUse$|BenchmarkProcSpawn$' -benchtime "$bt" -benchmem ./internal/sim
   go test -run '^$' -bench 'BenchmarkStoreKey$|BenchmarkStoreAppendKey$|BenchmarkMakeFields$' -benchtime "$bt" -benchmem ./internal/store
   go test -run '^$' -bench 'BenchmarkMemtablePut$|BenchmarkMemtableGet$|BenchmarkMemtableScan$' -benchtime "$bt" -benchmem ./internal/memtable
   go test -run '^$' -bench 'BenchmarkSlabAppend$|BenchmarkShapeIntern$' -benchtime "$bt" -benchmem ./internal/slab
