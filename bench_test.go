@@ -235,8 +235,7 @@ func BenchmarkLSMGet(b *testing.B) {
 }
 
 // BenchmarkLSMInsert measures the full per-operation write path the
-// benchmark's load and insert loops pay against copy-on-ingest stores:
-// key build and field-set build into reused per-client buffers (the YCSB
+// benchmark's load and insert loops pay: key build and field-set build into reused per-client buffers (the YCSB
 // runner's steady-state path — zero allocations per op), WAL append
 // (async) and memtable insert. The flush threshold is set beyond the
 // bench's reach so the numbers isolate the per-op cost from flush churn
@@ -262,33 +261,8 @@ func BenchmarkLSMInsert(b *testing.B) {
 			kb = store.AppendKey(kb[:0], id)
 			// Zero-copy string view of the key buffer: sound because the
 			// memtable copies key bytes into its arena before returning,
-			// the same contract the runner's reuse path relies on.
+			// the copy-on-ingest contract the runner relies on.
 			tr.Put(p, unsafe.String(unsafe.SliceData(kb), len(kb)), buf)
-		}
-	})
-	e.Run(0)
-}
-
-// BenchmarkLSMInsertNoReuse is BenchmarkLSMInsert on the allocating path
-// the runner takes against stores that retain caller slices: a fresh key
-// string and field set per operation. The gap against BenchmarkLSMInsert
-// is the per-op win of the buffer-reuse fast path.
-func BenchmarkLSMInsertNoReuse(b *testing.B) {
-	e := sim.NewEngine(1)
-	n := cluster.New(e, cluster.ClusterM(1)).Nodes[0]
-	tr := lsm.New(lsm.Config{
-		Node:       n,
-		Seed:       1,
-		FlushBytes: 1 << 40,
-		Overhead:   sstable.Overhead{PerEntry: 10, PerCell: 20},
-		CacheBytes: 1 << 30,
-	})
-	b.ReportAllocs()
-	b.ResetTimer()
-	e.Go("w", func(p *sim.Proc) {
-		for i := 0; i < b.N; i++ {
-			id := int64(i)
-			tr.Put(p, store.Key(id), store.MakeFields(id))
 		}
 	})
 	e.Run(0)
@@ -314,8 +288,7 @@ func benchBTreeData(n int) ([]string, [][][]byte) {
 }
 
 // BenchmarkBTreeInsert measures the per-record insert path (workload-phase
-// inserts, and the load phase when btree-bulk=off): prefix-compared
-// descent, leaf insert, splits, intrusive buffer-pool touches.
+// inserts): prefix-compared descent, leaf insert, splits, intrusive buffer-pool touches.
 func BenchmarkBTreeInsert(b *testing.B) {
 	keys, vals := benchBTreeData(b.N)
 	tr := btree.New(benchBTreeConfig())

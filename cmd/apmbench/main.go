@@ -41,6 +41,7 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
+	"strconv"
 	"strings"
 
 	"repro"
@@ -137,12 +138,17 @@ func main() {
 		}()
 	}
 
+	nodeCounts, err := parseNodes(*nodes)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "apmbench: %v\n", err)
+		os.Exit(2)
+	}
 	cfg := harness.Config{
 		Scale:       *scale,
 		Measure:     sim.Time(*measure * float64(sim.Second)),
 		Warmup:      sim.Time(*warmup * float64(sim.Second)),
 		Seed:        *seed,
-		NodeCounts:  parseNodes(*nodes),
+		NodeCounts:  nodeCounts,
 		Repetitions: *reps,
 	}
 	outputFormat = *format
@@ -327,15 +333,18 @@ func runWorker(addr string, parallel int, cacheDir string, cacheMax int64) {
 	}
 }
 
-func parseNodes(s string) []int {
+// parseNodes parses the -nodes list. Every entry must be a positive
+// integer: a typo fails the run instead of silently narrowing the sweep.
+func parseNodes(s string) ([]int, error) {
 	var out []int
 	for _, part := range strings.Split(s, ",") {
-		var n int
-		if _, err := fmt.Sscanf(strings.TrimSpace(part), "%d", &n); err == nil && n > 0 {
-			out = append(out, n)
+		n, err := strconv.Atoi(strings.TrimSpace(part))
+		if err != nil || n <= 0 {
+			return nil, fmt.Errorf("-nodes: bad node count %q (want a comma-separated list of positive integers)", part)
 		}
+		out = append(out, n)
 	}
-	return out
+	return out, nil
 }
 
 func runFigure(r *harness.Runner, id string) {

@@ -8,7 +8,6 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/sim"
-	"repro/internal/stats"
 	"repro/internal/ycsb"
 )
 
@@ -100,46 +99,6 @@ func TestSupportsWorkload(t *testing.T) {
 	}
 	if SupportsWorkload(Voldemort, ycsb.Workload{Name: "US", ScanProp: 0.5, UpdateProp: 0.5, ScanLength: 10}) {
 		t.Fatal("scan half of a mix must still exclude voldemort")
-	}
-}
-
-// TestBTreeBulkVariantHostSideOnly pins the btree-bulk knob's contract:
-// with the same seed, a deployment loading through the deferred bulk build
-// and one forced onto the legacy per-record path produce bit-identical
-// virtual-time results — the variant is an A/B profiling knob, never a
-// model change. Unknown elsewhere: the knob is B-tree-store vocabulary.
-func TestBTreeBulkVariantHostSideOnly(t *testing.T) {
-	for _, sys := range []System{MySQL, Voldemort} {
-		var tput [2]float64
-		var readLat [2]sim.Time
-		for i, v := range []string{"", "btree-bulk=off"} {
-			dep, err := DeployVariants(7, sys, cluster.ClusterM(2), 0.001, v)
-			if err != nil {
-				t.Fatalf("%s deploy %q: %v", sys, v, err)
-			}
-			if err := ycsb.Load(dep.Store, 20000); err != nil {
-				t.Fatal(err)
-			}
-			res, err := ycsb.Run(dep.Engine, ycsb.RunConfig{
-				Store:          dep.Store,
-				Workload:       ycsb.WorkloadRW,
-				Clients:        8,
-				InitialRecords: 20000,
-				Warmup:         50 * sim.Millisecond,
-				Measure:        200 * sim.Millisecond,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			tput[i], readLat[i] = res.Throughput(), res.MeanLatency(stats.OpRead)
-		}
-		if tput[0] != tput[1] || readLat[0] != readLat[1] {
-			t.Fatalf("%s: btree-bulk=off shifted results: tput %v vs %v, read %v vs %v",
-				sys, tput[0], tput[1], readLat[0], readLat[1])
-		}
-	}
-	if _, err := DeployVariants(1, Cassandra, cluster.ClusterM(1), 0.001, "btree-bulk=off"); err == nil {
-		t.Fatal("cassandra accepted the btree-bulk variant; it is B-tree-store vocabulary")
 	}
 }
 
@@ -399,9 +358,9 @@ func TestExplainRejectsBadCell(t *testing.T) {
 }
 
 // TestCompactionThresholdVariant pins the compaction-threshold deploy
-// variant: it is real model vocabulary (unlike btree-bulk it changes the
-// compaction schedule, so modeled numbers move), it reaches the LSM config
-// on both LSM stores, and malformed or misdirected forms are rejected.
+// variant: it is real model vocabulary (it changes the compaction
+// schedule, so modeled numbers move), it reaches the LSM config on both
+// LSM stores, and malformed, misdirected or removed forms are rejected.
 func TestCompactionThresholdVariant(t *testing.T) {
 	run := func(sys System, v string) (float64, int64) {
 		dep, err := DeployVariants(7, sys, cluster.ClusterM(2), 0.001, v)
@@ -446,6 +405,8 @@ func TestCompactionThresholdVariant(t *testing.T) {
 		{Cassandra, "compaction-threshold=1"}, // below the minimum of 2
 		{Cassandra, "compaction-threshold=x"}, // not an integer
 		{HBase, "compaction-threshold="},      // empty value
+		{MySQL, "btree-bulk=off"},             // bulk load is not a variant
+		{Voldemort, "btree-bulk=off"},         // bulk load is not a variant
 	} {
 		if _, err := DeployVariants(1, bad.sys, cluster.ClusterM(1), 0.001, bad.v); err == nil {
 			t.Fatalf("%s accepted %q", bad.sys, bad.v)

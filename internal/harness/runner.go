@@ -408,8 +408,8 @@ func (r *Runner) emit(line string) {
 }
 
 // reportMemStats emits one -memstats line for a freshly loaded cell: the
-// store's retained slab bytes (per record, when it reports them) and the
-// process-wide heap in use. Purely host-side observation — no simulation
+// store's retained slab bytes (per record, when records were loaded) and
+// the process-wide heap in use. Purely host-side observation — no simulation
 // state is read or advanced.
 func (r *Runner) reportMemStats(key string, s store.Store, records int64) {
 	if r.MemStats == nil {
@@ -419,7 +419,8 @@ func (r *Runner) reportMemStats(key string, s store.Store, records int64) {
 	runtime.ReadMemStats(&ms)
 	line := fmt.Sprintf("memstats %s: records=%d heap-inuse=%.1fMB", key, records,
 		float64(ms.HeapInuse)/(1<<20))
-	if slab, ok := store.SlabBytesOf(s); ok && records > 0 {
+	if records > 0 {
+		slab := s.SlabBytes()
 		line += fmt.Sprintf(" slab=%.1fMB (%.1f B/record)",
 			float64(slab)/(1<<20), float64(slab)/float64(records))
 	}

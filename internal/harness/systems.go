@@ -78,15 +78,9 @@ func Deploy(seed int64, sys System, spec cluster.Spec, scale float64) (*Deployme
 //	hbase:     autoflush=on|off, compaction-threshold=<n>, batch-size=<n>
 //	redis:     sharding=balanced|ring
 //	voltdb:    async=on|off, sites-per-host=<n>
-//	mysql:     binlog=on|off, btree-bulk=on|off
-//	voldemort: btree-bulk=on|off
+//	mysql:     binlog=on|off
 //	any:       conns=<per-node client connections> (resolved by the
 //	           runner, not the store)
-//
-// btree-bulk=off forces the B-tree stores' legacy per-record load path in
-// place of the deferred bulk build (host-side A/B profiling knob; both
-// paths produce bit-identical trees, pool states and charges, so the
-// variant changes the cell's cache key but never its numbers).
 //
 // compaction-threshold=<n> sets the LSM stores' size-tiered compaction
 // trigger — sstables per tier before a merge (Cassandra's
@@ -308,20 +302,10 @@ func deployHBase(c *cluster.Cluster, scale float64, kvs [][2]string) (store.Stor
 }
 
 func deployVoldemort(c *cluster.Cluster, kvs [][2]string) (store.Store, error) {
-	opts := voldemort.Options{BDBCacheFraction: 0.75}
-	for _, kv := range kvs {
-		switch kv[0] {
-		case "btree-bulk":
-			on, err := onOff(kv[0], kv[1])
-			if err != nil {
-				return nil, err
-			}
-			opts.LegacyLoad = !on
-		default:
-			return nil, fmt.Errorf("harness: voldemort does not support variant %q", kv[0])
-		}
+	if len(kvs) > 0 {
+		return nil, fmt.Errorf("harness: voldemort does not support variant %q", kvs[0][0])
 	}
-	return voldemort.New(c, opts), nil
+	return voldemort.New(c, voldemort.Options{BDBCacheFraction: 0.75}), nil
 }
 
 func deployRedis(c *cluster.Cluster, scale float64, kvs [][2]string) (store.Store, error) {
@@ -387,12 +371,6 @@ func deployMySQL(c *cluster.Cluster, spec cluster.Spec, scale float64, clients i
 				return nil, err
 			}
 			opts.BinLog = on
-		case "btree-bulk":
-			on, err := onOff(kv[0], kv[1])
-			if err != nil {
-				return nil, err
-			}
-			opts.LegacyLoad = !on
 		default:
 			return nil, fmt.Errorf("harness: mysql does not support variant %q", kv[0])
 		}
@@ -437,11 +415,6 @@ func Conns(sys System, nodes int, clusterD bool) int {
 // SupportsScans reports whether the system's client can run scan workloads
 // (the paper's Voldemort YCSB client had no scan support, §5.4).
 func SupportsScans(sys System) bool { return sys != Voldemort }
-
-// SupportsQueries reports whether the system can serve the analytic query
-// layer (internal/query): its operator pipeline reads through the cursor
-// scan path, so exactly the scan-capable systems qualify.
-func SupportsQueries(sys System) bool { return SupportsScans(sys) }
 
 // SupportsUpdates reports whether the system's model covers in-place
 // updates: since the B-tree stores gained modeled read-modify-write paths,

@@ -14,7 +14,7 @@
 //
 // Field bytes are COPIED on insert — the memtable owns its payload
 // memory — which is what lets callers reuse one fields buffer across
-// operations (see store.CopiesOnIngest).
+// operations (see store.Store).
 //
 // Ownership note: Get/Scan/iterators return views of the memtable's
 // slabs. A later Put that replaces a key with same-shaped fields

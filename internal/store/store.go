@@ -117,9 +117,8 @@ func Key(i int64) string {
 // AppendKey appends record i's key to dst and returns the extended slice:
 // Key without the string allocation. Hot loops (the YCSB runner's
 // per-client operation loop, the load loop) keep one buffer and rebuild it
-// per operation; against stores that copy key bytes on ingest (see
-// CopiesOnIngest) that removes the last per-operation allocation of the
-// insert path.
+// per operation; since stores copy key bytes on ingest (see Store), that
+// removes the last per-operation allocation of the insert path.
 func AppendKey(dst []byte, i int64) []byte {
 	var b [KeyBytes]byte
 	writeKey(&b, i)
@@ -166,8 +165,8 @@ func MakeFieldsSized(i int64, fieldBytes int) Fields {
 // mis-shaped dst is (re)built as a fresh slab. It returns the filled
 // buffer, which callers keep for the next record.
 //
-// Reusing one buffer across operations is only sound against stores that
-// copy field bytes on ingest — gate the reuse on CopiesOnIngest.
+// Reusing one buffer across operations is sound because stores copy field
+// bytes on ingest (see Store).
 func FillFields(dst Fields, i int64, fieldBytes int) Fields {
 	if fieldBytes <= 0 {
 		fieldBytes = FieldBytes
@@ -246,38 +245,13 @@ var ErrOverloaded = errors.New("store: node overloaded")
 // would not advance virtual time.
 var ErrUnavailable = errors.New("store: node unavailable")
 
-// IngestCopier is implemented by stores whose Insert/Update/Load paths
-// copy key and field bytes before retaining them (slab-backed engines:
-// their arenas own both), and whose Read/Scan paths do not retain the
-// lookup key at all. A store that retains any caller bytes past an
-// operation's return must clone them first (see the Cassandra async
-// replica) or must not implement the interface.
-type IngestCopier interface {
-	CopiesOnIngest() bool
-}
-
-// CopiesOnIngest reports whether s copies key and field bytes on ingest,
-// meaning a caller may reuse one FillFields buffer — and one AppendKey
-// buffer — across operations. Stores that do not declare the capability
-// are assumed to retain the caller's slices and strings.
-func CopiesOnIngest(s Store) bool {
-	c, ok := s.(IngestCopier)
-	return ok && c.CopiesOnIngest()
-}
-
-// Caps describes a store's read-side capabilities: whether range scans are
-// implemented at all, and whether the store can serve the analytic query
-// layer (internal/query), which needs key-ordered scan results to run
-// per-metric range pipelines. Today every scanning store returns ordered
-// results, so the two track together; they are separate bits because the
-// paper's stores differ in both dimensions.
+// Caps describes a store's read-side capabilities.
 type Caps struct {
 	// Scans reports whether Scan is implemented (the Voldemort YCSB
-	// client in the paper has no scan operation).
+	// client in the paper has no scan operation). Every scanning store
+	// returns key-ordered results, so Scans is also what the analytic
+	// query layer (internal/query) plans against.
 	Scans bool
-	// Queries reports whether the analytic query layer can plan against
-	// this store (requires ordered scans).
-	Queries bool
 }
 
 // ScanStatsReporter is implemented by stores whose engines keep scan-path
@@ -299,27 +273,16 @@ func ScanStatsOf(s Store) (positioned, pruned int64, ok bool) {
 	return positioned, pruned, true
 }
 
-// SlabReporter is implemented by stores that can report how many bytes of
-// slab-backed record state (keys, field payloads, index arenas) they
-// retain. The harness's -memstats diagnostics use it to attribute
-// host-side memory to the simulated store under test.
-type SlabReporter interface {
-	SlabBytes() int64
-}
-
-// SlabBytesOf reports s's retained slab bytes, or (0, false) if the store
-// does not expose them.
-func SlabBytesOf(s Store) (int64, bool) {
-	r, ok := s.(SlabReporter)
-	if !ok {
-		return 0, false
-	}
-	return r.SlabBytes(), true
-}
-
 // Store is a simulated data store deployed across a cluster. All timed
 // methods run inside a simulation process and advance virtual time by the
 // full client-observed operation latency.
+//
+// Stores copy on ingest: Insert, Update and Load must copy key and field
+// bytes before retaining them, and Read and Scan must not retain the
+// lookup key. Callers rely on this to reuse one AppendKey buffer and one
+// FillFields buffer across operations, so a store that keeps caller bytes
+// past an operation's return (an asynchronous replica write, say) clones
+// them first.
 type Store interface {
 	// Name identifies the system ("cassandra", "hbase", ...).
 	Name() string
@@ -344,4 +307,8 @@ type Store interface {
 	Load(key string, f Fields) error
 	// DiskUsage returns durable bytes across all nodes.
 	DiskUsage() int64
+	// SlabBytes returns the bytes of slab-backed record state (keys,
+	// field payloads, index arenas) the store retains across all nodes;
+	// the harness's -memstats diagnostics attribute host memory with it.
+	SlabBytes() int64
 }

@@ -202,12 +202,7 @@ func New(c *cluster.Cluster, opts Options) *Store {
 // Name implements store.Store.
 func (s *Store) Name() string { return "cassandra" }
 
-// CopiesOnIngest implements store.IngestCopier: every write path lands in
-// an arena-backed memtable that copies field bytes (async replicas clone
-// before scheduling), so callers may reuse a fields buffer across writes.
-func (s *Store) CopiesOnIngest() bool { return true }
-
-// SlabBytes implements store.SlabReporter: the retained footprint of every
+// SlabBytes implements store.Store: the retained footprint of every
 // node's LSM tree (memtable arenas plus sstable slabs).
 func (s *Store) SlabBytes() int64 {
 	var total int64
@@ -219,7 +214,7 @@ func (s *Store) SlabBytes() int64 {
 
 // Caps implements store.Store: range slices are supported and return
 // key-ordered rows, so the query layer can plan against them.
-func (s *Store) Caps() store.Caps { return store.Caps{Scans: true, Queries: true} }
+func (s *Store) Caps() store.Caps { return store.Caps{Scans: true} }
 
 // ScanStats implements store.ScanStatsReporter: scan-path positioning and
 // pruning counters summed across every node's LSM tree.

@@ -186,12 +186,7 @@ func New(c *cluster.Cluster, opts Options) *Store {
 // Name implements store.Store.
 func (s *Store) Name() string { return "hbase" }
 
-// CopiesOnIngest implements store.IngestCopier: puts (buffered or not)
-// are applied to the region's arena-backed MemStore immediately, which
-// copies field bytes, so callers may reuse a fields buffer across writes.
-func (s *Store) CopiesOnIngest() bool { return true }
-
-// SlabBytes implements store.SlabReporter: the retained footprint of every
+// SlabBytes implements store.Store: the retained footprint of every
 // region's LSM tree (memstore arenas plus HFile slabs).
 func (s *Store) SlabBytes() int64 {
 	var total int64
@@ -204,7 +199,7 @@ func (s *Store) SlabBytes() int64 {
 // Caps implements store.Store: region scans return globally key-ordered
 // rows (regions partition the key space by range), so the query layer can
 // plan against them.
-func (s *Store) Caps() store.Caps { return store.Caps{Scans: true, Queries: true} }
+func (s *Store) Caps() store.Caps { return store.Caps{Scans: true} }
 
 // ScanStats implements store.ScanStatsReporter: scan-path positioning and
 // pruning counters summed across every region's LSM tree.

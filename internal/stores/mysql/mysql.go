@@ -66,11 +66,6 @@ type Options struct {
 	// row overhead and a ~70% fill factor -> 2.5 GB of table for 10M rows;
 	// the binlog doubles it to the ~5 GB/node of Fig 17).
 	LeafCap int
-	// LegacyLoad disables the B-tree's deferred bulk build and loads via
-	// per-record tree inserts instead (the pre-bulk path, exposed as the
-	// btree-bulk=off variant for A/B profiling). Both paths produce
-	// bit-identical trees and charges; legacy is just slower host-side.
-	LegacyLoad bool
 	// ClientThreads is the total number of YCSB threads. Every client
 	// thread holds a JDBC connection to every server (§6), so each server
 	// pays per-operation thread/connection management overhead that grows
@@ -187,12 +182,7 @@ func Default(c *cluster.Cluster) *Store {
 // Name implements store.Store.
 func (s *Store) Name() string { return "mysql" }
 
-// CopiesOnIngest implements store.IngestCopier: every write path lands in
-// the slab-backed B-tree, which copies key and field bytes into its own
-// arenas, so callers may reuse a fields buffer across writes.
-func (s *Store) CopiesOnIngest() bool { return true }
-
-// SlabBytes implements store.SlabReporter: the retained footprint of every
+// SlabBytes implements store.Store: the retained footprint of every
 // shard's B-tree slabs.
 func (s *Store) SlabBytes() int64 {
 	var total int64
@@ -205,7 +195,7 @@ func (s *Store) SlabBytes() int64 {
 // Caps implements store.Store: range queries over the clustered index
 // return key-ordered rows (shard results are merge-sorted client-side), so
 // the query layer can plan against them.
-func (s *Store) Caps() store.Caps { return store.Caps{Scans: true, Queries: true} }
+func (s *Store) Caps() store.Caps { return store.Caps{Scans: true} }
 
 func (s *Store) shard(key string) *shard { return s.shards[s.ring.Owner(key)] }
 
@@ -411,17 +401,11 @@ func toRecords(es []btree.Entry, count int) []store.Record {
 	return out
 }
 
-// Load implements store.Store. The default path buffers into the B-tree's
-// deferred bulk build (one batched construction pass when the workload
-// starts); LegacyLoad forces the per-record insert path, which produces a
-// bit-identical tree at higher host cost.
+// Load implements store.Store: buffered into the B-tree's deferred bulk
+// build (one batched construction pass when the workload starts).
 func (s *Store) Load(key string, f store.Fields) error {
 	sh := s.shard(key)
-	if s.opts.LegacyLoad {
-		sh.db.Put(key, f)
-	} else {
-		sh.db.Load(key, f)
-	}
+	sh.db.Load(key, f)
 	if s.opts.BinLog {
 		sh.binBytes += binlogBytesPerRecord
 		sh.node.AddDiskUsage(binlogBytesPerRecord)

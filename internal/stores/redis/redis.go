@@ -114,12 +114,7 @@ func New(c *cluster.Cluster, opts Options) *Store {
 // Name implements store.Store.
 func (s *Store) Name() string { return "redis" }
 
-// CopiesOnIngest implements store.IngestCopier: the instance's ordered
-// structure is an arena-backed memtable that copies field bytes, so
-// callers may reuse a fields buffer across writes.
-func (s *Store) CopiesOnIngest() bool { return true }
-
-// SlabBytes implements store.SlabReporter: the retained footprint of every
+// SlabBytes implements store.Store: the retained footprint of every
 // instance's memtable arenas.
 func (s *Store) SlabBytes() int64 {
 	var total int64
@@ -132,7 +127,7 @@ func (s *Store) SlabBytes() int64 {
 // Caps implements store.Store: the sharded client merges every instance's
 // sorted slice, so results are key-ordered and the query layer can plan
 // against them.
-func (s *Store) Caps() store.Caps { return store.Caps{Scans: true, Queries: true} }
+func (s *Store) Caps() store.Caps { return store.Caps{Scans: true} }
 
 func (s *Store) inst(key string) *instance { return s.insts[s.ring.Owner(key)] }
 

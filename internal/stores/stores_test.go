@@ -6,6 +6,7 @@ package stores_test
 import (
 	"fmt"
 	"testing"
+	"unsafe"
 
 	"repro/internal/cluster"
 	"repro/internal/sim"
@@ -175,6 +176,131 @@ func TestContractUpdateOverwrites(t *testing.T) {
 				}
 				if string(got.Field(0)) != string(newFields[0]) {
 					t.Errorf("after update got %q, want %q", got.Field(0), newFields[0])
+				}
+			})
+			e.Run(0)
+		})
+	}
+}
+
+// TestContractCopiesOnIngest pins the copy-on-ingest half of the Store
+// contract. Insert, Update and Load are all fed from one key buffer and one
+// FillFields buffer, overwritten after every call the way the YCSB
+// runner's reuse overwrites them; Read and Scan must still return the
+// bytes each record was written with. Cassandra at replication=3 covers
+// the async-replica path, which applies mutations after the client has
+// moved on to its next operation.
+func TestContractCopiesOnIngest(t *testing.T) {
+	deploys := deployAll(t, 3)
+	deploys["cassandra-rf3"] = func() (*sim.Engine, store.Store) {
+		e := sim.NewEngine(1)
+		c := cluster.New(e, cluster.ClusterM(3).Scale(0.01))
+		return e, cassandra.New(c, cassandra.Options{MemtableFlushBytes: 64 << 10, ReplicationFactor: 3})
+	}
+	const n = 300
+	for name, deploy := range deploys {
+		t.Run(name, func(t *testing.T) {
+			e, s := deploy()
+			var kb []byte
+			var fbuf store.Fields
+			key := func(id int64) string {
+				kb = store.AppendKey(kb[:0], id)
+				return unsafe.String(unsafe.SliceData(kb), len(kb))
+			}
+			fields := func(src int64) store.Fields {
+				fbuf = store.FillFields(fbuf, src, store.FieldBytes)
+				return fbuf
+			}
+			scribble := func() {
+				for i := range kb {
+					kb[i] = '#'
+				}
+				for _, f := range fbuf {
+					for i := range f {
+						f[i] = '#'
+					}
+				}
+			}
+			// src maps each record number to the record whose field
+			// pattern it must hold.
+			src := make([]int64, 2*n)
+			for id := int64(0); id < n; id++ {
+				if err := s.Load(key(id), fields(id)); err != nil {
+					t.Fatalf("load %d: %v", id, err)
+				}
+				scribble()
+				src[id] = id
+			}
+			e.Go("w", func(p *sim.Proc) {
+				for id := int64(n); id < 2*n; id++ {
+					if err := s.Insert(p, key(id), fields(id)); err != nil {
+						t.Errorf("insert %d: %v", id, err)
+						return
+					}
+					scribble()
+					src[id] = id
+				}
+				for id := int64(0); id < 2*n; id += 3 {
+					if err := s.Update(p, key(id), fields(id+10*n)); err != nil {
+						t.Errorf("update %d: %v", id, err)
+						return
+					}
+					scribble()
+					src[id] = id + 10*n
+				}
+			})
+			e.Run(0)
+			scribble()
+
+			byKey := map[string]int64{}
+			for id := range src {
+				byKey[store.Key(int64(id))] = int64(id)
+			}
+			check := func(op, k string, got store.FieldsView) {
+				id, ok := byKey[k]
+				if !ok {
+					t.Errorf("%s returned unknown key %q (retained a caller key buffer?)", op, k)
+					return
+				}
+				want := store.MakeFields(src[id])
+				if got.Len() != len(want) {
+					t.Errorf("%s %s: %d fields, want %d", op, k, got.Len(), len(want))
+					return
+				}
+				for j := range want {
+					if string(got.Field(j)) != string(want[j]) {
+						t.Errorf("%s %s field %d = %q, want %q (retained a caller fields buffer?)",
+							op, k, j, got.Field(j), want[j])
+						return
+					}
+				}
+			}
+			e.Go("r", func(p *sim.Proc) {
+				for id := range src {
+					k := store.Key(int64(id))
+					got, err := s.Read(p, k)
+					if err != nil {
+						t.Errorf("read %s: %v", k, err)
+						return
+					}
+					check("read", k, got)
+				}
+				if !s.Caps().Scans {
+					return
+				}
+				cur, err := s.Scan(p, "", len(src))
+				if err != nil {
+					t.Errorf("scan: %v", err)
+					return
+				}
+				rows := 0
+				for cur.Next() {
+					check("scan", cur.Key(), cur.Fields())
+					rows++
+				}
+				cur.Close()
+				if rows != len(src) {
+					t.Errorf("scan returned %d rows, want %d", rows, len(src))
 				}
 			})
 			e.Run(0)

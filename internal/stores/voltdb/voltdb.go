@@ -109,12 +109,7 @@ func New(c *cluster.Cluster, opts Options) *Store {
 // Name implements store.Store.
 func (s *Store) Name() string { return "voltdb" }
 
-// CopiesOnIngest implements store.IngestCopier: each site's partition
-// data is an arena-backed memtable that copies field bytes, so callers
-// may reuse a fields buffer across writes.
-func (s *Store) CopiesOnIngest() bool { return true }
-
-// SlabBytes implements store.SlabReporter: the retained footprint of every
+// SlabBytes implements store.Store: the retained footprint of every
 // site's memtable arenas.
 func (s *Store) SlabBytes() int64 {
 	var total int64
@@ -129,7 +124,7 @@ func (s *Store) SlabBytes() int64 {
 // Caps implements store.Store: the multi-partition scan gathers and sorts
 // every site's rows, so results are key-ordered and the query layer can
 // plan against them.
-func (s *Store) Caps() store.Caps { return store.Caps{Scans: true, Queries: true} }
+func (s *Store) Caps() store.Caps { return store.Caps{Scans: true} }
 
 // route returns the host and site owning key.
 func (s *Store) route(key string) (*host, *site) {

@@ -27,6 +27,7 @@ func (downStore) Scan(p *sim.Proc, start string, count int) (store.Cursor, error
 }
 func (downStore) Load(key string, f store.Fields) error { return nil }
 func (downStore) DiskUsage() int64                      { return 0 }
+func (downStore) SlabBytes() int64                      { return 0 }
 
 // A run against a 100%-unavailable store must terminate (the backoff
 // advances virtual time), record zero successful ops, and count every

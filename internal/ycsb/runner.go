@@ -11,11 +11,10 @@ import (
 )
 
 // keyBuf builds record keys into one reusable buffer, handing them out as
-// zero-copy string views. Sound only against stores that copy key bytes on
-// ingest and never retain a lookup key (store.CopiesOnIngest): the view
-// aliases the buffer, and the next key overwrites it in place. Each
-// goroutine owns its buffer; the view must not outlive the operation it
-// was built for.
+// zero-copy string views. Sound because stores copy key bytes on ingest and
+// never retain a lookup key (see store.Store): the view aliases the buffer,
+// and the next key overwrites it in place. Each goroutine owns its buffer;
+// the view must not outlive the operation it was built for.
 type keyBuf []byte
 
 func (b *keyBuf) key(i int64) string {
@@ -80,23 +79,15 @@ type Result struct {
 func Load(s store.Store, n int64) error { return LoadSized(s, n, store.FieldBytes) }
 
 // LoadSized is Load with fieldBytes-sized value fields per record, for
-// workloads that vary record size (0 means the default 10 bytes). Against
-// stores that copy on ingest it reuses one fields buffer for the whole
-// load, so a 10M-record load performs 10M field-buffer allocations fewer.
+// workloads that vary record size (0 means the default 10 bytes). Stores
+// copy on ingest, so it reuses one key buffer and one fields buffer for the
+// whole load.
 func LoadSized(s store.Store, n int64, fieldBytes int) error {
-	reuse := store.CopiesOnIngest(s)
 	var buf store.Fields
 	var kb keyBuf
 	for i := int64(0); i < n; i++ {
-		var key string
-		if reuse {
-			buf = store.FillFields(buf, i, fieldBytes)
-			key = kb.key(i)
-		} else {
-			buf = store.MakeFieldsSized(i, fieldBytes)
-			key = store.Key(i)
-		}
-		if err := s.Load(key, buf); err != nil {
+		buf = store.FillFields(buf, i, fieldBytes)
+		if err := s.Load(kb.key(i), buf); err != nil {
 			return fmt.Errorf("ycsb: load record %d: %w", i, err)
 		}
 	}
@@ -147,30 +138,14 @@ func Run(e *sim.Engine, cfg RunConfig) (*Result, error) {
 	e.Schedule(cfg.Warmup, func() { col.Begin(e.Now()) })
 	e.Schedule(cfg.Warmup+cfg.Measure, func() { col.Finish(e.Now()) })
 
-	// Stores that copy key and field bytes on ingest let each client reuse
-	// one fields buffer and one key buffer for every operation instead of
-	// allocating fresh per operation — with both reused, the steady-state
-	// operation loop allocates nothing.
-	reuseBufs := store.CopiesOnIngest(cfg.Store)
-
 	for i := 0; i < cfg.Clients; i++ {
 		e.Go(fmt.Sprintf("client-%d", i), func(p *sim.Proc) {
 			rng := p.Rand()
+			// Stores copy on ingest, so each client reuses one key
+			// buffer and one fields buffer for every operation: the
+			// steady-state operation loop allocates nothing.
 			var fbuf store.Fields
 			var kb keyBuf
-			makeFields := func(id int64) store.Fields {
-				if reuseBufs {
-					fbuf = store.FillFields(fbuf, id, fieldBytes)
-					return fbuf
-				}
-				return store.MakeFieldsSized(id, fieldBytes)
-			}
-			makeKey := func(id int64) string {
-				if reuseBufs {
-					return kb.key(id)
-				}
-				return store.Key(id)
-			}
 			// Desynchronize client start within one pacing interval.
 			if interval > 0 {
 				p.Sleep(sim.Time(rng.Int63n(int64(interval) + 1)))
@@ -181,10 +156,10 @@ func Run(e *sim.Engine, cfg RunConfig) (*Result, error) {
 				var err error
 				switch kind {
 				case stats.OpRead:
-					key := makeKey(chooser.Choose(inserted, rng.Float64(), rng.Float64()))
+					key := kb.key(chooser.Choose(inserted, rng.Float64(), rng.Float64()))
 					_, err = cfg.Store.Read(p, key)
 				case stats.OpScan:
-					key := makeKey(chooser.Choose(inserted, rng.Float64(), rng.Float64()))
+					key := kb.key(chooser.Choose(inserted, rng.Float64(), rng.Float64()))
 					var cur store.Cursor
 					cur, err = cfg.Store.Scan(p, key, cfg.Workload.ScanLength)
 					if err == nil {
@@ -198,10 +173,12 @@ func Run(e *sim.Engine, cfg RunConfig) (*Result, error) {
 				case stats.OpInsert:
 					id := inserted
 					inserted++
-					err = cfg.Store.Insert(p, makeKey(id), makeFields(id))
+					fbuf = store.FillFields(fbuf, id, fieldBytes)
+					err = cfg.Store.Insert(p, kb.key(id), fbuf)
 				case stats.OpUpdate:
 					id := chooser.Choose(inserted, rng.Float64(), rng.Float64())
-					err = cfg.Store.Update(p, makeKey(id), makeFields(id))
+					fbuf = store.FillFields(fbuf, id, fieldBytes)
+					err = cfg.Store.Update(p, kb.key(id), fbuf)
 				}
 				switch lat := p.Now() - opStart; {
 				case err != nil:

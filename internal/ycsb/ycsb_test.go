@@ -9,7 +9,9 @@ import (
 	"repro/internal/store"
 )
 
-// fakeStore is a fixed-latency in-memory store for framework tests.
+// fakeStore is a fixed-latency in-memory store for framework tests. Like
+// every store it copies key and field bytes on ingest, so the runner's
+// reused key and fields buffers cannot alias retained records.
 type fakeStore struct {
 	readLat, writeLat, scanLat sim.Time
 	data                       map[string]store.Fields
@@ -24,7 +26,7 @@ func (f *fakeStore) Name() string     { return "fake" }
 func (f *fakeStore) Caps() store.Caps { return store.Caps{Scans: true} }
 func (f *fakeStore) Insert(p *sim.Proc, key string, fl store.Fields) error {
 	p.Sleep(f.writeLat)
-	f.data[key] = fl
+	f.data[strings.Clone(key)] = fl.Clone()
 	f.writes++
 	return nil
 }
@@ -45,10 +47,11 @@ func (f *fakeStore) Scan(p *sim.Proc, start string, count int) (store.Cursor, er
 	return store.NewSliceCursor(nil), nil
 }
 func (f *fakeStore) Load(key string, fl store.Fields) error {
-	f.data[key] = fl
+	f.data[strings.Clone(key)] = fl.Clone()
 	return nil
 }
 func (f *fakeStore) DiskUsage() int64 { return 0 }
+func (f *fakeStore) SlabBytes() int64 { return 0 }
 
 func TestWorkloadPresetsValid(t *testing.T) {
 	for _, w := range Workloads {
@@ -313,69 +316,35 @@ func TestTrackThroughputSeries(t *testing.T) {
 	}
 }
 
-// copyingFake is fakeStore with the copy-on-ingest contract the real
-// stores implement: key and field bytes are cloned before retention, so
-// the runner takes its buffer-reuse path (one key buffer and one fields
-// buffer per client, zero steady-state allocations).
-type copyingFake struct {
-	*fakeStore
-}
-
-func (c *copyingFake) CopiesOnIngest() bool { return true }
-func (c *copyingFake) Insert(p *sim.Proc, key string, fl store.Fields) error {
-	return c.fakeStore.Insert(p, strings.Clone(key), fl.Clone())
-}
-func (c *copyingFake) Update(p *sim.Proc, key string, fl store.Fields) error {
-	return c.Insert(p, key, fl)
-}
-func (c *copyingFake) Load(key string, fl store.Fields) error {
-	return c.fakeStore.Load(strings.Clone(key), fl.Clone())
-}
-
 // TestReusedBuffersMatchAllocatingRun pins the key/fields buffer reuse:
-// against a copy-on-ingest store the runner reuses per-client buffers, and
-// the run must be indistinguishable from the allocating path — identical
-// throughput and op counts, and every retained record must hold exactly
-// the bytes its record number implies (a stale or overwritten buffer view
-// would leave another record's key or fields behind).
+// the runner reuses per-client buffers, so every retained record must hold
+// exactly the bytes its record number implies (a stale or overwritten
+// buffer view would leave another record's key or fields behind).
 func TestReusedBuffersMatchAllocatingRun(t *testing.T) {
 	const initial = 400
-	run := func(s store.Store) (*Result, error) {
-		e := sim.NewEngine(77)
-		if err := Load(s, initial); err != nil {
-			return nil, err
-		}
-		return Run(e, RunConfig{
-			Store: s, Workload: WorkloadW, Clients: 8,
-			InitialRecords: initial, Warmup: 50 * sim.Millisecond, Measure: 500 * sim.Millisecond,
-		})
-	}
-	plain := newFake(sim.Millisecond, 500*sim.Microsecond, 2*sim.Millisecond)
-	copying := &copyingFake{newFake(sim.Millisecond, 500*sim.Microsecond, 2*sim.Millisecond)}
-	resPlain, err := run(plain)
-	if err != nil {
+	f := newFake(sim.Millisecond, 500*sim.Microsecond, 2*sim.Millisecond)
+	e := sim.NewEngine(77)
+	if err := Load(f, initial); err != nil {
 		t.Fatal(err)
 	}
-	resReuse, err := run(copying)
-	if err != nil {
+	if _, err := Run(e, RunConfig{
+		Store: f, Workload: WorkloadW, Clients: 8,
+		InitialRecords: initial, Warmup: 50 * sim.Millisecond, Measure: 500 * sim.Millisecond,
+	}); err != nil {
 		t.Fatal(err)
-	}
-	if resPlain.Throughput() != resReuse.Throughput() || resPlain.Ops() != resReuse.Ops() {
-		t.Fatalf("reuse path diverged: %f/%d vs %f/%d",
-			resPlain.Throughput(), resPlain.Ops(), resReuse.Throughput(), resReuse.Ops())
 	}
 
 	// Integrity sweep: map keys back to record numbers and verify payloads.
 	// writes counts every insert/update including warmup and drain, so
 	// initial+writes bounds the highest record number any key can carry.
 	byKey := map[string]int64{}
-	for id := int64(0); id < initial+int64(copying.writes)+16; id++ {
+	for id := int64(0); id < initial+int64(f.writes)+16; id++ {
 		byKey[store.Key(id)] = id
 	}
-	if len(copying.data) <= initial {
-		t.Fatalf("write workload retained only %d records", len(copying.data))
+	if len(f.data) <= initial {
+		t.Fatalf("write workload retained only %d records", len(f.data))
 	}
-	for key, fl := range copying.data {
+	for key, fl := range f.data {
 		id, ok := byKey[key]
 		if !ok {
 			t.Fatalf("retained key %q maps to no record number (aliased buffer?)", key)
@@ -389,8 +358,8 @@ func TestReusedBuffersMatchAllocatingRun(t *testing.T) {
 	}
 }
 
-// TestRunSteadyStateAllocs pins the zero-allocation operation loop against
-// a copy-on-ingest store: after warmup, inserts and updates reuse the
+// TestRunSteadyStateAllocs pins the zero-allocation operation loop: after
+// warmup, inserts and updates reuse the
 // per-client key and fields buffers.
 func TestRunSteadyStateAllocs(t *testing.T) {
 	var kb keyBuf
@@ -406,7 +375,7 @@ func TestRunSteadyStateAllocs(t *testing.T) {
 
 // TestKeyBufMatchesKey pins the zero-copy key view: same bytes as
 // store.Key, and the view is invalidated (overwritten in place) by the
-// next build — exactly the contract CopiesOnIngest stores rely on.
+// next build — which is why stores must copy keys on ingest.
 func TestKeyBufMatchesKey(t *testing.T) {
 	var kb keyBuf
 	for _, id := range []int64{0, 5, 999_999_999} {

@@ -14,7 +14,7 @@ out="${1:-BENCH_PR12.json}"
 bt="${BENCHTIME:-100000x}"
 
 {
-  go test -run '^$' -bench 'BenchmarkEngineSchedule$|BenchmarkLSMGet$|BenchmarkLSMScan$|BenchmarkLSMInsert$|BenchmarkLSMInsertNoReuse$|BenchmarkBTreeInsert$|BenchmarkBTreeBulkLoad$|BenchmarkBTreeUpdate$' -benchtime "$bt" -benchmem .
+  go test -run '^$' -bench 'BenchmarkEngineSchedule$|BenchmarkLSMGet$|BenchmarkLSMScan$|BenchmarkLSMInsert$|BenchmarkBTreeInsert$|BenchmarkBTreeBulkLoad$|BenchmarkBTreeUpdate$' -benchtime "$bt" -benchmem .
   go test -run '^$' -bench 'BenchmarkProcSleepSwitch$|BenchmarkResourceUse$|BenchmarkProcSpawn$' -benchtime "$bt" -benchmem ./internal/sim
   go test -run '^$' -bench 'BenchmarkStoreKey$|BenchmarkStoreAppendKey$|BenchmarkMakeFields$' -benchtime "$bt" -benchmem ./internal/store
   go test -run '^$' -bench 'BenchmarkMemtablePut$|BenchmarkMemtableGet$|BenchmarkMemtableScan$' -benchtime "$bt" -benchmem ./internal/memtable
