@@ -8,6 +8,7 @@ package apm
 
 import (
 	"fmt"
+	"iter"
 	"strconv"
 	"strings"
 
@@ -166,6 +167,48 @@ type WindowStats struct {
 	Max   float64
 }
 
+// pageSize is the row count of one paginated scan RPC in Series.
+const pageSize = 60
+
+// Series streams one metric's measurements with timestamps in [from, to]
+// as the classic paginated range read: each page is one store Scan of 60
+// rows, and the next page starts just past the previous page's last key.
+// The series ends on a short page (the key space ran out) or at the first
+// row that leaves the metric or the window; the rest of that page was
+// already paid for, since scans charge by count. The next page's Scan is
+// issued only after the consumer has taken every row of the current page,
+// and none once the consumer stops ranging. A failed scan or an
+// undecodable row ends the series with its error.
+//
+// Rows are decoded from the page's field views as they are yielded, so the
+// loop body must not operate on s (see store.Store.Scan).
+func Series(p *sim.Proc, s store.Store, metric string, from, to int64) iter.Seq2[Measurement, error] {
+	return func(yield func(Measurement, error) bool) {
+		start := Measurement{Metric: metric, Timestamp: from}.Key()
+		for {
+			recs, err := s.Scan(p, start, pageSize)
+			if err != nil {
+				yield(Measurement{}, err)
+				return
+			}
+			for _, r := range recs {
+				m, err := Decode(r.Key, r.Fields)
+				if err != nil {
+					yield(Measurement{}, err)
+					return
+				}
+				if m.Metric != metric || m.Timestamp > to || !yield(m, nil) {
+					return
+				}
+			}
+			if len(recs) < pageSize {
+				return
+			}
+			start = recs[len(recs)-1].Key + "\x00"
+		}
+	}
+}
+
 // Window scans one metric's time range and aggregates it.
 //
 // Use an order-preserving store (HBase's range-partitioned regions, or a
@@ -174,42 +217,20 @@ type WindowStats struct {
 // samples for range scans, so windows over them may under-count — the same
 // trade-off the paper's scan discussion surfaces (§4.2, §5.4).
 func Window(p *sim.Proc, s store.Store, metric string, from, to int64) (WindowStats, error) {
-	start := Measurement{Metric: metric, Timestamp: from}.Key()
 	var st WindowStats
 	var sum float64
-	first := true
-	for {
-		// One page per scan RPC (the classic paginated range read); each
-		// page is drained via its cursor, charging exactly what the
-		// materialized per-page scan charged.
-		recs, err := store.ScanAll(p, s, start, 60)
+	for m, err := range Series(p, s, metric, from, to) {
 		if err != nil {
 			return WindowStats{}, err
 		}
-		if len(recs) == 0 {
-			break
+		if st.Count == 0 || m.Min < st.Min {
+			st.Min = m.Min
 		}
-		done := false
-		for _, r := range recs {
-			m, err := Decode(r.Key, r.Fields)
-			if err != nil || m.Metric != metric || m.Timestamp > to {
-				done = true
-				break
-			}
-			st.Count++
-			sum += m.Value
-			if first || m.Min < st.Min {
-				st.Min = m.Min
-			}
-			if first || m.Max > st.Max {
-				st.Max = m.Max
-			}
-			first = false
+		if st.Count == 0 || m.Max > st.Max {
+			st.Max = m.Max
 		}
-		if done || len(recs) < 60 {
-			break
-		}
-		start = recs[len(recs)-1].Key + "\x00"
+		st.Count++
+		sum += m.Value
 	}
 	if st.Count > 0 {
 		st.Avg = sum / float64(st.Count)

@@ -433,14 +433,8 @@ func (t *Tree) put(key string, kp pfx, kr kref, v vref, io *IOStats) {
 // in-place UPDATE statements and BDB replacing puts perform. Returns
 // whether the key existed (a miss still pays the descent).
 func (t *Tree) Update(key string, fields [][]byte) (bool, IOStats) {
-	t.seal()
 	var io IOStats
-	kp := prefixOf(key)
-	n := t.root
-	for !n.leaf {
-		t.touch(&io, n, false)
-		n = n.children[t.searchGT(n, key, kp)]
-	}
+	n, kp := t.descend(key, &io)
 	i := t.searchGE(n, key, kp)
 	found := i < len(n.keys) && t.keyStr(n.keys[i]) == key
 	t.touch(&io, n, found)
@@ -526,75 +520,41 @@ func (t *Tree) splitInternal(n *node, io *IOStats) (kref, pfx, *node) {
 	return sep, sepPfx, right
 }
 
-// Cursor streams entries with keys >= start in key order, walking the leaf
-// chain. The root-to-leaf descent is paid when the cursor is opened; each
-// leaf pays its page touch when the walk first reads from it, so a cursor
-// abandoned early touches exactly the pages a count-bounded Scan would
-// have. IO reports the traffic accrued so far.
-type Cursor struct {
-	t       *Tree
-	n       *node
-	i       int
-	start   string
-	kp      pfx
-	started bool
-	io      IOStats
-}
-
-// NewCursor opens a cursor positioned before the first entry with key >=
-// start, charging the index descent.
-func (t *Tree) NewCursor(start string) *Cursor {
+// descend walks the index from the root to the leaf that would hold key,
+// paying one clean page touch per internal node, and returns the leaf with
+// key's prefix.
+func (t *Tree) descend(key string, io *IOStats) (*node, pfx) {
 	t.seal()
-	c := &Cursor{t: t, start: start, kp: prefixOf(start)}
+	kp := prefixOf(key)
 	n := t.root
 	for !n.leaf {
-		t.touch(&c.io, n, false)
-		n = n.children[t.searchGT(n, start, c.kp)]
+		t.touch(io, n, false)
+		n = n.children[t.searchGT(n, key, kp)]
 	}
-	c.n = n
-	return c
+	return n, kp
 }
-
-// Next advances to the next entry and reports whether one exists.
-func (c *Cursor) Next() bool {
-	if !c.started {
-		c.started = true
-		c.t.touch(&c.io, c.n, false)
-		c.i = c.t.searchGE(c.n, c.start, c.kp)
-	} else {
-		c.i++
-	}
-	for c.i >= len(c.n.keys) {
-		if c.n.next == nil {
-			return false
-		}
-		c.n = c.n.next
-		c.t.touch(&c.io, c.n, false)
-		c.i = 0
-	}
-	return true
-}
-
-// Key returns the current entry's key; valid after Next reports true.
-func (c *Cursor) Key() string { return c.t.keyStr(c.n.keys[c.i]) }
-
-// Fields returns the current entry's field view; valid after Next reports
-// true.
-func (c *Cursor) Fields() slab.FieldsView { return c.t.view(c.n.vals[c.i]) }
-
-// IO returns the page traffic the cursor has accrued so far.
-func (c *Cursor) IO() IOStats { return c.io }
 
 // Scan returns up to count entries with keys >= start, walking the leaf
-// chain (one page touch per leaf visited): a drained Cursor, kept for
-// callers that want the materialized form.
-func (t *Tree) Scan(start string, count int) ([]Entry, IOStats) {
-	c := t.NewCursor(start)
-	var out []Entry
-	for len(out) < count && c.Next() {
-		out = append(out, Entry{Key: c.Key(), Fields: c.Fields()})
+// chain. A leaf pays its page touch only when the walk reads from it, so a
+// zero-count scan pays just the index descent and the walk never touches
+// the leaf after the count-th entry.
+func (t *Tree) Scan(start string, count int) (out []Entry, io IOStats) {
+	n, kp := t.descend(start, &io)
+	if count <= 0 {
+		return nil, io
 	}
-	return out, c.IO()
+	t.touch(&io, n, false)
+	for i := t.searchGE(n, start, kp); len(out) < count; i++ {
+		for i >= len(n.keys) {
+			if n.next == nil {
+				return out, io
+			}
+			n, i = n.next, 0
+			t.touch(&io, n, false)
+		}
+		out = append(out, Entry{Key: t.keyStr(n.keys[i]), Fields: t.view(n.vals[i])})
+	}
+	return out, io
 }
 
 // ScanAllFrom visits every entry with key >= start without materializing
@@ -602,23 +562,10 @@ func (t *Tree) Scan(start string, count int) ([]Entry, IOStats) {
 // paper's observation that the YCSB RDBMS client's scan "retrieves all
 // records with a key equal or greater than the start key" (§5.4).
 func (t *Tree) ScanAllFrom(start string) (entries int, io IOStats) {
-	t.seal()
-	kp := prefixOf(start)
-	n := t.root
-	for !n.leaf {
+	n, kp := t.descend(start, &io)
+	for i := t.searchGE(n, start, kp); n != nil; n, i = n.next, 0 {
 		t.touch(&io, n, false)
-		n = n.children[t.searchGT(n, start, kp)]
-	}
-	first := true
-	for n != nil {
-		t.touch(&io, n, false)
-		i := 0
-		if first {
-			i = t.searchGE(n, start, kp)
-			first = false
-		}
 		entries += len(n.keys) - i
-		n = n.next
 	}
 	return entries, io
 }

@@ -471,47 +471,65 @@ func BenchmarkGet(b *testing.B) {
 	}
 }
 
+// TestCursorMatchesScanEntriesAndIO checks Scan against a reference walk
+// of the leaf chain: the same entries, and page IO of exactly the index
+// descent plus the leaves the walk reads.
 func TestCursorMatchesScanEntriesAndIO(t *testing.T) {
-	build := func() *Tree {
-		tr := New(small())
-		for i := 0; i < 100; i++ {
-			tr.Put(fmt.Sprintf("k%04d", i), fields("v"))
-		}
-		return tr
+	tr := New(small())
+	for i := 0; i < 100; i++ {
+		tr.Put(fmt.Sprintf("k%04d", i), fields("v"))
 	}
-	a, b := build(), build()
-	got, scanIO := a.Scan("k0030", 25)
-	c := b.NewCursor("k0030")
-	var keys []string
-	for len(keys) < 25 && c.Next() {
-		keys = append(keys, c.Key())
+	got, io := tr.Scan("k0030", 25)
+	if len(got) != 25 {
+		t.Fatalf("scan returned %d entries, want 25", len(got))
 	}
-	if len(got) != 25 || len(keys) != 25 {
-		t.Fatalf("scan %d entries, cursor %d entries, want 25", len(got), len(keys))
-	}
-	for i := range got {
-		if got[i].Key != keys[i] {
-			t.Fatalf("entry %d: scan %s, cursor %s", i, got[i].Key, keys[i])
+	for i, e := range got {
+		if want := fmt.Sprintf("k%04d", 30+i); e.Key != want {
+			t.Fatalf("entry %d = %s, want %s", i, e.Key, want)
 		}
 	}
-	if scanIO != c.IO() {
-		t.Fatalf("IO diverges: scan %+v, cursor %+v", scanIO, c.IO())
+	// The walk touches the index descent plus exactly the leaves holding
+	// k0030..k0054: never the leaf after the count-th entry.
+	leaves := 0
+	n := tr.root
+	for !n.leaf {
+		n = n.children[0]
+	}
+	for ; n != nil; n = n.next {
+		first, last := tr.keyStr(n.keys[0]), tr.keyStr(n.keys[len(n.keys)-1])
+		if last >= "k0030" && first <= "k0054" {
+			leaves++
+		}
+	}
+	if want := tr.Height() - 1 + leaves; io.PagesTouched != want {
+		t.Fatalf("scan touched %d pages, want %d (descent %d + %d leaves)",
+			io.PagesTouched, want, tr.Height()-1, leaves)
 	}
 }
 
+// TestCursorZeroAndTailEdges pins the ends of Scan's leaf walk: a zero
+// count reads no leaf, and a walk past the last key ends cleanly.
 func TestCursorZeroAndTailEdges(t *testing.T) {
 	tr := New(small())
 	for i := 0; i < 20; i++ {
 		tr.Put(fmt.Sprintf("k%04d", i), fields("v"))
 	}
-	// Zero-count scan touches only the descent: an unread cursor matches.
-	_, zeroIO := tr.Scan("k0005", 0)
-	if unread := tr.NewCursor("k0005").IO(); zeroIO != unread {
-		t.Fatalf("count=0 scan IO %+v != unread cursor IO %+v", zeroIO, unread)
+	if tr.Height() < 2 {
+		t.Fatalf("height %d: the test needs an index above the leaves", tr.Height())
 	}
-	// A cursor past the last key ends cleanly.
-	c := tr.NewCursor("zzz")
-	if c.Next() {
-		t.Fatalf("cursor past the tail yielded %s", c.Key())
+	// A zero-count scan pays only the index descent: no leaf is read.
+	got, zeroIO := tr.Scan("k0005", 0)
+	if len(got) != 0 || zeroIO.PagesTouched != tr.Height()-1 {
+		t.Fatalf("count=0 scan: %d entries, %d pages touched, want 0 and the %d-page descent",
+			len(got), zeroIO.PagesTouched, tr.Height()-1)
+	}
+	// A scan past the last key reads the last leaf and ends cleanly.
+	if got, io := tr.Scan("zzz", 5); len(got) != 0 || io.PagesTouched != tr.Height() {
+		t.Fatalf("scan past the tail: %d entries, %d pages touched, want 0 and %d",
+			len(got), io.PagesTouched, tr.Height())
+	}
+	// A count beyond the tail stops at the last entry.
+	if got, _ := tr.Scan("k0015", 100); len(got) != 5 || got[4].Key != "k0019" {
+		t.Fatalf("tail scan returned %d entries, want k0015..k0019", len(got))
 	}
 }

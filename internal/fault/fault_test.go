@@ -39,6 +39,31 @@ func TestParseScheduleRejectsGarbage(t *testing.T) {
 	}
 }
 
+// FuzzParseSchedule feeds ParseSchedule arbitrary strings (schedules
+// arrive over the farm wire and from the cell cache): it must never panic,
+// and any schedule it accepts must have a canonical String that re-parses
+// to the same String.
+func FuzzParseSchedule(f *testing.F) {
+	f.Add("kill-node@1[0.3:0.6];slow-node@0[0.2:0.8]x4")
+	f.Add("compaction-storm@0[0.1:0.9]x3; kill-node@2[0.5]")
+	f.Add("replica-lag@+1[1e-1:9e-1]x5e+1")
+	f.Add("kill-node@1[0.5:0.2]x0")
+	f.Fuzz(func(t *testing.T, in string) {
+		sched, err := ParseSchedule(in)
+		if err != nil {
+			return
+		}
+		canon := sched.String()
+		back, err := ParseSchedule(canon)
+		if err != nil {
+			t.Fatalf("ParseSchedule(%q) accepted, but its canonical form %q does not re-parse: %v", in, canon, err)
+		}
+		if got := back.String(); got != canon {
+			t.Fatalf("canonical form drifts on re-parse:\n first: %s\nsecond: %s", canon, got)
+		}
+	})
+}
+
 func TestValidateRejectsBadEvents(t *testing.T) {
 	cases := []struct {
 		sched Schedule

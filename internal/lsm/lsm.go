@@ -248,49 +248,12 @@ func (h mergeHeap) down(i int) {
 	}
 }
 
-// Cursor streams a scan's merged entries lazily: the k-way heap merge over
-// the memtable and surviving sstables advances one entry per Next. All
-// simulated charges (table positioning I/O and its cache-miss RNG draws)
-// were paid by ScanCursor before the cursor existed, so consuming it is
-// host-side only — Next never parks and never draws randomness.
-type Cursor struct {
-	h   mergeHeap
-	cur memtable.Entry
-	ok  bool
-}
-
-// Next advances to the next distinct key (newest generation wins) and
-// reports whether one exists.
-func (c *Cursor) Next() bool {
-	for len(c.h) > 0 {
-		e := c.h[0].entry()
-		if c.h[0].advance() {
-			c.h.down(0)
-		} else {
-			c.h[0] = c.h[len(c.h)-1]
-			c.h = c.h[:len(c.h)-1]
-			c.h.down(0)
-		}
-		// First occurrence of a key comes from the newest generation
-		// (heap order); shadowed older versions are skipped here.
-		if !c.ok || c.cur.Key != e.Key {
-			c.cur = e
-			c.ok = true
-			return true
-		}
-	}
-	return false
-}
-
-// Entry returns the current entry; valid after Next reports true, until the
-// next call to Next.
-func (c *Cursor) Entry() memtable.Entry { return c.cur }
-
-// ScanCursor opens a streaming scan at start, charging all positioning I/O
-// up front. The historical materialized Scan is now a drain of this cursor;
-// the two charge the identical virtual-time (and RNG) sequence because
-// every charge happens here, before either returns.
-func (t *Tree) ScanCursor(p *sim.Proc, start string) *Cursor {
+// Scan returns up to count entries with keys >= start, merged across the
+// memtable and all tables (newest generation wins per key). All simulated
+// charges (table positioning I/O and its cache-miss RNG draws) land before
+// the merge starts; the k-way heap merge then pulls entries lazily, so it
+// never reads past the count-th distinct key.
+func (t *Tree) Scan(p *sim.Proc, start string, count int) []memtable.Entry {
 	// Snapshot both layers before parking on disk charges: t.tables is COW
 	// (the slice header is a consistent view) and t.mem must be captured
 	// with it — a flush during a park swaps t.mem and installs the flushed
@@ -319,8 +282,7 @@ func (t *Tree) ScanCursor(p *sim.Proc, start string) *Cursor {
 		t.chargeTableRead(p)
 		live = append(live, tab)
 	}
-	// The merge never parks and simulated processes run one at a time, so
-	// the sources cannot change while the cursor is consumed.
+	// The merge never parks, so the sources cannot change under it.
 	h := make(mergeHeap, 0, len(live)+1)
 	if it := mem.SeekIter(start); it.Valid() {
 		h = append(h, scanSource{gen: memtableGen, mem: it, isMem: true})
@@ -333,17 +295,21 @@ func (t *Tree) ScanCursor(p *sim.Proc, start string) *Cursor {
 	for i := len(h)/2 - 1; i >= 0; i-- {
 		h.down(i)
 	}
-	return &Cursor{h: h}
-}
-
-// Scan returns up to count entries with keys >= start, merged across the
-// memtable and all tables (newest generation wins per key): a drained
-// ScanCursor, kept for callers that want the materialized form.
-func (t *Tree) Scan(p *sim.Proc, start string, count int) []memtable.Entry {
-	c := t.ScanCursor(p, start)
 	out := make([]memtable.Entry, 0, count)
-	for len(out) < count && c.Next() {
-		out = append(out, c.Entry())
+	for len(out) < count && len(h) > 0 {
+		e := h[0].entry()
+		if h[0].advance() {
+			h.down(0)
+		} else {
+			h[0] = h[len(h)-1]
+			h = h[:len(h)-1]
+			h.down(0)
+		}
+		// First occurrence of a key comes from the newest generation
+		// (heap order); shadowed older versions are skipped here.
+		if n := len(out); n == 0 || out[n-1].Key != e.Key {
+			out = append(out, e)
+		}
 	}
 	return out
 }

@@ -446,64 +446,8 @@ func TestTowerHeightsNeverShapeTime(t *testing.T) {
 	}
 }
 
-func TestScanCursorMatchesScanAndChargesAtOpen(t *testing.T) {
-	// Two identical trees: one scanned via the materialized Scan, one via
-	// ScanCursor drained by hand. Same entries, same virtual time — and the
-	// cursor's charge happens at open, so a partial drain costs the same.
-	build := func() (*sim.Engine, *Tree) {
-		e := sim.NewEngine(1)
-		tr := newTree(e, 400)
-		e.Go("w", func(p *sim.Proc) {
-			for i := 0; i < 120; i++ {
-				tr.Put(p, fmt.Sprintf("k%04d", i), fields(fmt.Sprintf("v%d", i)))
-				p.Sleep(sim.Millisecond)
-			}
-		})
-		e.Run(0)
-		return e, tr
-	}
-
-	var matKeys, curKeys []string
-	var matTime, curTime, partialTime sim.Time
-
-	e, tr := build()
-	e.Go("r", func(p *sim.Proc) {
-		for _, ent := range tr.Scan(p, "k0010", 30) {
-			matKeys = append(matKeys, ent.Key)
-		}
-		matTime = p.Now()
-	})
-	e.Run(0)
-
-	e2, tr2 := build()
-	e2.Go("r", func(p *sim.Proc) {
-		c := tr2.ScanCursor(p, "k0010")
-		for len(curKeys) < 30 && c.Next() {
-			curKeys = append(curKeys, c.Entry().Key)
-		}
-		curTime = p.Now()
-	})
-	e2.Run(0)
-
-	e3, tr3 := build()
-	e3.Go("r", func(p *sim.Proc) {
-		c := tr3.ScanCursor(p, "k0010")
-		c.Next() // one row, then abandon
-		partialTime = p.Now()
-	})
-	e3.Run(0)
-
-	if fmt.Sprint(matKeys) != fmt.Sprint(curKeys) {
-		t.Fatalf("cursor and Scan diverge:\n scan:   %v\n cursor: %v", matKeys, curKeys)
-	}
-	if len(matKeys) != 30 {
-		t.Fatalf("scan returned %d entries, want 30", len(matKeys))
-	}
-	if matTime != curTime || matTime != partialTime {
-		t.Fatalf("virtual time diverges: scan=%v cursor=%v partial=%v (charges must happen at open)", matTime, curTime, partialTime)
-	}
-}
-
+// TestScanCursorDedupsNewestWins checks that Scan's k-way merge over the
+// memtable and sstables yields each key once, with its newest version.
 func TestScanCursorDedupsNewestWins(t *testing.T) {
 	e := sim.NewEngine(1)
 	tr := newTree(e, 200) // small flush: overwrites land in different tables
@@ -517,17 +461,17 @@ func TestScanCursorDedupsNewestWins(t *testing.T) {
 	})
 	e.Run(0)
 	e.Go("r", func(p *sim.Proc) {
-		c := tr.ScanCursor(p, "k0000")
-		n := 0
-		for c.Next() {
-			ent := c.Entry()
-			if got := string(ent.Fields.Field(0)); got != "r2" {
-				t.Errorf("%s = %q, want newest round r2", ent.Key, got)
+		got := tr.Scan(p, "k0000", 100)
+		for i, ent := range got {
+			if want := fmt.Sprintf("k%04d", i); ent.Key != want {
+				t.Errorf("entry %d = %s, want %s", i, ent.Key, want)
 			}
-			n++
+			if v := string(ent.Fields.Field(0)); v != "r2" {
+				t.Errorf("%s = %q, want newest round r2", ent.Key, v)
+			}
 		}
-		if n != 20 {
-			t.Errorf("cursor yielded %d distinct keys, want 20", n)
+		if len(got) != 20 {
+			t.Errorf("scan returned %d distinct keys, want 20", len(got))
 		}
 	})
 	e.Run(0)

@@ -70,6 +70,14 @@ func (d Dataset) HostMetrics(h int) []string {
 	return out
 }
 
+// Range is one per-metric scan range: the [From, To] time window of a
+// single metric series — the unit the dashboard's multi-series panel seeks
+// per displayed metric.
+type Range struct {
+	Metric   string
+	From, To int64
+}
+
 // HostRanges builds the per-metric scan ranges for a host dashboard panel
 // over [from, to]: one range per metric series, each a separate seek —
 // which is what lets the LSM scan path prune sstables per series.

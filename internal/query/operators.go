@@ -3,156 +3,12 @@ package query
 import (
 	"fmt"
 	"sort"
+	"strings"
 
 	"repro/internal/apm"
 	"repro/internal/sim"
 	"repro/internal/store"
 )
-
-// Iter is the volcano-style pull interface between row-streaming operators:
-// Next returns the next measurement until the stream is exhausted, after
-// which Err reports the first upstream failure (a store scan error, a
-// malformed record).
-type Iter interface {
-	Next() (apm.Measurement, bool)
-	Err() error
-}
-
-// Range is one per-metric scan range: the [From, To] time window of a
-// single metric series — the unit the dashboard's multi-series panel seeks
-// per displayed metric.
-type Range struct {
-	Metric   string
-	From, To int64
-}
-
-// DefaultPageSize is the scan operator's page length: each page is one
-// store scan RPC, the same pagination apm.Window uses.
-const DefaultPageSize = 60
-
-// ScanOp streams measurements from the store, one page-sized cursor at a
-// time, across a list of per-metric ranges. Each page open charges the
-// store's full scan cost in virtual time (positioning, per-row CPU, wire
-// transfer); pulling rows from the open cursor is host-side only. A range
-// ends when a row leaves the metric or the window, or a short page proves
-// the series is exhausted.
-type ScanOp struct {
-	p        *sim.Proc
-	st       store.Store
-	ranges   []Range
-	pageSize int
-
-	ri       int // current range
-	cur      store.Cursor
-	got      int    // rows pulled from the current page
-	lastKey  string // continuation point for the next page
-	seekNext bool   // current range needs a fresh page
-	err      error
-}
-
-// NewScan opens a streaming scan over ranges. No I/O happens until the
-// first Next.
-func NewScan(p *sim.Proc, st store.Store, ranges []Range, pageSize int) *ScanOp {
-	if pageSize <= 0 {
-		pageSize = DefaultPageSize
-	}
-	return &ScanOp{p: p, st: st, ranges: ranges, pageSize: pageSize, seekNext: true}
-}
-
-// Next implements Iter.
-func (s *ScanOp) Next() (apm.Measurement, bool) {
-	for s.err == nil && s.ri < len(s.ranges) {
-		r := s.ranges[s.ri]
-		if s.seekNext {
-			start := apm.Measurement{Metric: r.Metric, Timestamp: r.From}.Key()
-			if s.lastKey != "" {
-				start = s.lastKey + "\x00"
-			}
-			cur, err := s.st.Scan(s.p, start, s.pageSize)
-			if err != nil {
-				s.err = err
-				return apm.Measurement{}, false
-			}
-			s.cur, s.got, s.seekNext = cur, 0, false
-		}
-		if !s.cur.Next() {
-			// Cursor exhausted: a full page continues the range from its
-			// last key, a short page means the key space itself ran out.
-			short := s.got < s.pageSize
-			s.closeCur()
-			if short {
-				s.nextRange()
-			} else {
-				s.seekNext = true
-			}
-			continue
-		}
-		s.got++
-		key := s.cur.Key()
-		m, err := apm.Decode(key, s.cur.Fields())
-		if err != nil {
-			s.err = err
-			s.closeCur()
-			return apm.Measurement{}, false
-		}
-		if m.Metric != r.Metric || m.Timestamp > r.To {
-			// Left the series or the window: this range is done. The rest
-			// of the page was already paid for (scan charges are count-
-			// based at open), exactly like the materialized reader that
-			// over-fetched its last page.
-			s.closeCur()
-			s.nextRange()
-			continue
-		}
-		s.lastKey = key
-		return m, true
-	}
-	s.closeCur()
-	return apm.Measurement{}, false
-}
-
-func (s *ScanOp) closeCur() {
-	if s.cur != nil {
-		s.cur.Close()
-		s.cur = nil
-	}
-}
-
-func (s *ScanOp) nextRange() {
-	s.ri++
-	s.lastKey = ""
-	s.seekNext = true
-}
-
-// Err implements Iter.
-func (s *ScanOp) Err() error { return s.err }
-
-// FilterOp drops rows failing a predicate.
-type FilterOp struct {
-	in   Iter
-	pred func(apm.Measurement) bool
-}
-
-// NewFilter wraps in with a row predicate.
-func NewFilter(in Iter, pred func(apm.Measurement) bool) *FilterOp {
-	return &FilterOp{in: in, pred: pred}
-}
-
-// Next implements Iter.
-func (f *FilterOp) Next() (apm.Measurement, bool) {
-	for {
-		m, ok := f.in.Next()
-		if !ok {
-			return apm.Measurement{}, false
-		}
-		if f.pred(m) {
-			return m, true
-		}
-	}
-}
-
-// Err implements Iter.
-func (f *FilterOp) Err() error { return f.in.Err() }
 
 // filterPred compiles a validated filter expression.
 func filterPred(expr string) (func(apm.Measurement) bool, error) {
@@ -185,65 +41,18 @@ func column(col string) func(apm.Measurement) float64 {
 	}
 }
 
-// Projected is a row after projection: its group key and the single value
-// column the aggregates consume.
-type Projected struct {
-	Group string
-	Val   float64
-}
-
-// ProjIter is the pull interface between projection and aggregation.
-type ProjIter interface {
-	Next() (Projected, bool)
-	Err() error
-}
-
-// ProjectOp maps measurements to (group, value) pairs.
-type ProjectOp struct {
-	in      Iter
-	groupBy string
-	col     func(apm.Measurement) float64
-}
-
-// NewProject projects rows onto a validated groupBy and column.
-func NewProject(in Iter, groupBy, col string) *ProjectOp {
-	return &ProjectOp{in: in, groupBy: groupBy, col: column(col)}
-}
-
-// Next implements ProjIter.
-func (o *ProjectOp) Next() (Projected, bool) {
-	m, ok := o.in.Next()
-	if !ok {
-		return Projected{}, false
-	}
-	return Projected{Group: o.group(m), Val: o.col(m)}, true
-}
-
-func (o *ProjectOp) group(m apm.Measurement) string {
-	switch o.groupBy {
+// groupKey buckets a row under a validated groupBy; "kind" is the metric
+// name's last path component.
+func groupKey(groupBy string, m apm.Measurement) string {
+	switch groupBy {
 	case "metric":
 		return m.Metric
 	case "kind":
-		if i := lastSlash(m.Metric); i >= 0 {
-			return m.Metric[i+1:]
-		}
-		return m.Metric
+		return m.Metric[strings.LastIndexByte(m.Metric, '/')+1:]
 	default:
 		return "all"
 	}
 }
-
-func lastSlash(s string) int {
-	for i := len(s) - 1; i >= 0; i-- {
-		if s[i] == '/' {
-			return i
-		}
-	}
-	return -1
-}
-
-// Err implements ProjIter.
-func (o *ProjectOp) Err() error { return o.in.Err() }
 
 // aggState is one group's running aggregate state. Percentile aggregates
 // keep the projected values; the cheap aggregates are O(1) counters.
@@ -261,37 +70,8 @@ type ResultRow struct {
 	Aggs  []float64
 }
 
-// Aggregate drains the projected stream into per-group aggregate state and
-// emits one row per group, sorted by group key. It is the pipeline's
-// barrier: group-by cannot emit before its input is exhausted.
-func Aggregate(in ProjIter, aggs []string) ([]ResultRow, error) {
-	keepVals := aggIndex(aggs, "p50") >= 0 || aggIndex(aggs, "p99") >= 0
-	groups := map[string]*aggState{}
-	for {
-		r, ok := in.Next()
-		if !ok {
-			break
-		}
-		st := groups[r.Group]
-		if st == nil {
-			st = &aggState{min: r.Val, max: r.Val}
-			groups[r.Group] = st
-		}
-		st.n++
-		st.sum += r.Val
-		if r.Val < st.min {
-			st.min = r.Val
-		}
-		if r.Val > st.max {
-			st.max = r.Val
-		}
-		if keepVals {
-			st.vals = append(st.vals, r.Val)
-		}
-	}
-	if err := in.Err(); err != nil {
-		return nil, err
-	}
+// finalize emits one row per group, sorted by group key.
+func finalize(groups map[string]*aggState, aggs []string) []ResultRow {
 	out := make([]ResultRow, 0, len(groups))
 	for _, g := range sortedGroups(groups) {
 		st := groups[g]
@@ -314,7 +94,7 @@ func Aggregate(in ProjIter, aggs []string) ([]ResultRow, error) {
 		}
 		out = append(out, row)
 	}
-	return out, nil
+	return out
 }
 
 // percentile is the nearest-rank percentile of vals (sorted in place).
@@ -323,13 +103,7 @@ func percentile(vals []float64, q float64) float64 {
 		return 0
 	}
 	sort.Float64s(vals)
-	rank := int(q*float64(len(vals)) + 0.9999999999)
-	if rank < 1 {
-		rank = 1
-	}
-	if rank > len(vals) {
-		rank = len(vals)
-	}
+	rank := min(max(int(q*float64(len(vals))+0.9999999999), 1), len(vals))
 	return vals[rank-1]
 }
 
@@ -379,16 +153,40 @@ func Plan(s Spec) (*Query, error) {
 	return q, nil
 }
 
-// Execute runs the pipeline over the given per-metric ranges:
-// scan → [filter] → project → aggregate → order/limit.
+// Execute runs the pipeline over the given per-metric ranges: each range's
+// apm.Series rows are filtered, projected and folded into per-group
+// aggregate state; the groups are then finalized, ordered and limited.
 func (q *Query) Execute(p *sim.Proc, st store.Store, ranges []Range) ([]ResultRow, error) {
-	var rows Iter = NewScan(p, st, ranges, DefaultPageSize)
-	if q.pred != nil {
-		rows = NewFilter(rows, q.pred)
+	col := column(q.Spec.Column)
+	keepVals := aggIndex(q.Spec.Aggs, "p50") >= 0 || aggIndex(q.Spec.Aggs, "p99") >= 0
+	groups := map[string]*aggState{}
+	for _, r := range ranges {
+		for m, err := range apm.Series(p, st, r.Metric, r.From, r.To) {
+			if err != nil {
+				return nil, err
+			}
+			if q.pred != nil && !q.pred(m) {
+				continue
+			}
+			g := groupKey(q.Spec.GroupBy, m)
+			v, agg := col(m), groups[g]
+			if agg == nil {
+				agg = &aggState{min: v, max: v}
+				groups[g] = agg
+			}
+			agg.n++
+			agg.sum += v
+			if v < agg.min {
+				agg.min = v
+			}
+			if v > agg.max {
+				agg.max = v
+			}
+			if keepVals {
+				agg.vals = append(agg.vals, v)
+			}
+		}
 	}
-	grouped, err := Aggregate(NewProject(rows, q.Spec.GroupBy, q.Spec.Column), q.Spec.Aggs)
-	if err != nil {
-		return nil, err
-	}
-	return OrderLimit(grouped, q.Spec.OrderBy, q.Spec.Aggs, q.Spec.Desc, q.Spec.Limit), nil
+	rows := finalize(groups, q.Spec.Aggs)
+	return OrderLimit(rows, q.Spec.OrderBy, q.Spec.Aggs, q.Spec.Desc, q.Spec.Limit), nil
 }

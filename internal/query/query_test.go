@@ -51,14 +51,14 @@ func (m *memStore) Read(p *sim.Proc, key string) (store.FieldsView, error) {
 	return store.ViewFields(f), nil
 }
 
-func (m *memStore) Scan(p *sim.Proc, start string, count int) (store.Cursor, error) {
+func (m *memStore) Scan(p *sim.Proc, start string, count int) ([]store.Record, error) {
 	p.Sleep(10 * sim.Microsecond)
 	i := sort.SearchStrings(m.keys, start)
 	out := make([]store.Record, 0, count)
 	for ; i < len(m.keys) && len(out) < count; i++ {
 		out = append(out, store.Record{Key: m.keys[i], Fields: store.ViewFields(m.recs[m.keys[i]])})
 	}
-	return store.NewSliceCursor(out), nil
+	return out, nil
 }
 
 func (m *memStore) Caps() store.Caps { return store.Caps{Scans: true} }
@@ -146,6 +146,27 @@ func TestParseMixRejectsMalformed(t *testing.T) {
 	}
 }
 
+func TestParseMixAcceptsPlusInsideSpec(t *testing.T) {
+	// Validation accepts these specs, so their canonical forms must
+	// parse back: each contains a "+" that is not a spec boundary.
+	m := Mix{
+		{Name: "exp", Filter: "value>1e+5"},
+		{Name: "signed", Filter: "value>+5"},
+		{Name: "heavy", Weight: 1e10},
+	}
+	if err := m.Normalize(); err != nil {
+		t.Fatal(err)
+	}
+	enc := m.String()
+	back, err := ParseMix(enc)
+	if err != nil {
+		t.Fatalf("ParseMix(%q): %v", enc, err)
+	}
+	if got := back.String(); got != enc {
+		t.Fatalf("round trip changed the encoding:\n in: %s\nout: %s", enc, got)
+	}
+}
+
 func TestDatasetDeterministicAndOrdered(t *testing.T) {
 	ds := SizeDataset(16000)
 	if ds.Records() != int64(ds.Hosts*ds.MetricsPerHost)*ds.Intervals {
@@ -201,9 +222,7 @@ func expectedRows(ds Dataset, host int, s Spec) []ResultRow {
 			g := m.Metric
 			switch s.GroupBy {
 			case "kind":
-				if i := lastSlash(g); i >= 0 {
-					g = g[i+1:]
-				}
+				g = g[strings.LastIndexByte(g, '/')+1:]
 			case "none":
 				g = "all"
 			}
@@ -292,6 +311,8 @@ func TestExecuteMatchesDirectComputation(t *testing.T) {
 	}
 }
 
+// TestScanOpPaginatesWithoutLoss drives the query's scan step, apm.Series
+// over each of a host's ranges.
 func TestScanOpPaginatesWithoutLoss(t *testing.T) {
 	// Window depth greater than the page size forces multi-page ranges:
 	// every in-window row must come out exactly once, in key order.
@@ -303,16 +324,14 @@ func TestScanOpPaginatesWithoutLoss(t *testing.T) {
 	from, to := ds.Window(150 * 15)
 	var rows []apm.Measurement
 	inProc(t, func(p *sim.Proc) {
-		scan := NewScan(p, st, ds.HostRanges(0, from, to), DefaultPageSize)
-		for {
-			m, ok := scan.Next()
-			if !ok {
-				break
+		for _, r := range ds.HostRanges(0, from, to) {
+			for m, err := range apm.Series(p, st, r.Metric, r.From, r.To) {
+				if err != nil {
+					t.Errorf("scan: %v", err)
+					return
+				}
+				rows = append(rows, m)
 			}
-			rows = append(rows, m)
-		}
-		if err := scan.Err(); err != nil {
-			t.Errorf("scan: %v", err)
 		}
 	})
 	if len(rows) != int(ds.Records()) {
@@ -415,4 +434,32 @@ func BenchmarkQueryFilterAgg(b *testing.B) {
 		}
 	})
 	e.Run(0)
+}
+
+// FuzzParseMix feeds ParseMix arbitrary encodings (they arrive over the
+// farm wire and from the cell cache): it must never panic, and any
+// encoding it accepts must have a canonical String that re-parses to the
+// same String.
+func FuzzParseMix(f *testing.F) {
+	spec := "q(w=1,win=600,group=metric,col=value,aggs=avg,filter=%s,order=group,limit=0)"
+	f.Add(fmt.Sprintf(spec, "value>50") + "+" + strings.Replace(fmt.Sprintf(spec, ""), "q(", "r(", 1))
+	// Each of these puts a "+" inside one spec's canonical form; w=1e10
+	// renders as w=1e+10.
+	f.Add(fmt.Sprintf(spec, "value>1e+5"))
+	f.Add(fmt.Sprintf(spec, "value>+5"))
+	f.Add(strings.Replace(fmt.Sprintf(spec, ""), "w=1,", "w=1e10,", 1))
+	f.Fuzz(func(t *testing.T, enc string) {
+		m, err := ParseMix(enc)
+		if err != nil {
+			return
+		}
+		canon := m.String()
+		back, err := ParseMix(canon)
+		if err != nil {
+			t.Fatalf("ParseMix(%q) accepted, but its canonical form %q does not re-parse: %v", enc, canon, err)
+		}
+		if got := back.String(); got != canon {
+			t.Fatalf("canonical form drifts on re-parse:\n first: %s\nsecond: %s", canon, got)
+		}
+	})
 }

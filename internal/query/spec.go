@@ -1,13 +1,13 @@
-// Package query is a small volcano-style analytic layer over the store
-// cursor API, modeling the APM read side the paper motivates (§2): a
-// dashboard issues per-metric time-range scans and pipes them through
+// Package query is a small analytic layer over paginated store scans,
+// modeling the APM read side the paper motivates (§2): a dashboard issues
+// per-metric time-range scans (apm.Series) and pipes their rows through
 // filter → project → group-by aggregation (including percentiles), then
-// orders and limits the grouped output. Operators pull rows one at a time
-// from the streaming scan; no stage materializes the raw measurement set.
+// orders and limits the grouped output. Rows stream through one range loop
+// into per-group state; no stage materializes the raw measurement set.
 //
 // Queries are declared as a Spec (JSON-friendly, used by the scenario
 // vocabulary), normalized to a canonical string that the harness embeds in
-// cell cache keys, and planned into an operator pipeline with Plan.
+// cell cache keys, and planned into a pipeline with Plan.
 package query
 
 import (
@@ -188,13 +188,19 @@ func (m Mix) String() string {
 // ParseMix parses the canonical encoding back into a normalized mix; it
 // round-trips String exactly, which is what lets a cell carry only the
 // canonical string (cache keys, the farm wire format) and still rebuild
-// its query plan.
+// its query plan. Specs are split only at ")+" boundaries: a single spec
+// may itself contain "+" (a weight rendered as 1e+10, a filter constant
+// such as 1e+5 or +5), but never ")".
 func ParseMix(enc string) (Mix, error) {
 	if enc == "" {
 		return nil, fmt.Errorf("query: empty mix")
 	}
 	var m Mix
-	for _, part := range strings.Split(enc, "+") {
+	parts := strings.Split(enc, ")+")
+	for i, part := range parts {
+		if i < len(parts)-1 {
+			part += ")"
+		}
 		s, err := parseSpec(part)
 		if err != nil {
 			return nil, err

@@ -44,62 +44,6 @@ type Record struct {
 	Fields FieldsView
 }
 
-// Cursor streams a scan's records in key order. Next advances to the next
-// record and reports whether one exists; Key and Fields are valid until the
-// next call to Next or Close. Views alias store-owned memory, like Read's.
-//
-// Opening a cursor charges the scan's virtual time up front — positioning
-// I/O, per-row CPU, cross-node transfer — exactly as the historical
-// materialized Scan did; consuming or abandoning the cursor is host-side
-// only. That keeps every cached cell result stable across the API change
-// while letting the query layer stream instead of building slices.
-type Cursor interface {
-	Next() bool
-	Key() string
-	Fields() FieldsView
-	Close() error
-}
-
-// sliceCursor adapts a materialized record slice to the Cursor interface.
-type sliceCursor struct {
-	recs []Record
-	i    int
-}
-
-func (c *sliceCursor) Next() bool {
-	if c.i >= len(c.recs) {
-		return false
-	}
-	c.i++
-	return true
-}
-
-func (c *sliceCursor) Key() string        { return c.recs[c.i-1].Key }
-func (c *sliceCursor) Fields() FieldsView { return c.recs[c.i-1].Fields }
-func (c *sliceCursor) Close() error       { c.recs = nil; return nil }
-
-// NewSliceCursor wraps already-materialized records as a Cursor. Store
-// implementations whose distributed read path must gather and order rows
-// before any can be returned (coordinator merges, multi-shard gathers) use
-// it as their cursor backing.
-func NewSliceCursor(recs []Record) Cursor { return &sliceCursor{recs: recs} }
-
-// ScanAll opens a cursor on s and drains it into a slice: the materialized
-// form the historical Scan returned, kept as a shim for tests and callers
-// that want the whole result at once.
-func ScanAll(p *sim.Proc, s Store, start string, count int) ([]Record, error) {
-	cur, err := s.Scan(p, start, count)
-	if err != nil {
-		return nil, err
-	}
-	defer cur.Close()
-	var out []Record
-	for cur.Next() {
-		out = append(out, Record{Key: cur.Key(), Fields: cur.Fields()})
-	}
-	return out, nil
-}
-
 // Key formats record number i as the fixed-width 25-byte benchmark key.
 // Like YCSB's default (insertorder=hashed), the record number is hashed so
 // that key ranges are uniformly loaded even though records are inserted in
@@ -294,11 +238,11 @@ type Store interface {
 	// store-owned memory and is valid until the next operation against
 	// the store.
 	Read(p *sim.Proc, key string) (FieldsView, error)
-	// Scan opens a cursor over up to count records with keys >= start.
-	// All virtual time the scan costs is charged before Scan returns;
-	// draining the cursor is free (see Cursor). Use ScanAll to
-	// materialize the result.
-	Scan(p *sim.Proc, start string, count int) (Cursor, error)
+	// Scan returns up to count records with keys >= start, in key order.
+	// All virtual time the scan costs is charged before Scan returns. The
+	// records' Fields views alias store-owned memory and, like Read's,
+	// are valid until the next operation against the store.
+	Scan(p *sim.Proc, start string, count int) ([]Record, error)
 	// Caps reports the store's read-side capabilities.
 	Caps() Caps
 	// Load inserts a record without consuming virtual time; used to

@@ -408,13 +408,9 @@ func (s *Store) Update(p *sim.Proc, key string, f store.Fields) error {
 // node-local sample of keys >= start rather than the globally smallest
 // ones — exactly the semantics a RandomPartitioner range slice has — which
 // is why Cassandra scans cost only ~4x a read and scale linearly
-// (Figs 12/13).
-//
-// The distributed gather must complete (and sort) before the first row can
-// be returned, so the cursor wraps the materialized result: all virtual
-// time is charged here, none during cursor consumption — the same sequence
-// the historical materialized Scan charged.
-func (s *Store) Scan(p *sim.Proc, start string, count int) (store.Cursor, error) {
+// (Figs 12/13). The distributed gather completes (and sorts) before the
+// first row is returned.
+func (s *Store) Scan(p *sim.Proc, start string, count int) ([]store.Record, error) {
 	coord := s.coordinator(p)
 	if coord == nil {
 		return nil, store.ErrUnavailable
@@ -450,7 +446,7 @@ func (s *Store) Scan(p *sim.Proc, start string, count int) (store.Cursor, error)
 	if len(all) > count {
 		all = all[:count]
 	}
-	return store.NewSliceCursor(all), nil
+	return all, nil
 }
 
 func sortRecords(rs []store.Record) {

@@ -80,7 +80,7 @@ func TestScanReturnsGlobalOrderAcrossNodes(t *testing.T) {
 		s.Load(store.Key(i), store.MakeFields(i))
 	}
 	e.Go("r", func(p *sim.Proc) {
-		recs, err := store.ScanAll(p, s, store.Key(0), 30)
+		recs, err := s.Scan(p, store.Key(0), 30)
 		if err != nil {
 			t.Errorf("scan: %v", err)
 			return

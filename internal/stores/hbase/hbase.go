@@ -290,11 +290,7 @@ func (s *Store) Update(p *sim.Proc, key string, f store.Fields) error {
 // touches the region owning the start key and continues into successor
 // regions only when the first cannot satisfy the count; HBase scans
 // therefore cost about the same as reads (§5.4).
-//
-// The region walk charges every RPC before returning; the cursor wraps the
-// gathered rows, so consumption is host-side only — the same virtual-time
-// sequence the historical materialized Scan charged.
-func (s *Store) Scan(p *sim.Proc, start string, count int) (store.Cursor, error) {
+func (s *Store) Scan(p *sim.Proc, start string, count int) ([]store.Record, error) {
 	var out []store.Record
 	next := start
 	for ri := s.regionIndex(start); ri < len(s.regions) && len(out) < count; ri++ {
@@ -319,7 +315,7 @@ func (s *Store) Scan(p *sim.Proc, start string, count int) (store.Cursor, error)
 			next = s.splits[ri]
 		}
 	}
-	return store.NewSliceCursor(out), nil
+	return out, nil
 }
 
 // Load implements store.Store.

@@ -70,7 +70,7 @@ func TestScanCrossesRegionBoundary(t *testing.T) {
 	// region to fill the count.
 	start := s.splits[0][:len(s.splits[0])-1] // strictly below split, very close
 	e.Go("r", func(p *sim.Proc) {
-		recs, err := store.ScanAll(p, s, start, 40)
+		recs, err := s.Scan(p, start, 40)
 		if err != nil {
 			t.Errorf("scan: %v", err)
 			return

@@ -325,12 +325,9 @@ func (s *Store) Update(p *sim.Proc, key string, f store.Fields) error {
 // the per-shard "key >= start" query sequentially to every shard and merge
 // client-side; each shard materializes its table tail until the client
 // abandons the cursor, which is why scan throughput collapses for two or
-// more nodes (Figs 12-14).
-//
-// The JDBC result set is fully fetched (and, sharded, merge-sorted) before
-// the client sees a row, so the cursor wraps the materialized result: all
-// virtual time is charged here, matching the historical materialized Scan.
-func (s *Store) Scan(p *sim.Proc, start string, count int) (store.Cursor, error) {
+// more nodes (Figs 12-14). The JDBC result set is fully fetched (and,
+// sharded, merge-sorted) before the client sees a row.
+func (s *Store) Scan(p *sim.Proc, start string, count int) ([]store.Record, error) {
 	// The client-side merge needs every shard's answer; any dead shard
 	// fails the whole scan.
 	if s.downCount > 0 {
@@ -342,7 +339,7 @@ func (s *Store) Scan(p *sim.Proc, start string, count int) (store.Cursor, error)
 		base.Roundtrip(p, sh.node, base.ReqHeader, int64(count)*base.RecordWire, func() {
 			s.scanShardLimit(p, sh, start, count, &rows)
 		})
-		return store.NewSliceCursor(toRecords(rows, count)), nil
+		return toRecords(rows, count), nil
 	}
 	var all []btree.Entry
 	for _, sh := range s.shards {
@@ -353,7 +350,7 @@ func (s *Store) Scan(p *sim.Proc, start string, count int) (store.Cursor, error)
 		})
 		all = append(all, rows...)
 	}
-	return store.NewSliceCursor(toRecords(mergeSorted(all), count)), nil
+	return toRecords(mergeSorted(all), count), nil
 }
 
 // versionPenalty is the MVCC read-view cost of traversing unpurged history.

@@ -53,7 +53,7 @@ func TestSingleNodeScanHonorsLimit(t *testing.T) {
 	var lat sim.Time
 	e.Go("r", func(p *sim.Proc) {
 		start := p.Now()
-		recs, err := store.ScanAll(p, s, store.Key(0), 50)
+		recs, err := s.Scan(p, store.Key(0), 50)
 		lat = p.Now() - start
 		if err != nil || len(recs) != 50 {
 			t.Errorf("scan: %d recs, %v", len(recs), err)
@@ -73,7 +73,7 @@ func TestShardedScanPaysTailCost(t *testing.T) {
 	var lat sim.Time
 	e.Go("r", func(p *sim.Proc) {
 		start := p.Now()
-		recs, err := store.ScanAll(p, s, store.Key(0), 50)
+		recs, err := s.Scan(p, store.Key(0), 50)
 		lat = p.Now() - start
 		if err != nil || len(recs) != 50 {
 			t.Errorf("scan: %d recs, %v", len(recs), err)

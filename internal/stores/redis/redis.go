@@ -227,10 +227,8 @@ func (s *Store) Read(p *sim.Proc, key string) (store.FieldsView, error) {
 }
 
 // Scan implements store.Store. The sharded client must consult every
-// instance (hash sharding destroys key order) and merge, so all virtual
-// time is charged before the cursor over the merged result is returned —
-// the same sequence the historical materialized Scan charged.
-func (s *Store) Scan(p *sim.Proc, start string, count int) (store.Cursor, error) {
+// instance (hash sharding destroys key order) and merge the answers.
+func (s *Store) Scan(p *sim.Proc, start string, count int) ([]store.Record, error) {
 	// The merge needs an answer from every shard; any dead shard fails
 	// the whole scan.
 	if s.downCount > 0 {
@@ -247,7 +245,7 @@ func (s *Store) Scan(p *sim.Proc, start string, count int) (store.Cursor, error)
 			in.loop.Release()
 		})
 	}
-	return store.NewSliceCursor(mergeEntries(all, count)), nil
+	return mergeEntries(all, count), nil
 }
 
 func mergeEntries(es []memtable.Entry, count int) []store.Record {

@@ -125,7 +125,7 @@ func TestScanConsultsAllShards(t *testing.T) {
 		s.Load(store.Key(i), store.MakeFields(i))
 	}
 	e.Go("r", func(p *sim.Proc) {
-		recs, err := store.ScanAll(p, s, store.Key(0), 25)
+		recs, err := s.Scan(p, store.Key(0), 25)
 		if err != nil || len(recs) != 25 {
 			t.Errorf("scan = %d records, err %v", len(recs), err)
 			return

@@ -131,7 +131,7 @@ func TestContractScanOrderAndBound(t *testing.T) {
 				s.Load(store.Key(i), store.MakeFields(i))
 			}
 			e.Go("r", func(p *sim.Proc) {
-				recs, err := store.ScanAll(p, s, store.Key(0), 20)
+				recs, err := s.Scan(p, store.Key(0), 20)
 				if err != nil {
 					t.Errorf("scan: %v", err)
 					return
@@ -288,19 +288,16 @@ func TestContractCopiesOnIngest(t *testing.T) {
 				if !s.Caps().Scans {
 					return
 				}
-				cur, err := s.Scan(p, "", len(src))
+				recs, err := s.Scan(p, "", len(src))
 				if err != nil {
 					t.Errorf("scan: %v", err)
 					return
 				}
-				rows := 0
-				for cur.Next() {
-					check("scan", cur.Key(), cur.Fields())
-					rows++
+				for _, r := range recs {
+					check("scan", r.Key, r.Fields)
 				}
-				cur.Close()
-				if rows != len(src) {
-					t.Errorf("scan returned %d rows, want %d", rows, len(src))
+				if len(recs) != len(src) {
+					t.Errorf("scan returned %d rows, want %d", len(recs), len(src))
 				}
 			})
 			e.Run(0)
@@ -360,76 +357,5 @@ func TestMakeFieldsShape(t *testing.T) {
 	}
 	if fmt.Sprintf("%s", f[0]) == fmt.Sprintf("%s", f[1]) {
 		t.Fatal("fields should differ")
-	}
-}
-
-// TestContractCursorChargesAtOpen pins the streaming-read contract every
-// store must satisfy: all virtual time a scan costs is charged when the
-// cursor opens, so draining it fully, pulling one row, or abandoning it
-// unread all end at the same simulated instant — and a drained cursor
-// yields exactly what ScanAll materializes.
-func TestContractCursorChargesAtOpen(t *testing.T) {
-	for name, deploy := range deployAll(t, 3) {
-		if name == "voldemort" {
-			continue
-		}
-		t.Run(name, func(t *testing.T) {
-			var times []sim.Time
-			var drained, materialized []string
-			for mode := 0; mode < 4; mode++ {
-				e, s := deploy()
-				for i := int64(0); i < 300; i++ {
-					s.Load(store.Key(i), store.MakeFields(i))
-				}
-				e.Go("r", func(p *sim.Proc) {
-					switch mode {
-					case 0: // full drain through the cursor
-						cur, err := s.Scan(p, store.Key(0), 20)
-						if err != nil {
-							t.Errorf("scan: %v", err)
-							return
-						}
-						for cur.Next() {
-							drained = append(drained, cur.Key())
-						}
-						cur.Close()
-					case 1: // single row
-						cur, err := s.Scan(p, store.Key(0), 20)
-						if err != nil {
-							t.Errorf("scan: %v", err)
-							return
-						}
-						cur.Next()
-						cur.Close()
-					case 2: // abandoned unread
-						cur, err := s.Scan(p, store.Key(0), 20)
-						if err != nil {
-							t.Errorf("scan: %v", err)
-							return
-						}
-						cur.Close()
-					case 3: // materialized shim
-						recs, err := store.ScanAll(p, s, store.Key(0), 20)
-						if err != nil {
-							t.Errorf("scan: %v", err)
-							return
-						}
-						for _, r := range recs {
-							materialized = append(materialized, r.Key)
-						}
-					}
-					times = append(times, p.Now())
-				})
-				e.Run(0)
-			}
-			for i := 1; i < len(times); i++ {
-				if times[i] != times[0] {
-					t.Fatalf("consumption pattern %d cost %v, pattern 0 cost %v: scans must charge at open", i, times[i], times[0])
-				}
-			}
-			if fmt.Sprint(drained) != fmt.Sprint(materialized) {
-				t.Fatalf("cursor drain and ScanAll diverge:\n cursor: %v\nscanall: %v", drained, materialized)
-			}
-		})
 	}
 }

@@ -237,7 +237,7 @@ func (s *Store) Update(p *sim.Proc, key string, f store.Fields) error {
 }
 
 // Scan implements store.Store: unsupported, as in the paper's YCSB client.
-func (s *Store) Scan(p *sim.Proc, start string, count int) (store.Cursor, error) {
+func (s *Store) Scan(p *sim.Proc, start string, count int) ([]store.Record, error) {
 	return nil, store.ErrScansUnsupported
 }
 

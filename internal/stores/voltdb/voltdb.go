@@ -221,9 +221,9 @@ func (s *Store) Update(p *sim.Proc, key string, f store.Fields) error {
 
 // Scan implements store.Store: a multi-partition transaction that blocks
 // one site on every host while the fragment runs. The transaction commits
-// — every fragment charged, rows gathered and sorted — before the cursor
-// is returned, matching the historical materialized Scan's charges.
-func (s *Store) Scan(p *sim.Proc, start string, count int) (store.Cursor, error) {
+// — every fragment charged, rows gathered and sorted — before the rows are
+// returned.
+func (s *Store) Scan(p *sim.Proc, start string, count int) ([]store.Record, error) {
 	ai := p.Rand().Intn(len(s.hosts))
 	// A multi-partition transaction needs a fragment from every host.
 	if s.downCount > 0 {
@@ -258,7 +258,7 @@ func (s *Store) Scan(p *sim.Proc, start string, count int) (store.Cursor, error)
 	if len(all) > count {
 		all = all[:count]
 	}
-	return store.NewSliceCursor(all), nil
+	return all, nil
 }
 
 // Load implements store.Store.

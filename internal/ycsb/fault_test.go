@@ -22,7 +22,7 @@ func (downStore) Update(p *sim.Proc, key string, f store.Fields) error {
 func (downStore) Read(p *sim.Proc, key string) (store.FieldsView, error) {
 	return store.FieldsView{}, store.ErrUnavailable
 }
-func (downStore) Scan(p *sim.Proc, start string, count int) (store.Cursor, error) {
+func (downStore) Scan(p *sim.Proc, start string, count int) ([]store.Record, error) {
 	return nil, store.ErrUnavailable
 }
 func (downStore) Load(key string, f store.Fields) error { return nil }

@@ -41,10 +41,10 @@ func (f *fakeStore) Read(p *sim.Proc, key string) (store.FieldsView, error) {
 	}
 	return store.FieldsView{}, store.ErrNotFound
 }
-func (f *fakeStore) Scan(p *sim.Proc, start string, count int) (store.Cursor, error) {
+func (f *fakeStore) Scan(p *sim.Proc, start string, count int) ([]store.Record, error) {
 	p.Sleep(f.scanLat)
 	f.scans++
-	return store.NewSliceCursor(nil), nil
+	return nil, nil
 }
 func (f *fakeStore) Load(key string, fl store.Fields) error {
 	f.data[strings.Clone(key)] = fl.Clone()
