@@ -65,75 +65,75 @@ func BenchmarkTable1Workloads(b *testing.B) {
 }
 
 func BenchmarkFig03ThroughputR(b *testing.B) {
-	runFigureBench(b, benchRunner.Fig3, "cassandra_ops/s")
+	runFigureBench(b, benchRunner.Figures()["3"], "cassandra_ops/s")
 }
 
 func BenchmarkFig04ReadLatencyR(b *testing.B) {
-	runFigureBench(b, benchRunner.Fig4, "cassandra_read_ms")
+	runFigureBench(b, benchRunner.Figures()["4"], "cassandra_read_ms")
 }
 
 func BenchmarkFig05WriteLatencyR(b *testing.B) {
-	runFigureBench(b, benchRunner.Fig5, "cassandra_write_ms")
+	runFigureBench(b, benchRunner.Figures()["5"], "cassandra_write_ms")
 }
 
 func BenchmarkFig06ThroughputRW(b *testing.B) {
-	runFigureBench(b, benchRunner.Fig6, "cassandra_ops/s")
+	runFigureBench(b, benchRunner.Figures()["6"], "cassandra_ops/s")
 }
 
 func BenchmarkFig07ReadLatencyRW(b *testing.B) {
-	runFigureBench(b, benchRunner.Fig7, "cassandra_read_ms")
+	runFigureBench(b, benchRunner.Figures()["7"], "cassandra_read_ms")
 }
 
 func BenchmarkFig08WriteLatencyRW(b *testing.B) {
-	runFigureBench(b, benchRunner.Fig8, "cassandra_write_ms")
+	runFigureBench(b, benchRunner.Figures()["8"], "cassandra_write_ms")
 }
 
 func BenchmarkFig09ThroughputW(b *testing.B) {
-	runFigureBench(b, benchRunner.Fig9, "cassandra_ops/s")
+	runFigureBench(b, benchRunner.Figures()["9"], "cassandra_ops/s")
 }
 
 func BenchmarkFig10ReadLatencyW(b *testing.B) {
-	runFigureBench(b, benchRunner.Fig10, "cassandra_read_ms")
+	runFigureBench(b, benchRunner.Figures()["10"], "cassandra_read_ms")
 }
 
 func BenchmarkFig11WriteLatencyW(b *testing.B) {
-	runFigureBench(b, benchRunner.Fig11, "cassandra_write_ms")
+	runFigureBench(b, benchRunner.Figures()["11"], "cassandra_write_ms")
 }
 
 func BenchmarkFig12ThroughputRS(b *testing.B) {
-	runFigureBench(b, benchRunner.Fig12, "cassandra_ops/s")
+	runFigureBench(b, benchRunner.Figures()["12"], "cassandra_ops/s")
 }
 
 func BenchmarkFig13ScanLatencyRS(b *testing.B) {
-	runFigureBench(b, benchRunner.Fig13, "cassandra_scan_ms")
+	runFigureBench(b, benchRunner.Figures()["13"], "cassandra_scan_ms")
 }
 
 func BenchmarkFig14ThroughputRSW(b *testing.B) {
-	runFigureBench(b, benchRunner.Fig14, "cassandra_ops/s")
+	runFigureBench(b, benchRunner.Figures()["14"], "cassandra_ops/s")
 }
 
 func BenchmarkFig15BoundedReadLatency(b *testing.B) {
-	runFigureBench(b, benchRunner.Fig15, "cassandra_norm")
+	runFigureBench(b, benchRunner.Figures()["15"], "cassandra_norm")
 }
 
 func BenchmarkFig16BoundedWriteLatency(b *testing.B) {
-	runFigureBench(b, benchRunner.Fig16, "cassandra_norm")
+	runFigureBench(b, benchRunner.Figures()["16"], "cassandra_norm")
 }
 
 func BenchmarkFig17DiskUsage(b *testing.B) {
-	runFigureBench(b, benchRunner.Fig17, "cassandra_gb")
+	runFigureBench(b, benchRunner.Figures()["17"], "cassandra_gb")
 }
 
 func BenchmarkFig18ClusterDThroughput(b *testing.B) {
-	runFigureBench(b, benchRunner.Fig18, "cassandra_ops/s")
+	runFigureBench(b, benchRunner.Figures()["18"], "cassandra_ops/s")
 }
 
 func BenchmarkFig19ClusterDReadLatency(b *testing.B) {
-	runFigureBench(b, benchRunner.Fig19, "cassandra_read_ms")
+	runFigureBench(b, benchRunner.Figures()["19"], "cassandra_read_ms")
 }
 
 func BenchmarkFig20ClusterDWriteLatency(b *testing.B) {
-	runFigureBench(b, benchRunner.Fig20, "cassandra_write_ms")
+	runFigureBench(b, benchRunner.Figures()["20"], "cassandra_write_ms")
 }
 
 func BenchmarkAblationCassandraTokens(b *testing.B) {

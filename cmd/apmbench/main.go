@@ -36,6 +36,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -217,7 +218,7 @@ func main() {
 
 	if *list {
 		fmt.Println("figures: table1", strings.Join(harness.FigureOrder, " "))
-		fmt.Println("ablations:", strings.Join(ablationNames(r), " "))
+		fmt.Println("ablations:", strings.Join(harness.AblationOrder, " "))
 		fmt.Println("extras: apm-dashboard")
 		return
 	}
@@ -247,7 +248,7 @@ func main() {
 			os.Exit(1)
 		}
 		for _, id := range harness.FigureOrder {
-			runFigure(r, id)
+			runFigure(r, id, false)
 			fmt.Println()
 		}
 	case "ablation-all":
@@ -259,7 +260,7 @@ func main() {
 			os.Exit(1)
 		}
 		for _, name := range harness.AblationOrder {
-			runAblation(r, name)
+			runFigure(r, name, true)
 			fmt.Println()
 		}
 	default:
@@ -275,7 +276,7 @@ func main() {
 			return
 		}
 		if strings.HasPrefix(*figure, "ablation-") {
-			runAblation(r, *figure)
+			runFigure(r, *figure, true)
 			return
 		}
 		var ids []string
@@ -291,7 +292,7 @@ func main() {
 		// their usual messages.
 		_ = r.Prewarm(ids...)
 		for _, id := range ids {
-			runFigure(r, id)
+			runFigure(r, id, false)
 			fmt.Println()
 		}
 	}
@@ -338,40 +339,39 @@ func runWorker(addr string, parallel int, cacheDir string, cacheMax int64) {
 func parseNodes(s string) ([]int, error) {
 	var out []int
 	for _, part := range strings.Split(s, ",") {
-		n, err := strconv.Atoi(strings.TrimSpace(part))
-		if err != nil || n <= 0 {
-			return nil, fmt.Errorf("-nodes: bad node count %q (want a comma-separated list of positive integers)", part)
+		n, err := parseNodeCount(part)
+		if err != nil {
+			return nil, fmt.Errorf("-nodes: %v (want a comma-separated list of positive integers)", err)
 		}
 		out = append(out, n)
 	}
 	return out, nil
 }
 
-func runFigure(r *harness.Runner, id string) {
-	gen, ok := r.Figures()[id]
-	if !ok {
-		fmt.Fprintf(os.Stderr, "apmbench: unknown figure %q (try -list)\n", id)
-		os.Exit(2)
+// parseNodeCount parses one positive node count.
+func parseNodeCount(s string) (int, error) {
+	n, err := strconv.Atoi(strings.TrimSpace(s))
+	if err != nil || n <= 0 {
+		return 0, fmt.Errorf("bad node count %q", s)
 	}
-	fig, err := gen()
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "apmbench: figure %s: %v\n", id, err)
-		os.Exit(1)
-	}
-	emit(fig)
+	return n, nil
 }
 
-func ablationNames(r *harness.Runner) []string { return harness.AblationOrder }
-
-func runAblation(r *harness.Runner, name string) {
-	gen, ok := r.Ablations()[name]
+// runFigure generates one registered figure (or, with ablation set, one
+// ablation) and emits it.
+func runFigure(r *harness.Runner, id string, ablation bool) {
+	kind, gens, label := "figure", r.Figures(), "figure "+id
+	if ablation {
+		kind, gens, label = "ablation", r.Ablations(), id
+	}
+	gen, ok := gens[id]
 	if !ok {
-		fmt.Fprintf(os.Stderr, "apmbench: unknown ablation %q (try -list)\n", name)
+		fmt.Fprintf(os.Stderr, "apmbench: unknown %s %q (try -list)\n", kind, id)
 		os.Exit(2)
 	}
 	fig, err := gen()
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "apmbench: %s: %v\n", name, err)
+		fmt.Fprintf(os.Stderr, "apmbench: %s: %v\n", label, err)
 		os.Exit(1)
 	}
 	emit(fig)
@@ -409,24 +409,33 @@ func runScenario(r *harness.Runner, path string) {
 	emit(fig)
 }
 
-// runExplain parses system:nodes:workload[:D] and prints the utilization
-// report for that cell.
-func runExplain(r *harness.Runner, spec string) {
+// parseExplain parses -explain's system:nodes:workload[:D] into a cell.
+func parseExplain(spec string) (harness.Cell, error) {
 	parts := strings.Split(spec, ":")
-	if len(parts) < 3 {
-		fmt.Fprintln(os.Stderr, "apmbench: -explain wants system:nodes:workload[:D]")
-		os.Exit(2)
+	if len(parts) < 3 || len(parts) > 4 {
+		return harness.Cell{}, errors.New("-explain wants system:nodes:workload[:D]")
 	}
-	var nodes int
-	if _, err := fmt.Sscanf(parts[1], "%d", &nodes); err != nil || nodes < 1 {
-		fmt.Fprintf(os.Stderr, "apmbench: bad node count %q\n", parts[1])
-		os.Exit(2)
+	nodes, err := parseNodeCount(parts[1])
+	if err != nil {
+		return harness.Cell{}, err
 	}
-	cell := harness.Cell{
+	if len(parts) == 4 && !strings.EqualFold(parts[3], "D") {
+		return harness.Cell{}, fmt.Errorf("-explain: bad cluster %q (want D, or omit it for Cluster M)", parts[3])
+	}
+	return harness.Cell{
 		System:   harness.System(parts[0]),
 		Nodes:    nodes,
 		Workload: parts[2],
-		ClusterD: len(parts) > 3 && strings.EqualFold(parts[3], "D"),
+		ClusterD: len(parts) == 4,
+	}, nil
+}
+
+// runExplain prints the utilization report for the cell spec names.
+func runExplain(r *harness.Runner, spec string) {
+	cell, err := parseExplain(spec)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "apmbench: %v\n", err)
+		os.Exit(2)
 	}
 	ex, err := r.Explain(cell)
 	if err != nil {

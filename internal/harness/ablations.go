@@ -1,443 +1,127 @@
 package harness
 
-import (
-	"fmt"
-
-	"repro/internal/sim"
-)
+import "fmt"
 
 // Ablations compare a paper-documented design choice against its
-// alternative (DESIGN.md §5). Since the scenario refactor every ablation is
-// declarative: it states its measurement grid as []Cell (each cell carrying
-// the design choice as a Variants string resolved by DeployVariants) and
-// executes it through Runner.RunAll, exactly like the figures. That buys
-// the ablations the figures' execution contract for free: the singleflight
-// cell cache (cells shared with figures or between ablations — e.g. the
-// paper-default series — measure once per runner), stable hashed seeds
-// (results are schedule-independent, so -parallel N output is
-// byte-identical), plan-ordered progress lines, and Prewarm batching across
-// `-figure ablation-all`.
-//
-// Behavior note: moving the ablations onto the hashed per-cell seed scheme
-// (seed = hash(Cfg.Seed, cell key, rep), replacing the fixed Cfg.Seed the
-// old closure-built variant runner used) shifted every ablation's numbers
-// once, the same one-time shift the figures took in PR 2.
+// alternative (DESIGN.md §5). Each is a grid like any figure: its series
+// carry the design choice as a Variants string resolved by DeployVariants,
+// and it executes through Runner.RunAll. That buys the ablations the
+// figures' execution contract: the singleflight cell cache (cells shared
+// with figures or between ablations — e.g. the paper-default series —
+// measure once per runner), stable hashed seeds (results are
+// schedule-independent, so -parallel N output is byte-identical),
+// plan-ordered progress lines, and Prewarm batching across `-figure
+// ablation-all`.
 
-// ablationSpec declares one ablation: its full cell grid (for planning)
-// and the figure assembly (pure cache reads after RunAll).
-type ablationSpec struct {
-	id    string
-	cells func(r *Runner) []Cell
-	build func(r *Runner) (Figure, error)
-}
+// variant is one labelled deployment-option combo of an ablation.
+type variant struct{ label, variants string }
 
-// ablationSpecs lists every ablation in display order.
-var ablationSpecs = []ablationSpec{
-	{"ablation-cassandra-tokens", (*Runner).cellsCassandraTokens, (*Runner).buildCassandraTokens},
-	{"ablation-cassandra-commitlog", (*Runner).cellsCassandraCommitlog, (*Runner).buildCassandraCommitlog},
-	{"ablation-cassandra-replication", (*Runner).cellsCassandraReplication, (*Runner).buildCassandraReplication},
-	{"ablation-cassandra-compression", (*Runner).cellsCassandraCompression, (*Runner).buildCassandraCompression},
-	{"ablation-connections", (*Runner).cellsConnections, (*Runner).buildConnections},
-	{"ablation-hbase-autoflush", (*Runner).cellsHBaseAutoflush, (*Runner).buildHBaseAutoflush},
-	{"ablation-mysql-binlog", (*Runner).cellsMySQLBinlog, (*Runner).buildMySQLBinlog},
-	{"ablation-redis-sharding", (*Runner).cellsRedisSharding, (*Runner).buildRedisSharding},
-	{"ablation-voltdb-async", (*Runner).cellsVoltDBAsync, (*Runner).buildVoltDBAsync},
-}
-
-// AblationOrder lists ablation IDs in display order.
-var AblationOrder = func() []string {
-	ids := make([]string, len(ablationSpecs))
-	for i, s := range ablationSpecs {
-		ids[i] = s.id
-	}
-	return ids
-}()
-
-func ablationSpecFor(id string) (ablationSpec, bool) {
-	for _, s := range ablationSpecs {
-		if s.id == id {
-			return s, true
+// ablationGrids lists every ablation in display order.
+var ablationGrids = []entry{
+	// Cassandra, optimal vs random token assignment (§6): random tokens
+	// "frequently resulted in a highly unbalanced workload"; placement is
+	// moot on one node.
+	variantSweep("ablation-cassandra-tokens", "Cassandra: optimal vs random token assignment (Workload R)", "ops/sec",
+		Cell{System: Cassandra, Workload: "R"}, throughputMetric, func(n int) bool { return n > 1 },
+		variant{"optimal-tokens", ""}, variant{"random-tokens", "tokens=random"}),
+	// Cassandra, commit log batch window vs write latency: sweeps the batch
+	// group-commit window writers wait for, isolating the source of
+	// Cassandra's high write latency in the reproduction.
+	{"ablation-cassandra-commitlog", func(Config) grid {
+		cells, xs := intSweep(Cell{System: Cassandra, Nodes: 4, Workload: "RW"}, "commitlog", 2, 5, 10, 18, 30)
+		return grid{
+			fig: Figure{ID: "ablation-cassandra-commitlog",
+				Title:  "Cassandra: commit log batch window vs write latency (Workload RW, 4 nodes)",
+				XLabel: "window ms", YLabel: "write latency ms"},
+			series: []series{{"write-latency", cells, xs, perCell(writeLatMetric)}},
 		}
-	}
-	return ablationSpec{}, false
-}
-
-// AblationCellsFor returns every cell the named ablation measures, nil for
-// unknown names. Like CellsFor, the grid is complete: generating the
-// ablation after RunAll(AblationCellsFor(id)) executes zero extra cells.
-func (r *Runner) AblationCellsFor(id string) []Cell {
-	spec, ok := ablationSpecFor(id)
-	if !ok {
-		return nil
-	}
-	return spec.cells(r)
-}
-
-// Ablations maps ablation IDs to their generators. Each generator plans
-// its grid, executes it on the worker pool, and assembles the figure from
-// the warm cache.
-func (r *Runner) Ablations() map[string]func() (Figure, error) {
-	out := make(map[string]func() (Figure, error), len(ablationSpecs))
-	for _, spec := range ablationSpecs {
-		spec := spec
-		out[spec.id] = func() (Figure, error) {
-			if err := r.RunAll(spec.cells(r)); err != nil {
-				return Figure{}, fmt.Errorf("%s: %w", spec.id, err)
-			}
-			return spec.build(r)
+	}},
+	// Cassandra, replication factor vs throughput (§8 future work): RF=1
+	// (the paper's unreplicated run, so the default deployment) vs RF=3 at
+	// consistency ONE and ALL; RF=3 needs at least 3 nodes for distinct
+	// replicas.
+	variantSweep("ablation-cassandra-replication", "Cassandra: replication factor vs throughput (Workload W)", "ops/sec",
+		Cell{System: Cassandra, Workload: "W"}, throughputMetric, func(n int) bool { return n >= 3 },
+		variant{"rf1", ""}, variant{"rf3-one", "replication=3,consistency=one"}, variant{"rf3-all", "replication=3,consistency=all"}),
+	// Cassandra, compression off vs on (§5.7): "the disk usage can be
+	// reduced by using compression which, however, will decrease the
+	// throughput". Each variant plots a throughput and a disk series from
+	// the same cells.
+	{"ablation-cassandra-compression", func(cfg Config) grid {
+		g := grid{fig: Figure{ID: "ablation-cassandra-compression",
+			Title: "Cassandra: compression off vs on (Workload R, disk + throughput)", XLabel: "nodes",
+			YLabel: "ops/sec (tput series) / GB (disk series)"}}
+		for _, v := range []variant{{"off", ""}, {"on", "compression=on"}} {
+			c := Cell{System: Cassandra, Workload: "R", Variants: v.variants}
+			g.series = append(g.series,
+				overNodes(cfg, "tput-"+v.label, c, throughputMetric, nil),
+				overNodes(cfg, "disk-"+v.label, c, diskMetric, nil))
 		}
-	}
-	return out
-}
-
-// variantSeries assembles one figure series from cached cells: X from xs,
-// Y through m.
-func (r *Runner) variantSeries(label string, cells []Cell, xs []float64, m metric) (Series, error) {
-	s := Series{Label: label}
-	for i, c := range cells {
-		res, err := r.Run(c)
-		if err != nil {
-			return Series{}, fmt.Errorf("cell %s: %w", r.key(c), err)
+		return g
+	}},
+	// Client connections per node (§8 tuning observation) on a 4-node
+	// Cassandra cluster: too few connections leave the servers
+	// underutilized, too many congest them and inflate latency without
+	// throughput gains.
+	{"ablation-connections", func(Config) grid {
+		cells, xs := intSweep(Cell{System: Cassandra, Nodes: 4, Workload: "R"}, "conns", 8, 32, 64, 128, 256, 512)
+		return grid{
+			fig: Figure{ID: "ablation-connections",
+				Title:  "Connections per node vs throughput and read latency (Cassandra, 4 nodes, Workload R)",
+				XLabel: "conns/node", YLabel: "ops/sec (tput) / ms (latency)"},
+			series: []series{
+				{"throughput", cells, xs, perCell(throughputMetric)},
+				{"read-latency-ms", cells, xs, perCell(readLatMetric)},
+			},
 		}
-		s.X = append(s.X, xs[i])
-		s.Y = append(s.Y, m(res))
-	}
-	return s, nil
+	}},
+	// HBase, the client write buffer (deferred flush) vs per-put RPCs on
+	// the write-heavy workload.
+	variantSweep("ablation-hbase-autoflush", "HBase: client write buffer vs autoflush (Workload W)", "ops/sec",
+		Cell{System: HBase, Workload: "W"}, throughputMetric, nil,
+		variant{"write-buffer", ""}, variant{"autoflush", "autoflush=on"}),
+	// MySQL, disk usage with and without the binary log (§5.7): "without
+	// this feature the disk usage is essentially reduced by half". Disk
+	// usage needs no workload run, so the grid is load-only cells.
+	variantSweep("ablation-mysql-binlog", "MySQL: disk usage with and without binary log", "GB (paper scale)",
+		Cell{System: MySQL, LoadOnly: true}, diskMetric, nil,
+		variant{"binlog-on", ""}, variant{"binlog-off", "binlog=off"}),
+	// Redis, Jedis ring vs balanced sharding (§5.1): with the Jedis ring
+	// "the data distribution is unbalanced".
+	variantSweep("ablation-redis-sharding", "Redis: Jedis ring vs balanced sharding (Workload R)", "ops/sec",
+		Cell{System: Redis, Workload: "R"}, throughputMetric, nil,
+		variant{"jedis-ring", ""}, variant{"balanced", "sharding=balanced"}),
+	// VoltDB, synchronous vs asynchronous client (§6): Hugg's asynchronous
+	// benchmark "achieved a speed-up with a fixed sized database", unlike
+	// the paper's synchronous client.
+	variantSweep("ablation-voltdb-async", "VoltDB: synchronous vs asynchronous client (Workload R)", "ops/sec",
+		Cell{System: VoltDB, Workload: "R"}, throughputMetric, nil,
+		variant{"sync-client", ""}, variant{"async-client", "async=on"}),
 }
 
-// nodeGrid builds one (cells, xs) sweep over the configured node counts
-// (filtered by keep) for a fixed workload and variant combo.
-func (r *Runner) nodeGrid(sys System, wl string, variants string, keep func(int) bool) ([]Cell, []float64) {
+// variantSweep is the common ablation shape: one series per variant of c
+// over the node counts keep accepts.
+func variantSweep(id, title, yLabel string, c Cell, m metric, keep func(int) bool, vs ...variant) entry {
+	return entry{id, func(cfg Config) grid {
+		g := grid{fig: Figure{ID: id, Title: title, XLabel: "nodes", YLabel: yLabel}}
+		for _, v := range vs {
+			vc := c
+			vc.Variants = v.variants
+			g.series = append(g.series, overNodes(cfg, v.label, vc, m, keep))
+		}
+		return g
+	}}
+}
+
+// intSweep sets variant key of c to each value in turn, the values being
+// the X axis.
+func intSweep(c Cell, key string, vals ...int) ([]Cell, []float64) {
 	var cells []Cell
 	var xs []float64
-	for _, n := range r.Cfg.NodeCounts {
-		if keep != nil && !keep(n) {
-			continue
-		}
-		cells = append(cells, Cell{System: sys, Nodes: n, Workload: wl, Variants: variants})
-		xs = append(xs, float64(n))
+	for _, v := range vals {
+		c.Variants = fmt.Sprintf("%s=%d", key, v)
+		cells = append(cells, c)
+		xs = append(xs, float64(v))
 	}
 	return cells, xs
-}
-
-// --- Cassandra: optimal vs random token assignment (§6) ---
-
-// tokenVariants: random tokens "frequently resulted in a highly unbalanced
-// workload"; placement is moot on one node.
-var tokenVariants = []struct{ label, variants string }{
-	{"optimal-tokens", ""},
-	{"random-tokens", "tokens=random"},
-}
-
-func (r *Runner) cellsCassandraTokens() []Cell {
-	var cells []Cell
-	for _, v := range tokenVariants {
-		grid, _ := r.nodeGrid(Cassandra, "R", v.variants, func(n int) bool { return n > 1 })
-		cells = append(cells, grid...)
-	}
-	return cells
-}
-
-func (r *Runner) buildCassandraTokens() (Figure, error) {
-	fig := Figure{ID: "ablation-cassandra-tokens",
-		Title: "Cassandra: optimal vs random token assignment (Workload R)", XLabel: "nodes", YLabel: "ops/sec"}
-	for _, v := range tokenVariants {
-		cells, xs := r.nodeGrid(Cassandra, "R", v.variants, func(n int) bool { return n > 1 })
-		s, err := r.variantSeries(v.label, cells, xs, throughputMetric)
-		if err != nil {
-			return Figure{}, err
-		}
-		fig.Series = append(fig.Series, s)
-	}
-	return fig, nil
-}
-
-// --- Cassandra: commit log batch window vs write latency ---
-
-// commitlogWindowsMs sweeps the batch group-commit window writers wait for,
-// isolating the source of Cassandra's high write latency in the
-// reproduction.
-var commitlogWindowsMs = []int{2, 5, 10, 18, 30}
-
-func (r *Runner) commitlogGrid() ([]Cell, []float64) {
-	var cells []Cell
-	var xs []float64
-	for _, ms := range commitlogWindowsMs {
-		cells = append(cells, Cell{System: Cassandra, Nodes: 4, Workload: "RW",
-			Variants: fmt.Sprintf("commitlog=%d", ms)})
-		xs = append(xs, float64(ms))
-	}
-	return cells, xs
-}
-
-func (r *Runner) cellsCassandraCommitlog() []Cell {
-	cells, _ := r.commitlogGrid()
-	return cells
-}
-
-func (r *Runner) buildCassandraCommitlog() (Figure, error) {
-	fig := Figure{ID: "ablation-cassandra-commitlog",
-		Title:  "Cassandra: commit log batch window vs write latency (Workload RW, 4 nodes)",
-		XLabel: "window ms", YLabel: "write latency ms"}
-	cells, xs := r.commitlogGrid()
-	s, err := r.variantSeries("write-latency", cells, xs, writeLatMetric)
-	if err != nil {
-		return Figure{}, err
-	}
-	fig.Series = append(fig.Series, s)
-	return fig, nil
-}
-
-// --- Cassandra: replication factor vs throughput (§8 future work) ---
-
-// replicationVariants: RF=1 (the paper's unreplicated run, so the default
-// deployment) vs RF=3 at consistency ONE and ALL; RF=3 needs at least 3
-// nodes for distinct replicas.
-var replicationVariants = []struct{ label, variants string }{
-	{"rf1", ""},
-	{"rf3-one", "replication=3,consistency=one"},
-	{"rf3-all", "replication=3,consistency=all"},
-}
-
-func (r *Runner) cellsCassandraReplication() []Cell {
-	var cells []Cell
-	for _, v := range replicationVariants {
-		grid, _ := r.nodeGrid(Cassandra, "W", v.variants, func(n int) bool { return n >= 3 })
-		cells = append(cells, grid...)
-	}
-	return cells
-}
-
-func (r *Runner) buildCassandraReplication() (Figure, error) {
-	fig := Figure{ID: "ablation-cassandra-replication",
-		Title: "Cassandra: replication factor vs throughput (Workload W)", XLabel: "nodes", YLabel: "ops/sec"}
-	for _, v := range replicationVariants {
-		cells, xs := r.nodeGrid(Cassandra, "W", v.variants, func(n int) bool { return n >= 3 })
-		s, err := r.variantSeries(v.label, cells, xs, throughputMetric)
-		if err != nil {
-			return Figure{}, err
-		}
-		fig.Series = append(fig.Series, s)
-	}
-	return fig, nil
-}
-
-// --- Cassandra: compression off vs on (§5.7) ---
-
-// compressionVariants: "the disk usage can be reduced by using compression
-// which, however, will decrease the throughput". Each variant plots a
-// throughput and a disk series from the same cells.
-var compressionVariants = []struct{ label, variants string }{
-	{"off", ""},
-	{"on", "compression=on"},
-}
-
-func (r *Runner) cellsCassandraCompression() []Cell {
-	var cells []Cell
-	for _, v := range compressionVariants {
-		grid, _ := r.nodeGrid(Cassandra, "R", v.variants, nil)
-		cells = append(cells, grid...)
-	}
-	return cells
-}
-
-func (r *Runner) buildCassandraCompression() (Figure, error) {
-	fig := Figure{ID: "ablation-cassandra-compression",
-		Title: "Cassandra: compression off vs on (Workload R, disk + throughput)", XLabel: "nodes",
-		YLabel: "ops/sec (tput series) / GB (disk series)"}
-	for _, v := range compressionVariants {
-		cells, xs := r.nodeGrid(Cassandra, "R", v.variants, nil)
-		tput, err := r.variantSeries("tput-"+v.label, cells, xs, throughputMetric)
-		if err != nil {
-			return Figure{}, err
-		}
-		disk, err := r.variantSeries("disk-"+v.label, cells, xs,
-			func(res CellResult) float64 { return res.DiskBytesPaperScale / 1e9 })
-		if err != nil {
-			return Figure{}, err
-		}
-		fig.Series = append(fig.Series, tput, disk)
-	}
-	return fig, nil
-}
-
-// --- Client connections per node (§8 tuning observation) ---
-
-// connsPerNode sweeps the client connection count on a 4-node Cassandra
-// cluster: too few connections leave the servers underutilized, too many
-// congest them and inflate latency without throughput gains.
-var connsPerNode = []int{8, 32, 64, 128, 256, 512}
-
-func (r *Runner) connectionsGrid() ([]Cell, []float64) {
-	var cells []Cell
-	var xs []float64
-	for _, perNode := range connsPerNode {
-		cells = append(cells, Cell{System: Cassandra, Nodes: 4, Workload: "R",
-			Variants: fmt.Sprintf("conns=%d", perNode)})
-		xs = append(xs, float64(perNode))
-	}
-	return cells, xs
-}
-
-func (r *Runner) cellsConnections() []Cell {
-	cells, _ := r.connectionsGrid()
-	return cells
-}
-
-func (r *Runner) buildConnections() (Figure, error) {
-	fig := Figure{ID: "ablation-connections",
-		Title:  "Connections per node vs throughput and read latency (Cassandra, 4 nodes, Workload R)",
-		XLabel: "conns/node", YLabel: "ops/sec (tput) / ms (latency)"}
-	cells, xs := r.connectionsGrid()
-	tput, err := r.variantSeries("throughput", cells, xs, throughputMetric)
-	if err != nil {
-		return Figure{}, err
-	}
-	lat, err := r.variantSeries("read-latency-ms", cells, xs,
-		func(res CellResult) float64 { return float64(res.ReadLat) / float64(sim.Millisecond) })
-	if err != nil {
-		return Figure{}, err
-	}
-	fig.Series = append(fig.Series, tput, lat)
-	return fig, nil
-}
-
-// --- HBase: client write buffer vs autoflush ---
-
-// autoflushVariants compare the client write buffer (deferred flush)
-// against per-put RPCs on the write-heavy workload.
-var autoflushVariants = []struct{ label, variants string }{
-	{"write-buffer", ""},
-	{"autoflush", "autoflush=on"},
-}
-
-func (r *Runner) cellsHBaseAutoflush() []Cell {
-	var cells []Cell
-	for _, v := range autoflushVariants {
-		grid, _ := r.nodeGrid(HBase, "W", v.variants, nil)
-		cells = append(cells, grid...)
-	}
-	return cells
-}
-
-func (r *Runner) buildHBaseAutoflush() (Figure, error) {
-	fig := Figure{ID: "ablation-hbase-autoflush",
-		Title: "HBase: client write buffer vs autoflush (Workload W)", XLabel: "nodes", YLabel: "ops/sec"}
-	for _, v := range autoflushVariants {
-		cells, xs := r.nodeGrid(HBase, "W", v.variants, nil)
-		s, err := r.variantSeries(v.label, cells, xs, throughputMetric)
-		if err != nil {
-			return Figure{}, err
-		}
-		fig.Series = append(fig.Series, s)
-	}
-	return fig, nil
-}
-
-// --- MySQL: disk usage with and without the binary log (§5.7) ---
-
-// binlogVariants: "without this feature the disk usage is essentially
-// reduced by half". Disk usage needs no workload run, so the grid is
-// load-only cells.
-var binlogVariants = []struct{ label, variants string }{
-	{"binlog-on", ""},
-	{"binlog-off", "binlog=off"},
-}
-
-func (r *Runner) binlogGrid(variants string) ([]Cell, []float64) {
-	var cells []Cell
-	var xs []float64
-	for _, n := range r.Cfg.NodeCounts {
-		cells = append(cells, Cell{System: MySQL, Nodes: n, LoadOnly: true, Variants: variants})
-		xs = append(xs, float64(n))
-	}
-	return cells, xs
-}
-
-func (r *Runner) cellsMySQLBinlog() []Cell {
-	var cells []Cell
-	for _, v := range binlogVariants {
-		grid, _ := r.binlogGrid(v.variants)
-		cells = append(cells, grid...)
-	}
-	return cells
-}
-
-func (r *Runner) buildMySQLBinlog() (Figure, error) {
-	fig := Figure{ID: "ablation-mysql-binlog",
-		Title: "MySQL: disk usage with and without binary log", XLabel: "nodes", YLabel: "GB (paper scale)"}
-	for _, v := range binlogVariants {
-		cells, xs := r.binlogGrid(v.variants)
-		s, err := r.variantSeries(v.label, cells, xs,
-			func(res CellResult) float64 { return res.DiskBytesPaperScale / 1e9 })
-		if err != nil {
-			return Figure{}, err
-		}
-		fig.Series = append(fig.Series, s)
-	}
-	return fig, nil
-}
-
-// --- Redis: Jedis ring vs balanced sharding (§5.1) ---
-
-// shardingVariants: with the Jedis ring "the data distribution is
-// unbalanced".
-var shardingVariants = []struct{ label, variants string }{
-	{"jedis-ring", ""},
-	{"balanced", "sharding=balanced"},
-}
-
-func (r *Runner) cellsRedisSharding() []Cell {
-	var cells []Cell
-	for _, v := range shardingVariants {
-		grid, _ := r.nodeGrid(Redis, "R", v.variants, nil)
-		cells = append(cells, grid...)
-	}
-	return cells
-}
-
-func (r *Runner) buildRedisSharding() (Figure, error) {
-	fig := Figure{ID: "ablation-redis-sharding",
-		Title: "Redis: Jedis ring vs balanced sharding (Workload R)", XLabel: "nodes", YLabel: "ops/sec"}
-	for _, v := range shardingVariants {
-		cells, xs := r.nodeGrid(Redis, "R", v.variants, nil)
-		s, err := r.variantSeries(v.label, cells, xs, throughputMetric)
-		if err != nil {
-			return Figure{}, err
-		}
-		fig.Series = append(fig.Series, s)
-	}
-	return fig, nil
-}
-
-// --- VoltDB: synchronous vs asynchronous client (§6) ---
-
-// asyncVariants: Hugg's asynchronous benchmark "achieved a speed-up with a
-// fixed sized database", unlike the paper's synchronous client.
-var asyncVariants = []struct{ label, variants string }{
-	{"sync-client", ""},
-	{"async-client", "async=on"},
-}
-
-func (r *Runner) cellsVoltDBAsync() []Cell {
-	var cells []Cell
-	for _, v := range asyncVariants {
-		grid, _ := r.nodeGrid(VoltDB, "R", v.variants, nil)
-		cells = append(cells, grid...)
-	}
-	return cells
-}
-
-func (r *Runner) buildVoltDBAsync() (Figure, error) {
-	fig := Figure{ID: "ablation-voltdb-async",
-		Title: "VoltDB: synchronous vs asynchronous client (Workload R)", XLabel: "nodes", YLabel: "ops/sec"}
-	for _, v := range asyncVariants {
-		cells, xs := r.nodeGrid(VoltDB, "R", v.variants, nil)
-		s, err := r.variantSeries(v.label, cells, xs, throughputMetric)
-		if err != nil {
-			return Figure{}, err
-		}
-		fig.Series = append(fig.Series, s)
-	}
-	return fig, nil
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"strings"
 
-	"repro/internal/cluster"
 	"repro/internal/stats"
 	"repro/internal/ycsb"
 )
@@ -33,8 +32,13 @@ type NodeUtilization struct {
 }
 
 // Explain runs one cell (uncached — it needs the live deployment) and
-// returns the utilization breakdown.
+// returns the utilization breakdown. It replays only the plain
+// deploy-load-measure run, so throttled, faulted, query and load-only
+// cells are refused rather than explained as a different run.
 func (r *Runner) Explain(c Cell) (*Explanation, error) {
+	if c.TargetFraction > 0 || c.Faults != "" || c.Queries != "" || c.LoadOnly {
+		return nil, fmt.Errorf("harness: explain cannot replay cell %s (throttled, faulted, query and load-only cells are unsupported)", r.key(c))
+	}
 	rv, err := r.resolve(c)
 	if err != nil {
 		return nil, err
@@ -123,32 +127,4 @@ func (e *Explanation) Render() string {
 	}
 	fmt.Fprintf(&b, "  bottleneck: %s\n", bottleneck)
 	return b.String()
-}
-
-// clusterSpecFor centralizes the cell-to-hardware mapping shared with the
-// runner: an explicit Spec override wins, then the ClusterD flag, then the
-// paper's memory-bound Cluster M.
-func clusterSpecFor(c Cell, cfg Config) cluster.Spec {
-	if c.Spec.Name != "" {
-		s := c.Spec
-		s.Nodes = c.Nodes
-		return s
-	}
-	if c.ClusterD {
-		return cluster.ClusterD(c.Nodes)
-	}
-	return cluster.ClusterM(c.Nodes)
-}
-
-func recordsFor(c Cell, cfg Config) int64 {
-	if c.RecordsPerNode > 0 {
-		// Scenario-level dataset override: per-node count applies on any
-		// cluster (Cluster D's paper-fixed total is a config default, not
-		// a law of the hardware).
-		return int64(float64(c.RecordsPerNode*int64(c.Nodes)) * cfg.Scale)
-	}
-	if c.ClusterD {
-		return int64(float64(cfg.ClusterDRecords) * cfg.Scale)
-	}
-	return int64(float64(cfg.RecordsPerNode*int64(c.Nodes)) * cfg.Scale)
 }

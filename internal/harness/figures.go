@@ -133,182 +133,7 @@ func latencyMs(t sim.Time) float64          { return float64(t) / float64(sim.Mi
 func readLatMetric(r CellResult) float64    { return latencyMs(r.ReadLat) }
 func writeLatMetric(r CellResult) float64   { return latencyMs(r.WriteLat) }
 func scanLatMetric(r CellResult) float64    { return latencyMs(r.ScanLat) }
-
-// figure plans a figure's cells, executes them through the worker pool,
-// and assembles the series from the warm cache.
-func (r *Runner) figure(id string) (Figure, error) {
-	spec, ok := specFor(id)
-	if !ok {
-		return Figure{}, fmt.Errorf("harness: unknown figure %q", id)
-	}
-	if err := r.RunAll(r.CellsFor(id)); err != nil {
-		return Figure{}, fmt.Errorf("fig %s: %w", id, err)
-	}
-	switch spec.kind {
-	case kindBounded:
-		return r.buildBounded(spec)
-	case kindDisk:
-		return r.buildDisk(spec)
-	case kindClusterD:
-		return r.buildClusterD(spec)
-	default:
-		return r.buildSweep(spec)
-	}
-}
-
-// buildSweep assembles (system, nodes) cells over the node sweep for one
-// workload.
-func (r *Runner) buildSweep(spec figSpec) (Figure, error) {
-	fig := Figure{ID: spec.id, Title: spec.title, XLabel: "nodes", YLabel: spec.yLabel}
-	for _, sys := range spec.systems {
-		s := Series{Label: string(sys)}
-		for _, n := range r.Cfg.NodeCounts {
-			res, err := r.Run(Cell{System: sys, Nodes: n, Workload: spec.workload})
-			if err != nil {
-				return Figure{}, fmt.Errorf("fig %s %s n=%d: %w", spec.id, sys, n, err)
-			}
-			s.X = append(s.X, float64(n))
-			s.Y = append(s.Y, spec.m(res))
-		}
-		fig.Series = append(fig.Series, s)
-	}
-	return fig, nil
-}
-
-// Fig3 regenerates "Throughput for Workload R".
-func (r *Runner) Fig3() (Figure, error) { return r.figure("3") }
-
-// Fig4 regenerates "Read latency for Workload R".
-func (r *Runner) Fig4() (Figure, error) { return r.figure("4") }
-
-// Fig5 regenerates "Write latency for Workload R".
-func (r *Runner) Fig5() (Figure, error) { return r.figure("5") }
-
-// Fig6 regenerates "Throughput for Workload RW".
-func (r *Runner) Fig6() (Figure, error) { return r.figure("6") }
-
-// Fig7 regenerates "Read latency for Workload RW".
-func (r *Runner) Fig7() (Figure, error) { return r.figure("7") }
-
-// Fig8 regenerates "Write latency for Workload RW".
-func (r *Runner) Fig8() (Figure, error) { return r.figure("8") }
-
-// Fig9 regenerates "Throughput for Workload W".
-func (r *Runner) Fig9() (Figure, error) { return r.figure("9") }
-
-// Fig10 regenerates "Read latency for Workload W".
-func (r *Runner) Fig10() (Figure, error) { return r.figure("10") }
-
-// Fig11 regenerates "Write latency for Workload W".
-func (r *Runner) Fig11() (Figure, error) { return r.figure("11") }
-
-// Fig12 regenerates "Throughput for Workload RS".
-func (r *Runner) Fig12() (Figure, error) { return r.figure("12") }
-
-// Fig13 regenerates "Scan latency for Workload RS".
-func (r *Runner) Fig13() (Figure, error) { return r.figure("13") }
-
-// Fig14 regenerates "Throughput for Workload RSW".
-func (r *Runner) Fig14() (Figure, error) { return r.figure("14") }
-
-// boundedSystems are the systems in the bounded-throughput experiment
-// (§5.6 dropped VoltDB for its prohibitive multi-node latency).
-var boundedSystems = []System{Cassandra, HBase, Voldemort, MySQL, Redis}
-
-// boundedFractions are the load levels of Figs 15/16.
-var boundedFractions = []float64{0.50, 0.60, 0.70, 0.80, 0.90, 0.95}
-
-// buildBounded assembles latency at fractions of maximum throughput on 8
-// nodes, normalized to the latency at 100% load (x100).
-func (r *Runner) buildBounded(spec figSpec) (Figure, error) {
-	fig := Figure{ID: spec.id, Title: spec.title, XLabel: "% of max tput", YLabel: "latency normalized to max-load (=100)"}
-	for _, sys := range spec.systems {
-		maxRes, err := r.Run(Cell{System: sys, Nodes: boundedNodes, Workload: spec.workload})
-		if err != nil {
-			return Figure{}, err
-		}
-		base := spec.m(maxRes)
-		s := Series{Label: string(sys)}
-		for _, f := range boundedFractions {
-			res, err := r.Run(Cell{System: sys, Nodes: boundedNodes, Workload: spec.workload, TargetFraction: f})
-			if err != nil {
-				return Figure{}, err
-			}
-			norm := 0.0
-			if base > 0 {
-				norm = 100 * spec.m(res) / base
-			}
-			s.X = append(s.X, f*100)
-			s.Y = append(s.Y, norm)
-		}
-		s.X = append(s.X, 100)
-		s.Y = append(s.Y, 100)
-		fig.Series = append(fig.Series, s)
-	}
-	return fig, nil
-}
-
-// Fig15 regenerates "Read latency for bounded throughput on Workload R".
-func (r *Runner) Fig15() (Figure, error) { return r.figure("15") }
-
-// Fig16 regenerates "Write latency for bounded throughput on Workload R".
-func (r *Runner) Fig16() (Figure, error) { return r.figure("16") }
-
-// buildDisk assembles "Disk usage for 10 million records", in paper-scale
-// GB, including the raw-data reference line.
-func (r *Runner) buildDisk(spec figSpec) (Figure, error) {
-	fig := Figure{ID: spec.id, Title: spec.title, XLabel: "nodes", YLabel: spec.yLabel}
-	for _, sys := range spec.systems {
-		s := Series{Label: string(sys)}
-		for _, n := range r.Cfg.NodeCounts {
-			res, err := r.LoadOnly(sys, n)
-			if err != nil {
-				return Figure{}, err
-			}
-			s.X = append(s.X, float64(n))
-			s.Y = append(s.Y, res.DiskBytesPaperScale/1e9)
-		}
-		fig.Series = append(fig.Series, s)
-	}
-	raw := Series{Label: "raw data"}
-	for _, n := range r.Cfg.NodeCounts {
-		raw.X = append(raw.X, float64(n))
-		raw.Y = append(raw.Y, float64(r.Cfg.RecordsPerNode*int64(n))*70/1e9)
-	}
-	fig.Series = append(fig.Series, raw)
-	return fig, nil
-}
-
-// Fig17 regenerates "Disk usage for 10 million records".
-func (r *Runner) Fig17() (Figure, error) { return r.figure("17") }
-
-// buildClusterD assembles the Cluster D bar charts (Figs 18-20): 8 nodes,
-// workloads R/RW/W, systems Cassandra/HBase/Voldemort.
-func (r *Runner) buildClusterD(spec figSpec) (Figure, error) {
-	fig := Figure{ID: spec.id, Title: spec.title, XLabel: "workload#", YLabel: spec.yLabel + " [x=1:R 2:RW 3:W]"}
-	for _, sys := range spec.systems {
-		s := Series{Label: string(sys)}
-		for i, wl := range clusterDWorkloads {
-			res, err := r.Run(Cell{System: sys, Nodes: clusterDNodes, Workload: wl, ClusterD: true})
-			if err != nil {
-				return Figure{}, err
-			}
-			s.X = append(s.X, float64(i+1))
-			s.Y = append(s.Y, spec.m(res))
-		}
-		fig.Series = append(fig.Series, s)
-	}
-	return fig, nil
-}
-
-// Fig18 regenerates "Throughput for 8 nodes in Cluster D".
-func (r *Runner) Fig18() (Figure, error) { return r.figure("18") }
-
-// Fig19 regenerates "Read latency for 8 nodes in Cluster D".
-func (r *Runner) Fig19() (Figure, error) { return r.figure("19") }
-
-// Fig20 regenerates "Write latency for 8 nodes in Cluster D".
-func (r *Runner) Fig20() (Figure, error) { return r.figure("20") }
+func diskMetric(r CellResult) float64       { return r.DiskBytesPaperScale / 1e9 }
 
 // Table1 renders the workload specification table.
 func Table1() string {
@@ -327,22 +152,3 @@ func Table1() string {
 	}
 	return b.String()
 }
-
-// Figures maps figure IDs to their generators.
-func (r *Runner) Figures() map[string]func() (Figure, error) {
-	figs := make(map[string]func() (Figure, error), len(figSpecs))
-	for _, spec := range figSpecs {
-		id := spec.id
-		figs[id] = func() (Figure, error) { return r.figure(id) }
-	}
-	return figs
-}
-
-// FigureOrder lists figure IDs in paper order.
-var FigureOrder = func() []string {
-	ids := make([]string, len(figSpecs))
-	for i, s := range figSpecs {
-		ids[i] = s.id
-	}
-	return ids
-}()

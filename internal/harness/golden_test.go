@@ -38,7 +38,7 @@ func TestFig3GoldenOutput(t *testing.T) {
 		NodeCounts: []int{1, 2},
 	})
 	r.Workers = 1
-	fig, err := r.Fig3()
+	fig, err := r.Figures()["3"]()
 	if err != nil {
 		t.Fatal(err)
 	}

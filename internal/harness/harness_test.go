@@ -244,7 +244,7 @@ func TestBoundedRunThrottles(t *testing.T) {
 }
 
 func TestFig17SeriesOrdering(t *testing.T) {
-	fig, err := quickRunner.Fig17()
+	fig, err := quickRunner.Figures()["17"]()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -352,8 +352,18 @@ func TestExplainReportsUtilization(t *testing.T) {
 
 func TestExplainRejectsBadCell(t *testing.T) {
 	r := NewRunner(testCfg())
-	if _, err := r.Explain(Cell{System: Voldemort, Nodes: 1, Workload: "RS"}); err == nil {
-		t.Fatal("explain accepted voldemort scans")
+	for _, c := range []Cell{
+		{System: Voldemort, Nodes: 1, Workload: "RS"},
+		// Explain replays a plain run only; these cells' cached results
+		// come from a different run, so it must refuse them.
+		{System: Cassandra, Nodes: 1, Workload: "R", TargetFraction: 0.5},
+		{System: Cassandra, Nodes: 2, Workload: "R", Faults: "kill-node@1[0.3:0.6]"},
+		{System: Cassandra, Nodes: 1, Workload: "R", Queries: "overview(w=600,aggs=avg)"},
+		{System: Cassandra, Nodes: 1, Workload: "R", LoadOnly: true},
+	} {
+		if _, err := r.Explain(c); err == nil {
+			t.Errorf("explain accepted %s", r.key(c))
+		}
 	}
 }
 

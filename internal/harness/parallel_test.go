@@ -1,6 +1,8 @@
 package harness
 
 import (
+	"os"
+	"path/filepath"
 	"sync"
 	"testing"
 	"time"
@@ -268,5 +270,96 @@ func TestFiguresReadFromWarmCache(t *testing.T) {
 		if got := r.Executed(); got != warm {
 			t.Errorf("figure %s executed %d cells beyond its plan (plan incomplete)", id, got-warm)
 		}
+	}
+}
+
+// syntheticExecutor answers every cell at once with a fixed result, so the
+// plan-completeness check covers every grid without simulating anything.
+type syntheticExecutor struct{}
+
+func (syntheticExecutor) ExecuteCell(c Cell) (CellResult, error) {
+	return CellResult{Cell: c, Throughput: 1000, ReadLat: sim.Millisecond, WriteLat: sim.Millisecond,
+		ScanLat: sim.Millisecond, UpdateLat: sim.Millisecond, Ops: 1000, DiskBytesPaperScale: 1e9}, nil
+}
+
+// TestEveryGridPlanIsComplete pins the plan/assemble contract on every
+// grid — each figure, each ablation, the APM dashboard and each example
+// scenario: the plan lists each cell key once, and after RunAll(plan)
+// generating the figure executes nothing more (generation is pure cache
+// reads), with every series non-empty and carrying one Y per X.
+func TestEveryGridPlanIsComplete(t *testing.T) {
+	type gridCase struct {
+		name  string
+		plan  func(r *Runner) ([]Cell, error)
+		build func(r *Runner) (Figure, error)
+	}
+	var cases []gridCase
+	for _, id := range FigureOrder {
+		cases = append(cases, gridCase{"figure-" + id,
+			func(r *Runner) ([]Cell, error) { return r.CellsFor(id), nil },
+			func(r *Runner) (Figure, error) { return r.Figures()[id]() }})
+	}
+	for _, id := range AblationOrder {
+		cases = append(cases, gridCase{id,
+			func(r *Runner) ([]Cell, error) { return r.AblationCellsFor(id), nil },
+			func(r *Runner) (Figure, error) { return r.Ablations()[id]() }})
+	}
+	scenarios := []*Scenario{APMDashboard(Quick().NodeCounts)}
+	paths, err := filepath.Glob("../../examples/scenarios/*.json")
+	if err != nil || len(paths) == 0 {
+		t.Fatalf("no example scenarios found: %v", err)
+	}
+	for _, p := range paths {
+		data, err := os.ReadFile(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s, err := ParseScenario(data)
+		if err != nil {
+			t.Fatalf("%s: %v", p, err)
+		}
+		scenarios = append(scenarios, s)
+	}
+	for _, s := range scenarios {
+		cases = append(cases, gridCase{"scenario-" + s.Name, func(*Runner) ([]Cell, error) { return s.Cells() },
+			func(r *Runner) (Figure, error) { return r.RunScenario(s) }})
+	}
+
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			r := NewRunner(Quick())
+			r.Executor = syntheticExecutor{}
+			plan, err := tc.plan(r)
+			if err != nil || len(plan) == 0 {
+				t.Fatalf("plan = %d cells, %v", len(plan), err)
+			}
+			keys := map[string]bool{}
+			for _, c := range plan {
+				if k := r.key(c); keys[k] {
+					t.Errorf("plan lists %s twice", k)
+				} else {
+					keys[k] = true
+				}
+			}
+			if err := r.RunAll(plan); err != nil {
+				t.Fatal(err)
+			}
+			warm := r.Executed()
+			fig, err := tc.build(r)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := r.Executed(); got != warm {
+				t.Errorf("generation executed %d cells beyond the plan", got-warm)
+			}
+			if len(fig.Series) == 0 {
+				t.Fatal("figure has no series")
+			}
+			for _, s := range fig.Series {
+				if len(s.X) == 0 || len(s.X) != len(s.Y) {
+					t.Errorf("series %s: %d X, %d Y", s.Label, len(s.X), len(s.Y))
+				}
+			}
+		})
 	}
 }

@@ -6,7 +6,6 @@ import (
 	"hash/fnv"
 	"runtime"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/cluster"
 	"repro/internal/fault"
@@ -264,10 +263,10 @@ type ResultCache interface {
 // concurrent requests for the same cell share one execution.
 type Runner struct {
 	Cfg Config
-	// Workers bounds concurrent cell executions in RunAll and the
-	// ablation grids; 0 means GOMAXPROCS. Note each in-flight cell holds
-	// a full simulated cluster (engine, stores, loaded records), so at
-	// paper scale workers multiply peak memory as well as CPU.
+	// Workers bounds concurrent cell executions in RunAll; 0 means
+	// GOMAXPROCS. Note each in-flight cell holds a full simulated cluster
+	// (engine, stores, loaded records), so at paper scale workers multiply
+	// peak memory as well as CPU.
 	Workers int
 	// Progress, when set, receives one line per executed cell. Calls are
 	// serialized; RunAll delivers lines in plan order regardless of which
@@ -458,12 +457,6 @@ func (r *Runner) Run(c Cell) (CellResult, error) {
 	return res, err
 }
 
-// LoadOnly deploys and loads a cell without running a workload; used by the
-// disk-usage experiment (Fig 17).
-func (r *Runner) LoadOnly(sys System, nodes int) (CellResult, error) {
-	return r.Run(Cell{System: sys, Nodes: nodes, LoadOnly: true})
-}
-
 // ExecuteCell implements CellExecutor: a local, cached, singleflighted
 // measurement with no progress emission. It lets a plain Runner stand in
 // wherever a remote executor is expected — in particular as a farm
@@ -600,10 +593,38 @@ func (r *Runner) resolve(c Cell) (resolved, error) {
 	}
 	return resolved{
 		wl:      wl,
-		spec:    clusterSpecFor(c, r.Cfg),
+		spec:    clusterSpecFor(c),
 		records: recordsFor(c, r.Cfg),
 		clients: clients,
 	}, nil
+}
+
+// clusterSpecFor maps a cell to its hardware: an explicit Spec override
+// wins, then the ClusterD flag, then the paper's memory-bound Cluster M.
+func clusterSpecFor(c Cell) cluster.Spec {
+	if c.Spec.Name != "" {
+		s := c.Spec
+		s.Nodes = c.Nodes
+		return s
+	}
+	if c.ClusterD {
+		return cluster.ClusterD(c.Nodes)
+	}
+	return cluster.ClusterM(c.Nodes)
+}
+
+// recordsFor is the number of records a cell loads (after scaling).
+func recordsFor(c Cell, cfg Config) int64 {
+	if c.RecordsPerNode > 0 {
+		// Scenario-level dataset override: per-node count applies on any
+		// cluster (Cluster D's paper-fixed total is a config default, not
+		// a law of the hardware).
+		return int64(float64(c.RecordsPerNode*int64(c.Nodes)) * cfg.Scale)
+	}
+	if c.ClusterD {
+		return int64(float64(cfg.ClusterDRecords) * cfg.Scale)
+	}
+	return int64(float64(cfg.RecordsPerNode*int64(c.Nodes)) * cfg.Scale)
 }
 
 func (r *Runner) run(c Cell, key string, rep int64) (CellResult, error) {
@@ -692,7 +713,7 @@ func (r *Runner) runQueries(c Cell, key string, rep int64) (CellResult, error) {
 	} else if ok {
 		clients = perNode * c.Nodes
 	}
-	dep, err := DeployVariants(r.cellSeed(key, rep), c.System, clusterSpecFor(c, r.Cfg), r.Cfg.Scale, c.Variants)
+	dep, err := DeployVariants(r.cellSeed(key, rep), c.System, clusterSpecFor(c), r.Cfg.Scale, c.Variants)
 	if err != nil {
 		return CellResult{}, err
 	}
@@ -735,7 +756,7 @@ func (r *Runner) loadOnly(c Cell, key string) (CellResult, error) {
 		}
 		fieldBytes = wl.FieldSize()
 	}
-	dep, err := DeployVariants(r.cellSeed(key, 0), c.System, clusterSpecFor(c, r.Cfg), r.Cfg.Scale, c.Variants)
+	dep, err := DeployVariants(r.cellSeed(key, 0), c.System, clusterSpecFor(c), r.Cfg.Scale, c.Variants)
 	if err != nil {
 		return CellResult{}, err
 	}
@@ -900,40 +921,4 @@ func (r *Runner) CacheHits() int64 {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return r.cacheHits
-}
-
-// parallelMap runs f(0..n-1) on up to workers goroutines and returns the
-// results in index order. Every call runs to completion; the first error
-// by index wins, keeping failures deterministic under any schedule.
-func parallelMap[T any](n, workers int, f func(int) (T, error)) ([]T, error) {
-	out := make([]T, n)
-	errs := make([]error, n)
-	if workers > n {
-		workers = n
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	var nextIdx int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(atomic.AddInt64(&nextIdx, 1)) - 1
-				if i >= n {
-					return
-				}
-				out[i], errs[i] = f(i)
-			}
-		}()
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
 }

@@ -268,7 +268,7 @@ var scenarioMetrics = map[string]struct {
 	"write-latency":  {writeLatMetric, "ms"},
 	"scan-latency":   {scanLatMetric, "ms"},
 	"update-latency": {func(r CellResult) float64 { return latencyMs(r.UpdateLat) }, "ms"},
-	"disk":           {func(r CellResult) float64 { return r.DiskBytesPaperScale / 1e9 }, "GB (paper scale)"},
+	"disk":           {diskMetric, "GB (paper scale)"},
 }
 
 // ParseScenario decodes and validates a scenario file. Unknown JSON fields
@@ -391,27 +391,6 @@ func (s *Scenario) Validate() error {
 	return nil
 }
 
-// metric returns the scenario's Y extractor and axis label.
-func (s *Scenario) metric() (metric, string) {
-	name := s.Metric
-	if name == "" {
-		name = "throughput"
-		if s.LoadOnly {
-			name = "disk"
-		}
-	}
-	sm := scenarioMetrics[name]
-	return sm.m, sm.yLabel
-}
-
-// seriesSpec is one figure series of the grid: a (system, workload,
-// variants) combination swept over the node counts.
-type seriesSpec struct {
-	label string
-	cells []Cell
-	xs    []float64
-}
-
 // queryMix normalizes a copy of the scenario's query specs into a mix.
 func (s *Scenario) queryMix() (query.Mix, error) {
 	m := make(query.Mix, len(s.Queries))
@@ -422,18 +401,32 @@ func (s *Scenario) queryMix() (query.Mix, error) {
 	return m, nil
 }
 
-// series expands the grid, skipping (system, workload) pairs the system
-// cannot run (e.g. scan mixes on Voldemort), mirroring how the paper's
-// scan figures exclude it. Skipped pairs are reported so a scenario author
-// sees the holes.
-func (s *Scenario) series() ([]seriesSpec, []string, error) {
+// grid expands the scenario into one series per system × workload ×
+// variant combo, node counts on the X axis, skipping (system, workload)
+// pairs the system cannot run (e.g. scan mixes on Voldemort), mirroring
+// how the paper's scan figures exclude it. Skipped pairs are reported so a
+// scenario author sees the holes.
+func (s *Scenario) grid() (grid, []string, error) {
+	name := s.Metric
+	if name == "" {
+		name = "throughput"
+		if s.LoadOnly {
+			name = "disk"
+		}
+	}
+	m := scenarioMetrics[name]
+	title := s.Name
+	if s.Description != "" {
+		title += ": " + s.Description
+	}
+	g := grid{fig: Figure{ID: "scenario-" + s.Name, Title: title, XLabel: "nodes", YLabel: m.yLabel}}
 	workloads := s.Workloads
 	if s.LoadOnly && len(workloads) == 0 {
 		workloads = []ScenarioWorkload{{}}
 	}
 	sched, err := s.schedule()
 	if err != nil {
-		return nil, nil, err
+		return grid{}, nil, err
 	}
 	var faults string
 	if sched != nil {
@@ -443,27 +436,41 @@ func (s *Scenario) series() ([]seriesSpec, []string, error) {
 	if s.Hardware != nil {
 		hw, err = s.Hardware.toSpec()
 		if err != nil {
-			return nil, nil, err
+			return grid{}, nil, err
 		}
 	}
 	variants := s.Variants
 	if len(variants) == 0 {
 		variants = []string{""}
 	}
+	// An analytic grid is one pseudo-workload per system: every cell
+	// carries the whole mix's canonical encoding (the mix is weighted
+	// within a cell, like an operation mix — not one series per query),
+	// and systems without scan support are skipped like scan workloads.
+	var queries string
 	if len(s.Queries) > 0 {
-		return s.querySeries(hw, variants)
+		mix, err := s.queryMix()
+		if err != nil {
+			return grid{}, nil, err
+		}
+		queries = mix.String()
+		workloads = []ScenarioWorkload{{Name: "queries"}}
 	}
-	var specs []seriesSpec
 	var skipped []string
 	for _, sys := range s.Systems {
 		for _, sw := range workloads {
 			var wl ycsb.Workload
 			preset := false
-			if sw.Name != "" || !s.LoadOnly {
+			if queries != "" {
+				if !SupportsScans(sys) {
+					skipped = append(skipped, fmt.Sprintf("%s/queries", sys))
+					continue
+				}
+			} else if sw.Name != "" || !s.LoadOnly {
 				var err error
 				wl, err = sw.toWorkload()
 				if err != nil {
-					return nil, nil, err
+					return grid{}, nil, err
 				}
 				preset = !sw.custom()
 				// A load-only cell executes no operations — its workload
@@ -475,7 +482,7 @@ func (s *Scenario) series() ([]seriesSpec, []string, error) {
 				}
 			}
 			for _, v := range variants {
-				spec := seriesSpec{label: seriesLabel(sys, sw.Name, v)}
+				spec := series{label: seriesLabel(sys, sw.Name, v), ys: perCell(m.m)}
 				for _, n := range s.Nodes {
 					c := Cell{
 						System:         sys,
@@ -487,6 +494,7 @@ func (s *Scenario) series() ([]seriesSpec, []string, error) {
 						RecordsPerNode: s.RecordsPerNode,
 						Repetitions:    s.Repetitions,
 						Faults:         faults,
+						Queries:        queries,
 					}
 					if preset {
 						c.Workload = wl.Name
@@ -496,49 +504,11 @@ func (s *Scenario) series() ([]seriesSpec, []string, error) {
 					spec.cells = append(spec.cells, c)
 					spec.xs = append(spec.xs, float64(n))
 				}
-				specs = append(specs, spec)
+				g.series = append(g.series, spec)
 			}
 		}
 	}
-	return specs, skipped, nil
-}
-
-// querySeries expands an analytic grid: one series per system × variant
-// combo, every cell carrying the whole mix's canonical encoding (the mix
-// is weighted within a cell, like an operation mix — not one series per
-// query). Systems without scan support are skipped like scan workloads.
-func (s *Scenario) querySeries(hw cluster.Spec, variants []string) ([]seriesSpec, []string, error) {
-	mix, err := s.queryMix()
-	if err != nil {
-		return nil, nil, err
-	}
-	enc := mix.String()
-	var specs []seriesSpec
-	var skipped []string
-	for _, sys := range s.Systems {
-		if !SupportsScans(sys) {
-			skipped = append(skipped, fmt.Sprintf("%s/queries", sys))
-			continue
-		}
-		for _, v := range variants {
-			spec := seriesSpec{label: seriesLabel(sys, "queries", v)}
-			for _, n := range s.Nodes {
-				spec.cells = append(spec.cells, Cell{
-					System:         sys,
-					Nodes:          n,
-					ClusterD:       s.Cluster == "D",
-					Spec:           hw,
-					Variants:       v,
-					RecordsPerNode: s.RecordsPerNode,
-					Repetitions:    s.Repetitions,
-					Queries:        enc,
-				})
-				spec.xs = append(spec.xs, float64(n))
-			}
-			specs = append(specs, spec)
-		}
-	}
-	return specs, skipped, nil
+	return g, skipped, nil
 }
 
 func seriesLabel(sys System, workload, variants string) string {
@@ -552,18 +522,11 @@ func seriesLabel(sys System, workload, variants string) string {
 	return label
 }
 
-// Cells returns every cell the scenario measures, in grid order, with
-// unsupported (system, workload) pairs skipped.
+// Cells returns every cell the scenario measures, in grid order, each
+// once, with unsupported (system, workload) pairs skipped.
 func (s *Scenario) Cells() ([]Cell, error) {
-	specs, _, err := s.series()
-	if err != nil {
-		return nil, err
-	}
-	var cells []Cell
-	for _, spec := range specs {
-		cells = append(cells, spec.cells...)
-	}
-	return cells, nil
+	g, _, err := s.grid()
+	return g.cells(), err
 }
 
 // RunScenario executes the scenario's grid on the worker pool (cached,
@@ -573,38 +536,22 @@ func (r *Runner) RunScenario(s *Scenario) (Figure, error) {
 	if err := s.Validate(); err != nil {
 		return Figure{}, err
 	}
-	specs, skipped, err := s.series()
+	g, skipped, err := s.grid()
 	if err != nil {
 		return Figure{}, err
 	}
-	if len(specs) == 0 {
+	if len(g.series) == 0 {
 		return Figure{}, fmt.Errorf("harness: scenario %s has no runnable cells (skipped: %v)", s.Name, skipped)
 	}
 	for _, sk := range skipped {
 		r.emit(fmt.Sprintf("%-10s skipped: workload not supported", sk))
 	}
-	var cells []Cell
-	for _, spec := range specs {
-		cells = append(cells, spec.cells...)
-	}
-	if err := r.RunAll(cells); err != nil {
-		return Figure{}, fmt.Errorf("scenario %s: %w", s.Name, err)
-	}
-	m, yLabel := s.metric()
-	title := s.Name
-	if s.Description != "" {
-		title += ": " + s.Description
-	}
-	fig := Figure{ID: "scenario-" + s.Name, Title: title, XLabel: "nodes", YLabel: yLabel}
-	for _, spec := range specs {
-		series, err := r.variantSeries(spec.label, spec.cells, spec.xs, m)
-		if err != nil {
-			return Figure{}, fmt.Errorf("scenario %s: %w", s.Name, err)
-		}
-		fig.Series = append(fig.Series, series)
+	fig, err := r.assemble(g, "scenario "+s.Name)
+	if err != nil {
+		return Figure{}, err
 	}
 	if len(s.Faults) > 0 {
-		appendix, err := r.faultAppendix(specs)
+		appendix, err := r.faultAppendix(g.series)
 		if err != nil {
 			return Figure{}, fmt.Errorf("scenario %s: %w", s.Name, err)
 		}
@@ -617,7 +564,7 @@ func (r *Runner) RunScenario(s *Scenario) (Figure, error) {
 // measurement window with throughput, tail latency and availability, so a
 // node-kill scenario shows the dip and the post-restart recovery (including
 // the modeled replay cost) without leaving the text figure.
-func (r *Runner) faultAppendix(specs []seriesSpec) (string, error) {
+func (r *Runner) faultAppendix(specs []series) (string, error) {
 	var b strings.Builder
 	for _, spec := range specs {
 		for _, c := range spec.cells {

@@ -7,10 +7,12 @@
 #   PARALLEL=8 scripts/golden_manifest.sh check
 #   APMBENCH=/path/to/apmbench scripts/golden_manifest.sh write
 #
-# Covered: -figure all, -figure ablation-all, -figure apm-dashboard and
-# every examples/scenarios/*.json. stdout (the figures) and stderr (the
-# plan-ordered progress lines) are hashed separately; both must be
-# byte-identical at any -parallel width.
+# Covered: -figure all, -figure ablation-all, -figure apm-dashboard,
+# every examples/scenarios/*.json, a multi-figure CSV dispatch
+# (-figure 15,17 -format csv), one ablation alone on a non-node X axis
+# (-figure ablation-connections) and -explain cassandra:2:R. stdout (the
+# figures) and stderr (the plan-ordered progress lines) are hashed
+# separately; both must be byte-identical at any -parallel width.
 #
 # Regenerating: only a change that deliberately moves modeled numbers
 # rewrites the manifest, and it must say so under "Behavior changes to
@@ -56,6 +58,9 @@ run apm-dashboard -figure apm-dashboard
 for s in examples/scenarios/*.json; do
   run "scenario-$(basename "$s" .json)" -scenario "$s"
 done
+run figure-15-17-csv -figure 15,17 -format csv
+run ablation-connections -figure ablation-connections
+run explain-cassandra-2-R -explain cassandra:2:R
 
 if [ "$mode" = write ]; then
   cp "$tmp/manifest" "$manifest"
