@@ -543,6 +543,7 @@ func (t *Tree) Scan(start string, count int) (out []Entry, io IOStats) {
 	if count <= 0 {
 		return nil, io
 	}
+	out = make([]Entry, 0, min(count, t.n))
 	t.touch(&io, n, false)
 	for i := t.searchGE(n, start, kp); len(out) < count; i++ {
 		for i >= len(n.keys) {

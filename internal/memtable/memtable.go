@@ -324,7 +324,7 @@ func (m *Memtable) Get(key string) (slab.FieldsView, bool) {
 
 // Scan returns up to count entries with keys >= start, in key order.
 func (m *Memtable) Scan(start string, count int) []Entry {
-	var out []Entry
+	out := make([]Entry, 0, max(0, min(count, m.n)))
 	for x := m.findGreaterOrEqual(start, nil); x != 0 && len(out) < count; x = m.next(x) {
 		out = append(out, m.nodeEntry(x))
 	}

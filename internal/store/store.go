@@ -238,10 +238,11 @@ type Store interface {
 	// store-owned memory and is valid until the next operation against
 	// the store.
 	Read(p *sim.Proc, key string) (FieldsView, error)
-	// Scan returns up to count records with keys >= start, in key order.
-	// All virtual time the scan costs is charged before Scan returns. The
-	// records' Fields views alias store-owned memory and, like Read's,
-	// are valid until the next operation against the store.
+	// Scan returns up to count records with distinct keys >= start, in
+	// ascending key order. All virtual time the scan costs is charged
+	// before Scan returns. The records' Fields views alias store-owned
+	// memory and, like Read's, are valid until the next operation against
+	// the store.
 	Scan(p *sim.Proc, start string, count int) ([]Record, error)
 	// Caps reports the store's read-side capabilities.
 	Caps() Caps

@@ -15,12 +15,12 @@
 package cassandra
 
 import (
-	"sort"
 	"strings"
 
 	"repro/internal/cluster"
 	"repro/internal/hashring"
 	"repro/internal/lsm"
+	"repro/internal/memtable"
 	"repro/internal/sim"
 	"repro/internal/sstable"
 	"repro/internal/store"
@@ -408,31 +408,33 @@ func (s *Store) Update(p *sim.Proc, key string, f store.Fields) error {
 // node-local sample of keys >= start rather than the globally smallest
 // ones — exactly the semantics a RandomPartitioner range slice has — which
 // is why Cassandra scans cost only ~4x a read and scale linearly
-// (Figs 12/13). The distributed gather completes (and sorts) before the
-// first row is returned.
+// (Figs 12/13). The distributed gather completes before the first row is
+// returned. With replication, successors hold replicas of keys the nodes
+// before them already returned; the merge keeps each key once, from the
+// replica nearest the owner.
 func (s *Store) Scan(p *sim.Proc, start string, count int) ([]store.Record, error) {
 	coord := s.coordinator(p)
 	if coord == nil {
 		return nil, store.ErrUnavailable
 	}
-	var all []store.Record
+	var runs [][]memtable.Entry
+	got := 0 // rows returned by the nodes so far, replica copies included
 	base.Roundtrip(p, coord.machine, base.ReqHeader, int64(count)*base.RecordWire, func() {
 		coord.machine.Compute(p, s.opts.CoordCPU)
 		first := s.ring.Owner(start)
-		for i := 0; i < len(s.nodes) && len(all) < count; i++ {
+		for i := 0; i < len(s.nodes) && got < count; i++ {
 			n := s.nodes[(first+i)%len(s.nodes)]
 			if s.down[n.id] {
 				continue // dead ring member: the range slice skips it
 			}
-			want := count - len(all)
+			want := count - got
 			serve := func() {
 				n.readStage.Acquire(p)
 				n.machine.Compute(p, s.opts.ScanNodeCPU)
 				rows := n.tree.Scan(p, start, want)
 				n.machine.Compute(p, sim.Time(len(rows))*s.opts.ScanRowCPU)
-				for _, r := range rows {
-					all = append(all, store.Record{Key: r.Key, Fields: r.Fields})
-				}
+				runs = append(runs, rows)
+				got += len(rows)
 				n.readStage.Release()
 			}
 			if n == coord {
@@ -442,15 +444,7 @@ func (s *Store) Scan(p *sim.Proc, start string, count int) ([]store.Record, erro
 			base.Forward(p, coord.machine, n.machine, base.ReqHeader, int64(want)*base.RecordWire, serve)
 		}
 	})
-	sortRecords(all)
-	if len(all) > count {
-		all = all[:count]
-	}
-	return all, nil
-}
-
-func sortRecords(rs []store.Record) {
-	sort.Slice(rs, func(i, j int) bool { return rs[i].Key < rs[j].Key })
+	return store.MergeRuns(runs, count), nil
 }
 
 // Load implements store.Store.

@@ -16,8 +16,6 @@
 package mysql
 
 import (
-	"sort"
-
 	"repro/internal/btree"
 	"repro/internal/cluster"
 	"repro/internal/hashring"
@@ -193,7 +191,7 @@ func (s *Store) SlabBytes() int64 {
 }
 
 // Caps implements store.Store: range queries over the clustered index
-// return key-ordered rows (shard results are merge-sorted client-side), so
+// return key-ordered rows (shard results are merged client-side), so
 // the query layer can plan against them.
 func (s *Store) Caps() store.Caps { return store.Caps{Scans: true} }
 
@@ -326,31 +324,20 @@ func (s *Store) Update(p *sim.Proc, key string, f store.Fields) error {
 // client-side; each shard materializes its table tail until the client
 // abandons the cursor, which is why scan throughput collapses for two or
 // more nodes (Figs 12-14). The JDBC result set is fully fetched (and,
-// sharded, merge-sorted) before the client sees a row.
+// sharded, merged) before the client sees a row.
 func (s *Store) Scan(p *sim.Proc, start string, count int) ([]store.Record, error) {
 	// The client-side merge needs every shard's answer; any dead shard
 	// fails the whole scan.
 	if s.downCount > 0 {
 		return nil, store.ErrUnavailable
 	}
-	if len(s.shards) == 1 {
-		sh := s.shards[0]
-		var rows []btree.Entry
+	runs := make([][]btree.Entry, len(s.shards))
+	for i, sh := range s.shards {
 		base.Roundtrip(p, sh.node, base.ReqHeader, int64(count)*base.RecordWire, func() {
-			s.scanShardLimit(p, sh, start, count, &rows)
+			runs[i] = s.scanShard(p, sh, start, count, len(s.shards) > 1)
 		})
-		return toRecords(rows, count), nil
 	}
-	var all []btree.Entry
-	for _, sh := range s.shards {
-		sh := sh
-		var rows []btree.Entry
-		base.Roundtrip(p, sh.node, base.ReqHeader, int64(count)*base.RecordWire, func() {
-			s.scanShardTail(p, sh, start, count, &rows)
-		})
-		all = append(all, rows...)
-	}
-	return toRecords(mergeSorted(all), count), nil
+	return store.MergeRuns(runs, count), nil
 }
 
 // versionPenalty is the MVCC read-view cost of traversing unpurged history.
@@ -358,44 +345,23 @@ func (s *Store) versionPenalty(sh *shard) sim.Time {
 	return sim.Time(float64(sh.unpurged) * float64(s.opts.VersionRowCPU))
 }
 
-// scanShardLimit is the limit-respecting single-server range read.
-func (s *Store) scanShardLimit(p *sim.Proc, sh *shard, start string, count int, rows *[]btree.Entry) {
+// scanShard is one server's range read of up to count rows. With tail, the
+// server pays for the sharded client's table-tail walk instead of the
+// returned rows, rescaled to paper-equivalent rows so the cost does not
+// depend on the simulation's dataset scale.
+func (s *Store) scanShard(p *sim.Proc, sh *shard, start string, count int, tail bool) []btree.Entry {
 	sh.node.Compute(p, s.opts.ReadCPU)
-	got, io := sh.db.Scan(start, count)
+	rows, io := sh.db.Scan(start, count)
 	chargeIO(p, sh.node, io, 16<<10)
-	sh.node.Compute(p, sim.Time(len(got))*s.opts.ScanRowCPU+s.versionPenalty(sh))
-	*rows = got
-}
-
-// scanShardTail is the sharded client's unbounded tail query. The row count
-// is rescaled to paper-equivalent size so the cost does not depend on the
-// simulation's dataset scale.
-func (s *Store) scanShardTail(p *sim.Proc, sh *shard, start string, count int, rows *[]btree.Entry) {
-	sh.node.Compute(p, s.opts.ReadCPU)
-	got, io := sh.db.Scan(start, count)
-	chargeIO(p, sh.node, io, 16<<10)
-	tail, tailIO := sh.db.ScanAllFrom(start)
-	chargeIO(p, sh.node, btree.IOStats{Misses: tailIO.Misses / 8}, 16<<10)
-	equivRows := float64(tail) * s.opts.ScaleComp
-	sh.node.Compute(p, sim.Time(equivRows*float64(s.opts.TailRowCPU))+s.versionPenalty(sh))
-	*rows = got
-}
-
-func mergeSorted(es []btree.Entry) []btree.Entry {
-	out := append([]btree.Entry(nil), es...)
-	sort.Slice(out, func(i, j int) bool { return out[i].Key < out[j].Key })
-	return out
-}
-
-func toRecords(es []btree.Entry, count int) []store.Record {
-	if len(es) > count {
-		es = es[:count]
+	rowCPU := sim.Time(len(rows)) * s.opts.ScanRowCPU
+	if tail {
+		visited, tailIO := sh.db.ScanAllFrom(start)
+		chargeIO(p, sh.node, btree.IOStats{Misses: tailIO.Misses / 8}, 16<<10)
+		equivRows := float64(visited) * s.opts.ScaleComp
+		rowCPU = sim.Time(equivRows * float64(s.opts.TailRowCPU))
 	}
-	out := make([]store.Record, len(es))
-	for i, e := range es {
-		out[i] = store.Record{Key: e.Key, Fields: e.Fields}
-	}
-	return out
+	sh.node.Compute(p, rowCPU+s.versionPenalty(sh))
+	return rows
 }
 
 // Load implements store.Store: buffered into the B-tree's deferred bulk

@@ -234,42 +234,17 @@ func (s *Store) Scan(p *sim.Proc, start string, count int) ([]store.Record, erro
 	if s.downCount > 0 {
 		return nil, store.ErrUnavailable
 	}
-	var all []memtable.Entry
+	runs := make([][]memtable.Entry, 0, len(s.insts))
 	for _, in := range s.insts {
-		in := in
 		base.Roundtrip(p, in.node, base.ReqHeader, int64(count)*base.RecordWire, func() {
 			in.loop.Acquire(p)
 			in.swapPenalty(p)
 			in.node.Compute(p, s.opts.ReadCPU+sim.Time(count)*s.opts.ScanPerRecordCPU)
-			all = append(all, in.data.Scan(start, count)...)
+			runs = append(runs, in.data.Scan(start, count))
 			in.loop.Release()
 		})
 	}
-	return mergeEntries(all, count), nil
-}
-
-func mergeEntries(es []memtable.Entry, count int) []store.Record {
-	// Small k-way merge by selection: entries per shard are sorted; total
-	// size is at most shards*count, so a simple sort is fine.
-	out := make([]store.Record, 0, count)
-	used := make([]bool, len(es))
-	for len(out) < count {
-		best := -1
-		for i, e := range es {
-			if used[i] {
-				continue
-			}
-			if best == -1 || e.Key < es[best].Key {
-				best = i
-			}
-		}
-		if best == -1 {
-			break
-		}
-		used[best] = true
-		out = append(out, store.Record{Key: es[best].Key, Fields: es[best].Fields})
-	}
-	return out
+	return store.MergeRuns(runs, count), nil
 }
 
 // Load implements store.Store.

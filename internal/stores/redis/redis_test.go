@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"repro/internal/cluster"
-	"repro/internal/memtable"
 	"repro/internal/sim"
 	"repro/internal/store"
 )
@@ -30,22 +29,6 @@ func TestShardingRoutesConsistently(t *testing.T) {
 		if s.inst(k) != s.inst(k) {
 			t.Fatal("same key routed differently")
 		}
-	}
-}
-
-func TestMergeEntriesOrdersAndBounds(t *testing.T) {
-	es := []memtable.Entry{
-		{Key: "c"}, {Key: "a"}, {Key: "e"}, {Key: "b"}, {Key: "d"},
-	}
-	out := mergeEntries(es, 3)
-	if len(out) != 3 || out[0].Key != "a" || out[1].Key != "b" || out[2].Key != "c" {
-		t.Fatalf("merge = %v", out)
-	}
-	if got := mergeEntries(nil, 5); len(got) != 0 {
-		t.Fatalf("merge of nothing = %v", got)
-	}
-	if got := mergeEntries(es, 100); len(got) != 5 {
-		t.Fatalf("merge larger than input = %d entries", len(got))
 	}
 }
 

@@ -16,8 +16,6 @@
 package voltdb
 
 import (
-	"sort"
-
 	"repro/internal/cluster"
 	"repro/internal/hashring"
 	"repro/internal/memtable"
@@ -121,9 +119,9 @@ func (s *Store) SlabBytes() int64 {
 	return total
 }
 
-// Caps implements store.Store: the multi-partition scan gathers and sorts
-// every site's rows, so results are key-ordered and the query layer can
-// plan against them.
+// Caps implements store.Store: the multi-partition scan merges every
+// site's key-sorted rows, so results are key-ordered and the query layer
+// can plan against them.
 func (s *Store) Caps() store.Caps { return store.Caps{Scans: true} }
 
 // route returns the host and site owning key.
@@ -221,8 +219,8 @@ func (s *Store) Update(p *sim.Proc, key string, f store.Fields) error {
 
 // Scan implements store.Store: a multi-partition transaction that blocks
 // one site on every host while the fragment runs. The transaction commits
-// — every fragment charged, rows gathered and sorted — before the rows are
-// returned.
+// — every fragment charged, each site's key-sorted rows gathered — and the
+// client merges them before the rows are returned.
 func (s *Store) Scan(p *sim.Proc, start string, count int) ([]store.Record, error) {
 	ai := p.Rand().Intn(len(s.hosts))
 	// A multi-partition transaction needs a fragment from every host.
@@ -230,20 +228,17 @@ func (s *Store) Scan(p *sim.Proc, start string, count int) ([]store.Record, erro
 		return nil, store.ErrUnavailable
 	}
 	arrival := s.hosts[ai]
-	var all []store.Record
+	runs := make([][]memtable.Entry, 0, len(s.hosts)*s.opts.SitesPerHost)
 	base.Roundtrip(p, arrival.machine, base.ReqHeader, int64(count)*base.RecordWire, func() {
 		s.order(p, true)
 		for _, h := range s.hosts {
-			h := h
 			frag := func() {
 				for _, st := range h.sites {
 					st.exec.Acquire(p)
 					h.machine.Compute(p, s.opts.MPFanoutCPU/sim.Time(s.opts.SitesPerHost))
 					rows := st.data.Scan(start, count)
 					h.machine.Compute(p, sim.Time(len(rows))*s.opts.ScanRowCPU)
-					for _, e := range rows {
-						all = append(all, store.Record{Key: e.Key, Fields: e.Fields})
-					}
+					runs = append(runs, rows)
 					st.exec.Release()
 				}
 			}
@@ -254,11 +249,7 @@ func (s *Store) Scan(p *sim.Proc, start string, count int) ([]store.Record, erro
 			base.Forward(p, arrival.machine, h.machine, base.ReqHeader, int64(count)*base.RecordWire, frag)
 		}
 	})
-	sort.Slice(all, func(i, j int) bool { return all[i].Key < all[j].Key })
-	if len(all) > count {
-		all = all[:count]
-	}
-	return all, nil
+	return store.MergeRuns(runs, count), nil
 }
 
 // Load implements store.Store.

@@ -2,7 +2,7 @@
 # Emit a JSON perf baseline (ns/op, B/op, allocs/op) for the tracked
 # hot-path benchmarks, so future PRs have a trajectory to diff against:
 #
-#   scripts/bench_baseline.sh             # writes BENCH_PR12.json
+#   scripts/bench_baseline.sh             # writes BENCH_PR16.json
 #   scripts/bench_baseline.sh out.json    # custom path
 #   BENCHTIME=1000000x scripts/bench_baseline.sh   # higher fidelity
 #
@@ -10,7 +10,7 @@
 # otherwise idle machine.
 set -euo pipefail
 cd "$(dirname "$0")/.."
-out="${1:-BENCH_PR12.json}"
+out="${1:-BENCH_PR16.json}"
 bt="${BENCHTIME:-100000x}"
 
 {
@@ -21,6 +21,7 @@ bt="${BENCHTIME:-100000x}"
   go test -run '^$' -bench 'BenchmarkSlabAppend$|BenchmarkShapeIntern$' -benchtime "$bt" -benchmem ./internal/slab
   go test -run '^$' -bench 'BenchmarkAppendPeriodic$' -benchtime "$bt" -benchmem ./internal/wal
   go test -run '^$' -bench 'BenchmarkQueryFilterAgg$' -benchtime "$bt" -benchmem ./internal/query
+  go test -run '^$' -bench 'BenchmarkShardedScan$' -benchtime "$bt" -benchmem ./internal/stores
 } | awk -v benchtime="$bt" '
   /^Benchmark/ {
     name = $1
