@@ -203,7 +203,6 @@ func benchTree(e *sim.Engine) (*lsm.Tree, []string) {
 	n := cluster.New(e, cluster.ClusterM(1)).Nodes[0]
 	tr := lsm.New(lsm.Config{
 		Node:       n,
-		Seed:       1,
 		FlushBytes: 1 << 17,
 		Overhead:   sstable.Overhead{PerEntry: 10, PerCell: 20},
 		CacheBytes: 1 << 30, // fully cached: isolate CPU cost from simulated I/O
@@ -245,7 +244,6 @@ func BenchmarkLSMInsert(b *testing.B) {
 	n := cluster.New(e, cluster.ClusterM(1)).Nodes[0]
 	tr := lsm.New(lsm.Config{
 		Node:       n,
-		Seed:       1,
 		FlushBytes: 1 << 40,
 		Overhead:   sstable.Overhead{PerEntry: 10, PerCell: 20},
 		CacheBytes: 1 << 30,

@@ -40,7 +40,6 @@ func (io nodeIO) WriteRun(p *sim.Proc, bytes int64) {
 // Config parameterizes a tree.
 type Config struct {
 	Node       *cluster.Node
-	Seed       int64
 	FlushBytes int64            // memtable payload size that triggers a flush
 	Overhead   sstable.Overhead // on-disk format cost
 	BloomFPP   float64
@@ -107,7 +106,7 @@ func New(cfg Config) *Tree {
 	cfg.defaults()
 	return &Tree{
 		cfg: cfg,
-		mem: memtable.New(cfg.Seed),
+		mem: memtable.New(),
 		log: wal.New(cfg.Node, cfg.WALWindow),
 	}
 }
@@ -186,10 +185,13 @@ func (t *Tree) Get(p *sim.Proc, key string) (slab.FieldsView, bool) {
 const memtableGen = 1 << 30
 
 // scanSource is one cursor feeding the k-way merge in Scan: the memtable's
-// skip-list iterator or an SSTable iterator.
+// B+-tree leaf iterator or an SSTable iterator. A memtable iterator is
+// invalidated by any Put; Scan opens its cursors only after its last
+// park and drains them without parking, so no write lands while one is
+// held.
 type scanSource struct {
 	gen   int
-	mem   memtable.Iterator // skip-list cursor; only valid when isMem
+	mem   memtable.Iterator // leaf cursor; only valid when isMem
 	tab   sstable.Iterator  // table cursor; only valid when !isMem
 	isMem bool
 }
@@ -282,7 +284,8 @@ func (t *Tree) Scan(p *sim.Proc, start string, count int) []memtable.Entry {
 		t.chargeTableRead(p)
 		live = append(live, tab)
 	}
-	// The merge never parks, so the sources cannot change under it.
+	// The merge never parks, so the sources cannot change under it: no
+	// Put reaches the memtable while its iterator is held.
 	h := make(mergeHeap, 0, len(live)+1)
 	if it := mem.SeekIter(start); it.Valid() {
 		h = append(h, scanSource{gen: memtableGen, mem: it, isMem: true})
@@ -328,12 +331,13 @@ func (t *Tree) maybeFlush(e *sim.Engine, direct bool) {
 	}
 	t.flushing = true
 	full := t.mem
-	t.mem = memtable.New(t.cfg.Seed + int64(t.gen) + 1)
+	t.mem = memtable.New()
 	e.Go("lsm-flush", func(p *sim.Proc) {
 		t.gen++
-		// memtable.All is already key-ordered and duplicate-free, so the
-		// flush skips Build's copy+sort (BuildSorted is dedup-only).
-		tab := sstable.BuildSorted(t.gen, full.All(), t.cfg.Overhead, t.cfg.BloomFPP)
+		// The swapped-out memtable takes no more writes, so the table
+		// adopts its payload slab instead of copying it; scans that
+		// captured it keep reading the frozen tree.
+		tab := sstable.FromMemtable(t.gen, full, t.cfg.Overhead, t.cfg.BloomFPP)
 		t.cfg.IO.WriteRun(p, tab.DiskBytes)
 		t.installTable(tab, full.Bytes())
 		t.flushing = false
@@ -349,7 +353,7 @@ func (t *Tree) flushNow(_ *sim.Proc) {
 	}
 	t.gen++
 	mem := t.mem
-	t.mem = memtable.New(t.cfg.Seed + int64(t.gen) + 1)
+	t.mem = memtable.New()
 	tab := sstable.FromMemtable(t.gen, mem, t.cfg.Overhead, t.cfg.BloomFPP)
 	t.installTable(tab, mem.Bytes())
 	t.maybeCompactDirect()

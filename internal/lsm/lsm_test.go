@@ -14,7 +14,6 @@ func newTree(e *sim.Engine, flushBytes int64) *Tree {
 	n := cluster.New(e, cluster.ClusterM(1)).Nodes[0]
 	return New(Config{
 		Node:       n,
-		Seed:       1,
 		FlushBytes: flushBytes,
 		Overhead:   sstable.Overhead{PerEntry: 10, PerCell: 20},
 		CacheBytes: 1 << 30, // everything cached: memory-bound behaviour
@@ -183,7 +182,6 @@ func TestCacheMissChargesDisk(t *testing.T) {
 	n := cluster.New(e, cluster.ClusterD(1)).Nodes[0]
 	tr := New(Config{
 		Node:       n,
-		Seed:       1,
 		FlushBytes: 1 << 12,
 		Overhead:   sstable.Overhead{PerEntry: 10, PerCell: 20},
 		CacheBytes: 1, // essentially nothing cached: disk-bound
@@ -282,7 +280,6 @@ func TestGetStopsAtNewestHit(t *testing.T) {
 	n := cluster.New(e, cluster.ClusterM(1)).Nodes[0]
 	tr := New(Config{
 		Node:       n,
-		Seed:       1,
 		FlushBytes: 1, // every load flushes: one table per write
 		CompactMin: 100,
 		Overhead:   sstable.Overhead{PerEntry: 10, PerCell: 20},
@@ -349,7 +346,6 @@ func TestScanPrunesDisjointTables(t *testing.T) {
 	n := cluster.New(e, cluster.ClusterM(1)).Nodes[0]
 	tr := New(Config{
 		Node:       n,
-		Seed:       1,
 		FlushBytes: 300, // ~20 sequential entries per table
 		CompactMin: 100, // no compaction: table ranges stay disjoint
 		CacheBytes: 1 << 30,
@@ -396,53 +392,6 @@ func TestScanPrunesDisjointTables(t *testing.T) {
 	if positioned2 != positioned+int64(tr.TableCount()) || pruned2 != pruned {
 		t.Errorf("full-range scan stats positioned=%d pruned=%d, want %d/%d",
 			positioned2, pruned2, positioned+int64(tr.TableCount()), pruned)
-	}
-}
-
-// TestTowerHeightsNeverShapeTime pins the determinism contract the
-// memtable arena refactor relies on: the memtable's private RNG only
-// shapes skip-list tower heights, never simulated time or results. Two
-// trees that differ ONLY in memtable seed (different tower shapes through
-// every memtable generation) must produce identical virtual-time
-// trajectories, disk layouts and read results for the same workload on
-// same-seeded engines.
-func TestTowerHeightsNeverShapeTime(t *testing.T) {
-	run := func(memSeed int64) (sim.Time, int64, int, []sim.Time) {
-		e := sim.NewEngine(7)
-		n := cluster.New(e, cluster.ClusterM(1)).Nodes[0]
-		tr := New(Config{
-			Node:       n,
-			Seed:       memSeed,
-			FlushBytes: 2000, // several flushes and a compaction
-			Overhead:   sstable.Overhead{PerEntry: 10, PerCell: 20},
-			CacheBytes: 1, // almost everything misses: reads draw engine RNG
-			WALSync:    true,
-		})
-		var marks []sim.Time
-		e.Go("w", func(p *sim.Proc) {
-			for i := 0; i < 300; i++ {
-				key := fmt.Sprintf("key%04d", i*37%300)
-				tr.Put(p, key, fields("0123456789"))
-				// The Get may miss while a flush is mid-write (the model's
-				// known visibility gap); what matters here is that its
-				// probe count and disk charges are tower-shape-independent.
-				tr.Get(p, key)
-				marks = append(marks, p.Now())
-			}
-		})
-		e.Run(0)
-		return e.Now(), tr.DiskBytes(), tr.TableCount(), marks
-	}
-	endA, diskA, tabsA, marksA := run(1)
-	endB, diskB, tabsB, marksB := run(999)
-	if endA != endB || diskA != diskB || tabsA != tabsB {
-		t.Fatalf("memtable seed leaked into simulated results: end %v/%v disk %d/%d tables %d/%d",
-			endA, endB, diskA, diskB, tabsA, tabsB)
-	}
-	for i := range marksA {
-		if marksA[i] != marksB[i] {
-			t.Fatalf("op %d finished at %v vs %v under different memtable seeds", i, marksA[i], marksB[i])
-		}
 	}
 }
 

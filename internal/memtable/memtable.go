@@ -1,40 +1,39 @@
-// Package memtable implements a skip-list ordered in-memory table, the
+// Package memtable implements an in-memory B+-tree ordered table, the
 // write buffer of an LSM tree (Cassandra's Memtable, HBase's MemStore).
 //
-// The skip list is cache-conscious and pointer-free: every node is a
-// small run of uint64 words — key prefix pair, payload ref, packed
-// lengths, then the tower's next-links inline — carved from chunked word
-// arenas and addressed by word offsets instead of pointers. The search
-// hot loop therefore walks contiguous memory (a node's compare words and
-// its tower share one or two cache lines) and the garbage collector sees
-// a handful of large scalar buffers instead of millions of linked nodes.
-// Keys and field payloads live contiguously in a slab.Slab; field
-// layouts are interned in a slab.ShapeTable so uniform-schema records
-// pay no per-record header storage.
+// The tree is cache-conscious and pointer-free. Every node is a run of
+// uint64 words carved from chunked word arenas and addressed by word
+// offsets instead of pointers. A node holds up to fanout sorted slots as
+// parallel arrays: the slots' key prefix pairs interleaved (so a search
+// walks one contiguous array of register-compared words), then their
+// payload refs, their packed length/shape metas and, in inner nodes,
+// their child offsets. Leaves are linked left to right for iteration.
+// A lookup binary-searches one node per level, touching a handful of
+// cache lines each, and the garbage collector sees a few large scalar
+// buffers instead of millions of linked nodes. Keys and field payloads live contiguously in a
+// slab.Slab; field layouts are interned in a slab.ShapeTable so
+// uniform-schema records pay no per-record header storage.
 //
 // Field bytes are COPIED on insert — the memtable owns its payload
 // memory — which is what lets callers reuse one fields buffer across
 // operations (see store.Store).
 //
 // Ownership note: Get/Scan/iterators return views of the memtable's
-// slabs. A later Put that replaces a key with same-shaped fields
+// payload slab. A later Put that replaces a key with same-shaped fields
 // overwrites those bytes in place, so a value read before a simulated
 // park may observe the newer write after it — the same "state as of the
 // last positioning I/O" semantics the LSM scan path documents. Entries
-// handed to a flush are frozen: flushing swaps the whole memtable out,
-// Freeze hands the payload slab to the sstable without copying, and a
-// frozen memtable's slabs are never written again.
+// already returned stay valid across later Puts (they view the payload
+// slab, which never moves), but an Iterator does not: any Put may shift
+// or split the leaf it is positioned in. Entries handed to a flush are
+// frozen: flushing swaps the whole memtable out, Freeze hands the
+// payload slab to the sstable without copying, and a frozen memtable's
+// slabs are never written again.
 package memtable
 
-import (
-	"math/rand"
+import "repro/internal/slab"
 
-	"repro/internal/slab"
-)
-
-const maxHeight = 12
-
-// maxKeyLen bounds keys to the 16 bits reserved in the node meta word.
+// maxKeyLen bounds keys to the 16 bits reserved in the slot meta word.
 const maxKeyLen = 1<<16 - 1
 
 // Entry is one key/value pair. Fields views the record's column values.
@@ -43,30 +42,40 @@ type Entry struct {
 	Fields slab.FieldsView
 }
 
-// Node layout, in words relative to the node's arena offset. keyPfx and
-// keyPfx2 are the key's first 16 bytes as two big-endian integers (zero
-// padded), so the search hot loop orders nodes with one or two register
-// compares and falls back to a byte-wise compare only on a double tie —
-// sound because zero-padded big-endian prefix order is a coarsening of
-// lexicographic order. dataRef locates the record's payload in the slab:
-// key bytes first, field bytes contiguously after. meta packs
-// keyLen(16) | fieldsLen(32) | height(8). The tower's next-links (one
-// word per level, value = target node offset, 0 = nil) follow the header
-// inline, so one cache line usually covers both the compare and the next
-// hop.
+// Node layout, in words relative to the node's arena offset. Slot j's
+// key prefix pair sits at nodePairs+2j: the key's first 16 bytes as two
+// big-endian integers (zero padded), so a search orders slots with one
+// or two register compares and falls back to a byte-wise compare only
+// on a double tie — sound because zero-padded big-endian prefix order is
+// a coarsening of lexicographic order. Slot j's ref locates its key in
+// the payload slab (leaf slots: key bytes, then field bytes
+// contiguously after). Its meta packs keyLen(16) | fieldsLen(32) |
+// shape(16), the same packing as the sstable's entry meta. Inner slots
+// are separators: slot j's key is the smallest key under child j (slot
+// 0's key is never compared), and its ref points at that key's bytes in
+// the payload slab for the rare full-key tie.
 const (
-	nodeKeyPfx  = 0
-	nodeKeyPfx2 = 1
-	nodeDataRef = 2
-	nodeMeta    = 3
-	nodeShape   = 4
-	nodeTower   = 5
+	fanout = 64 // slots per node, leaf and inner alike
+
+	nodeCount = 0 // live slots
+	nodeNext  = 1 // leaves: offset of the next leaf, 0 = none
+	nodePairs = 2
+	nodeRefs  = nodePairs + 2*fanout
+	nodeMetas = nodeRefs + fanout
+	nodeKids  = nodeMetas + fanout // inner nodes only
+
+	leafWords  = nodeKids
+	innerWords = nodeKids + fanout
+
+	// maxDepth bounds the tree's height. Every node but the rightmost of
+	// its level is at least half full, so 16 levels hold far more
+	// entries than memory does.
+	maxDepth = 16
 )
 
 // Word-arena chunk sizing: 32K words = 256 KiB per chunk. Offsets pack
 // (chunk, word) so a chunk append never invalidates existing offsets,
-// and a node is always contiguous within one chunk (max node size is
-// nodeTower+maxHeight = 17 words).
+// and a node is always contiguous within one chunk.
 const (
 	arenaShift = 15
 	arenaWords = 1 << arenaShift
@@ -103,131 +112,218 @@ func (a *wordArena) alloc(words int) uint64 {
 func keyPrefix(k string, off int) uint64 { return slab.KeyPrefix(k, off) }
 
 // Memtable is an ordered map from string keys to field lists, implemented
-// as a flat-arena skip list. It is not safe for concurrent use
-// (simulated processes run one at a time).
+// as a flat-arena B+-tree. It is not safe for concurrent use (simulated
+// processes run one at a time).
 type Memtable struct {
 	arena  wordArena
 	data   slab.Slab
 	shapes slab.ShapeTable
 
-	height int
+	root   uint64
+	height int // inner levels above the leaves; 0 = the root is a leaf
 	n      int
 	bytes  int64
 	frozen bool
-	rng    *rand.Rand
-
-	// randBits buffers 2-bit tower-height draws so most Puts consume no
-	// fresh value from rng at all.
-	randBits uint64
-	randN    int
 }
 
-// New creates an empty memtable with a deterministic tower-height source.
-func New(seed int64) *Memtable {
-	m := &Memtable{
-		height: 1,
-		rng:    rand.New(rand.NewSource(seed)),
-	}
-	// The head node occupies offset 0 with a full-height zeroed tower;
-	// offset 0 doubles as the nil link because no tower ever points back
-	// at the head.
-	m.arena.alloc(nodeTower + maxHeight)
+// New creates an empty memtable.
+func New() *Memtable {
+	m := &Memtable{}
+	// The first leaf occupies offset 0 and stays the leftmost leaf for
+	// the tree's lifetime (splits move upper halves right), so offset 0
+	// doubles as the nil next-link: no leaf ever links back to it.
+	m.root = m.arena.alloc(leafWords)
 	return m
 }
 
-// nodeKey returns the key bytes of the node at off as a zero-copy string
-// view (key bytes are never overwritten, so the view is stable).
-func (m *Memtable) nodeKey(off uint64) string {
-	c := m.arena.chunks[off>>arenaShift]
-	b := off & arenaMask
-	return m.data.String(slab.Ref(c[b+nodeDataRef]), int(c[b+nodeMeta]&0xffff))
+// node returns the words of the node at off.
+func (m *Memtable) node(off uint64) []uint64 {
+	return m.arena.chunks[off>>arenaShift][off&arenaMask:]
 }
 
-// nodeEntry materializes the Entry view for the node at off.
-func (m *Memtable) nodeEntry(off uint64) Entry {
-	c := m.arena.chunks[off>>arenaShift]
-	b := off & arenaMask
-	meta := c[b+nodeMeta]
-	keyLen := int(meta & 0xffff)
-	fieldsLen := int(meta >> 16 & 0xffffffff)
-	ref := slab.Ref(c[b+nodeDataRef])
-	return Entry{
-		Key: m.data.String(ref, keyLen),
-		// Payload regions are contiguous within one chunk, so the field
-		// bytes sit at ref+keyLen.
-		Fields: slab.SlabView(
-			m.data.View(ref+slab.Ref(keyLen), fieldsLen),
-			m.shapes.Ends(uint32(c[b+nodeShape])),
-		),
-	}
+// slotKey returns slot j's key bytes as a zero-copy string view (key
+// bytes are never overwritten, so the view is stable).
+func (m *Memtable) slotKey(nd []uint64, j int) string {
+	return m.data.String(slab.Ref(nd[nodeRefs+j]), int(nd[nodeMetas+j]&0xffff))
 }
 
-// randomHeight draws a geometric(1/4) tower height from buffered random
-// bits: two bits per level, one rng word per 32 level tests.
-func (m *Memtable) randomHeight() int {
-	h := 1
-	for h < maxHeight {
-		if m.randN == 0 {
-			m.randBits = m.rng.Uint64()
-			m.randN = 32
+// slotEntry materializes the Entry view for leaf slot j.
+func (m *Memtable) slotEntry(nd []uint64, j int) Entry {
+	ref, meta := slab.Ref(nd[nodeRefs+j]), nd[nodeMetas+j]
+	return Entry{Key: m.data.String(ref, int(meta&0xffff)), Fields: m.fieldsAt(ref, meta)}
+}
+
+// fieldsAt returns the field view of the payload at ref with meta.
+// Payload regions are contiguous within one chunk, so the field bytes
+// sit at ref+keyLen.
+func (m *Memtable) fieldsAt(ref slab.Ref, meta uint64) slab.FieldsView {
+	return slab.SlabView(
+		m.data.View(ref+slab.Ref(meta&0xffff), int(meta>>16&0xffffffff)),
+		m.shapes.Ends(uint32(meta>>48)),
+	)
+}
+
+// search returns the first slot in [lo, n) whose key is >= k, or > k
+// when strict, by binary search over the interleaved prefix pairs.
+func (m *Memtable) search(nd []uint64, lo, n int, pfx, pfx2 uint64, k string, strict bool) int {
+	hi := n
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		var above bool
+		if p := nd[nodePairs+2*mid]; p != pfx {
+			above = p > pfx
+		} else if p2 := nd[nodePairs+2*mid+1]; p2 != pfx2 {
+			above = p2 > pfx2
+		} else if s := m.slotKey(nd, mid); strict {
+			above = s > k
+		} else {
+			above = s >= k
 		}
-		bits := m.randBits & 3
-		m.randBits >>= 2
-		m.randN--
-		if bits != 0 {
-			break
+		if above {
+			hi = mid
+		} else {
+			lo = mid + 1
 		}
-		h++
 	}
-	return h
+	return lo
 }
 
-// findGreaterOrEqual returns the offset of the first node with key >= k
-// (0 if none) and fills prev with the rightmost node before it on each
-// level. The paper-scale figure runs spend a third of their host CPU
-// here, so the loop orders nodes by integer key prefix, falls back to a
-// byte-wise compare only on a double tie, and reads successive hops from
-// flat word chunks instead of chasing heap pointers.
-func (m *Memtable) findGreaterOrEqual(k string, prev *[maxHeight]uint64) uint64 {
+// step is one inner node on a root-to-leaf path and the slot taken in it.
+type step struct {
+	node uint64
+	slot int
+}
+
+// findLeaf descends to the leaf whose key range covers k. When path is
+// non-nil, path[l] records the node at level l+1 and the child slot
+// taken there, which is what a split needs to climb back up.
+func (m *Memtable) findLeaf(pfx, pfx2 uint64, k string, path *[maxDepth]step) uint64 {
+	x := m.root
+	for lvl := m.height; lvl > 0; lvl-- {
+		nd := m.node(x)
+		// Child j covers [sep j, sep j+1): take the last separator <= k.
+		j := m.search(nd, 1, int(nd[nodeCount]), pfx, pfx2, k, true) - 1
+		if path != nil {
+			path[lvl-1] = step{x, j}
+		}
+		x = nd[nodeKids+j]
+	}
+	return x
+}
+
+// seek returns the leaf covering k, that leaf's words, the first slot in
+// it whose key is >= k (possibly one past its last slot), and whether
+// that slot holds k itself. The prefix pair settles almost every miss
+// without touching the slot's key bytes.
+func (m *Memtable) seek(k string, path *[maxDepth]step) (leaf uint64, nd []uint64, j int, found bool) {
 	pfx, pfx2 := keyPrefix(k, 0), keyPrefix(k, 8)
-	chunks := m.arena.chunks
-	x := uint64(0) // head
-	xc := chunks[0]
-	xb := uint64(0)
-	for lvl := uint64(m.height - 1); ; lvl-- {
-		for {
-			nxt := xc[xb+nodeTower+lvl]
-			if nxt == 0 {
-				break
-			}
-			c := chunks[nxt>>arenaShift]
-			b := nxt & arenaMask
-			if npfx := c[b+nodeKeyPfx]; npfx != pfx {
-				if npfx > pfx {
-					break
-				}
-			} else if npfx2 := c[b+nodeKeyPfx2]; npfx2 != pfx2 {
-				if npfx2 > pfx2 {
-					break
-				}
-			} else if m.data.String(slab.Ref(c[b+nodeDataRef]), int(c[b+nodeMeta]&0xffff)) >= k {
-				break
-			}
-			x, xc, xb = nxt, c, b
-		}
-		if prev != nil {
-			prev[lvl] = x
-		}
-		if lvl == 0 {
-			break
+	leaf = m.findLeaf(pfx, pfx2, k, path)
+	nd = m.node(leaf)
+	j = m.search(nd, 0, int(nd[nodeCount]), pfx, pfx2, k, false)
+	found = j < int(nd[nodeCount]) && nd[nodePairs+2*j] == pfx && nd[nodePairs+2*j+1] == pfx2 &&
+		m.slotKey(nd, j) == k
+	return leaf, nd, j, found
+}
+
+// slot is one slot's words, in flight between nodes during an insert.
+type slot struct{ pfx, pfx2, ref, meta, kid uint64 }
+
+// put writes s into slot j of node nd, which holds n slots and has room.
+func put(nd []uint64, inner bool, n, j int, s slot) {
+	if j < n {
+		copy(nd[nodePairs+2*j+2:nodePairs+2*n+2], nd[nodePairs+2*j:nodePairs+2*n])
+		copy(nd[nodeRefs+j+1:nodeRefs+n+1], nd[nodeRefs+j:nodeRefs+n])
+		copy(nd[nodeMetas+j+1:nodeMetas+n+1], nd[nodeMetas+j:nodeMetas+n])
+		if inner {
+			copy(nd[nodeKids+j+1:nodeKids+n+1], nd[nodeKids+j:nodeKids+n])
 		}
 	}
-	return xc[xb+nodeTower]
+	nd[nodePairs+2*j] = s.pfx
+	nd[nodePairs+2*j+1] = s.pfx2
+	nd[nodeRefs+j] = s.ref
+	nd[nodeMetas+j] = s.meta
+	if inner {
+		nd[nodeKids+j] = s.kid
+	}
+	nd[nodeCount] = uint64(n + 1)
+}
+
+// first returns slot 0 of node nd as a separator pointing at node off.
+func first(nd []uint64, off uint64) slot {
+	return slot{nd[nodePairs], nd[nodePairs+1], nd[nodeRefs], nd[nodeMetas], off}
+}
+
+// onRightEdge reports whether the node at level lvl on path is the
+// rightmost node of its level: every ancestor took its last slot.
+func (m *Memtable) onRightEdge(path *[maxDepth]step, lvl int) bool {
+	for l := lvl; l < m.height; l++ {
+		if path[l].slot != int(m.node(path[l].node)[nodeCount])-1 {
+			return false
+		}
+	}
+	return true
+}
+
+// insert places s at slot j of node x at level lvl (0 = leaf), splitting
+// full nodes bottom-up along path. A split normally moves the upper half
+// into a new right sibling. An insert past the end of a level's
+// rightmost node is an append instead: the full node stays full and s
+// opens the new sibling alone, so key-ordered loads pack every node.
+func (m *Memtable) insert(x uint64, lvl, j int, s slot, path *[maxDepth]step) {
+	for {
+		inner := lvl > 0
+		nd := m.node(x)
+		n := int(nd[nodeCount])
+		if n < fanout {
+			put(nd, inner, n, j, s)
+			return
+		}
+		words := leafWords
+		if inner {
+			words = innerWords
+		}
+		right := m.arena.alloc(words)
+		rn := m.node(right)
+		if j == n && m.onRightEdge(path, lvl) {
+			put(rn, inner, 0, 0, s)
+		} else {
+			const half = fanout / 2
+			copy(rn[nodePairs:], nd[nodePairs+2*half:nodePairs+2*n])
+			copy(rn[nodeRefs:], nd[nodeRefs+half:nodeRefs+n])
+			copy(rn[nodeMetas:], nd[nodeMetas+half:nodeMetas+n])
+			if inner {
+				copy(rn[nodeKids:], nd[nodeKids+half:nodeKids+n])
+			}
+			nd[nodeCount] = half
+			rn[nodeCount] = uint64(n - half)
+			if j <= half {
+				put(nd, inner, half, j, s)
+			} else {
+				put(rn, inner, n-half, j-half, s)
+			}
+		}
+		if !inner {
+			rn[nodeNext] = nd[nodeNext]
+			nd[nodeNext] = right
+		}
+		sep := first(rn, right)
+		if lvl == m.height {
+			root := m.arena.alloc(innerWords)
+			rt := m.node(root)
+			put(rt, true, 0, 0, first(nd, x))
+			put(rt, true, 1, 1, sep)
+			m.root = root
+			m.height++
+			return
+		}
+		x, j, s = path[lvl].node, path[lvl].slot+1, sep
+		lvl++
+	}
 }
 
 // Put inserts or replaces the value for key, copying the field bytes into
 // the memtable's slab. The caller keeps ownership of fields and may
-// reuse it immediately.
+// reuse it immediately. Put invalidates outstanding iterators.
 func (m *Memtable) Put(key string, fields [][]byte) {
 	if m.frozen {
 		panic("memtable: Put on a frozen (flushed) memtable")
@@ -235,89 +331,67 @@ func (m *Memtable) Put(key string, fields [][]byte) {
 	if len(key) > maxKeyLen {
 		panic("memtable: key longer than 64 KiB")
 	}
-	var prev [maxHeight]uint64
-	x := m.findGreaterOrEqual(key, &prev)
-	if x != 0 && m.nodeKey(x) == key {
-		m.replace(x, fields)
+	var path [maxDepth]step
+	leaf, nd, j, found := m.seek(key, &path)
+	if found {
+		m.replace(nd, j, fields)
 		return
 	}
-	h := m.randomHeight()
-	if h > m.height {
-		for lvl := m.height; lvl < h; lvl++ {
-			prev[lvl] = 0 // head
-		}
-		m.height = h
-	}
-	shape, fieldsLen := m.shapes.Intern(fields)
+	meta, fieldsLen := m.meta(len(key), fields)
 	ref, buf := m.data.Alloc(len(key) + fieldsLen)
 	p := copy(buf, key)
 	for _, f := range fields {
 		p += copy(buf[p:], f)
 	}
-	off := m.arena.alloc(nodeTower + h)
-	chunks := m.arena.chunks // re-read: alloc may have appended a chunk
-	c := chunks[off>>arenaShift]
-	b := off & arenaMask
-	c[b+nodeKeyPfx] = keyPrefix(key, 0)
-	c[b+nodeKeyPfx2] = keyPrefix(key, 8)
-	c[b+nodeDataRef] = uint64(ref)
-	c[b+nodeMeta] = uint64(len(key)) | uint64(fieldsLen)<<16 | uint64(h)<<48
-	c[b+nodeShape] = uint64(shape)
-	for lvl := uint64(0); lvl < uint64(h); lvl++ {
-		pc := chunks[prev[lvl]>>arenaShift]
-		pb := prev[lvl]&arenaMask + nodeTower + lvl
-		c[b+nodeTower+lvl] = pc[pb]
-		pc[pb] = off
-	}
+	m.insert(leaf, 0, j, slot{keyPrefix(key, 0), keyPrefix(key, 8), uint64(ref), meta, 0}, &path)
 	m.n++
 	m.bytes += int64(len(key) + fieldsLen)
 }
 
-// replace overwrites an existing node's fields. When the new field set
-// has the same shape (count and per-field length) the bytes are copied
-// in place; otherwise a fresh slab region is carved — including a new
-// copy of the key, so key+fields stay contiguous — and the old region is
-// left to the slab (reclaimed when the memtable is dropped after flush).
-func (m *Memtable) replace(x uint64, fields [][]byte) {
-	c := m.arena.chunks[x>>arenaShift]
-	b := x & arenaMask
-	shape, fieldsLen := m.shapes.Intern(fields)
-	meta := c[b+nodeMeta]
-	keyLen := int(meta & 0xffff)
-	oldFieldsLen := int(meta >> 16 & 0xffffffff)
-	if uint64(shape) == c[b+nodeShape] {
-		buf := m.data.View(slab.Ref(c[b+nodeDataRef])+slab.Ref(keyLen), fieldsLen)
+// replace overwrites leaf slot j's fields. When the new field set has the
+// same shape (count and per-field length) the bytes are copied in place;
+// otherwise a fresh slab region is carved — including a new copy of the
+// key, so key+fields stay contiguous — and the old region is left to the
+// slab (reclaimed when the memtable is dropped after flush). Separators
+// that point at the old key bytes stay valid: key bytes are never
+// overwritten.
+func (m *Memtable) replace(nd []uint64, j int, fields [][]byte) {
+	old := nd[nodeMetas+j]
+	keyLen := int(old & 0xffff)
+	meta, fieldsLen := m.meta(keyLen, fields)
+	if meta == old {
+		buf := m.data.View(slab.Ref(nd[nodeRefs+j])+slab.Ref(keyLen), fieldsLen)
 		p := 0
 		for _, f := range fields {
 			p += copy(buf[p:], f)
 		}
 	} else {
-		oldKey := m.data.View(slab.Ref(c[b+nodeDataRef]), keyLen)
+		oldKey := m.data.View(slab.Ref(nd[nodeRefs+j]), keyLen)
 		ref, buf := m.data.Alloc(keyLen + fieldsLen)
 		p := copy(buf, oldKey)
 		for _, f := range fields {
 			p += copy(buf[p:], f)
 		}
-		c[b+nodeDataRef] = uint64(ref)
-		c[b+nodeShape] = uint64(shape)
-		c[b+nodeMeta] = meta&^uint64(0xffffffff<<16) | uint64(fieldsLen)<<16
+		nd[nodeRefs+j] = uint64(ref)
+		nd[nodeMetas+j] = meta
 	}
-	m.bytes += int64(fieldsLen) - int64(oldFieldsLen)
+	m.bytes += int64(fieldsLen) - int64(old>>16&0xffffffff)
+}
+
+// meta interns fields' layout and packs a slot meta word for a key of
+// keyLen bytes. Equal metas for one key mean equal shapes.
+func (m *Memtable) meta(keyLen int, fields [][]byte) (meta uint64, fieldsLen int) {
+	shape, fieldsLen := m.shapes.Intern(fields)
+	if shape > 0xffff {
+		panic("memtable: shape table overflow")
+	}
+	return uint64(keyLen) | uint64(fieldsLen)<<16 | uint64(shape)<<48, fieldsLen
 }
 
 // Get returns a view of the fields for key and whether it was present.
 func (m *Memtable) Get(key string) (slab.FieldsView, bool) {
-	x := m.findGreaterOrEqual(key, nil)
-	if x != 0 && m.nodeKey(x) == key {
-		c := m.arena.chunks[x>>arenaShift]
-		b := x & arenaMask
-		meta := c[b+nodeMeta]
-		keyLen := slab.Ref(meta & 0xffff)
-		fieldsLen := int(meta >> 16 & 0xffffffff)
-		return slab.SlabView(
-			m.data.View(slab.Ref(c[b+nodeDataRef])+keyLen, fieldsLen),
-			m.shapes.Ends(uint32(c[b+nodeShape])),
-		), true
+	if _, nd, j, found := m.seek(key, nil); found {
+		return m.fieldsAt(slab.Ref(nd[nodeRefs+j]), nd[nodeMetas+j]), true
 	}
 	return slab.FieldsView{}, false
 }
@@ -325,15 +399,10 @@ func (m *Memtable) Get(key string) (slab.FieldsView, bool) {
 // Scan returns up to count entries with keys >= start, in key order.
 func (m *Memtable) Scan(start string, count int) []Entry {
 	out := make([]Entry, 0, max(0, min(count, m.n)))
-	for x := m.findGreaterOrEqual(start, nil); x != 0 && len(out) < count; x = m.next(x) {
-		out = append(out, m.nodeEntry(x))
+	for it := m.SeekIter(start); it.Valid() && len(out) < count; it.Next() {
+		out = append(out, it.Entry())
 	}
 	return out
-}
-
-// next returns the offset of the node after x on the bottom level.
-func (m *Memtable) next(x uint64) uint64 {
-	return m.arena.chunks[x>>arenaShift][x&arenaMask+nodeTower]
 }
 
 // Len returns the number of entries.
@@ -352,16 +421,18 @@ func (m *Memtable) SlabBytes() int64 {
 // uses Freeze for a zero-copy handoff).
 func (m *Memtable) All() []Entry {
 	out := make([]Entry, 0, m.n)
-	for x := m.next(0); x != 0; x = m.next(x) {
-		out = append(out, m.nodeEntry(x))
-	}
+	m.Iter(func(e Entry) bool {
+		out = append(out, e)
+		return true
+	})
 	return out
 }
 
-// Iter calls fn for each entry in key order until fn returns false.
+// Iter calls fn for each entry in key order until fn returns false. fn
+// must not write to the memtable.
 func (m *Memtable) Iter(fn func(Entry) bool) {
-	for x := m.next(0); x != 0; x = m.next(x) {
-		if !fn(m.nodeEntry(x)) {
+	for it := m.SeekIter(""); it.Valid(); it.Next() {
+		if !fn(it.Entry()) {
 			return
 		}
 	}
@@ -381,47 +452,64 @@ type FlushEntry struct {
 // Freeze marks the memtable immutable, streams every entry in key order
 // to fn, and returns the payload slab and shape table for zero-copy
 // reuse by the flushed sstable. The slabs are shared, not moved:
-// outstanding scan iterators keep reading the frozen skip list, whose
-// bytes are never written again; the word arena is freed with the
-// memtable while the payload chunks live on inside the table.
+// outstanding readers of the frozen tree stay valid, since nothing
+// writes to it again; the word arena is freed with the memtable while
+// the payload chunks live on inside the table.
 func (m *Memtable) Freeze(fn func(FlushEntry)) (slab.Slab, slab.ShapeTable) {
 	m.frozen = true
-	for x := m.next(0); x != 0; x = m.next(x) {
-		c := m.arena.chunks[x>>arenaShift]
-		b := x & arenaMask
-		meta := c[b+nodeMeta]
+	for it := m.SeekIter(""); it.Valid(); it.Next() {
+		nd, j := m.node(it.leaf), it.i
+		meta := nd[nodeMetas+j]
 		fn(FlushEntry{
-			KeyPfx:    c[b+nodeKeyPfx],
-			KeyPfx2:   c[b+nodeKeyPfx2],
-			Ref:       slab.Ref(c[b+nodeDataRef]),
+			KeyPfx:    nd[nodePairs+2*j],
+			KeyPfx2:   nd[nodePairs+2*j+1],
+			Ref:       slab.Ref(nd[nodeRefs+j]),
 			KeyLen:    int(meta & 0xffff),
 			FieldsLen: int(meta >> 16 & 0xffffffff),
-			Shape:     uint32(c[b+nodeShape]),
+			Shape:     uint32(meta >> 48),
 		})
 	}
 	return m.data, m.shapes
 }
 
-// Iterator is a forward cursor over the skip list's bottom level. It is a
-// small value type so callers can hold and advance one without
-// allocating; the LSM scan path merges these against SSTable iterators.
+// Iterator is a forward cursor over the linked leaves. It is a small
+// value type so callers can hold and advance one without allocating; the
+// LSM scan path merges these against SSTable iterators. Any Put
+// invalidates outstanding iterators: inserts shift slots within a leaf
+// and splits move them to new leaves.
 type Iterator struct {
-	m *Memtable
-	x uint64
+	m    *Memtable
+	leaf uint64
+	i, n int // slot within leaf, and leaf's slot count
 }
 
 // SeekIter returns an iterator positioned at the first entry with key >=
-// start. Mutating the memtable invalidates outstanding iterators.
+// start.
 func (m *Memtable) SeekIter(start string) Iterator {
-	return Iterator{m: m, x: m.findGreaterOrEqual(start, nil)}
+	leaf, nd, j, _ := m.seek(start, nil)
+	it := Iterator{m: m, leaf: leaf, i: j, n: int(nd[nodeCount])}
+	if j == it.n {
+		// start sorts after every key in its leaf; the answer, if any,
+		// is the first slot of the next leaf.
+		it.i--
+		it.Next()
+	}
+	return it
 }
 
 // Valid reports whether the iterator points at an entry.
-func (it Iterator) Valid() bool { return it.x != 0 }
+func (it Iterator) Valid() bool { return it.i < it.n }
 
 // Entry returns the current entry. It must not be called on an invalid
 // iterator.
-func (it Iterator) Entry() Entry { return it.m.nodeEntry(it.x) }
+func (it Iterator) Entry() Entry { return it.m.slotEntry(it.m.node(it.leaf), it.i) }
 
 // Next advances to the following entry in key order.
-func (it *Iterator) Next() { it.x = it.m.next(it.x) }
+func (it *Iterator) Next() {
+	if it.i++; it.i < it.n {
+		return
+	}
+	if next := it.m.node(it.leaf)[nodeNext]; next != 0 {
+		it.leaf, it.i, it.n = next, 0, int(it.m.node(next)[nodeCount])
+	}
+}

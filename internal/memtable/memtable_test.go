@@ -13,7 +13,7 @@ func f1(s string) [][]byte { return [][]byte{[]byte(s)} }
 func field0(e Entry) string { return string(e.Fields.Field(0)) }
 
 func TestPutGet(t *testing.T) {
-	m := New(1)
+	m := New()
 	m.Put("b", f1("vb"))
 	m.Put("a", f1("va"))
 	m.Put("c", f1("vc"))
@@ -29,7 +29,7 @@ func TestPutGet(t *testing.T) {
 }
 
 func TestPutReplaces(t *testing.T) {
-	m := New(1)
+	m := New()
 	m.Put("k", f1("v1"))
 	m.Put("k", f1("v2"))
 	if m.Len() != 1 {
@@ -42,7 +42,7 @@ func TestPutReplaces(t *testing.T) {
 }
 
 func TestScanOrderedFromStart(t *testing.T) {
-	m := New(1)
+	m := New()
 	for i := 9; i >= 0; i-- {
 		m.Put(fmt.Sprintf("k%02d", i), f1("v"))
 	}
@@ -59,7 +59,7 @@ func TestScanOrderedFromStart(t *testing.T) {
 }
 
 func TestScanStartBetweenKeys(t *testing.T) {
-	m := New(1)
+	m := New()
 	m.Put("a", f1("v"))
 	m.Put("c", f1("v"))
 	got := m.Scan("b", 10)
@@ -69,7 +69,7 @@ func TestScanStartBetweenKeys(t *testing.T) {
 }
 
 func TestScanPastEnd(t *testing.T) {
-	m := New(1)
+	m := New()
 	m.Put("a", f1("v"))
 	if got := m.Scan("z", 5); len(got) != 0 {
 		t.Fatalf("scan past end returned %v", got)
@@ -77,7 +77,7 @@ func TestScanPastEnd(t *testing.T) {
 }
 
 func TestBytesAccounting(t *testing.T) {
-	m := New(1)
+	m := New()
 	m.Put("key", [][]byte{[]byte("12345"), []byte("67890")}) // 3+5+5 = 13
 	if m.Bytes() != 13 {
 		t.Fatalf("Bytes = %d, want 13", m.Bytes())
@@ -89,7 +89,7 @@ func TestBytesAccounting(t *testing.T) {
 }
 
 func TestAllReturnsSorted(t *testing.T) {
-	m := New(42)
+	m := New()
 	keys := []string{"q", "a", "z", "m", "b"}
 	for _, k := range keys {
 		m.Put(k, f1("v"))
@@ -104,7 +104,7 @@ func TestAllReturnsSorted(t *testing.T) {
 }
 
 func TestIterEarlyStop(t *testing.T) {
-	m := New(1)
+	m := New()
 	for i := 0; i < 10; i++ {
 		m.Put(fmt.Sprintf("k%d", i), f1("v"))
 	}
@@ -121,7 +121,7 @@ func TestPropertyAgainstMap(t *testing.T) {
 		K string
 		V string
 	}) bool {
-		m := New(99)
+		m := New()
 		ref := map[string]string{}
 		for _, op := range ops {
 			m.Put(op.K, f1(op.V))
@@ -149,7 +149,7 @@ func TestPropertyAgainstMap(t *testing.T) {
 func TestPropertyScanMatchesSortedRef(t *testing.T) {
 	f := func(keys []string, start string, n8 uint8) bool {
 		n := int(n8%16) + 1
-		m := New(7)
+		m := New()
 		ref := map[string]bool{}
 		for _, k := range keys {
 			m.Put(k, f1("v"))
@@ -194,7 +194,7 @@ func TestPutAllocBudget(t *testing.T) {
 		[]byte("0123456780"), []byte("0123456781"), []byte("0123456782"),
 		[]byte("0123456783"), []byte("0123456784"),
 	}
-	m := New(1)
+	m := New()
 	i := 0
 	avg := testing.AllocsPerRun(n-1, func() {
 		m.Put(keys[i], fields)
@@ -208,7 +208,7 @@ func TestPutAllocBudget(t *testing.T) {
 // TestReplaceAllocBudget pins that a same-shape replace copies in place:
 // zero allocations, not even amortized arena growth.
 func TestReplaceAllocBudget(t *testing.T) {
-	m := New(1)
+	m := New()
 	m.Put("key0000000000001", [][]byte{[]byte("0123456789")})
 	repl := [][]byte{[]byte("9876543210")}
 	avg := testing.AllocsPerRun(1000, func() {
@@ -226,7 +226,7 @@ func TestReplaceAllocBudget(t *testing.T) {
 // its payload bytes, so mutating (or reusing) the caller's buffer after
 // Put must not change stored values.
 func TestPutCopiesFields(t *testing.T) {
-	m := New(1)
+	m := New()
 	buf := [][]byte{[]byte("aaaa"), []byte("bbbb")}
 	m.Put("k1", buf)
 	copy(buf[0], "XXXX")
@@ -245,7 +245,7 @@ func TestPutCopiesFields(t *testing.T) {
 // TestReplaceDifferentShape covers the slab-recarve branch: replacing
 // with a different field count or size must not corrupt earlier values.
 func TestReplaceDifferentShape(t *testing.T) {
-	m := New(1)
+	m := New()
 	m.Put("a", [][]byte{[]byte("0123456789")})
 	m.Put("b", [][]byte{[]byte("0123456789")})
 	m.Put("a", [][]byte{[]byte("xy"), []byte("longer-than-before")})
@@ -307,7 +307,7 @@ func (r *refTable) sortedKeys() []string {
 // implementation produced.
 func TestSlabLayoutEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(20260808))
-	m := New(5)
+	m := New()
 	ref := &refTable{vals: map[string][]string{}}
 	randFields := func() [][]byte {
 		n := 1 + rng.Intn(4)
@@ -397,7 +397,7 @@ func TestSlabLayoutEquivalence(t *testing.T) {
 }
 
 func TestFreezeHandsOffEntries(t *testing.T) {
-	m := New(3)
+	m := New()
 	for i := 0; i < 100; i++ {
 		m.Put(fmt.Sprintf("k%03d", i), f1(fmt.Sprintf("v%d", i)))
 	}
@@ -426,6 +426,136 @@ func TestFreezeHandsOffEntries(t *testing.T) {
 	m.Put("new", f1("v"))
 }
 
+// TestDeepTreesMatchReference drives key sets large enough to build two
+// or more inner levels through the reference model: keys in append order
+// (every split is the append split), hashed keys (half splits), and
+// keys that share their first 16 bytes so every slot compare ties on
+// the prefix pair and falls back to the key bytes. Replaces of both
+// kinds are mixed in after the load.
+func TestDeepTreesMatchReference(t *testing.T) {
+	const n = 20000
+	shared := "0123456789abcdef" // exactly the 16 prefix bytes
+	sets := map[string]func(i int) string{
+		"append":        func(i int) string { return fmt.Sprintf("key%09d", i) },
+		"hashed":        hashedKey,
+		"shared-prefix": func(i int) string { return fmt.Sprintf("%s%07d", shared, i*7919%n) },
+	}
+	for name, key := range sets {
+		t.Run(name, func(t *testing.T) {
+			rng := rand.New(rand.NewSource(int64(len(name))))
+			m := New()
+			ref := &refTable{vals: map[string][]string{}}
+			for i := 0; i < n; i++ {
+				f := f1(fmt.Sprintf("v%d", i%7))
+				m.Put(key(i), f)
+				ref.put(key(i), f)
+			}
+			for i := 0; i < n/10; i++ {
+				k := key(rng.Intn(n))
+				f := f1(fmt.Sprintf("w%d", i%7)) // same shape as the load
+				if i%3 == 0 {
+					f = [][]byte{[]byte("reshaped"), []byte(k)}
+				}
+				m.Put(k, f)
+				ref.put(k, f)
+			}
+			if m.height < 2 {
+				t.Fatalf("height = %d, want >= 2 inner levels", m.height)
+			}
+			checkModel(t, m, ref, rng)
+		})
+	}
+}
+
+// checkModel compares every observable of m against ref: Len, Bytes,
+// Get of each key and of absent neighbours, All, a full SeekIter walk,
+// and Scans from random present and absent starts.
+func checkModel(t *testing.T, m *Memtable, ref *refTable, rng *rand.Rand) {
+	t.Helper()
+	keys := ref.sortedKeys()
+	if m.Len() != len(keys) || m.Bytes() != ref.bytes {
+		t.Fatalf("Len/Bytes = %d/%d, want %d/%d", m.Len(), m.Bytes(), len(keys), ref.bytes)
+	}
+	same := func(e Entry, k string) bool {
+		want := ref.vals[k]
+		if e.Key != k || e.Fields.Len() != len(want) {
+			return false
+		}
+		for i, w := range want {
+			if string(e.Fields.Field(i)) != w {
+				return false
+			}
+		}
+		return true
+	}
+	for _, k := range keys {
+		v, ok := m.Get(k)
+		if !ok || !same(Entry{Key: k, Fields: v}, k) {
+			t.Fatalf("Get(%q) = %v, %v", k, v, ok)
+		}
+		if _, ok := m.Get(k + "\x00"); ok {
+			t.Fatalf("Get(%q) found an absent key", k+"\x00")
+		}
+	}
+	all := m.All()
+	it := m.SeekIter("")
+	for i, k := range keys {
+		if !same(all[i], k) {
+			t.Fatalf("All[%d] = %q, want %q", i, all[i].Key, k)
+		}
+		if !it.Valid() || !same(it.Entry(), k) {
+			t.Fatalf("iterator at %d: valid=%v, want key %q", i, it.Valid(), k)
+		}
+		it.Next()
+	}
+	if len(all) != len(keys) || it.Valid() {
+		t.Fatalf("All len = %d (iterator valid past end: %v), want %d", len(all), it.Valid(), len(keys))
+	}
+	for i := 0; i < 500; i++ {
+		start := keys[rng.Intn(len(keys))]
+		if i%2 == 1 {
+			start = start[:rng.Intn(len(start)+1)] // absent: a prefix sorts first
+		}
+		count := 1 + rng.Intn(200)
+		lo := sort.SearchStrings(keys, start)
+		want := keys[lo:min(lo+count, len(keys))]
+		got := m.Scan(start, count)
+		if len(got) != len(want) {
+			t.Fatalf("Scan(%q,%d) len %d, want %d", start, count, len(got), len(want))
+		}
+		for j, e := range got {
+			if !same(e, want[j]) {
+				t.Fatalf("Scan(%q)[%d] = %q, want %q", start, j, e.Key, want[j])
+			}
+		}
+	}
+}
+
+// TestNodeBytesPerEntry pins the tree's node overhead (SlabBytes minus the
+// payload slab) at or below the skip list it replaced, which spent a
+// 5-word node header plus a geometric(1/4) tower (4/3 words expected) on
+// every entry, 52.4 bytes/entry on both loads here once chunk padding is
+// counted. Append-order loads pack every leaf; hashed loads leave leaves
+// about ln 2 full.
+func TestNodeBytesPerEntry(t *testing.T) {
+	const n = 100000
+	loads := map[string]func(i int) string{
+		"sequential": func(i int) string { return fmt.Sprintf("key%09d", i) },
+		"random":     hashedKey,
+	}
+	for name, key := range loads {
+		m := New()
+		for i := 0; i < n; i++ {
+			m.Put(key(i), f1("0123456789"))
+		}
+		perEntry := float64(m.SlabBytes()-m.data.Allocated()) / n
+		t.Logf("%s: %.1f node bytes/entry", name, perEntry)
+		if perEntry > 51 {
+			t.Errorf("%s load: %.1f node bytes/entry, want <= 51 (the skip list's)", name, perEntry)
+		}
+	}
+}
+
 // data0 resolves a FlushEntry's key through the memtable's own slab.
 func data0(m *Memtable, e FlushEntry) string {
 	return m.data.String(e.Ref, e.KeyLen)
@@ -445,7 +575,7 @@ func BenchmarkMemtablePut(b *testing.B) {
 		[]byte("0123456780"), []byte("0123456781"), []byte("0123456782"),
 		[]byte("0123456783"), []byte("0123456784"),
 	}
-	m := New(1)
+	m := New()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -453,21 +583,35 @@ func BenchmarkMemtablePut(b *testing.B) {
 	}
 }
 
-// BenchmarkMemtableGet measures the point-read path — the skip-list
-// search that dominates figure-run host CPU — over a loaded table with
-// keys prebuilt outside the loop.
+// hashedKey builds record i's YCSB-style key the way store.Key does
+// (store cannot be imported here): "user" plus the zero-padded 21-digit
+// decimal of a bijective 64-bit mix of i, 25 bytes in all.
+func hashedKey(i int) string {
+	h := uint64(i)
+	h ^= h >> 33
+	h *= 0xff51afd7ed558ccd
+	h ^= h >> 33
+	h *= 0xc4ceb9fe1a85ec53
+	h ^= h >> 33
+	return fmt.Sprintf("user%021d", h)
+}
+
+// BenchmarkMemtableGet measures the point-read path the YCSB read
+// workloads drive: 100k hashed 25-byte keys, looked up in random order,
+// with keys prebuilt outside the loop.
 func BenchmarkMemtableGet(b *testing.B) {
 	const n = 100000
-	keys := make([]string, n)
-	m := New(1)
+	m := New()
 	fields := [][]byte{
 		[]byte("0123456780"), []byte("0123456781"), []byte("0123456782"),
 		[]byte("0123456783"), []byte("0123456784"),
 	}
+	keys := make([]string, n)
 	for i := range keys {
-		keys[i] = fmt.Sprintf("key%09d", i*7919%n)
+		keys[i] = hashedKey(i)
 		m.Put(keys[i], fields)
 	}
+	rand.New(rand.NewSource(1)).Shuffle(n, func(i, j int) { keys[i], keys[j] = keys[j], keys[i] })
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -481,7 +625,7 @@ func BenchmarkMemtableGet(b *testing.B) {
 func BenchmarkMemtableScan(b *testing.B) {
 	const n = 100000
 	keys := make([]string, n)
-	m := New(1)
+	m := New()
 	for i := range keys {
 		keys[i] = fmt.Sprintf("key%09d", i*7919%n)
 		m.Put(keys[i], [][]byte{[]byte("0123456789")})

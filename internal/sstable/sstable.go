@@ -15,7 +15,9 @@
 package sstable
 
 import (
+	"cmp"
 	"sort"
+	"strings"
 
 	"repro/internal/bloom"
 	"repro/internal/memtable"
@@ -155,6 +157,21 @@ func (b *builder) add(key string, fields slab.FieldsView) {
 	})
 }
 
+// copyEntry appends entry i of src (keys must arrive in ascending order,
+// no duplicates), copying its contiguous key+field bytes in one copy and
+// re-interning its shape in the table's own shape table.
+func (b *builder) copyEntry(src *Table, i int) {
+	t := b.t
+	m := src.meta[i]
+	keyLen, fieldsLen := int(m.meta&0xffff), int(m.meta>>16&0xffffffff)
+	ref, buf := t.data.Alloc(keyLen + fieldsLen)
+	copy(buf, src.data.View(m.ref, keyLen+fieldsLen))
+	shape := t.shapes.InternEnds(src.shapes.Ends(uint32(m.meta >> 48)))
+	m.ref = ref
+	m.meta = packMeta(keyLen, fieldsLen, shape)
+	t.meta = append(t.meta, m)
+}
+
 // finalize computes the Bloom filter, disk accounting and key range. The
 // filter is built from the sorted entry sequence, so any construction
 // path (flush handoff, test build, merge) yields an identical filter for
@@ -175,8 +192,8 @@ func (t *Table) finalize(ov Overhead, fpp float64) {
 	}
 }
 
-// FromMemtable flushes a frozen memtable into a table without copying
-// payload bytes: the skip list streams its entries in key order and
+// FromMemtable flushes a memtable into a table without copying payload
+// bytes: the memtable freezes, streams its leaf slots in key order and
 // hands its payload slab and shape table over; only the fixed-size
 // entryMeta records are built fresh. The memtable must not be written
 // again (Freeze enforces this); outstanding readers of the frozen
@@ -196,26 +213,20 @@ func FromMemtable(gen int, m *memtable.Memtable, ov Overhead, fpp float64) *Tabl
 }
 
 // Build creates a table from entries (they will be sorted; later duplicates
-// win). fpp is the Bloom filter false-positive target.
+// win). Key and field bytes are copied into the table's own slab. fpp is
+// the Bloom filter false-positive target.
 func Build(gen int, entries []memtable.Entry, ov Overhead, fpp float64) *Table {
 	sorted := make([]memtable.Entry, len(entries))
 	copy(sorted, entries)
-	// The stable sort keeps duplicates in input order, so BuildSorted's
-	// last-occurrence-wins dedup preserves newest-write-wins.
+	// The stable sort keeps duplicates in input order, so keeping only the
+	// last of each run of equal keys preserves newest-write-wins.
 	sort.SliceStable(sorted, func(i, j int) bool { return sorted[i].Key < sorted[j].Key })
-	return BuildSorted(gen, sorted, ov, fpp)
-}
-
-// BuildSorted creates a table from entries already in ascending key order
-// (duplicate keys adjacent, later occurrence wins). Key and field bytes
-// are copied into the table's own slab.
-func BuildSorted(gen int, entries []memtable.Entry, ov Overhead, fpp float64) *Table {
-	b := newBuilder(gen, len(entries))
-	for i := 0; i < len(entries); i++ {
-		if i+1 < len(entries) && entries[i+1].Key == entries[i].Key {
+	b := newBuilder(gen, len(sorted))
+	for i, e := range sorted {
+		if i+1 < len(sorted) && sorted[i+1].Key == e.Key {
 			continue
 		}
-		b.add(entries[i].Key, entries[i].Fields)
+		b.add(e.Key, e.Fields)
 	}
 	b.t.finalize(ov, fpp)
 	return b.t
@@ -291,24 +302,38 @@ func (it Iterator) Entry() memtable.Entry { return it.t.entryAt(it.i) }
 // Next advances to the following entry.
 func (it *Iterator) Next() { it.i++ }
 
+// compareEntries orders entry i of t against entry j of u: by key
+// prefix pair in registers, by key bytes only on a double tie.
+func compareEntries(t *Table, i int, u *Table, j int) int {
+	a, b := &t.meta[i], &u.meta[j]
+	switch {
+	case a.keyPfx != b.keyPfx:
+		return cmp.Compare(a.keyPfx, b.keyPfx)
+	case a.keyPfx2 != b.keyPfx2:
+		return cmp.Compare(a.keyPfx2, b.keyPfx2)
+	}
+	return strings.Compare(t.keyAt(i), u.keyAt(j))
+}
+
 // Merge combines tables into one run; for duplicate keys the entry from the
-// table with the highest generation wins. The result's generation is the
-// maximum input generation. Inputs are already sorted, so this is a
-// streaming k-way merge: O(n·k) comparisons with one pass and no
-// intermediate map or re-sort. Surviving payloads are copied into the
-// merged table's slab, so dead versions' bytes are reclaimed when the
-// inputs are dropped.
+// table with the highest generation wins (the earliest such table on a
+// generation tie). The result's generation is the maximum input
+// generation. Inputs are already sorted, so this is a streaming k-way
+// merge: O(n·k) comparisons with one pass and no intermediate map or
+// re-sort. Comparisons read the entries' prefix words and touch key bytes
+// only on a double tie; surviving payloads are copied into the merged
+// table's slab, so dead versions' bytes are reclaimed when the inputs are
+// dropped.
 func Merge(tables []*Table, ov Overhead, fpp float64) *Table {
 	total := 0
 	maxGen := 0
-	iters := make([]Iterator, len(tables))
-	for i, t := range tables {
+	for _, t := range tables {
 		total += t.Len()
 		if t.Gen > maxGen {
 			maxGen = t.Gen
 		}
-		iters[i] = t.SeekIter("")
 	}
+	pos := make([]int, len(tables))
 	b := newBuilder(maxGen, total)
 	for {
 		// Pick the smallest current key; among duplicates the entry from
@@ -316,28 +341,28 @@ func Merge(tables []*Table, ov Overhead, fpp float64) *Table {
 		// Linear scan over k sources: compaction fan-in is small (a tier),
 		// so this beats maintaining a heap.
 		best := -1
-		for i := range iters {
-			if !iters[i].Valid() {
+		for i, t := range tables {
+			if pos[i] == t.Len() {
 				continue
 			}
 			if best < 0 {
 				best = i
 				continue
 			}
-			bk, ik := iters[best].Entry().Key, iters[i].Entry().Key
-			if ik < bk || (ik == bk && tables[i].Gen > tables[best].Gen) {
+			if c := compareEntries(t, pos[i], tables[best], pos[best]); c < 0 || c == 0 && t.Gen > tables[best].Gen {
 				best = i
 			}
 		}
 		if best < 0 {
 			break
 		}
-		e := iters[best].Entry()
-		b.add(e.Key, e.Fields)
-		// Consume this key from every source.
-		for i := range iters {
-			for iters[i].Valid() && iters[i].Entry().Key == e.Key {
-				iters[i].Next()
+		src, at := tables[best], pos[best]
+		b.copyEntry(src, at)
+		// Consume this key from every source. A table holds each key at
+		// most once, so one step per source suffices.
+		for i, t := range tables {
+			if pos[i] < t.Len() && (i == best || compareEntries(t, pos[i], src, at) == 0) {
+				pos[i]++
 			}
 		}
 	}

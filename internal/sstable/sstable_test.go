@@ -2,6 +2,8 @@ package sstable
 
 import (
 	"fmt"
+	"math/rand"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -156,6 +158,94 @@ func TestPropertyMergeUnion(t *testing.T) {
 	}
 }
 
+// TestMergeMatchesReference merges random tables from several generations
+// against the definition of a compaction: concatenate every input entry,
+// stable-sort by (key, generation descending) and keep the first entry of
+// each key. Keys overlap across tables, many share their first 16 bytes
+// (so only the byte-compare fallback orders them, and some differ only
+// in length past a zero byte), field shapes vary per entry, some inputs
+// are empty, some generations repeat (the earlier table wins the tie),
+// and half the inputs adopt a memtable's slab via FromMemtable.
+func TestMergeMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	const shared = "0123456789abcdef"
+	keyPool := []string{"", "a", "a\x00", "k1", "k10", "k2", shared, shared + "\x00", shared + "\x00\x00"}
+	for i := 0; i < 40; i++ {
+		keyPool = append(keyPool, fmt.Sprintf("%s%d", shared, rng.Intn(1000)), fmt.Sprintf("k%04d", rng.Intn(10000)))
+	}
+	randFields := func() [][]byte {
+		fs := make([][]byte, 1+rng.Intn(3))
+		for i := range fs {
+			fs[i] = []byte(fmt.Sprint(rng.Intn(1 << uint(rng.Intn(30)))))
+		}
+		return fs
+	}
+	type ent struct {
+		key    string
+		fields [][]byte
+		gen    int
+	}
+	for round := 0; round < 60; round++ {
+		var tables []*Table
+		var all []ent
+		for ti := 0; ti < 3+rng.Intn(4); ti++ {
+			gen := 1 + rng.Intn(4)
+			n := rng.Intn(3) * rng.Intn(len(keyPool)) // a third of the inputs are empty
+			m := memtable.New()
+			var es []memtable.Entry
+			for range n {
+				k, f := keyPool[rng.Intn(len(keyPool))], randFields()
+				m.Put(k, f)
+				es = append(es, memtable.Entry{Key: k, Fields: slab.View(f)})
+			}
+			var tab *Table
+			if ti%2 == 0 {
+				tab = FromMemtable(gen, m, ov, 0.01)
+			} else {
+				tab = Build(gen, es, ov, 0.01)
+			}
+			tables = append(tables, tab)
+			for it := tab.SeekIter(""); it.Valid(); it.Next() {
+				e := it.Entry()
+				all = append(all, ent{e.Key, e.Fields.Materialize(), gen})
+			}
+		}
+		sort.SliceStable(all, func(i, j int) bool {
+			if all[i].key != all[j].key {
+				return all[i].key < all[j].key
+			}
+			return all[i].gen > all[j].gen
+		})
+		var want []memtable.Entry
+		for i, e := range all {
+			if i == 0 || all[i-1].key != e.key {
+				want = append(want, memtable.Entry{Key: e.key, Fields: slab.View(e.fields)})
+			}
+		}
+		got := Merge(tables, ov, 0.01)
+		ref := Build(got.Gen, want, ov, 0.01)
+		if got.Len() != len(want) || got.DiskBytes != ref.DiskBytes || got.FilterBytes() != ref.FilterBytes() {
+			t.Fatalf("round %d: Len/DiskBytes/FilterBytes = %d/%d/%d, want %d/%d/%d", round,
+				got.Len(), got.DiskBytes, got.FilterBytes(), len(want), ref.DiskBytes, ref.FilterBytes())
+		}
+		for i := range want {
+			g, w := got.entryAt(i), want[i]
+			if g.Key != w.Key || g.Fields.Len() != w.Fields.Len() {
+				t.Fatalf("round %d entry %d = %q (%d fields), want %q (%d fields)",
+					round, i, g.Key, g.Fields.Len(), w.Key, w.Fields.Len())
+			}
+			for f := 0; f < g.Fields.Len(); f++ {
+				if string(g.Fields.Field(f)) != string(w.Fields.Field(f)) {
+					t.Fatalf("round %d key %q field %d = %q, want %q", round, g.Key, f, g.Fields.Field(f), w.Fields.Field(f))
+				}
+			}
+			if !got.MayContain(w.Key) {
+				t.Fatalf("round %d: merged filter rejects %q", round, w.Key)
+			}
+		}
+	}
+}
+
 func BenchmarkGet(b *testing.B) {
 	var es []memtable.Entry
 	for i := 0; i < 100000; i++ {
@@ -187,8 +277,8 @@ func TestSeekIterWalksFromStart(t *testing.T) {
 }
 
 func TestBuildSortedMatchesBuild(t *testing.T) {
-	// Same logical input: BuildSorted gets it pre-sorted with adjacent
-	// duplicates (later wins), Build gets it shuffled.
+	// Same logical input, once pre-sorted with adjacent duplicates (later
+	// wins) and once shuffled: Build must yield the same table.
 	sorted := []memtable.Entry{
 		entry("a", "1"), entry("b", "old"), entry("b", "new"),
 		entry("c", "3"), entry("d", "4"),
@@ -197,7 +287,7 @@ func TestBuildSortedMatchesBuild(t *testing.T) {
 		entry("d", "4"), entry("b", "old"), entry("a", "1"),
 		entry("b", "new"), entry("c", "3"),
 	}
-	fast := BuildSorted(2, sorted, ov, 0.01)
+	fast := Build(2, sorted, ov, 0.01)
 	slow := Build(2, shuffled, ov, 0.01)
 	if fast.Len() != slow.Len() {
 		t.Fatalf("Len = %d, want %d", fast.Len(), slow.Len())
@@ -224,7 +314,7 @@ func TestBuildSortedMatchesBuild(t *testing.T) {
 
 func TestBuildSortedNoDuplicatesIsIdentity(t *testing.T) {
 	entries := []memtable.Entry{entry("a", "1"), entry("b", "2"), entry("c", "3")}
-	tb := BuildSorted(1, entries, ov, 0.01)
+	tb := Build(1, entries, ov, 0.01)
 	if tb.Len() != 3 {
 		t.Fatalf("Len = %d, want 3", tb.Len())
 	}
@@ -239,10 +329,10 @@ func TestBuildSortedNoDuplicatesIsIdentity(t *testing.T) {
 // TestFromMemtableMatchesBuildSorted pins the zero-copy flush handoff:
 // adopting a frozen memtable's slab must yield a table identical in
 // every modeled dimension (count, DiskBytes, key range, filter size,
-// contents) to copying the same entries through BuildSorted.
+// contents) to copying the same sorted entries through Build.
 func TestFromMemtableMatchesBuildSorted(t *testing.T) {
 	mkMem := func() *memtable.Memtable {
-		m := memtable.New(9)
+		m := memtable.New()
 		for i := 0; i < 500; i++ {
 			k := fmt.Sprintf("user%09d", i*37%500)
 			m.Put(k, [][]byte{[]byte(fmt.Sprintf("f0-%05d", i)), []byte("f1")})
@@ -253,7 +343,7 @@ func TestFromMemtableMatchesBuildSorted(t *testing.T) {
 		m.Put("user000000074", [][]byte{[]byte("reshaped")})
 		return m
 	}
-	ref := BuildSorted(3, mkMem().All(), ov, 0.01)
+	ref := Build(3, mkMem().All(), ov, 0.01)
 	got := FromMemtable(3, mkMem(), ov, 0.01)
 	if got.Len() != ref.Len() || got.DiskBytes != ref.DiskBytes {
 		t.Fatalf("Len/DiskBytes = %d/%d, want %d/%d", got.Len(), got.DiskBytes, ref.Len(), ref.DiskBytes)
@@ -281,5 +371,29 @@ func TestFromMemtableMatchesBuildSorted(t *testing.T) {
 	}
 	if ri.Valid() {
 		t.Fatal("reference has more entries than the handoff table")
+	}
+}
+
+// BenchmarkSSTableMerge measures a compaction of four overlapping tables
+// of 25k entries each over the benchmark's key and field shapes.
+func BenchmarkSSTableMerge(b *testing.B) {
+	const perTable = 25000
+	fields := slab.View([][]byte{
+		[]byte("0123456780"), []byte("0123456781"), []byte("0123456782"),
+		[]byte("0123456783"), []byte("0123456784"),
+	})
+	tables := make([]*Table, 4)
+	for ti := range tables {
+		es := make([]memtable.Entry, perTable)
+		for i := range es {
+			// Consecutive tables overlap by half their key range.
+			es[i] = memtable.Entry{Key: fmt.Sprintf("user%021d", (ti*perTable/2+i)*7919), Fields: fields}
+		}
+		tables[ti] = Build(ti+1, es, ov, 0.01)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		Merge(tables, ov, 0.01)
 	}
 }

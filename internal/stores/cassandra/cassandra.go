@@ -184,7 +184,6 @@ func New(c *cluster.Cluster, opts Options) *Store {
 			mutStage:  sim.NewResource(c.Eng, "cassandra-mutation-stage", opts.StageThreads),
 			tree: lsm.New(lsm.Config{
 				Node:       m,
-				Seed:       int64(i) + 11,
 				FlushBytes: opts.MemtableFlushBytes,
 				Overhead:   opts.Overhead,
 				WALWindow:  opts.CommitLogWindow,

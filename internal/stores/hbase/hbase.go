@@ -168,7 +168,6 @@ func New(c *cluster.Cluster, opts Options) *Store {
 			handlers: sim.NewResource(c.Eng, "hbase-handlers", opts.Handlers),
 			tree: lsm.New(lsm.Config{
 				Node:       m,
-				Seed:       int64(i) + 23,
 				FlushBytes: opts.MemstoreFlushBytes,
 				Overhead:   opts.Overhead,
 				WALWindow:  10 * sim.Millisecond,

@@ -100,11 +100,11 @@ func New(c *cluster.Cluster, opts Options) *Store {
 	} else {
 		s.ring = hashring.NewJedisRing(len(c.Nodes))
 	}
-	for i, n := range c.Nodes {
+	for _, n := range c.Nodes {
 		s.insts = append(s.insts, &instance{
 			node: n,
 			loop: sim.NewResource(c.Eng, "redis-loop", 1),
-			data: memtable.New(int64(i) + 7),
+			data: memtable.New(),
 		})
 	}
 	s.down = make([]bool, len(c.Nodes))
@@ -240,6 +240,9 @@ func (s *Store) Scan(p *sim.Proc, start string, count int) ([]store.Record, erro
 			in.loop.Acquire(p)
 			in.swapPenalty(p)
 			in.node.Compute(p, s.opts.ReadCPU+sim.Time(count)*s.opts.ScanPerRecordCPU)
+			// Scan materializes its rows under the loop resource and
+			// holds no memtable iterator past it, so a Put that splits a
+			// leaf cannot invalidate a cursor here.
 			runs = append(runs, in.data.Scan(start, count))
 			in.loop.Release()
 		})

@@ -90,12 +90,12 @@ func New(c *cluster.Cluster, opts Options) *Store {
 	s := &Store{opts: opts, clust: c}
 	s.ring = hashring.NewMod(len(c.Nodes) * opts.SitesPerHost)
 	s.sequencer = sim.NewResource(c.Eng, "voltdb-sequencer", 1)
-	for i, m := range c.Nodes {
+	for _, m := range c.Nodes {
 		h := &host{machine: m}
 		for j := 0; j < opts.SitesPerHost; j++ {
 			h.sites = append(h.sites, &site{
 				exec: sim.NewResource(c.Eng, "voltdb-site", 1),
-				data: memtable.New(int64(i*opts.SitesPerHost+j) + 31),
+				data: memtable.New(),
 			})
 		}
 		s.hosts = append(s.hosts, h)
@@ -236,6 +236,9 @@ func (s *Store) Scan(p *sim.Proc, start string, count int) ([]store.Record, erro
 				for _, st := range h.sites {
 					st.exec.Acquire(p)
 					h.machine.Compute(p, s.opts.MPFanoutCPU/sim.Time(s.opts.SitesPerHost))
+					// Scan materializes its rows while the site is held
+					// and keeps no memtable iterator past it, so a Put
+					// that splits a leaf cannot invalidate a cursor here.
 					rows := st.data.Scan(start, count)
 					h.machine.Compute(p, sim.Time(len(rows))*s.opts.ScanRowCPU)
 					runs = append(runs, rows)
