@@ -165,7 +165,7 @@ func BenchmarkAblationCassandraCommitlog(b *testing.B) {
 func BenchmarkSingleOps(b *testing.B) {
 	for _, sys := range harness.AllSystems {
 		b.Run(string(sys), func(b *testing.B) {
-			dep, err := harness.Deploy(1, sys, clusterM4(), 0.001)
+			dep, err := harness.DeployVariants(1, sys, clusterM4(), 0.001, "")
 			if err != nil {
 				b.Fatal(err)
 			}

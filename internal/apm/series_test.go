@@ -63,7 +63,6 @@ func (s *scanLog) Scan(p *sim.Proc, start string, count int) ([]store.Record, er
 	return out, nil
 }
 
-func (s *scanLog) Caps() store.Caps { return store.Caps{Scans: true} }
 func (s *scanLog) DiskUsage() int64 { return 0 }
 func (s *scanLog) SlabBytes() int64 { return 0 }
 

@@ -5,7 +5,6 @@ import (
 	"strings"
 
 	"repro/internal/stats"
-	"repro/internal/ycsb"
 )
 
 // Explanation reports where a cell's time went: per-node utilization of
@@ -31,39 +30,22 @@ type NodeUtilization struct {
 	RAMUsed  int64
 }
 
-// Explain runs one cell (uncached — it needs the live deployment) and
-// returns the utilization breakdown. It replays only the plain
-// deploy-load-measure run, so throttled, faulted, query and load-only
-// cells are refused rather than explained as a different run.
+// Explain executes one cell's first repetition through the same lifecycle
+// and seed as Run — uncached, since it needs the live deployment — and
+// returns the utilization breakdown, so the explanation describes the run
+// that produced the cell's number (its whole number at one repetition).
+// Throttled, faulted and query cells are explained like plain ones; only
+// cells that drive nothing (LoadOnly) or that the runner rejects are
+// refused.
 func (r *Runner) Explain(c Cell) (*Explanation, error) {
-	if c.TargetFraction > 0 || c.Faults != "" || c.Queries != "" || c.LoadOnly {
-		return nil, fmt.Errorf("harness: explain cannot replay cell %s (throttled, faulted, query and load-only cells are unsupported)", r.key(c))
+	if c.LoadOnly {
+		return nil, fmt.Errorf("harness: explain needs a driven run, and load-only cell %s drives nothing", r.key(c))
 	}
-	rv, err := r.resolve(c)
+	x, err := r.execute(c, r.key(c), 0)
 	if err != nil {
 		return nil, err
 	}
-	// Same seed derivation as Run's first repetition, so the explanation
-	// describes the exact run that produced the cached cell result.
-	dep, err := DeployVariants(r.cellSeed(r.key(c), 0), c.System, rv.spec, r.Cfg.Scale, c.Variants)
-	if err != nil {
-		return nil, err
-	}
-	if err := ycsb.LoadSized(dep.Store, rv.records, rv.wl.FieldSize()); err != nil {
-		return nil, err
-	}
-	res, err := ycsb.Run(dep.Engine, ycsb.RunConfig{
-		Store:          dep.Store,
-		Workload:       rv.wl,
-		Clients:        rv.clients,
-		InitialRecords: rv.records,
-		Warmup:         r.Cfg.Warmup,
-		Measure:        r.Cfg.Measure,
-	})
-	if err != nil {
-		return nil, err
-	}
-	sum := res.Summarize()
+	sum := x.col.Summarize()
 	ex := &Explanation{
 		Cell:       c,
 		Throughput: sum.Throughput,
@@ -72,7 +54,7 @@ func (r *Runner) Explain(c Cell) (*Explanation, error) {
 		Insert:     sum.Insert,
 		Scan:       sum.Scan,
 	}
-	for _, n := range dep.Clust.Nodes {
+	for _, n := range x.dep.Clust.Nodes {
 		ex.Nodes = append(ex.Nodes, NodeUtilization{
 			Node:     n.ID,
 			CPU:      n.CPU.Utilization(),

@@ -56,7 +56,7 @@ func TestConfigDefaults(t *testing.T) {
 
 func TestDeployAllSystems(t *testing.T) {
 	for _, sys := range AllSystems {
-		dep, err := Deploy(1, sys, cluster.ClusterM(2), 0.001)
+		dep, err := DeployVariants(1, sys, cluster.ClusterM(2), 0.001, "")
 		if err != nil {
 			t.Fatalf("deploy %s: %v", sys, err)
 		}
@@ -64,7 +64,7 @@ func TestDeployAllSystems(t *testing.T) {
 			t.Fatalf("deployed %q, got store %q", sys, dep.Store.Name())
 		}
 	}
-	if _, err := Deploy(1, System("nope"), cluster.ClusterM(1), 0.01); err == nil {
+	if _, err := DeployVariants(1, System("nope"), cluster.ClusterM(1), 0.01, ""); err == nil {
 		t.Fatal("unknown system accepted")
 	}
 }
@@ -350,20 +350,85 @@ func TestExplainReportsUtilization(t *testing.T) {
 	}
 }
 
-func TestExplainRejectsBadCell(t *testing.T) {
-	r := NewRunner(testCfg())
+// TestExplainMatchesRun pins that Explain describes the run that produced
+// the cell's number: at one repetition, its headline metrics equal Run's
+// for plain, throttled, faulted and query cells alike.
+func TestExplainMatchesRun(t *testing.T) {
+	dash, err := APMDashboard([]int{1}).Cells()
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, c := range []Cell{
-		{System: Voldemort, Nodes: 1, Workload: "RS"},
-		// Explain replays a plain run only; these cells' cached results
-		// come from a different run, so it must refuse them.
+		{System: Cassandra, Nodes: 1, Workload: "R"},
 		{System: Cassandra, Nodes: 1, Workload: "R", TargetFraction: 0.5},
 		{System: Cassandra, Nodes: 2, Workload: "R", Faults: "kill-node@1[0.3:0.6]"},
-		{System: Cassandra, Nodes: 1, Workload: "R", Queries: "overview(w=600,aggs=avg)"},
-		{System: Cassandra, Nodes: 1, Workload: "R", LoadOnly: true},
+		dash[0],
 	} {
+		c.Repetitions = 1
+		r := NewRunner(testCfg())
+		res, err := r.Run(c)
+		if err != nil {
+			t.Fatalf("run %s: %v", r.key(c), err)
+		}
+		ex, err := r.Explain(c)
+		if err != nil {
+			t.Fatalf("explain %s: %v", r.key(c), err)
+		}
+		if ex.Throughput != res.Throughput || ex.Errors != res.Errors || ex.Scan.Mean != res.ScanLat {
+			t.Errorf("%s: explain tput=%g err=%d scan=%v, run tput=%g err=%d scan=%v", r.key(c),
+				ex.Throughput, ex.Errors, ex.Scan.Mean, res.Throughput, res.Errors, res.ScanLat)
+		}
+		if res.Throughput <= 0 {
+			t.Errorf("%s: no throughput", r.key(c))
+		}
+	}
+}
+
+// TestExplainRejectsBadCell: Explain refuses what the runner rejects and
+// load-only cells, which drive nothing to explain.
+func TestExplainRejectsBadCell(t *testing.T) {
+	r := NewRunner(testCfg())
+	cells := []Cell{
+		{System: Voldemort, Nodes: 1, Workload: "RS"},
+		{System: Cassandra, Nodes: 1, Workload: "R", LoadOnly: true},
+	}
+	for _, tc := range unhonourableCells {
+		cells = append(cells, tc.cell)
+	}
+	for _, c := range cells {
 		if _, err := r.Explain(c); err == nil {
 			t.Errorf("explain accepted %s", r.key(c))
 		}
+	}
+}
+
+// unhonourableCells combine fields the runner has no run for; the scenario
+// validator rejects the same combinations.
+var unhonourableCells = []struct {
+	name string
+	cell Cell
+}{
+	{"queries+faults", Cell{System: Cassandra, Nodes: 2, Queries: "overview(w=600,aggs=avg)", Faults: "kill-node@1[0.3:0.6]"}},
+	{"queries+throttle", Cell{System: Cassandra, Nodes: 1, Queries: "overview(w=600,aggs=avg)", TargetFraction: 0.5}},
+	{"loadonly+faults", Cell{System: Cassandra, Nodes: 2, LoadOnly: true, Faults: "kill-node@1[0.3:0.6]"}},
+	{"loadonly+queries", Cell{System: Cassandra, Nodes: 1, LoadOnly: true, Queries: "overview(w=600,aggs=avg)"}},
+	{"loadonly+throttle", Cell{System: Cassandra, Nodes: 1, LoadOnly: true, TargetFraction: 0.5}},
+}
+
+// TestRunRejectsUnhonourableCells: Run and a farm worker's ExecuteCell
+// must refuse such cells rather than measure a different run under the
+// cell's key.
+func TestRunRejectsUnhonourableCells(t *testing.T) {
+	for _, tc := range unhonourableCells {
+		t.Run(tc.name, func(t *testing.T) {
+			r := NewRunner(testCfg())
+			if _, err := r.Run(tc.cell); err == nil {
+				t.Error("Run accepted the cell")
+			}
+			if _, err := r.ExecuteCell(tc.cell); err == nil {
+				t.Error("ExecuteCell accepted the cell")
+			}
+		})
 	}
 }
 

@@ -115,11 +115,13 @@ type Cell struct {
 	// "replication=3,consistency=all". Empty means the paper's defaults.
 	Variants string
 	// TargetFraction throttles to a share of the cell's max throughput
-	// (0 = unthrottled); used by the bounded-throughput experiment.
+	// (0 = unthrottled); used by the bounded-throughput experiment. YCSB
+	// workload cells only: query and LoadOnly cells reject it.
 	TargetFraction float64
 	// LoadOnly deploys and loads the cell without running a workload
 	// (the disk-usage experiment, Fig 17). Workload/Mix then only select
-	// the record size (default 75-byte records when unset).
+	// the record size (default 75-byte records when unset); a LoadOnly
+	// cell cannot also set TargetFraction, Faults or Queries.
 	LoadOnly bool
 	// RecordsPerNode overrides Config.RecordsPerNode for this cell
 	// (pre-scale records per node, also applied on Cluster D in place of
@@ -139,9 +141,9 @@ type Cell struct {
 	// encoding of a query mix (query.Mix.String(), round-tripped by
 	// query.ParseMix) run by dashboard clients against the time-ordered APM
 	// measurement grid instead of a YCSB workload. Workload/Mix are then
-	// ignored. Carrying the canonical string — not the spec structs — keeps
-	// Cell a comparable value type and makes the string itself the cache
-	// and wire identity.
+	// ignored, and Faults and TargetFraction are rejected. Carrying the
+	// canonical string — not the spec structs — keeps Cell a comparable
+	// value type and makes the string itself the cache and wire identity.
 	Queries string
 }
 
@@ -282,9 +284,11 @@ type Runner struct {
 	// cell cache above them.
 	Executor CellExecutor
 	Cache    ResultCache
-	// MemStats, when set, receives one diagnostic line per executed cell
-	// after its load phase: the store's retained slab bytes (keys, field
-	// payloads, index arenas) and the process heap in use. Lines are
+	// MemStats, when set, receives one diagnostic line per execution (each
+	// repetition of a measured cell, and each Explain) right after its load
+	// phase: the store's retained slab bytes (keys, field payloads, index
+	// arenas) and the process heap in use, then, after the run, a scanstats
+	// line when the run's scans touched an LSM store. Lines are
 	// host-side diagnostics only — they never touch the simulation — but
 	// heap numbers vary with GC timing and -parallel width, so the
 	// determinism gate runs without them.
@@ -366,9 +370,13 @@ func (r *Runner) key(c Cell) string {
 }
 
 // repetitions resolves how many independent executions average into c's
-// result: the cell's override when set, else the config's.
+// result: one for a LoadOnly cell, whose load is deterministic per seed;
+// else the cell's override when set, else the config's.
 func (r *Runner) repetitions(c Cell) int {
-	if c.Repetitions > 0 {
+	switch {
+	case c.LoadOnly:
+		return 1
+	case c.Repetitions > 0:
 		return c.Repetitions
 	}
 	return r.Cfg.Repetitions
@@ -532,18 +540,15 @@ func (r *Runner) resolveCell(c Cell, key string) (CellResult, bool, error) {
 	return res, false, err
 }
 
-// measure executes a cell outside the cache: repetition averaging for
-// workload cells, a bare deploy+load for LoadOnly cells.
+// measure executes a cell outside the cache, averaging its repetitions.
 func (r *Runner) measure(c Cell, key string) (CellResult, error) {
-	if c.LoadOnly {
-		return r.loadOnly(c, key)
-	}
 	var acc CellResult
 	for rep := 0; rep < r.repetitions(c); rep++ {
-		res, err := r.run(c, key, int64(rep))
+		x, err := r.execute(c, key, int64(rep))
 		if err != nil {
 			return CellResult{}, err
 		}
+		res := x.result(c, r.Cfg.Scale)
 		if rep == 0 {
 			acc = res
 			continue
@@ -566,37 +571,74 @@ func (r *Runner) measure(c Cell, key string) (CellResult, error) {
 	return acc, nil
 }
 
-// resolved is a cell translated into concrete run inputs: the operation
-// mix, the hardware, the dataset size and the client count (after variant
-// overrides). Shared by run, loadOnly and Explain so every execution path
-// interprets a cell identically.
+// resolved is a cell translated into concrete run inputs: the YCSB mix
+// (only its record size matters to a LoadOnly cell) or, for a query cell,
+// the query mix and its APM dataset; the hardware; the number of records
+// to load; and the client count (after variant overrides). execute is its
+// only consumer, so measured runs and Explain interpret a cell identically.
 type resolved struct {
 	wl      ycsb.Workload
+	mix     query.Mix // non-nil for query cells
+	ds      query.Dataset
 	spec    cluster.Spec
 	records int64
 	clients int
 }
 
+// resolve translates c into run inputs, rejecting cells the runner cannot
+// honour: workloads the system cannot run, and field combinations with no
+// run behind them (a load-only cell drives no workload to fault, query or
+// throttle; a query cell is neither faulted nor throttled).
 func (r *Runner) resolve(c Cell) (resolved, error) {
-	wl, err := c.workload()
-	if err != nil {
-		return resolved{}, err
+	switch {
+	case c.LoadOnly && (c.Faults != "" || c.Queries != "" || c.TargetFraction > 0):
+		return resolved{}, fmt.Errorf("harness: cell %s: a load-only cell cannot be faulted, queried or throttled", r.key(c))
+	case c.Queries != "" && (c.Faults != "" || c.TargetFraction > 0):
+		return resolved{}, fmt.Errorf("harness: cell %s: a query cell cannot be faulted or throttled", r.key(c))
 	}
-	if !SupportsWorkload(c.System, wl) {
-		return resolved{}, fmt.Errorf("harness: %s does not support workload %s", c.System, c.workloadName())
+	rv := resolved{
+		spec:    clusterSpecFor(c),
+		records: recordsFor(c, r.Cfg),
+		clients: Conns(c.System, c.Nodes, c.ClusterD),
 	}
-	clients := Conns(c.System, c.Nodes, c.ClusterD)
+	var err error
+	switch {
+	case c.Queries != "":
+		if rv.mix, err = query.ParseMix(c.Queries); err != nil {
+			return resolved{}, err
+		}
+		if !SupportsScans(c.System) {
+			return resolved{}, fmt.Errorf("harness: %s cannot run query cells: %w", c.System, store.ErrScansUnsupported)
+		}
+		// The query grid is sized like the cell's YCSB dataset would be.
+		rv.ds = query.SizeDataset(rv.records)
+		rv.records = rv.ds.Records()
+		// Dashboard sessions, not YCSB load generators: a handful of
+		// concurrent readers per node (each query already fans out into
+		// tens of range scans).
+		rv.clients = 4 * c.Nodes
+	case c.LoadOnly:
+		// The workload, when set, only selects the record size; unset
+		// loads the paper's default records.
+		if c.Workload != "" || c.Mix.Name != "" {
+			if rv.wl, err = c.workload(); err != nil {
+				return resolved{}, err
+			}
+		}
+	default:
+		if rv.wl, err = c.workload(); err != nil {
+			return resolved{}, err
+		}
+		if !SupportsWorkload(c.System, rv.wl) {
+			return resolved{}, fmt.Errorf("harness: %s does not support workload %s", c.System, c.workloadName())
+		}
+	}
 	if perNode, ok, err := variantInt(c.Variants, "conns"); err != nil {
 		return resolved{}, err
 	} else if ok {
-		clients = perNode * c.Nodes
+		rv.clients = perNode * c.Nodes
 	}
-	return resolved{
-		wl:      wl,
-		spec:    clusterSpecFor(c),
-		records: recordsFor(c, r.Cfg),
-		clients: clients,
-	}, nil
+	return rv, nil
 }
 
 // clusterSpecFor maps a cell to its hardware: an explicit Spec override
@@ -627,148 +669,120 @@ func recordsFor(c Cell, cfg Config) int64 {
 	return int64(float64(cfg.RecordsPerNode*int64(c.Nodes)) * cfg.Scale)
 }
 
-func (r *Runner) run(c Cell, key string, rep int64) (CellResult, error) {
-	if c.Queries != "" {
-		return r.runQueries(c, key, rep)
-	}
+// execution is one finished run of a cell: the live deployment plus the
+// workload's collector (nil for a LoadOnly cell, which drives nothing) and
+// windowed recovery curve (nil unless the cell is faulted).
+type execution struct {
+	dep     *Deployment
+	col     *stats.Collector
+	windows *stats.WindowedLatency
+}
+
+// execute runs repetition rep of cell c (identified by key): the one
+// deploy → load → drive lifecycle behind every measured cell and every
+// Explain. A throttled cell first resolves its unthrottled base's
+// throughput; the deployment is seeded from (key, rep); a query cell loads
+// the APM measurement grid, any other cell YCSB records; a LoadOnly cell
+// stops there, and any other cell injects its faults and runs its YCSB or
+// query clients. Query latencies land on the scan metric — a query is a
+// scan pipeline — so scenario figures read them through scan-latency.
+func (r *Runner) execute(c Cell, key string, rep int64) (*execution, error) {
 	rv, err := r.resolve(c)
 	if err != nil {
-		return CellResult{}, err
+		return nil, err
 	}
-
 	var target float64
 	if base, ok := c.base(); ok {
 		maxRes, err := r.Run(base)
 		if err != nil {
-			return CellResult{}, err
+			return nil, err
 		}
 		target = maxRes.Throughput * c.TargetFraction
 	}
 
 	dep, err := DeployVariants(r.cellSeed(key, rep), c.System, rv.spec, r.Cfg.Scale, c.Variants)
 	if err != nil {
-		return CellResult{}, err
+		return nil, err
 	}
-	if err := ycsb.LoadSized(dep.Store, rv.records, rv.wl.FieldSize()); err != nil {
-		return CellResult{}, err
+	if rv.mix != nil {
+		err = rv.ds.Load(dep.Store)
+	} else {
+		err = ycsb.LoadSized(dep.Store, rv.records, rv.wl.FieldSize())
+	}
+	if err != nil {
+		return nil, err
 	}
 	r.reportMemStats(key, dep.Store, rv.records)
+	x := &execution{dep: dep}
+	if c.LoadOnly {
+		return x, nil
+	}
+
 	// Fault injection rides the cell's own event stream: the schedule's
 	// fractional windows resolve against warmup+measure, so the same
 	// schedule exercises paper and quick fidelity alike.
 	if c.Faults != "" {
 		sched, err := fault.ParseSchedule(c.Faults)
 		if err != nil {
-			return CellResult{}, err
+			return nil, err
 		}
 		if err := fault.Inject(dep.Engine, dep.Clust.Nodes, dep.Store, sched, r.Cfg.Warmup+r.Cfg.Measure); err != nil {
-			return CellResult{}, err
+			return nil, err
 		}
 	}
-	res, err := ycsb.Run(dep.Engine, ycsb.RunConfig{
-		Store:           dep.Store,
-		Workload:        rv.wl,
-		Clients:         rv.clients,
-		TargetOpsPerSec: target,
-		InitialRecords:  rv.records,
-		Warmup:          r.Cfg.Warmup,
-		Measure:         r.Cfg.Measure,
-		TrackWindows:    c.Faults != "",
-	})
-	if err != nil {
-		return CellResult{}, err
-	}
-	r.reportScanStats(key, dep.Store)
-	return CellResult{
-		Cell:                c,
-		Throughput:          res.Throughput(),
-		ReadLat:             res.MeanLatency(stats.OpRead),
-		WriteLat:            res.MeanLatency(stats.OpInsert),
-		UpdateLat:           res.MeanLatency(stats.OpUpdate),
-		ScanLat:             res.MeanLatency(stats.OpScan),
-		Ops:                 res.Ops(),
-		Errors:              res.Errors(),
-		Timeouts:            res.Timeouts(),
-		DiskBytesPaperScale: float64(dep.Store.DiskUsage()) / r.Cfg.Scale,
-		Windows:             res.Windows,
-	}, nil
-}
-
-// runQueries measures one repetition of an analytic query cell: deploy the
-// system, bulk-load the time-ordered APM measurement grid (sized like the
-// cell's YCSB dataset would be), and run the dashboard query mix against
-// it. Query latencies land on the scan metric — a query is a scan
-// pipeline — so scenario figures read them through scan-latency.
-func (r *Runner) runQueries(c Cell, key string, rep int64) (CellResult, error) {
-	mix, err := query.ParseMix(c.Queries)
-	if err != nil {
-		return CellResult{}, err
-	}
-	// Dashboard sessions, not YCSB load generators: a handful of
-	// concurrent readers per node (each query already fans out into tens
-	// of range scans), overridable via the conns variant like any cell.
-	clients := 4 * c.Nodes
-	if perNode, ok, err := variantInt(c.Variants, "conns"); err != nil {
-		return CellResult{}, err
-	} else if ok {
-		clients = perNode * c.Nodes
-	}
-	dep, err := DeployVariants(r.cellSeed(key, rep), c.System, clusterSpecFor(c), r.Cfg.Scale, c.Variants)
-	if err != nil {
-		return CellResult{}, err
-	}
-	ds := query.SizeDataset(recordsFor(c, r.Cfg))
-	if err := ds.Load(dep.Store); err != nil {
-		return CellResult{}, err
-	}
-	r.reportMemStats(key, dep.Store, ds.Records())
-	res, err := query.Run(dep.Engine, query.RunConfig{
-		Store:   dep.Store,
-		Dataset: ds,
-		Mix:     mix,
-		Clients: clients,
-		Warmup:  r.Cfg.Warmup,
-		Measure: r.Cfg.Measure,
-	})
-	if err != nil {
-		return CellResult{}, err
-	}
-	r.reportScanStats(key, dep.Store)
-	return CellResult{
-		Cell:                c,
-		Throughput:          res.Throughput(),
-		ScanLat:             res.MeanLatency(stats.OpScan),
-		Ops:                 res.Ops(),
-		Errors:              res.Errors(),
-		Timeouts:            res.Timeouts(),
-		DiskBytesPaperScale: float64(dep.Store.DiskUsage()) / r.Cfg.Scale,
-	}, nil
-}
-
-// loadOnly deploys and loads without a workload run. The workload, when
-// set, only selects the record size.
-func (r *Runner) loadOnly(c Cell, key string) (CellResult, error) {
-	fieldBytes := 0 // default record shape
-	if c.Workload != "" || c.Mix.Name != "" {
-		wl, err := c.workload()
+	if rv.mix != nil {
+		res, err := query.Run(dep.Engine, query.RunConfig{
+			Store:   dep.Store,
+			Dataset: rv.ds,
+			Mix:     rv.mix,
+			Clients: rv.clients,
+			Warmup:  r.Cfg.Warmup,
+			Measure: r.Cfg.Measure,
+		})
 		if err != nil {
-			return CellResult{}, err
+			return nil, err
 		}
-		fieldBytes = wl.FieldSize()
+		x.col = res.Collector
+	} else {
+		res, err := ycsb.Run(dep.Engine, ycsb.RunConfig{
+			Store:           dep.Store,
+			Workload:        rv.wl,
+			Clients:         rv.clients,
+			TargetOpsPerSec: target,
+			InitialRecords:  rv.records,
+			Warmup:          r.Cfg.Warmup,
+			Measure:         r.Cfg.Measure,
+			TrackWindows:    c.Faults != "",
+		})
+		if err != nil {
+			return nil, err
+		}
+		x.col, x.windows = res.Collector, res.Windows
 	}
-	dep, err := DeployVariants(r.cellSeed(key, 0), c.System, clusterSpecFor(c), r.Cfg.Scale, c.Variants)
-	if err != nil {
-		return CellResult{}, err
-	}
-	records := recordsFor(c, r.Cfg)
-	if err := ycsb.LoadSized(dep.Store, records, fieldBytes); err != nil {
-		return CellResult{}, err
-	}
-	r.reportMemStats(key, dep.Store, records)
-	return CellResult{
+	r.reportScanStats(key, dep.Store)
+	return x, nil
+}
+
+// result digests an execution of c into its data point: the workload's
+// metrics (zero for a LoadOnly cell) and the store's disk usage rescaled
+// to paper size.
+func (x *execution) result(c Cell, scale float64) CellResult {
+	res := CellResult{
 		Cell:                c,
-		DiskBytesPaperScale: float64(dep.Store.DiskUsage()) / r.Cfg.Scale,
-	}, nil
+		DiskBytesPaperScale: float64(x.dep.Store.DiskUsage()) / scale,
+		Windows:             x.windows,
+	}
+	if x.col != nil {
+		res.Throughput = x.col.Throughput()
+		res.ReadLat = x.col.MeanLatency(stats.OpRead)
+		res.WriteLat = x.col.MeanLatency(stats.OpInsert)
+		res.UpdateLat = x.col.MeanLatency(stats.OpUpdate)
+		res.ScanLat = x.col.MeanLatency(stats.OpScan)
+		res.Ops = x.col.Ops()
+		res.Errors = x.col.Errors()
+		res.Timeouts = x.col.Timeouts()
+	}
+	return res
 }
 
 func progressLine(c Cell, res CellResult) string {

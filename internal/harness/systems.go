@@ -61,12 +61,6 @@ type Deployment struct {
 	Store  store.Store
 }
 
-// Deploy builds a cluster from spec (hardware scaled by scale) and deploys
-// the system on it with scale-adjusted engine thresholds.
-func Deploy(seed int64, sys System, spec cluster.Spec, scale float64) (*Deployment, error) {
-	return DeployVariants(seed, sys, spec, scale, "")
-}
-
 // Variant vocabulary: a cell's Variants field is an ordered comma-separated
 // list of key=value tuning options resolved against the system's deployment
 // defaults. Unknown keys or values for the target system are errors, so a
@@ -150,10 +144,11 @@ func onOff(key, v string) (bool, error) {
 	return false, fmt.Errorf("harness: variant %s=%s: want on or off", key, v)
 }
 
-// DeployVariants is Deploy with declarative key=value tuning options (see
-// the variant vocabulary above) resolved into the system's deployment
-// options. This is the single construction path for every experiment cell:
-// figures (empty variants), ablations, and user scenarios.
+// DeployVariants builds a cluster from spec (hardware scaled by scale) and
+// deploys the system on it with scale-adjusted engine thresholds and the
+// declarative key=value tuning options (see the variant vocabulary above;
+// "" is the paper's configuration). This is the single construction path
+// for every experiment cell: figures, ablations, and user scenarios.
 func DeployVariants(seed int64, sys System, spec cluster.Spec, scale float64, variants string) (*Deployment, error) {
 	kvs, err := parseVariants(variants)
 	if err != nil {
@@ -416,26 +411,11 @@ func Conns(sys System, nodes int, clusterD bool) int {
 // (the paper's Voldemort YCSB client had no scan support, §5.4).
 func SupportsScans(sys System) bool { return sys != Voldemort }
 
-// SupportsUpdates reports whether the system's model covers in-place
-// updates: since the B-tree stores gained modeled read-modify-write paths,
-// all six systems do. The LSM stores (Cassandra, HBase) physically upsert,
-// the in-memory stores (Redis, VoltDB) overwrite, and the B-tree stores
-// (MySQL, Voldemort) charge an index descent plus an in-place leaf rewrite
-// with redo/binlog (MySQL, which also grows its MVCC undo backlog) or WAL
-// (Voldemort) appends — distinct from their insert paths, which allocate
-// and split pages. The predicate is retained as the single point the
-// support matrix, scenario gate, and tests read.
-func SupportsUpdates(sys System) bool { return true }
-
-// SupportsWorkload reports whether the system can run the workload mix
-// (scan mixes exclude Voldemort; update mixes run on all six systems now
-// that the B-tree stores model read-modify-write updates).
+// SupportsWorkload reports whether the system can run the workload mix:
+// scan mixes exclude Voldemort. Update mixes run on all six systems — the
+// LSM stores (Cassandra, HBase) physically upsert, the in-memory stores
+// (Redis, VoltDB) overwrite, and the B-tree stores (MySQL, Voldemort)
+// model a read-modify-write distinct from their insert paths.
 func SupportsWorkload(sys System, wl ycsb.Workload) bool {
-	if wl.HasScans() && !SupportsScans(sys) {
-		return false
-	}
-	if wl.HasUpdates() && !SupportsUpdates(sys) {
-		return false
-	}
-	return true
+	return !wl.HasScans() || SupportsScans(sys)
 }

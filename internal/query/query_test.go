@@ -61,7 +61,6 @@ func (m *memStore) Scan(p *sim.Proc, start string, count int) ([]store.Record, e
 	return out, nil
 }
 
-func (m *memStore) Caps() store.Caps { return store.Caps{Scans: true} }
 func (m *memStore) DiskUsage() int64 { return 0 }
 func (m *memStore) SlabBytes() int64 { return 0 }
 
@@ -407,7 +406,9 @@ func TestRunRejectsQuerylessStores(t *testing.T) {
 
 type noQueryStore struct{ *memStore }
 
-func (noQueryStore) Caps() store.Caps { return store.Caps{} }
+func (noQueryStore) Scan(p *sim.Proc, start string, count int) ([]store.Record, error) {
+	return nil, store.ErrScansUnsupported
+}
 
 func BenchmarkQueryFilterAgg(b *testing.B) {
 	ds := SizeDataset(4000)

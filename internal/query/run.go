@@ -19,8 +19,6 @@ type RunConfig struct {
 	Clients int
 	Warmup  sim.Time
 	Measure sim.Time
-	// UnavailableBackoff paces retries against down nodes (default 1ms).
-	UnavailableBackoff sim.Time
 }
 
 // Result carries the collector; query latencies are recorded as scan
@@ -33,7 +31,10 @@ type Result struct {
 
 // Run executes the query workload and returns collected statistics,
 // mirroring ycsb.Run's closed-loop shape: warmup, then a measured window,
-// then in-flight queries drain.
+// then in-flight queries drain. A store without scan support fails the run
+// with store.ErrScansUnsupported: the harness only plans query cells on
+// scanning systems, and the failure is instant, so retrying would spin
+// forever at one virtual instant.
 func Run(e *sim.Engine, cfg RunConfig) (*Result, error) {
 	if err := cfg.Mix.Normalize(); err != nil {
 		return nil, err
@@ -46,13 +47,6 @@ func Run(e *sim.Engine, cfg RunConfig) (*Result, error) {
 	}
 	if cfg.Dataset.Hosts <= 0 {
 		return nil, fmt.Errorf("query: dataset has no hosts")
-	}
-	if !cfg.Store.Caps().Scans {
-		return nil, store.ErrScansUnsupported
-	}
-	backoff := cfg.UnavailableBackoff
-	if backoff <= 0 {
-		backoff = sim.Millisecond
 	}
 	col := stats.NewCollector()
 	stopAt := e.Now() + cfg.Warmup + cfg.Measure
@@ -69,6 +63,7 @@ func Run(e *sim.Engine, cfg RunConfig) (*Result, error) {
 		plans[i] = q
 	}
 
+	var unsupported error
 	for i := 0; i < cfg.Clients; i++ {
 		e.Go(fmt.Sprintf("query-client-%d", i), func(p *sim.Proc) {
 			rng := p.Rand()
@@ -80,9 +75,14 @@ func Run(e *sim.Engine, cfg RunConfig) (*Result, error) {
 				opStart := p.Now()
 				_, err := q.Execute(p, cfg.Store, ranges)
 				if err != nil {
+					if errors.Is(err, store.ErrScansUnsupported) {
+						unsupported = err
+						return
+					}
 					col.RecordError()
 					if errors.Is(err, store.ErrUnavailable) {
-						p.Sleep(backoff)
+						// Pace retries against down nodes, as ycsb.Run does.
+						p.Sleep(sim.Millisecond)
 					}
 					continue
 				}
@@ -91,6 +91,9 @@ func Run(e *sim.Engine, cfg RunConfig) (*Result, error) {
 		})
 	}
 	e.Run(0)
+	if unsupported != nil {
+		return nil, unsupported
+	}
 	if col.Window() == 0 {
 		col.Finish(e.Now())
 	}

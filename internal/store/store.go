@@ -189,15 +189,6 @@ var ErrOverloaded = errors.New("store: node overloaded")
 // would not advance virtual time.
 var ErrUnavailable = errors.New("store: node unavailable")
 
-// Caps describes a store's read-side capabilities.
-type Caps struct {
-	// Scans reports whether Scan is implemented (the Voldemort YCSB
-	// client in the paper has no scan operation). Every scanning store
-	// returns key-ordered results, so Scans is also what the analytic
-	// query layer (internal/query) plans against.
-	Scans bool
-}
-
 // ScanStatsReporter is implemented by stores whose engines keep scan-path
 // counters: how many sstables paid a positioning charge and how many were
 // pruned by their key range before charging anything. The harness's
@@ -244,8 +235,6 @@ type Store interface {
 	// memory and, like Read's, are valid until the next operation against
 	// the store.
 	Scan(p *sim.Proc, start string, count int) ([]Record, error)
-	// Caps reports the store's read-side capabilities.
-	Caps() Caps
 	// Load inserts a record without consuming virtual time; used to
 	// populate the store before a measured run. Disk/memory accounting
 	// still happens.

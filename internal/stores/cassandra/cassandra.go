@@ -211,10 +211,6 @@ func (s *Store) SlabBytes() int64 {
 	return total
 }
 
-// Caps implements store.Store: range slices are supported and return
-// key-ordered rows, so the query layer can plan against them.
-func (s *Store) Caps() store.Caps { return store.Caps{Scans: true} }
-
 // ScanStats implements store.ScanStatsReporter: scan-path positioning and
 // pruning counters summed across every node's LSM tree.
 func (s *Store) ScanStats() (positioned, pruned int64) {

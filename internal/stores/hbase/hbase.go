@@ -195,11 +195,6 @@ func (s *Store) SlabBytes() int64 {
 	return total
 }
 
-// Caps implements store.Store: region scans return globally key-ordered
-// rows (regions partition the key space by range), so the query layer can
-// plan against them.
-func (s *Store) Caps() store.Caps { return store.Caps{Scans: true} }
-
 // ScanStats implements store.ScanStatsReporter: scan-path positioning and
 // pruning counters summed across every region's LSM tree.
 func (s *Store) ScanStats() (positioned, pruned int64) {

@@ -190,11 +190,6 @@ func (s *Store) SlabBytes() int64 {
 	return total
 }
 
-// Caps implements store.Store: range queries over the clustered index
-// return key-ordered rows (shard results are merged client-side), so
-// the query layer can plan against them.
-func (s *Store) Caps() store.Caps { return store.Caps{Scans: true} }
-
 func (s *Store) shard(key string) *shard { return s.shards[s.ring.Owner(key)] }
 
 func (s *Store) shardIndex(key string) int { return s.ring.Owner(key) }

@@ -124,11 +124,6 @@ func (s *Store) SlabBytes() int64 {
 	return total
 }
 
-// Caps implements store.Store: the sharded client merges every instance's
-// sorted slice, so results are key-ordered and the query layer can plan
-// against them.
-func (s *Store) Caps() store.Caps { return store.Caps{Scans: true} }
-
 func (s *Store) inst(key string) *instance { return s.insts[s.ring.Owner(key)] }
 
 func (s *Store) instIndex(key string) int { return s.ring.Owner(key) }

@@ -140,10 +140,6 @@ func (s *Store) SlabBytes() int64 {
 	return total
 }
 
-// Caps implements store.Store: no scans (as in the paper's YCSB client),
-// hence no query-layer support either.
-func (s *Store) Caps() store.Caps { return store.Caps{} }
-
 func (s *Store) serverIndex(key string) int {
 	return s.ring.Owner(key) % len(s.nodes)
 }

@@ -116,9 +116,6 @@ func TestScansRejected(t *testing.T) {
 		}
 	})
 	e.Run(0)
-	if s.Caps().Scans {
-		t.Fatal("Caps().Scans must be false")
-	}
 }
 
 func TestDiskUsageGrowsWithLoad(t *testing.T) {

@@ -119,11 +119,6 @@ func (s *Store) SlabBytes() int64 {
 	return total
 }
 
-// Caps implements store.Store: the multi-partition scan merges every
-// site's key-sorted rows, so results are key-ordered and the query layer
-// can plan against them.
-func (s *Store) Caps() store.Caps { return store.Caps{Scans: true} }
-
 // route returns the host and site owning key.
 func (s *Store) route(key string) (*host, *site) {
 	part := s.ring.Owner(key)

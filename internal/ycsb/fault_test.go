@@ -11,8 +11,7 @@ import (
 // in which the client's entire key range is on dead nodes.
 type downStore struct{}
 
-func (downStore) Name() string     { return "down" }
-func (downStore) Caps() store.Caps { return store.Caps{Scans: true} }
+func (downStore) Name() string { return "down" }
 func (downStore) Insert(p *sim.Proc, key string, f store.Fields) error {
 	return store.ErrUnavailable
 }
@@ -35,15 +34,13 @@ func (downStore) SlabBytes() int64                      { return 0 }
 func TestFullyUnavailableWindowYieldsZeroOkOps(t *testing.T) {
 	e := sim.NewEngine(7)
 	res, err := Run(e, RunConfig{
-		Store:              downStore{},
-		Workload:           WorkloadR,
-		Clients:            4,
-		InitialRecords:     100,
-		Warmup:             10 * sim.Millisecond,
-		Measure:            100 * sim.Millisecond,
-		UnavailableBackoff: sim.Millisecond,
-		TrackWindows:       true,
-		WindowInterval:     10 * sim.Millisecond,
+		Store:          downStore{},
+		Workload:       WorkloadR,
+		Clients:        4,
+		InitialRecords: 100,
+		Warmup:         10 * sim.Millisecond,
+		Measure:        100 * sim.Millisecond,
+		TrackWindows:   true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -128,7 +125,6 @@ func TestRunPopulatesWindows(t *testing.T) {
 		InitialRecords: 100,
 		Measure:        100 * sim.Millisecond,
 		TrackWindows:   true,
-		WindowInterval: 25 * sim.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -38,37 +38,26 @@ type RunConfig struct {
 	// inside the measurement window.
 	Warmup  sim.Time
 	Measure sim.Time
-	// TrackThroughput records a throughput-over-time series for the
-	// measurement window (steady-state diagnostics).
-	TrackThroughput bool
 	// OpTimeout classifies operations slower than this as timed out: they
 	// count as failures (and windowed failures), not latency samples. Zero
 	// disables the classification.
 	OpTimeout sim.Time
-	// UnavailableBackoff is how long a client sleeps after an
-	// ErrUnavailable response before retrying. Instant failures do not
-	// advance virtual time, so without a backoff a closed-loop client
-	// would spin forever at one instant against a fully-down store.
-	// Zero means the 1ms default.
-	UnavailableBackoff sim.Time
 	// TrackWindows records per-window latency quantiles and availability
-	// over the measurement window (fault-injection diagnostics).
+	// over the measurement window (fault-injection diagnostics), in
+	// windows Measure/20 wide.
 	TrackWindows bool
-	// WindowInterval is the window width for TrackWindows (default
-	// Measure/20).
-	WindowInterval sim.Time
 }
 
-// defaultUnavailableBackoff paces closed-loop retries against a down node.
-const defaultUnavailableBackoff = sim.Millisecond
+// unavailableBackoff is how long a client sleeps after an ErrUnavailable
+// response before retrying. Instant failures do not advance virtual time,
+// so without a backoff a closed-loop client would spin forever at one
+// instant against a fully-down store.
+const unavailableBackoff = sim.Millisecond
 
 // Result carries the collector plus run metadata.
 type Result struct {
 	*stats.Collector
 	Config RunConfig
-	// Series is the throughput-over-time curve (nil unless
-	// Config.TrackThroughput was set).
-	Series *stats.ThroughputSeries
 	// Windows holds per-window quantiles and availability (nil unless
 	// Config.TrackWindows was set).
 	Windows *stats.WindowedLatency
@@ -107,21 +96,9 @@ func Run(e *sim.Engine, cfg RunConfig) (*Result, error) {
 		return nil, fmt.Errorf("ycsb: measurement window must be positive")
 	}
 	col := stats.NewCollector()
-	var series *stats.ThroughputSeries
-	if cfg.TrackThroughput {
-		series = stats.NewThroughputSeries(e.Now()+cfg.Warmup, cfg.Measure/20)
-	}
 	var windows *stats.WindowedLatency
 	if cfg.TrackWindows {
-		wi := cfg.WindowInterval
-		if wi <= 0 {
-			wi = cfg.Measure / 20
-		}
-		windows = stats.NewWindowedLatency(e.Now()+cfg.Warmup, wi)
-	}
-	backoff := cfg.UnavailableBackoff
-	if backoff <= 0 {
-		backoff = defaultUnavailableBackoff
+		windows = stats.NewWindowedLatency(e.Now()+cfg.Warmup, cfg.Measure/20)
 	}
 	stopAt := e.Now() + cfg.Warmup + cfg.Measure
 	inserted := cfg.InitialRecords
@@ -180,7 +157,7 @@ func Run(e *sim.Engine, cfg RunConfig) (*Result, error) {
 					if errors.Is(err, store.ErrUnavailable) {
 						// Pace retries: the failure was instant in
 						// virtual time.
-						p.Sleep(backoff)
+						p.Sleep(unavailableBackoff)
 					}
 				case cfg.OpTimeout > 0 && lat > cfg.OpTimeout:
 					col.RecordTimeout()
@@ -189,13 +166,8 @@ func Run(e *sim.Engine, cfg RunConfig) (*Result, error) {
 					}
 				default:
 					col.Record(kind, lat)
-					if col.Active() {
-						if series != nil {
-							series.Record(p.Now())
-						}
-						if windows != nil {
-							windows.Record(p.Now(), lat)
-						}
+					if windows != nil && col.Active() {
+						windows.Record(p.Now(), lat)
 					}
 				}
 				if interval > 0 {
@@ -211,5 +183,5 @@ func Run(e *sim.Engine, cfg RunConfig) (*Result, error) {
 	if col.Window() == 0 {
 		col.Finish(e.Now())
 	}
-	return &Result{Collector: col, Config: cfg, Series: series, Windows: windows}, nil
+	return &Result{Collector: col, Config: cfg, Windows: windows}, nil
 }

@@ -92,9 +92,6 @@ func (w Workload) Validate() error {
 // HasScans reports whether the mix includes scan operations.
 func (w Workload) HasScans() bool { return w.ScanProp > 0 }
 
-// HasUpdates reports whether the mix includes update operations.
-func (w Workload) HasUpdates() bool { return w.UpdateProp > 0 }
-
 // FieldSize returns the effective per-field payload size.
 func (w Workload) FieldSize() int {
 	if w.FieldBytes <= 0 {

@@ -22,8 +22,7 @@ func newFake(r, w, s sim.Time) *fakeStore {
 	return &fakeStore{readLat: r, writeLat: w, scanLat: s, data: map[string]store.Fields{}}
 }
 
-func (f *fakeStore) Name() string     { return "fake" }
-func (f *fakeStore) Caps() store.Caps { return store.Caps{Scans: true} }
+func (f *fakeStore) Name() string { return "fake" }
 func (f *fakeStore) Insert(p *sim.Proc, key string, fl store.Fields) error {
 	p.Sleep(f.writeLat)
 	f.data[strings.Clone(key)] = fl.Clone()
@@ -110,9 +109,6 @@ func TestValidateRejectsBadMix(t *testing.T) {
 	updates := Workload{Name: "upd", ReadProp: 0.5, UpdateProp: 0.5}
 	if err := updates.Validate(); err != nil {
 		t.Fatalf("rejected a valid update mix: %v", err)
-	}
-	if !updates.HasUpdates() || WorkloadR.HasUpdates() {
-		t.Fatal("HasUpdates wrong")
 	}
 }
 
@@ -290,29 +286,6 @@ func TestZipfianSkew(t *testing.T) {
 	}
 	if float64(maxC) < 2*20000.0/n {
 		t.Fatalf("zipfian max key count %d, want > 2x fair share %f", maxC, 20000.0/n)
-	}
-}
-
-func TestTrackThroughputSeries(t *testing.T) {
-	e := sim.NewEngine(4)
-	f := newFake(100*sim.Microsecond, 100*sim.Microsecond, 100*sim.Microsecond)
-	Load(f, 500)
-	res, err := Run(e, RunConfig{
-		Store: f, Workload: WorkloadR, Clients: 4,
-		InitialRecords: 500, Warmup: 100 * sim.Millisecond,
-		Measure: sim.Second, TrackThroughput: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Series == nil {
-		t.Fatal("series not recorded")
-	}
-	if got := len(res.Series.Buckets()); got < 15 {
-		t.Fatalf("series has %d buckets, want ~20", got)
-	}
-	if st := res.Series.Stability(); st < 0.8 || st > 1.2 {
-		t.Fatalf("fixed-latency store stability = %f, want ~1", st)
 	}
 }
 
