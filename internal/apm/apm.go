@@ -1,9 +1,10 @@
-// Package apm implements the application performance management data model
-// of the paper (§2–§3): measurements with a metric name, value, min/max
-// aggregates, timestamp and duration (Fig 2), agents that report thousands
-// of metrics at a fixed interval, and the two online query types the use
-// case needs — sliding-window aggregates over one metric and over a group
-// of metrics.
+// Package apm implements the application performance management record
+// format of the paper (§2–§3): measurements with a metric name, value,
+// min/max aggregates, timestamp and duration (Fig 2), their storage key and
+// fields, the paginated per-metric range read (Series) every dashboard query
+// is built on, and the §1/§8 sizing arithmetic. The workload model — which
+// hosts report which metrics, and the queries dashboards run over them —
+// lives in internal/query.
 package apm
 
 import (
@@ -112,61 +113,6 @@ func Decode(key string, f store.FieldsView) (Measurement, error) {
 	return m, nil
 }
 
-// Agent simulates a monitoring agent reporting a set of metrics every
-// Interval seconds (§2: agents aggregate events over fixed intervals).
-type Agent struct {
-	Host     string
-	Metrics  []string // metric names relative to the host
-	Interval int64    // seconds
-
-	walk map[string]float64
-}
-
-// NewAgent creates an agent with n synthetic metrics.
-func NewAgent(host string, n int, interval int64) *Agent {
-	a := &Agent{Host: host, Interval: interval, walk: map[string]float64{}}
-	kinds := []string{"AverageResponseTime", "ConnectionCount", "CPUUtilization", "ErrorRate", "HeapUsage"}
-	for i := 0; i < n; i++ {
-		name := fmt.Sprintf("%s/Agent/Component%03d/%s", host, i/len(kinds), kinds[i%len(kinds)])
-		a.Metrics = append(a.Metrics, name)
-		a.walk[name] = 50 // start mid-range so the walk moves freely
-	}
-	return a
-}
-
-// Report produces the agent's measurements for the interval ending at ts.
-// Values follow a bounded random walk driven by rnd (a uniform [0,1) draw
-// per metric keeps the agent deterministic under the simulation's seed).
-func (a *Agent) Report(ts int64, rnd func() float64) []Measurement {
-	out := make([]Measurement, 0, len(a.Metrics))
-	for _, metric := range a.Metrics {
-		v := a.walk[metric] + (rnd()-0.5)*10
-		if v < 0 {
-			v = 0
-		}
-		a.walk[metric] = v
-		out = append(out, Measurement{
-			Metric:    metric,
-			Value:     v,
-			Min:       v * 0.8,
-			Max:       v * 1.25,
-			Timestamp: ts,
-			Duration:  a.Interval,
-		})
-	}
-	return out
-}
-
-// WindowStats aggregates a metric's measurements in [from, to] using a
-// store scan: the "maximum number of connections on host X within the last
-// 10 minutes" query class of §2.
-type WindowStats struct {
-	Count int
-	Avg   float64
-	Min   float64
-	Max   float64
-}
-
 // pageSize is the row count of one paginated scan RPC in Series.
 const pageSize = 60
 
@@ -209,54 +155,6 @@ func Series(p *sim.Proc, s store.Store, metric string, from, to int64) iter.Seq2
 	}
 }
 
-// Window scans one metric's time range and aggregates it.
-//
-// Use an order-preserving store (HBase's range-partitioned regions, or a
-// single-node B-tree store) for window queries: hash-partitioned stores
-// (Cassandra's RandomPartitioner, sharded Redis/MySQL) return node-local
-// samples for range scans, so windows over them may under-count — the same
-// trade-off the paper's scan discussion surfaces (§4.2, §5.4).
-func Window(p *sim.Proc, s store.Store, metric string, from, to int64) (WindowStats, error) {
-	var st WindowStats
-	var sum float64
-	for m, err := range Series(p, s, metric, from, to) {
-		if err != nil {
-			return WindowStats{}, err
-		}
-		if st.Count == 0 || m.Min < st.Min {
-			st.Min = m.Min
-		}
-		if st.Count == 0 || m.Max > st.Max {
-			st.Max = m.Max
-		}
-		st.Count++
-		sum += m.Value
-	}
-	if st.Count > 0 {
-		st.Avg = sum / float64(st.Count)
-	}
-	return st, nil
-}
-
-// GroupAvg aggregates the same metric kind across multiple hosts: the
-// "average CPU utilization of Web servers of type Y" query class of §2.
-func GroupAvg(p *sim.Proc, s store.Store, metrics []string, from, to int64) (float64, int, error) {
-	var sum float64
-	var n int
-	for _, m := range metrics {
-		st, err := Window(p, s, m, from, to)
-		if err != nil {
-			return 0, 0, err
-		}
-		sum += st.Avg * float64(st.Count)
-		n += st.Count
-	}
-	if n == 0 {
-		return 0, 0, nil
-	}
-	return sum / float64(n), n, nil
-}
-
 // IngestRate computes the paper's sizing arithmetic (§1, §8): hosts
 // reporting metricsPerHost measurements every intervalSec seconds.
 func IngestRate(hosts, metricsPerHost int, intervalSec int64) float64 {
@@ -276,46 +174,4 @@ func StorageNodesNeeded(ingestPerSec, perNodeThroughput float64, hosts int, budg
 	nodes = int(ingestPerSec/perNodeThroughput) + 1
 	budget := int(float64(hosts) * budgetFraction)
 	return nodes, nodes <= budget
-}
-
-// MonitoringLevel selects an agent's reporting detail (§3: "current APM
-// tools make it possible to define different monitoring levels ... that
-// result in different data rates").
-type MonitoringLevel int
-
-// Monitoring levels, in increasing data-rate order.
-const (
-	// Basic reports a coarse subset of metrics.
-	Basic MonitoringLevel = iota
-	// TransactionTrace adds per-transaction metrics.
-	TransactionTrace
-	// IncidentTriage reports everything the agent can observe.
-	IncidentTriage
-)
-
-// MetricFraction returns the share of an agent's metric catalog reported at
-// this level.
-func (l MonitoringLevel) MetricFraction() float64 {
-	switch l {
-	case Basic:
-		return 0.1
-	case TransactionTrace:
-		return 0.5
-	default:
-		return 1.0
-	}
-}
-
-// ReportAt produces the measurements for the interval ending at ts at the
-// given monitoring level: a deterministic prefix of the metric catalog.
-func (a *Agent) ReportAt(ts int64, level MonitoringLevel, rnd func() float64) []Measurement {
-	all := a.Report(ts, rnd)
-	n := int(float64(len(all)) * level.MetricFraction())
-	if n < 1 {
-		n = 1
-	}
-	if n > len(all) {
-		n = len(all)
-	}
-	return all[:n]
 }

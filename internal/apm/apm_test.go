@@ -2,7 +2,6 @@ package apm
 
 import (
 	"fmt"
-	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -47,37 +46,19 @@ func TestDecodeRejectsMalformed(t *testing.T) {
 	}
 }
 
-func TestAgentReportsAllMetricsEachInterval(t *testing.T) {
-	a := NewAgent("Host7", 50, 10)
-	rng := rand.New(rand.NewSource(1))
-	ms := a.Report(1000, rng.Float64)
-	if len(ms) != 50 {
-		t.Fatalf("reported %d measurements, want 50", len(ms))
-	}
-	seen := map[string]bool{}
-	for _, m := range ms {
-		if m.Timestamp != 1000 || m.Duration != 10 {
-			t.Fatalf("bad timestamp/duration: %+v", m)
+// readSeries collects Series(metric, from, to) inside a process on e.
+func readSeries(e *sim.Engine, s store.Store, metric string, from, to int64) (got []Measurement, err error) {
+	e.Go("q", func(p *sim.Proc) {
+		for m, serr := range Series(p, s, metric, from, to) {
+			if serr != nil {
+				err = serr
+				return
+			}
+			got = append(got, m)
 		}
-		if m.Min > m.Value || m.Max < m.Value {
-			t.Fatalf("min/max do not bracket value: %+v", m)
-		}
-		if seen[m.Metric] {
-			t.Fatalf("duplicate metric %s", m.Metric)
-		}
-		seen[m.Metric] = true
-	}
-}
-
-func TestAgentWalkEvolves(t *testing.T) {
-	a := NewAgent("H", 1, 10)
-	rng := rand.New(rand.NewSource(2))
-	v1 := a.Report(10, rng.Float64)[0].Value
-	v2 := a.Report(20, rng.Float64)[0].Value
-	v3 := a.Report(30, rng.Float64)[0].Value
-	if v1 == v2 && v2 == v3 {
-		t.Fatal("random walk did not move")
-	}
+	})
+	e.Run(0)
+	return got, err
 }
 
 func TestWindowAggregatesOverStore(t *testing.T) {
@@ -98,23 +79,18 @@ func TestWindowAggregatesOverStore(t *testing.T) {
 		Value: 1e9, Max: 1e9, Timestamp: 1200, Duration: 10}
 	s.Load(other.Key(), other.Fields())
 
-	e.Go("q", func(p *sim.Proc) {
-		st, err := Window(p, s, metric, 1000, 1590)
-		if err != nil {
-			t.Errorf("window: %v", err)
-			return
+	got, err := readSeries(e, s, metric, 1000, 1590)
+	if err != nil {
+		t.Fatalf("series: %v", err)
+	}
+	if len(got) != 60 {
+		t.Fatalf("count = %d, want 60 (ten minutes at 10s resolution)", len(got))
+	}
+	for i, m := range got {
+		if m.Metric != metric || m.Timestamp != 1000+int64(i)*10 || m.Max != float64(i) {
+			t.Fatalf("row %d = %+v, want %s at ts %d with max %d", i, m, metric, 1000+i*10, i)
 		}
-		if st.Count != 60 {
-			t.Errorf("count = %d, want 60 (ten minutes at 10s resolution)", st.Count)
-		}
-		if st.Max != 59 {
-			t.Errorf("max = %f, want 59", st.Max)
-		}
-		if st.Avg < 29 || st.Avg > 30 {
-			t.Errorf("avg = %f, want 29.5", st.Avg)
-		}
-	})
-	e.Run(0)
+	}
 }
 
 func TestWindowRespectsBounds(t *testing.T) {
@@ -126,44 +102,13 @@ func TestWindowRespectsBounds(t *testing.T) {
 		m := Measurement{Metric: metric, Value: 1, Timestamp: i * 10, Duration: 10}
 		s.Load(m.Key(), m.Fields())
 	}
-	e.Go("q", func(p *sim.Proc) {
-		st, err := Window(p, s, metric, 200, 390)
-		if err != nil {
-			t.Errorf("window: %v", err)
-			return
-		}
-		if st.Count != 20 {
-			t.Errorf("count = %d, want 20 (only in-range samples)", st.Count)
-		}
-	})
-	e.Run(0)
-}
-
-func TestGroupAvgAcrossHosts(t *testing.T) {
-	e := sim.NewEngine(1)
-	c := cluster.New(e, cluster.ClusterM(2).Scale(0.01))
-	s := hbase.New(c, hbase.Options{MemstoreFlushBytes: 64 << 10})
-	metrics := []string{"Web1/CPU", "Web2/CPU"}
-	for i, metric := range metrics {
-		for ts := int64(0); ts < 100; ts += 10 {
-			m := Measurement{Metric: metric, Value: float64(10 * (i + 1)), Timestamp: ts, Duration: 10}
-			s.Load(m.Key(), m.Fields())
-		}
+	got, err := readSeries(e, s, metric, 200, 390)
+	if err != nil {
+		t.Fatalf("series: %v", err)
 	}
-	e.Go("q", func(p *sim.Proc) {
-		avg, n, err := GroupAvg(p, s, metrics, 0, 95)
-		if err != nil {
-			t.Errorf("group avg: %v", err)
-			return
-		}
-		if n != 20 {
-			t.Errorf("n = %d, want 20", n)
-		}
-		if avg != 15 {
-			t.Errorf("avg = %f, want 15 (mean of 10 and 20)", avg)
-		}
-	})
-	e.Run(0)
+	if len(got) != 20 || got[0].Timestamp != 200 || got[19].Timestamp != 390 {
+		t.Fatalf("got %d rows, want the 20 in-range samples 200..390", len(got))
+	}
 }
 
 func TestIngestRateMatchesPaperScenario(t *testing.T) {
@@ -199,25 +144,6 @@ func TestPropertyRoundTrip(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestMonitoringLevelsScaleDataRate(t *testing.T) {
-	a := NewAgent("H", 100, 10)
-	rng := rand.New(rand.NewSource(3))
-	basic := a.ReportAt(10, Basic, rng.Float64)
-	trace := a.ReportAt(20, TransactionTrace, rng.Float64)
-	triage := a.ReportAt(30, IncidentTriage, rng.Float64)
-	if len(basic) != 10 || len(trace) != 50 || len(triage) != 100 {
-		t.Fatalf("levels = %d/%d/%d, want 10/50/100", len(basic), len(trace), len(triage))
-	}
-}
-
-func TestMonitoringLevelMinimumOneMetric(t *testing.T) {
-	a := NewAgent("H", 3, 10)
-	rng := rand.New(rand.NewSource(4))
-	if got := a.ReportAt(10, Basic, rng.Float64); len(got) != 1 {
-		t.Fatalf("basic on 3 metrics = %d, want floor of 1", len(got))
 	}
 }
 

@@ -174,18 +174,13 @@ func TestWindowSurfacesDecodeAndScanErrors(t *testing.T) {
 	f := bad.Fields()
 	f[0] = []byte("notanumber")
 	s.Load(bad.Key(), f)
-	var werr error
-	e := sim.NewEngine(1)
-	e.Go("reader", func(p *sim.Proc) { _, werr = Window(p, s, "a", 1, 20) })
-	e.Run(0)
-	if werr == nil {
-		t.Fatal("Window over an undecodable row returned no error (truncated the window?)")
+	got, err := consume(s, "a", 20, -1)
+	if err == nil || len(got) != 6 {
+		t.Fatalf("series over an undecodable row: %d rows, err %v; want the 6 rows before it, then an error", len(got), err)
 	}
 
 	s.scanErr = store.ErrUnavailable
-	e.Go("reader", func(p *sim.Proc) { _, werr = Window(p, s, "a", 1, 20) })
-	e.Run(0)
-	if !errors.Is(werr, store.ErrUnavailable) {
-		t.Fatalf("Window scan error = %v, want ErrUnavailable", werr)
+	if _, err := consume(s, "a", 20, -1); !errors.Is(err, store.ErrUnavailable) {
+		t.Fatalf("series scan error = %v, want ErrUnavailable", err)
 	}
 }

@@ -2,6 +2,9 @@ package harness
 
 import (
 	"encoding/json"
+	"fmt"
+	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -480,4 +483,44 @@ func TestScenarioDatasetOverrides(t *testing.T) {
 			t.Fatalf("negative override accepted: %s", bad)
 		}
 	}
+}
+
+// FuzzParseScenario: ParseScenario never panics; an accepted scenario
+// expands to the same cells every time, and its JSON re-encoding parses
+// back to those same cells (a canonical scenario round-trips).
+func FuzzParseScenario(f *testing.F) {
+	files, err := filepath.Glob("../../examples/scenarios/*.json")
+	if err != nil || len(files) == 0 {
+		f.Fatalf("no example scenarios to seed the corpus (err %v)", err)
+	}
+	for _, file := range files {
+		data, err := os.ReadFile(file)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(data)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		s, err := ParseScenario(data)
+		if err != nil {
+			return
+		}
+		cells, cerr := s.Cells()
+		again, aerr := s.Cells()
+		if fmt.Sprint(cerr) != fmt.Sprint(aerr) || !reflect.DeepEqual(cells, again) {
+			t.Fatalf("Cells() is not deterministic:\n first: %+v (err %v)\nsecond: %+v (err %v)", cells, cerr, again, aerr)
+		}
+		enc, err := json.Marshal(s)
+		if err != nil {
+			t.Fatalf("accepted scenario does not marshal: %v", err)
+		}
+		s2, err := ParseScenario(enc)
+		if err != nil {
+			t.Fatalf("accepted scenario's encoding does not re-parse: %v\n%s", err, enc)
+		}
+		back, berr := s2.Cells()
+		if fmt.Sprint(cerr) != fmt.Sprint(berr) || !reflect.DeepEqual(cells, back) {
+			t.Fatalf("cells changed across the JSON round trip:\n first: %+v (err %v)\nsecond: %+v (err %v)\n%s", cells, cerr, back, berr, enc)
+		}
+	})
 }

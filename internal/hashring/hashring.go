@@ -25,11 +25,12 @@ import (
 func Hash64(key string) uint64 {
 	h := fnv.New64a()
 	h.Write([]byte(key))
-	return fmix64(h.Sum64())
+	return Fmix64(h.Sum64())
 }
 
-// fmix64 is MurmurHash3's 64-bit finalizer.
-func fmix64(h uint64) uint64 {
+// Fmix64 is MurmurHash3's 64-bit finalizer: a bijective avalanche mixer,
+// so distinct inputs always produce distinct outputs.
+func Fmix64(h uint64) uint64 {
 	h ^= h >> 33
 	h *= 0xff51afd7ed558ccd
 	h ^= h >> 33

@@ -323,7 +323,7 @@ func (t *Tree) maybeFlush(e *sim.Engine, direct bool) {
 		return
 	}
 	if direct {
-		t.flushNow(nil)
+		t.flushNow()
 		return
 	}
 	if t.flushing {
@@ -341,13 +341,13 @@ func (t *Tree) maybeFlush(e *sim.Engine, direct bool) {
 		t.cfg.IO.WriteRun(p, tab.DiskBytes)
 		t.installTable(tab, full.Bytes())
 		t.flushing = false
-		t.maybeCompact(p.Engine(), false)
+		t.maybeCompact(p.Engine())
 	})
 }
 
 // flushNow converts the current memtable to a table without timing (loader
 // path).
-func (t *Tree) flushNow(_ *sim.Proc) {
+func (t *Tree) flushNow() {
 	if t.mem.Len() == 0 {
 		return
 	}
@@ -410,7 +410,7 @@ func (t *Tree) pickCompaction() []int {
 }
 
 // maybeCompact runs one size-tiered compaction in the background.
-func (t *Tree) maybeCompact(e *sim.Engine, _ bool) {
+func (t *Tree) maybeCompact(e *sim.Engine) {
 	if t.compacting {
 		return
 	}
@@ -432,7 +432,7 @@ func (t *Tree) maybeCompact(e *sim.Engine, _ bool) {
 		t.replaceTables(victims, merged)
 		t.compactions++
 		t.compacting = false
-		t.maybeCompact(p.Engine(), false)
+		t.maybeCompact(p.Engine())
 	})
 }
 

@@ -2,16 +2,19 @@ package query
 
 import (
 	"fmt"
+	"hash/fnv"
 	"sort"
 
 	"repro/internal/apm"
+	"repro/internal/hashring"
 	"repro/internal/store"
 )
 
 // Dataset is the deterministic APM measurement grid query cells run
 // against: Hosts monitored hosts, each reporting MetricsPerHost metric
-// series (apm.Agent's naming scheme) every IntervalSec seconds for
-// Intervals reporting intervals starting at BaseTs.
+// series every IntervalSec seconds for Intervals reporting intervals
+// starting at BaseTs. Each host's agent reports components of five metric
+// kinds, named "<host>/Agent/Component<NNN>/<kind>" (see HostMetrics).
 //
 // Unlike the YCSB keyspace — hash-permuted so key ranges are uniformly
 // loaded — the grid is loaded in global key order (a historical backfill:
@@ -125,13 +128,10 @@ func (d Dataset) Load(s store.Store) error {
 // a mixed integer hash, min/max the fixed envelope agents report.
 func (d Dataset) synth(metric string, k int64) apm.Measurement {
 	ts := d.BaseTs + k*d.IntervalSec
-	h := fnv64a(metric) ^ uint64(ts)
-	// MurmurHash3 64-bit finalizer: decorrelates consecutive timestamps.
-	h ^= h >> 33
-	h *= 0xff51afd7ed558ccd
-	h ^= h >> 33
-	h *= 0xc4ceb9fe1a85ec53
-	h ^= h >> 33
+	f := fnv.New64a()
+	f.Write([]byte(metric))
+	// The finalizer decorrelates consecutive timestamps.
+	h := hashring.Fmix64(f.Sum64() ^ uint64(ts))
 	v := float64(h%1001) / 10
 	return apm.Measurement{
 		Metric:    metric,
@@ -141,13 +141,4 @@ func (d Dataset) synth(metric string, k int64) apm.Measurement {
 		Timestamp: ts,
 		Duration:  d.IntervalSec,
 	}
-}
-
-func fnv64a(s string) uint64 {
-	h := uint64(14695981039346656037)
-	for i := 0; i < len(s); i++ {
-		h ^= uint64(s[i])
-		h *= 1099511628211
-	}
-	return h
 }

@@ -6,6 +6,7 @@ package store
 import (
 	"errors"
 
+	"repro/internal/hashring"
 	"repro/internal/sim"
 	"repro/internal/slab"
 )
@@ -71,22 +72,12 @@ func AppendKey(dst []byte, i int64) []byte {
 
 func writeKey(b *[KeyBytes]byte, i int64) {
 	b[0], b[1], b[2], b[3] = 'u', 's', 'e', 'r'
-	v := permute(uint64(i))
+	// Fmix64 is bijective: distinct record numbers get distinct keys.
+	v := hashring.Fmix64(uint64(i))
 	for j := KeyBytes - 1; j >= 4; j-- {
 		b[j] = '0' + byte(v%10)
 		v /= 10
 	}
-}
-
-// permute is MurmurHash3's 64-bit finalizer: a bijective mixer, so distinct
-// record numbers always produce distinct keys.
-func permute(h uint64) uint64 {
-	h ^= h >> 33
-	h *= 0xff51afd7ed558ccd
-	h ^= h >> 33
-	h *= 0xc4ceb9fe1a85ec53
-	h ^= h >> 33
-	return h
 }
 
 // MakeFields builds a deterministic 5x10-byte field set for record i.

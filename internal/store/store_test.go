@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"strings"
 	"testing"
+
+	"repro/internal/hashring"
 )
 
 func TestKeyFixedWidthAndDeterministic(t *testing.T) {
@@ -85,10 +87,10 @@ func TestRawRecordBytesAccounting(t *testing.T) {
 
 func TestKeyMatchesReferenceFormat(t *testing.T) {
 	// The hand-rolled digit writer must reproduce the historical
-	// fmt.Sprintf("user%021d", permute(uint64(i))) format exactly — keys
+	// fmt.Sprintf("user%021d", hashring.Fmix64(uint64(i))) format exactly — keys
 	// are baked into every deterministic result.
 	for _, i := range []int64{0, 1, 42, 999, 1e9, 1<<40 + 3, -1, -12345} {
-		want := fmt.Sprintf("user%021d", permute(uint64(i)))
+		want := fmt.Sprintf("user%021d", hashring.Fmix64(uint64(i)))
 		if got := Key(i); got != want {
 			t.Fatalf("Key(%d) = %q, want %q", i, got, want)
 		}

@@ -26,9 +26,3 @@ func Roundtrip(p *sim.Proc, n *cluster.Node, reqBytes, respBytes int64, handler 
 	}
 	n.Send(p, n, respBytes)
 }
-
-// Forward models a server-to-server hop (coordinator to replica owner):
-// request over the source NIC, handler on the destination, response back.
-func Forward(p *sim.Proc, from, to *cluster.Node, reqBytes, respBytes int64, handler func()) {
-	from.RPC(p, to, reqBytes, respBytes, handler)
-}

@@ -36,13 +36,16 @@ func TestRoundtripNilHandler(t *testing.T) {
 	e.Run(0)
 }
 
+// A server-to-server hop (the coordinator forwarding to a replica owner in
+// cassandra and voltdb) is one cluster.Node.RPC: the request crosses the
+// source NIC and the response the destination's.
 func TestForwardUsesBothNICs(t *testing.T) {
 	e := sim.NewEngine(1)
 	c := cluster.New(e, cluster.ClusterM(2))
 	var elapsed sim.Time
 	e.Go("c", func(p *sim.Proc) {
 		start := p.Now()
-		Forward(p, c.Nodes[0], c.Nodes[1], 1<<20, 1<<20, nil)
+		c.Nodes[0].RPC(p, c.Nodes[1], 1<<20, 1<<20, nil)
 		elapsed = p.Now() - start
 	})
 	e.Run(0)

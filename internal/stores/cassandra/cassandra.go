@@ -295,7 +295,7 @@ func (s *Store) Read(p *sim.Proc, key string) (store.FieldsView, error) {
 			return
 		}
 		coord.machine.Compute(p, s.opts.ForwardCPU)
-		base.Forward(p, coord.machine, own.machine, base.ReqHeader, base.RecordWire, serve)
+		coord.machine.RPC(p, own.machine, base.ReqHeader, base.RecordWire, serve)
 	})
 	if !ok {
 		return store.FieldsView{}, store.ErrNotFound
@@ -363,7 +363,7 @@ func (s *Store) write(p *sim.Proc, key string, f store.Fields) error {
 					continue
 				}
 				coord.machine.Compute(p, s.opts.ForwardCPU)
-				base.Forward(p, coord.machine, rep.machine, base.ReqHeader+base.RecordWire, base.AckWire, func() {
+				coord.machine.RPC(p, rep.machine, base.ReqHeader+base.RecordWire, base.AckWire, func() {
 					s.applyMutation(p, rep, key, f)
 				})
 				continue
@@ -436,7 +436,7 @@ func (s *Store) Scan(p *sim.Proc, start string, count int) ([]store.Record, erro
 				serve()
 				continue
 			}
-			base.Forward(p, coord.machine, n.machine, base.ReqHeader, int64(want)*base.RecordWire, serve)
+			coord.machine.RPC(p, n.machine, base.ReqHeader, int64(want)*base.RecordWire, serve)
 		}
 	})
 	return store.MergeRuns(runs, count), nil
@@ -498,8 +498,5 @@ func (s *Store) RestartNode(p *sim.Proc, i int) {
 // SetReplicaLag implements fault.ReplicaLagger: extra delay before async
 // replica application lands on node i.
 func (s *Store) SetReplicaLag(i int, extra sim.Time) { s.lag[i] = extra }
-
-// NodeDown reports whether node i is currently down (diagnostics/tests).
-func (s *Store) NodeDown(i int) bool { return s.down[i] }
 
 var _ store.Store = (*Store)(nil)

@@ -364,7 +364,4 @@ func (s *Store) RestartNode(p *sim.Proc, i int) {
 	s.downCount--
 }
 
-// NodeDown reports whether region server i is down (diagnostics/tests).
-func (s *Store) NodeDown(i int) bool { return s.down[i] }
-
 var _ store.Store = (*Store)(nil)

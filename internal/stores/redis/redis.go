@@ -304,9 +304,6 @@ func (s *Store) RestartNode(p *sim.Proc, i int) {
 	s.downCount--
 }
 
-// NodeDown reports whether instance i is down (diagnostics/tests).
-func (s *Store) NodeDown(i int) bool { return s.down[i] }
-
 // SwappingNodes reports how many instances have exceeded physical RAM.
 func (s *Store) SwappingNodes() int {
 	n := 0

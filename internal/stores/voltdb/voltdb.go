@@ -175,7 +175,7 @@ func (s *Store) singlePartition(p *sim.Proc, key string, reqBytes, respBytes int
 			serve()
 			return
 		}
-		base.Forward(p, arrival.machine, h.machine, reqBytes, respBytes, serve)
+		arrival.machine.RPC(p, h.machine, reqBytes, respBytes, serve)
 	})
 	return nil
 }
@@ -244,7 +244,7 @@ func (s *Store) Scan(p *sim.Proc, start string, count int) ([]store.Record, erro
 				frag()
 				continue
 			}
-			base.Forward(p, arrival.machine, h.machine, base.ReqHeader, int64(count)*base.RecordWire, frag)
+			arrival.machine.RPC(p, h.machine, base.ReqHeader, int64(count)*base.RecordWire, frag)
 		}
 	})
 	return store.MergeRuns(runs, count), nil
@@ -293,8 +293,5 @@ func (s *Store) RestartNode(p *sim.Proc, i int) {
 	s.down[i] = false
 	s.downCount--
 }
-
-// NodeDown reports whether host i is down (diagnostics/tests).
-func (s *Store) NodeDown(i int) bool { return s.down[i] }
 
 var _ store.Store = (*Store)(nil)

@@ -85,6 +85,9 @@ func LoadSized(s store.Store, n int64, fieldBytes int) error {
 
 // Run executes the workload and returns collected statistics. It drives the
 // engine itself (warmup + measure, then lets in-flight operations drain).
+// A scan against a store without scan support fails the run with
+// store.ErrScansUnsupported: the failure is instant, so a client retrying
+// it would spin forever at one virtual instant.
 func Run(e *sim.Engine, cfg RunConfig) (*Result, error) {
 	if err := cfg.Workload.Validate(); err != nil {
 		return nil, err
@@ -115,6 +118,7 @@ func Run(e *sim.Engine, cfg RunConfig) (*Result, error) {
 	e.Schedule(cfg.Warmup, func() { col.Begin(e.Now()) })
 	e.Schedule(cfg.Warmup+cfg.Measure, func() { col.Finish(e.Now()) })
 
+	var unsupported error
 	for i := 0; i < cfg.Clients; i++ {
 		e.Go(fmt.Sprintf("client-%d", i), func(p *sim.Proc) {
 			rng := p.Rand()
@@ -150,6 +154,10 @@ func Run(e *sim.Engine, cfg RunConfig) (*Result, error) {
 				}
 				switch lat := p.Now() - opStart; {
 				case err != nil:
+					if errors.Is(err, store.ErrScansUnsupported) {
+						unsupported = err
+						return
+					}
 					col.RecordError()
 					if windows != nil && col.Active() {
 						windows.RecordFailure(p.Now())
@@ -180,6 +188,9 @@ func Run(e *sim.Engine, cfg RunConfig) (*Result, error) {
 		})
 	}
 	e.Run(0)
+	if unsupported != nil {
+		return nil, unsupported
+	}
 	if col.Window() == 0 {
 		col.Finish(e.Now())
 	}

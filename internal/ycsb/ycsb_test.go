@@ -1,12 +1,16 @@
 package ycsb
 
 import (
+	"errors"
 	"strings"
 	"testing"
 	"testing/quick"
+	"time"
 
+	"repro/internal/cluster"
 	"repro/internal/sim"
 	"repro/internal/store"
+	"repro/internal/stores/voldemort"
 )
 
 // fakeStore is a fixed-latency in-memory store for framework tests. Like
@@ -247,6 +251,32 @@ func TestRunRejectsBadConfigs(t *testing.T) {
 }
 
 // Property: every chooser returns indices within [0, n).
+// A store without scans fails any run that scans, instead of spinning its
+// clients at one virtual instant (scan-only mix) or counting every scan as
+// an unexplained error (mixed workload).
+func TestRunFailsOnStoreWithoutScans(t *testing.T) {
+	for _, w := range []Workload{{Name: "S", ScanProp: 1, ScanLength: 10}, WorkloadRS} {
+		e := sim.NewEngine(1)
+		db := voldemort.New(cluster.New(e, cluster.ClusterM(1).Scale(0.001)), voldemort.Options{})
+		if err := Load(db, 1000); err != nil {
+			t.Fatal(err)
+		}
+		done := make(chan error, 1)
+		go func() {
+			_, err := Run(e, RunConfig{Store: db, Workload: w, Clients: 4, InitialRecords: 1000, Measure: 100 * sim.Millisecond})
+			done <- err
+		}()
+		select {
+		case err := <-done:
+			if !errors.Is(err, store.ErrScansUnsupported) {
+				t.Fatalf("workload %s: err = %v, want ErrScansUnsupported", w.Name, err)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("workload %s: run against a store without scans did not return within 10s", w.Name)
+		}
+	}
+}
+
 func TestPropertyChooserInRange(t *testing.T) {
 	f := func(n64 uint32, u1f, u2f uint16) bool {
 		n := int64(n64%100000) + 1
