@@ -13,27 +13,16 @@ import (
 	"repro/internal/sim"
 )
 
-// Config parameterizes the filesystem.
-type Config struct {
-	BlockBytes int64 // HDFS block size (default 64 MiB)
-	// DataNodeOverhead is CPU time spent in the DataNode/DFSClient path per
+const (
+	blockBytes = 64 << 20 // HDFS block size
+	// dataNodeOverhead is CPU time spent in the DataNode/DFSClient path per
 	// block operation (checksumming, protocol, JVM copies).
-	DataNodeOverhead sim.Time
-	NameNode         int // node index hosting the NameNode
-}
-
-func (c *Config) defaults() {
-	if c.BlockBytes == 0 {
-		c.BlockBytes = 64 << 20
-	}
-	if c.DataNodeOverhead == 0 {
-		c.DataNodeOverhead = 150 * sim.Microsecond
-	}
-}
+	dataNodeOverhead = 150 * sim.Microsecond
+	nameNode         = 0 // node index hosting the NameNode
+)
 
 // FS is a simulated HDFS instance over a cluster.
 type FS struct {
-	cfg   Config
 	clust *cluster.Cluster
 	files map[string]*File
 }
@@ -52,15 +41,14 @@ type blockLoc struct {
 }
 
 // New creates an empty filesystem.
-func New(c *cluster.Cluster, cfg Config) *FS {
-	cfg.defaults()
-	return &FS{cfg: cfg, clust: c, files: make(map[string]*File)}
+func New(c *cluster.Cluster) *FS {
+	return &FS{clust: c, files: make(map[string]*File)}
 }
 
 // nameNodeRPC pays for a metadata round trip from the caller's node to the
 // NameNode (free if colocated).
 func (fs *FS) nameNodeRPC(p *sim.Proc, from int) {
-	nn := fs.clust.Nodes[fs.cfg.NameNode]
+	nn := fs.clust.Nodes[nameNode]
 	src := fs.clust.Nodes[from]
 	if src == nn {
 		src.Compute(p, 20*sim.Microsecond)
@@ -86,14 +74,14 @@ func (fs *FS) Create(p *sim.Proc, name string, writerNode int) (*File, error) {
 // colocated DataNode the write lands on the local disk sequentially.
 func (fs *FS) Append(p *sim.Proc, f *File, bytes int64, writerNode int) {
 	node := fs.clust.Nodes[writerNode]
-	node.Compute(p, fs.cfg.DataNodeOverhead)
+	node.Compute(p, dataNodeOverhead)
 	node.DiskWrite(p, bytes, false)
 	node.AddDiskUsage(bytes)
 	// Extend the last block or start new ones.
 	remaining := bytes
 	for remaining > 0 {
-		if n := len(f.blocks); n > 0 && f.blocks[n-1].node == writerNode && f.blocks[n-1].bytes < fs.cfg.BlockBytes {
-			room := fs.cfg.BlockBytes - f.blocks[n-1].bytes
+		if n := len(f.blocks); n > 0 && f.blocks[n-1].node == writerNode && f.blocks[n-1].bytes < blockBytes {
+			room := blockBytes - f.blocks[n-1].bytes
 			if room > remaining {
 				room = remaining
 			}
@@ -102,8 +90,8 @@ func (fs *FS) Append(p *sim.Proc, f *File, bytes int64, writerNode int) {
 			continue
 		}
 		chunk := remaining
-		if chunk > fs.cfg.BlockBytes {
-			chunk = fs.cfg.BlockBytes
+		if chunk > blockBytes {
+			chunk = blockBytes
 		}
 		f.blocks = append(f.blocks, blockLoc{node: writerNode, bytes: chunk})
 		remaining -= chunk
@@ -139,7 +127,7 @@ func (fs *FS) ReadAt(p *sim.Proc, f *File, offset, length int64, readerNode int,
 	}
 	reader := fs.clust.Nodes[readerNode]
 	holder := fs.clust.Nodes[b.node]
-	holder.Compute(p, fs.cfg.DataNodeOverhead)
+	holder.Compute(p, dataNodeOverhead)
 	holder.DiskRead(p, length, random)
 	if holder != reader {
 		holder.Send(p, reader, length)

@@ -10,7 +10,7 @@ import (
 func setup(nodes int) (*sim.Engine, *cluster.Cluster, *FS) {
 	e := sim.NewEngine(1)
 	c := cluster.New(e, cluster.ClusterM(nodes))
-	return e, c, New(c, Config{BlockBytes: 1 << 20})
+	return e, c, New(c)
 }
 
 func TestCreateAppendRead(t *testing.T) {
@@ -52,7 +52,7 @@ func TestAppendSplitsIntoBlocks(t *testing.T) {
 	e, _, fs := setup(1)
 	e.Go("w", func(p *sim.Proc) {
 		f, _ := fs.Create(p, "/big", 0)
-		fs.Append(p, f, 3<<20+512, 0) // 3.0005 MiB with 1 MiB blocks -> 4 blocks
+		fs.Append(p, f, 3*blockBytes+512, 0) // three full 64 MiB blocks plus 512 bytes -> 4 blocks
 		if f.Blocks() != 4 {
 			t.Errorf("blocks = %d, want 4", f.Blocks())
 		}

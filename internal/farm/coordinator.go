@@ -16,6 +16,10 @@ import (
 // down with no way to finish them.
 var ErrClosed = errors.New("farm: coordinator closed")
 
+// maxCopies bounds concurrent leases per task under speculation: the
+// original plus one speculative copy.
+const maxCopies = 2
+
 // task is one unit of work: a cell plus the channel its requester blocks
 // on. Tasks move queue → one or more leases (a requeue or a speculative
 // duplicate can put the same task on several workers) → done. The first
@@ -119,19 +123,13 @@ type Coordinator struct {
 	// 0 means 1s. Set before Listen.
 	HeartbeatInterval time.Duration
 	// Speculate re-leases the slowest outstanding cells to idle workers
-	// when the queue is empty (bounded by MaxCopies; first valid result
+	// when the queue is empty (bounded by maxCopies; first valid result
 	// wins, duplicates are byte-compared). NewCoordinator enables it.
 	Speculate bool
-	// MaxCopies bounds concurrent leases per task under speculation.
-	// 0 means 2 (the original plus one speculative copy).
-	MaxCopies int
 	// FallbackAfter is how long queued work may wait with zero live
 	// workers before the coordinator executes it locally. 0 means 10s.
 	// Set before Listen.
 	FallbackAfter time.Duration
-	// Local, when set, executes fallback cells; nil lazily builds a
-	// plain in-process harness.Runner over the coordinator's config.
-	Local harness.CellExecutor
 
 	mu        sync.Mutex
 	cond      *sync.Cond
@@ -151,7 +149,9 @@ type Coordinator struct {
 	requeued   int64
 	dupResults int64
 
-	local harness.CellExecutor // resolved Local
+	// local executes fallback cells: a plain in-process runner over the
+	// coordinator's config, built on first use.
+	local *harness.Runner
 
 	ln net.Listener
 	wg sync.WaitGroup
@@ -203,9 +203,6 @@ func (co *Coordinator) Listen(addr string) (net.Addr, error) {
 	}
 	if co.HeartbeatInterval <= 0 {
 		co.HeartbeatInterval = time.Second
-	}
-	if co.MaxCopies <= 0 {
-		co.MaxCopies = 2
 	}
 	if co.FallbackAfter <= 0 {
 		co.FallbackAfter = 10 * time.Second
@@ -464,7 +461,7 @@ func (co *Coordinator) speculationCandidateLocked(w *workerState) *task {
 	var bestStart time.Time
 	consider := func(l *lease) {
 		t := l.t
-		if t.completed || t.copies >= co.MaxCopies {
+		if t.completed || t.copies >= maxCopies {
 			return
 		}
 		if _, held := w.outstanding[t.id]; held {
@@ -643,11 +640,7 @@ func (co *Coordinator) runLocal(t *task) {
 	defer co.wg.Done()
 	co.mu.Lock()
 	if co.local == nil {
-		if co.Local != nil {
-			co.local = co.Local
-		} else {
-			co.local = harness.NewRunner(co.cfg)
-		}
+		co.local = harness.NewRunner(co.cfg)
 	}
 	local := co.local
 	co.mu.Unlock()

@@ -17,6 +17,7 @@ type Explanation struct {
 	Nodes      []NodeUtilization
 	Read       stats.LatencySummary
 	Insert     stats.LatencySummary
+	Update     stats.LatencySummary
 	Scan       stats.LatencySummary
 }
 
@@ -52,6 +53,7 @@ func (r *Runner) Explain(c Cell) (*Explanation, error) {
 		Errors:     sum.Errors,
 		Read:       sum.Read,
 		Insert:     sum.Insert,
+		Update:     sum.Update,
 		Scan:       sum.Scan,
 	}
 	for _, n := range x.dep.Clust.Nodes {
@@ -80,6 +82,9 @@ func (e *Explanation) Render() string {
 	fmt.Fprintf(&b, ": %.0f ops/sec, %d errors\n", e.Throughput, e.Errors)
 	fmt.Fprintf(&b, "  read:   n=%-8d mean=%-10v p99=%v\n", e.Read.N, e.Read.Mean, e.Read.P99)
 	fmt.Fprintf(&b, "  insert: n=%-8d mean=%-10v p99=%v\n", e.Insert.N, e.Insert.Mean, e.Insert.P99)
+	if e.Update.N > 0 {
+		fmt.Fprintf(&b, "  update: n=%-8d mean=%-10v p99=%v\n", e.Update.N, e.Update.Mean, e.Update.P99)
+	}
 	if e.Scan.N > 0 {
 		fmt.Fprintf(&b, "  scan:   n=%-8d mean=%-10v p99=%v\n", e.Scan.N, e.Scan.Mean, e.Scan.P99)
 	}

@@ -362,6 +362,7 @@ func TestExplainMatchesRun(t *testing.T) {
 		{System: Cassandra, Nodes: 1, Workload: "R"},
 		{System: Cassandra, Nodes: 1, Workload: "R", TargetFraction: 0.5},
 		{System: Cassandra, Nodes: 2, Workload: "R", Faults: "kill-node@1[0.3:0.6]"},
+		{System: MySQL, Nodes: 1, Mix: ycsb.Workload{Name: "A", ReadProp: 0.5, UpdateProp: 0.5, Chooser: ycsb.Zipfian}},
 		dash[0],
 	} {
 		c.Repetitions = 1
@@ -377,6 +378,16 @@ func TestExplainMatchesRun(t *testing.T) {
 		if ex.Throughput != res.Throughput || ex.Errors != res.Errors || ex.Scan.Mean != res.ScanLat {
 			t.Errorf("%s: explain tput=%g err=%d scan=%v, run tput=%g err=%d scan=%v", r.key(c),
 				ex.Throughput, ex.Errors, ex.Scan.Mean, res.Throughput, res.Errors, res.ScanLat)
+		}
+		if ex.Read.Mean != res.ReadLat || ex.Insert.Mean != res.WriteLat || ex.Update.Mean != res.UpdateLat {
+			t.Errorf("%s: explain read=%v insert=%v update=%v, run read=%v insert=%v update=%v", r.key(c),
+				ex.Read.Mean, ex.Insert.Mean, ex.Update.Mean, res.ReadLat, res.WriteLat, res.UpdateLat)
+		}
+		if c.Mix.UpdateProp > 0 && ex.Update.N == 0 {
+			t.Errorf("%s: explain saw no updates", r.key(c))
+		}
+		if shown := strings.Contains(ex.Render(), "update:"); shown != (ex.Update.N > 0) {
+			t.Errorf("%s: update line shown=%v with n=%d", r.key(c), shown, ex.Update.N)
 		}
 		if res.Throughput <= 0 {
 			t.Errorf("%s: no throughput", r.key(c))

@@ -300,7 +300,7 @@ func deployVoldemort(c *cluster.Cluster, kvs [][2]string) (store.Store, error) {
 	if len(kvs) > 0 {
 		return nil, fmt.Errorf("harness: voldemort does not support variant %q", kvs[0][0])
 	}
-	return voldemort.New(c, voldemort.Options{BDBCacheFraction: 0.75}), nil
+	return voldemort.New(c), nil
 }
 
 func deployRedis(c *cluster.Cluster, scale float64, kvs [][2]string) (store.Store, error) {

@@ -37,35 +37,32 @@ func (io nodeIO) WriteRun(p *sim.Proc, bytes int64) {
 	io.node.DiskWrite(p, bytes, false)
 }
 
+const (
+	bloomFPP   = 0.01     // Bloom filter false-positive rate per SSTable
+	blockBytes = 64 << 10 // I/O granularity for point reads
+)
+
 // Config parameterizes a tree.
 type Config struct {
 	Node       *cluster.Node
 	FlushBytes int64            // memtable payload size that triggers a flush
 	Overhead   sstable.Overhead // on-disk format cost
-	BloomFPP   float64
-	CompactMin int      // size-tiered: tables per tier before compacting
-	WALWindow  sim.Time // group commit window
-	WALSync    bool     // writers wait for group commit if true
-	CacheBytes int64    // page cache available to this tree's data
-	BlockBytes int64    // I/O granularity for point reads
-	IO         BlockIO  // block storage; nil means the node's local disks
+	CompactMin int              // size-tiered: tables per tier before compacting
+	WALWindow  sim.Time         // group commit window
+	WALSync    bool             // writers wait for group commit if true
+	CacheBytes int64            // page cache available to this tree's data
+	IO         BlockIO          // block storage; nil means the node's local disks
 }
 
 func (c *Config) defaults() {
 	if c.FlushBytes == 0 {
 		c.FlushBytes = 32 << 20
 	}
-	if c.BloomFPP == 0 {
-		c.BloomFPP = 0.01
-	}
 	if c.CompactMin == 0 {
 		c.CompactMin = 4
 	}
 	if c.WALWindow == 0 {
 		c.WALWindow = 10 * sim.Millisecond
-	}
-	if c.BlockBytes == 0 {
-		c.BlockBytes = 64 << 10
 	}
 	if c.IO == nil {
 		c.IO = nodeIO{node: c.Node}
@@ -151,7 +148,7 @@ func (t *Tree) missProb() float64 {
 func (t *Tree) chargeTableRead(p *sim.Proc) {
 	if miss := t.missProb(); miss > 0 && p.Rand().Float64() < miss {
 		t.diskReads++
-		t.cfg.IO.ReadBlock(p, t.cfg.BlockBytes, true)
+		t.cfg.IO.ReadBlock(p, blockBytes, true)
 	}
 }
 
@@ -337,7 +334,7 @@ func (t *Tree) maybeFlush(e *sim.Engine, direct bool) {
 		// The swapped-out memtable takes no more writes, so the table
 		// adopts its payload slab instead of copying it; scans that
 		// captured it keep reading the frozen tree.
-		tab := sstable.FromMemtable(t.gen, full, t.cfg.Overhead, t.cfg.BloomFPP)
+		tab := sstable.FromMemtable(t.gen, full, t.cfg.Overhead, bloomFPP)
 		t.cfg.IO.WriteRun(p, tab.DiskBytes)
 		t.installTable(tab, full.Bytes())
 		t.flushing = false
@@ -354,7 +351,7 @@ func (t *Tree) flushNow() {
 	t.gen++
 	mem := t.mem
 	t.mem = memtable.New()
-	tab := sstable.FromMemtable(t.gen, mem, t.cfg.Overhead, t.cfg.BloomFPP)
+	tab := sstable.FromMemtable(t.gen, mem, t.cfg.Overhead, bloomFPP)
 	t.installTable(tab, mem.Bytes())
 	t.maybeCompactDirect()
 }
@@ -427,7 +424,7 @@ func (t *Tree) maybeCompact(e *sim.Engine) {
 	}
 	e.Go("lsm-compact", func(p *sim.Proc) {
 		t.cfg.IO.ReadBlock(p, inBytes, false)
-		merged := sstable.Merge(victims, t.cfg.Overhead, t.cfg.BloomFPP)
+		merged := sstable.Merge(victims, t.cfg.Overhead, bloomFPP)
 		t.cfg.IO.WriteRun(p, merged.DiskBytes)
 		t.replaceTables(victims, merged)
 		t.compactions++
@@ -447,7 +444,7 @@ func (t *Tree) maybeCompactDirect() {
 		for i, idx := range idxs {
 			victims[i] = t.tables[idx]
 		}
-		merged := sstable.Merge(victims, t.cfg.Overhead, t.cfg.BloomFPP)
+		merged := sstable.Merge(victims, t.cfg.Overhead, bloomFPP)
 		t.replaceTables(victims, merged)
 		t.compactions++
 	}

@@ -223,7 +223,7 @@ func TestRedisBalancedShardingEvens(t *testing.T) {
 func TestVoldemortLatencyFlat(t *testing.T) {
 	e := sim.NewEngine(1)
 	c := cluster.New(e, cluster.ClusterM(4).Scale(0.01))
-	s := voldemort.New(c, voldemort.Options{BDBCacheFraction: 0.75})
+	s := voldemort.New(c)
 	for i := int64(0); i < 50000; i++ {
 		s.Load(store.Key(i), store.MakeFields(i))
 	}

@@ -27,21 +27,35 @@ import (
 	"repro/internal/stores/base"
 )
 
-// Options tunes the model.
-type Options struct {
-	ReadCPU  sim.Time // read stage service time per op
-	WriteCPU sim.Time // mutation stage service time per op
-	CoordCPU sim.Time // coordinator path cost (thrift parsing, routing)
-	// ForwardCPU is extra coordinator CPU per proxied operation
+// Service-time calibration (see package comment).
+const (
+	readCPU  = 300 * sim.Microsecond // read stage service time per op
+	writeCPU = 260 * sim.Microsecond // mutation stage service time per op
+	coordCPU = 40 * sim.Microsecond  // coordinator path cost (thrift parsing, routing)
+	// forwardCPU is extra coordinator CPU per proxied operation
 	// (serialize, enqueue, deserialize the owner's response); it is why
 	// per-node throughput drops when the cluster grows beyond one node
 	// (Fig 3: the slope from 2..12 nodes is ~60% of 1-node throughput).
-	ForwardCPU   sim.Time
-	ScanNodeCPU  sim.Time // per-contacted-node cost of get_range_slices
-	ScanRowCPU   sim.Time // per-returned-row cost
-	StageThreads int      // read/mutation stage concurrency per node
+	forwardCPU   = 170 * sim.Microsecond
+	scanNodeCPU  = 350 * sim.Microsecond // per-contacted-node cost of get_range_slices
+	scanRowCPU   = 22 * sim.Microsecond  // per-returned-row cost
+	stageThreads = 32                    // read/mutation stage concurrency per node
+	// compressionCPU is the per-operation (de)compression cost.
+	compressionCPU = 60 * sim.Microsecond
+	// compressionRatio scales SSTable bytes when Compression is on.
+	compressionRatio = 0.5
+)
+
+// overhead is the SSTable format overhead; it reproduces Fig 17's
+// 2.5 GB/node for 10M 75-byte records: 25-byte key + 25 row overhead +
+// 5 cells x (10 payload + 30 name/timestamp/length) = 250 bytes/record.
+var overhead = sstable.Overhead{PerEntry: 25, PerCell: 30}
+
+// Options holds the deployment choices the harness varies: scale and the
+// variant vocabulary.
+type Options struct {
 	// CommitLogWindow is the group-commit window writers wait for
-	// (batch mode; see package comment).
+	// (batch mode; see package comment; 0 = 6 ms).
 	CommitLogWindow sim.Time
 	// CommitLogPeriodic switches the commit log to periodic mode:
 	// writers acknowledge before the group commit syncs (Cassandra's
@@ -51,18 +65,12 @@ type Options struct {
 	// RandomTokens uses Cassandra's default random token selection instead
 	// of the optimal assignment (§6 ablation).
 	RandomTokens bool
-	// Overhead is the SSTable format overhead; default reproduces Fig 17's
-	// 2.5 GB/node for 10M 75-byte records.
-	Overhead sstable.Overhead
 	// MemtableFlushBytes triggers memtable flushes.
 	MemtableFlushBytes int64
 	// CompactMin is the size-tiered compaction threshold: sstables per
 	// tier before a compaction merges them (Cassandra's
 	// min_compaction_threshold; 0 = the default 4).
 	CompactMin int
-	// CacheBytes per node for the SSTable page cache; <0 means "derive
-	// from node RAM" (all of it beyond heap on Cluster M; scarce on D).
-	CacheBytes int64
 	// ReplicationFactor is the SimpleStrategy replica count (the paper ran
 	// unreplicated; replication is its stated future work, §8).
 	ReplicationFactor int
@@ -74,41 +82,11 @@ type Options struct {
 	// (the paper declined it to protect throughput, §5.7; also future
 	// work, §8).
 	Compression bool
-	// CompressionCPU is the per-operation (de)compression cost.
-	CompressionCPU sim.Time
-	// CompressionRatio scales SSTable bytes when Compression is on.
-	CompressionRatio float64
 }
 
 func (o *Options) defaults() {
-	if o.ReadCPU == 0 {
-		o.ReadCPU = 300 * sim.Microsecond
-	}
-	if o.WriteCPU == 0 {
-		o.WriteCPU = 260 * sim.Microsecond
-	}
-	if o.CoordCPU == 0 {
-		o.CoordCPU = 40 * sim.Microsecond
-	}
-	if o.ForwardCPU == 0 {
-		o.ForwardCPU = 170 * sim.Microsecond
-	}
-	if o.ScanNodeCPU == 0 {
-		o.ScanNodeCPU = 350 * sim.Microsecond
-	}
-	if o.ScanRowCPU == 0 {
-		o.ScanRowCPU = 22 * sim.Microsecond
-	}
-	if o.StageThreads == 0 {
-		o.StageThreads = 32
-	}
 	if o.CommitLogWindow == 0 {
 		o.CommitLogWindow = 6 * sim.Millisecond
-	}
-	if o.Overhead == (sstable.Overhead{}) {
-		// 25-byte key + 25 row overhead + 5 cells x (10 payload + 30
-		// name/timestamp/length) = 250 bytes/record -> 2.5 GB per 10M.
-		o.Overhead = sstable.Overhead{PerEntry: 25, PerCell: 30}
 	}
 	if o.MemtableFlushBytes == 0 {
 		o.MemtableFlushBytes = 16 << 20
@@ -121,12 +99,6 @@ func (o *Options) defaults() {
 	}
 	if o.WriteConsistency > o.ReplicationFactor {
 		o.WriteConsistency = o.ReplicationFactor
-	}
-	if o.CompressionCPU == 0 {
-		o.CompressionCPU = 60 * sim.Microsecond
-	}
-	if o.CompressionRatio == 0 {
-		o.CompressionRatio = 0.5
 	}
 }
 
@@ -158,12 +130,13 @@ type node struct {
 // New deploys Cassandra on the cluster.
 func New(c *cluster.Cluster, opts Options) *Store {
 	opts.defaults()
+	ov := overhead
 	if opts.Compression {
 		// Block compression shrinks both payload and per-cell overhead;
 		// modeled by scaling the format overhead (payload bytes are scaled
 		// in the LSM's accounting via the same table build).
-		opts.Overhead.PerEntry = int64(float64(opts.Overhead.PerEntry) * opts.CompressionRatio)
-		opts.Overhead.PerCell = int64(float64(opts.Overhead.PerCell) * opts.CompressionRatio)
+		ov.PerEntry = int64(float64(ov.PerEntry) * compressionRatio)
+		ov.PerCell = int64(float64(ov.PerCell) * compressionRatio)
 	}
 	s := &Store{opts: opts, clust: c}
 	if opts.RandomTokens {
@@ -172,23 +145,20 @@ func New(c *cluster.Cluster, opts Options) *Store {
 		s.ring = hashring.NewTokenRingOptimal(len(c.Nodes))
 	}
 	for i, m := range c.Nodes {
-		cache := opts.CacheBytes
-		if cache == 0 {
-			// Everything not used by the JVM heap serves as page cache.
-			cache = m.Spec.RAMBytes / 2
-		}
 		s.nodes = append(s.nodes, &node{
 			id:        i,
 			machine:   m,
-			readStage: sim.NewResource(c.Eng, "cassandra-read-stage", opts.StageThreads),
-			mutStage:  sim.NewResource(c.Eng, "cassandra-mutation-stage", opts.StageThreads),
+			readStage: sim.NewResource(c.Eng, "cassandra-read-stage", stageThreads),
+			mutStage:  sim.NewResource(c.Eng, "cassandra-mutation-stage", stageThreads),
 			tree: lsm.New(lsm.Config{
 				Node:       m,
 				FlushBytes: opts.MemtableFlushBytes,
-				Overhead:   opts.Overhead,
+				Overhead:   ov,
 				WALWindow:  opts.CommitLogWindow,
 				WALSync:    !opts.CommitLogPeriodic, // batch mode: writers wait for the group commit
-				CacheBytes: cache,
+				// Everything not used by the JVM heap serves as page cache
+				// (all of it beyond heap on Cluster M; scarce on D).
+				CacheBytes: m.Spec.RAMBytes / 2,
 				CompactMin: opts.CompactMin,
 			}),
 		})
@@ -280,21 +250,21 @@ func (s *Store) Read(p *sim.Proc, key string) (store.FieldsView, error) {
 	var ok bool
 	serve := func() {
 		own.readStage.Acquire(p)
-		cpu := s.opts.ReadCPU
+		cpu := readCPU
 		if s.opts.Compression {
-			cpu += s.opts.CompressionCPU
+			cpu += compressionCPU
 		}
 		own.machine.Compute(p, cpu)
 		out, ok = own.tree.Get(p, key)
 		own.readStage.Release()
 	}
 	base.Roundtrip(p, coord.machine, base.ReqHeader, base.RecordWire, func() {
-		coord.machine.Compute(p, s.opts.CoordCPU)
+		coord.machine.Compute(p, coordCPU)
 		if coord == own {
 			serve()
 			return
 		}
-		coord.machine.Compute(p, s.opts.ForwardCPU)
+		coord.machine.Compute(p, forwardCPU)
 		coord.machine.RPC(p, own.machine, base.ReqHeader, base.RecordWire, serve)
 	})
 	if !ok {
@@ -308,9 +278,9 @@ func (s *Store) Read(p *sim.Proc, key string) (store.FieldsView, error) {
 // group commit completes; only the waiter blocks on the acknowledgement.
 func (s *Store) applyMutation(p *sim.Proc, n *node, key string, f store.Fields) {
 	n.mutStage.Acquire(p)
-	cpu := s.opts.WriteCPU
+	cpu := writeCPU
 	if s.opts.Compression {
-		cpu += s.opts.CompressionCPU
+		cpu += compressionCPU
 	}
 	n.machine.Compute(p, cpu)
 	n.mutStage.Release()
@@ -343,7 +313,7 @@ func (s *Store) write(p *sim.Proc, key string, f store.Fields) error {
 		sync = len(reps)
 	}
 	base.Roundtrip(p, coord.machine, base.ReqHeader+base.RecordWire, base.AckWire, func() {
-		coord.machine.Compute(p, s.opts.CoordCPU)
+		coord.machine.Compute(p, coordCPU)
 		// Async replicas apply the mutation after the client is
 		// acknowledged, so they must not retain the caller's (possibly
 		// reused) fields buffer — or its key, which may be a view of a
@@ -362,7 +332,7 @@ func (s *Store) write(p *sim.Proc, key string, f store.Fields) error {
 					s.applyMutation(p, rep, key, f)
 					continue
 				}
-				coord.machine.Compute(p, s.opts.ForwardCPU)
+				coord.machine.Compute(p, forwardCPU)
 				coord.machine.RPC(p, rep.machine, base.ReqHeader+base.RecordWire, base.AckWire, func() {
 					s.applyMutation(p, rep, key, f)
 				})
@@ -415,7 +385,7 @@ func (s *Store) Scan(p *sim.Proc, start string, count int) ([]store.Record, erro
 	var runs [][]memtable.Entry
 	got := 0 // rows returned by the nodes so far, replica copies included
 	base.Roundtrip(p, coord.machine, base.ReqHeader, int64(count)*base.RecordWire, func() {
-		coord.machine.Compute(p, s.opts.CoordCPU)
+		coord.machine.Compute(p, coordCPU)
 		first := s.ring.Owner(start)
 		for i := 0; i < len(s.nodes) && got < count; i++ {
 			n := s.nodes[(first+i)%len(s.nodes)]
@@ -425,9 +395,9 @@ func (s *Store) Scan(p *sim.Proc, start string, count int) ([]store.Record, erro
 			want := count - got
 			serve := func() {
 				n.readStage.Acquire(p)
-				n.machine.Compute(p, s.opts.ScanNodeCPU)
+				n.machine.Compute(p, scanNodeCPU)
 				rows := n.tree.Scan(p, start, want)
-				n.machine.Compute(p, sim.Time(len(rows))*s.opts.ScanRowCPU)
+				n.machine.Compute(p, sim.Time(len(rows))*scanRowCPU)
 				runs = append(runs, rows)
 				got += len(rows)
 				n.readStage.Release()

@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/sim"
-	"repro/internal/sstable"
 	"repro/internal/store"
 )
 
@@ -21,11 +20,8 @@ func deploy(nodes int, opts Options) (*sim.Engine, *Store) {
 func TestDefaultsFilled(t *testing.T) {
 	var o Options
 	o.defaults()
-	if o.ReadCPU == 0 || o.WriteCPU == 0 || o.StageThreads == 0 || o.CommitLogWindow == 0 {
+	if o.CommitLogWindow == 0 || o.MemtableFlushBytes == 0 || o.ReplicationFactor != 1 || o.WriteConsistency != 1 {
 		t.Fatalf("defaults not filled: %+v", o)
-	}
-	if o.Overhead.PerCell == 0 {
-		t.Fatal("overhead default missing")
 	}
 }
 
@@ -245,9 +241,7 @@ func TestCompressionShrinksDiskAndCostsCPU(t *testing.T) {
 	measure := func(s *Store) sim.Time {
 		e := sim.NewEngine(5)
 		c := cluster.New(e, cluster.ClusterM(1).Scale(0.01))
-		opts := s.opts
-		opts.Overhead = sstable.Overhead{} // re-derive defaults
-		ns := New(c, opts)
+		ns := New(c, s.opts)
 		ns.Load(store.Key(1), store.MakeFields(1))
 		var lat sim.Time
 		e.Go("r", func(p *sim.Proc) {

@@ -32,24 +32,36 @@ import (
 	"repro/internal/stores/base"
 )
 
-// Options tunes the model.
+// Service-time calibration.
+const (
+	readCPU = 3100 * sim.Microsecond // RegionServer get() path cost per read
+	// writeClientCPU is the client-side cost of buffering one put.
+	writeClientCPU = 25 * sim.Microsecond
+	// batchRecordCPU is the server-side cost per record in a batched put.
+	// HBase 0.90's server-side put path is nearly as heavy as its read
+	// path; the write buffer saves round trips and latency, not server
+	// CPU. Calibrated so Workload W saturates a node around 14K ops/s
+	// with high amortized write latency under load (Figs 9/11).
+	batchRecordCPU = 550 * sim.Microsecond
+	scanCPU        = 2800 * sim.Microsecond // scanner setup cost
+	scanRowCPU     = 15 * sim.Microsecond   // per-returned-row cost
+	handlers       = 30                     // RPC handler threads per region server
+)
+
+// overhead is HFile KeyValue format overhead: the full row key, column
+// family, qualifier, timestamp and lengths are stored with every cell,
+// which is why HBase used ~7.5 GB/node for 0.7 GB of raw data (Fig 17):
+// 25-byte key + 75 row overhead + 5 cells x (10 + 120) = 750
+// bytes/record -> 7.5 GB per 10M records.
+var overhead = sstable.Overhead{PerEntry: 75, PerCell: 120}
+
+// Options holds the deployment choices the harness varies: scale and the
+// variant vocabulary.
 type Options struct {
-	ReadCPU sim.Time // RegionServer get() path cost per read
-	// WriteClientCPU is the client-side cost of buffering one put.
-	WriteClientCPU sim.Time
 	// BatchRecords is the client write-buffer size in records; every
-	// BatchRecords-th put pays the flush RPC.
-	BatchRecords int
-	// BatchRecordCPU is the server-side cost per record in a batched put.
-	BatchRecordCPU sim.Time
-	ScanCPU        sim.Time // scanner setup cost
-	ScanRowCPU     sim.Time // per-returned-row cost
-	// Overhead is HFile KeyValue format overhead: the full row key, column
-	// family, qualifier, timestamp and lengths are stored with every cell,
-	// which is why HBase used ~7.5 GB/node for 0.7 GB of raw data (Fig 17).
-	Overhead           sstable.Overhead
+	// BatchRecords-th put pays the flush RPC (0 = 128).
+	BatchRecords       int
 	MemstoreFlushBytes int64
-	CacheBytes         int64 // block cache + OS cache per node (0 = RAM/2)
 	// CompactMin is the compaction threshold: HFiles per tier before a
 	// minor compaction merges them (hbase.hstore.compactionThreshold;
 	// 0 = the default 4).
@@ -57,42 +69,14 @@ type Options struct {
 	// AutoFlush disables the client write buffer (ablation: every put pays
 	// a full RPC, as with autoFlush=true).
 	AutoFlush bool
-	Handlers  int // RPC handler threads per region server
 }
 
 func (o *Options) defaults() {
-	if o.ReadCPU == 0 {
-		o.ReadCPU = 3100 * sim.Microsecond
-	}
-	if o.WriteClientCPU == 0 {
-		o.WriteClientCPU = 25 * sim.Microsecond
-	}
 	if o.BatchRecords == 0 {
 		o.BatchRecords = 128
 	}
-	if o.BatchRecordCPU == 0 {
-		// HBase 0.90's server-side put path is nearly as heavy as its read
-		// path; the write buffer saves round trips and latency, not server
-		// CPU. Calibrated so Workload W saturates a node around 14K ops/s
-		// with high amortized write latency under load (Figs 9/11).
-		o.BatchRecordCPU = 550 * sim.Microsecond
-	}
-	if o.ScanCPU == 0 {
-		o.ScanCPU = 2800 * sim.Microsecond
-	}
-	if o.ScanRowCPU == 0 {
-		o.ScanRowCPU = 15 * sim.Microsecond
-	}
-	if o.Overhead == (sstable.Overhead{}) {
-		// 25-byte key + 75 row overhead + 5 cells x (10 + 120) = 750
-		// bytes/record -> 7.5 GB per 10M records.
-		o.Overhead = sstable.Overhead{PerEntry: 75, PerCell: 120}
-	}
 	if o.MemstoreFlushBytes == 0 {
 		o.MemstoreFlushBytes = 16 << 20
-	}
-	if o.Handlers == 0 {
-		o.Handlers = 30
 	}
 }
 
@@ -149,7 +133,7 @@ func (io hbaseIO) WriteRun(p *sim.Proc, bytes int64) {
 // uniformly loaded).
 func New(c *cluster.Cluster, opts Options) *Store {
 	opts.defaults()
-	s := &Store{opts: opts, clust: c, fs: dfs.New(c, dfs.Config{})}
+	s := &Store{opts: opts, clust: c, fs: dfs.New(c)}
 	n := len(c.Nodes)
 	// Pre-split regions evenly across the numeric key space; fixed-width
 	// keys make these valid lexicographic split points.
@@ -158,21 +142,18 @@ func New(c *cluster.Cluster, opts Options) *Store {
 		s.splits = append(s.splits, fmt.Sprintf("user%021d", uint64(i+1)*step))
 	}
 	for i, m := range c.Nodes {
-		cache := opts.CacheBytes
-		if cache == 0 {
-			cache = m.Spec.RAMBytes / 2
-		}
 		file := &dfs.File{Name: fmt.Sprintf("/hbase/region%d", i)}
 		s.regions = append(s.regions, &region{
 			machine:  m,
-			handlers: sim.NewResource(c.Eng, "hbase-handlers", opts.Handlers),
+			handlers: sim.NewResource(c.Eng, "hbase-handlers", handlers),
 			tree: lsm.New(lsm.Config{
 				Node:       m,
 				FlushBytes: opts.MemstoreFlushBytes,
-				Overhead:   opts.Overhead,
+				Overhead:   overhead,
 				WALWindow:  10 * sim.Millisecond,
 				WALSync:    false, // deferred log flush
-				CacheBytes: cache,
+				// Block cache plus OS cache: half the node's RAM.
+				CacheBytes: m.Spec.RAMBytes / 2,
 				CompactMin: opts.CompactMin,
 				IO:         hbaseIO{fs: s.fs, file: file, node: i, machine: m},
 			}),
@@ -226,7 +207,7 @@ func (s *Store) Read(p *sim.Proc, key string) (store.FieldsView, error) {
 	var ok bool
 	base.Roundtrip(p, r.machine, base.ReqHeader, base.RecordWire, func() {
 		r.handlers.Acquire(p)
-		r.machine.Compute(p, s.opts.ReadCPU)
+		r.machine.Compute(p, readCPU)
 		out, ok = r.tree.Get(p, key)
 		r.handlers.Release()
 	})
@@ -245,7 +226,7 @@ func (s *Store) write(p *sim.Proc, key string, f store.Fields) error {
 	if s.opts.AutoFlush {
 		base.Roundtrip(p, r.machine, base.ReqHeader+base.RecordWire, base.AckWire, func() {
 			r.handlers.Acquire(p)
-			r.machine.Compute(p, s.opts.BatchRecordCPU*4) // per-op RPC path
+			r.machine.Compute(p, batchRecordCPU*4) // per-op RPC path
 			r.tree.Put(p, key, f)
 			r.handlers.Release()
 		})
@@ -255,7 +236,7 @@ func (s *Store) write(p *sim.Proc, key string, f store.Fields) error {
 	// reaches the region's memstore when the buffer flushes. The model
 	// applies the record immediately (deferred timing) and charges the
 	// batched RPC to every BatchRecords-th writer.
-	p.Sleep(s.opts.WriteClientCPU)
+	p.Sleep(writeClientCPU)
 	r.tree.PutDeferred(p.Engine(), key, f)
 	r.buffered++
 	if r.buffered >= s.opts.BatchRecords {
@@ -263,7 +244,7 @@ func (s *Store) write(p *sim.Proc, key string, f store.Fields) error {
 		r.buffered = 0
 		base.Roundtrip(p, r.machine, int64(batch)*base.RecordWire, base.AckWire, func() {
 			r.handlers.Acquire(p)
-			r.machine.Compute(p, sim.Time(batch)*s.opts.BatchRecordCPU)
+			r.machine.Compute(p, sim.Time(batch)*batchRecordCPU)
 			r.handlers.Release()
 		})
 	}
@@ -297,9 +278,9 @@ func (s *Store) Scan(p *sim.Proc, start string, count int) ([]store.Record, erro
 		want := count - len(out)
 		base.Roundtrip(p, r.machine, base.ReqHeader, int64(want)*base.RecordWire, func() {
 			r.handlers.Acquire(p)
-			r.machine.Compute(p, s.opts.ScanCPU)
+			r.machine.Compute(p, scanCPU)
 			rows := r.tree.Scan(p, next, want)
-			r.machine.Compute(p, sim.Time(len(rows))*s.opts.ScanRowCPU)
+			r.machine.Compute(p, sim.Time(len(rows))*scanRowCPU)
 			for _, e := range rows {
 				out = append(out, store.Record{Key: e.Key, Fields: e.Fields})
 			}
@@ -326,9 +307,6 @@ func (s *Store) DiskUsage() int64 {
 	}
 	return total
 }
-
-// Tree exposes a region's LSM engine for tests.
-func (s *Store) Tree(i int) *lsm.Tree { return s.regions[i].tree }
 
 // replayCPUPerByte is the CPU cost of reapplying one HLog byte on restart.
 const replayCPUPerByte = 10 * sim.Nanosecond

@@ -20,11 +20,11 @@ func deploy(nodes int, opts Options) (*sim.Engine, *Store) {
 func TestDefaultsFilled(t *testing.T) {
 	var o Options
 	o.defaults()
-	if o.ReadCPU == 0 || o.BatchRecords == 0 || o.Handlers == 0 {
+	if o.BatchRecords != 128 || o.MemstoreFlushBytes == 0 {
 		t.Fatalf("defaults not filled: %+v", o)
 	}
-	if o.Overhead.PerCell != 120 {
-		t.Fatalf("overhead PerCell = %d, want the Fig 17 calibration (120)", o.Overhead.PerCell)
+	if overhead.PerCell != 120 {
+		t.Fatalf("overhead PerCell = %d, want the Fig 17 calibration (120)", overhead.PerCell)
 	}
 }
 

@@ -25,97 +25,70 @@ import (
 	"repro/internal/wal"
 )
 
-// Options tunes the model.
-type Options struct {
-	ReadCPU  sim.Time // server-side point SELECT cost (parse, plan, btree)
-	WriteCPU sim.Time // INSERT cost before log/btree I/O
-	// UpdateCPU is the server-side cost of an in-place UPDATE ... WHERE
+// Service-time and storage calibration.
+const (
+	readCPU  = 290 * sim.Microsecond // server-side point SELECT cost (parse, plan, btree)
+	writeCPU = 330 * sim.Microsecond // INSERT cost before log/btree I/O
+	// updateCPU is the server-side cost of an in-place UPDATE ... WHERE
 	// key = ?: one statement that locates the row and rewrites it, so it
-	// lands between ReadCPU (it skips result serialization) and
-	// ReadCPU+WriteCPU (parse/plan and the index descent are paid once,
+	// lands between readCPU (it skips result serialization) and
+	// readCPU+writeCPU (parse/plan and the index descent are paid once,
 	// not twice).
-	UpdateCPU sim.Time
-	// ScanRowCPU is the per-visited-row cost of a range SELECT.
-	ScanRowCPU sim.Time
-	// TailRowCPU is the per-row cost of the sharded client's unbounded
+	updateCPU = 370 * sim.Microsecond
+	// scanRowCPU is the per-visited-row cost of a range SELECT.
+	scanRowCPU = 900 * sim.Nanosecond
+	// tailRowCPU is the per-row cost of the sharded client's unbounded
 	// "key >= start" scan, which materializes the table tail until the
 	// client abandons the cursor (§5.4: "in the case of MySQL this is
 	// inefficient").
-	TailRowCPU sim.Time
-	// VersionRowCPU is the extra cost per unpurged row version traversed
+	tailRowCPU = 40 * sim.Nanosecond
+	// versionRowCPU is the extra cost per unpurged row version traversed
 	// by a range read (MVCC read view checks).
-	VersionRowCPU sim.Time
-	// PurgeInterval is how often the background purge runs.
-	PurgeInterval sim.Time
-	// PurgeCapPerSec bounds how many row versions the purge thread clears
+	versionRowCPU = 1 * sim.Microsecond
+	// purgeInterval is how often the background purge runs.
+	purgeInterval = sim.Second
+	// purgeCapPerSec bounds how many row versions the purge thread clears
 	// per second. Insert rates above it grow an unbounded history backlog
 	// that range reads must traverse — the runaway that collapses Workload
 	// RSW (50% inserts) while leaving Workload RS (6% inserts) healthy.
-	PurgeCapPerSec int64
+	purgeCapPerSec int64 = 5000
+	// bufferPoolFraction of node RAM given to InnoDB.
+	bufferPoolFraction = 0.8
+	// leafCap encodes rows per 16K page (~94 for 75-byte rows with InnoDB
+	// row overhead and a ~70% fill factor -> 2.5 GB of table for 10M rows;
+	// the binlog doubles it to the ~5 GB/node of Fig 17).
+	leafCap = 94
+	// perThreadCPU is the per-operation overhead per client thread (see
+	// Options.ClientThreads).
+	perThreadCPU = 500 * sim.Nanosecond
+)
+
+// Options holds the deployment choices the harness varies: scale, client
+// count and the variant vocabulary.
+type Options struct {
 	// ScaleComp converts scaled structure sizes back to paper-equivalent
 	// row counts for the tail-scan cost (the harness passes 1/scale), so
-	// scan costs are invariant under dataset scaling.
+	// scan costs are invariant under dataset scaling (0 = 1).
 	ScaleComp float64
 	// BinLog enables the binary log (paper default on; ablation off).
 	BinLog bool
-	// BufferPoolFraction of node RAM given to InnoDB.
-	BufferPoolFraction float64
-	// LeafCap encodes rows per 16K page (~94 for 75-byte rows with InnoDB
-	// row overhead and a ~70% fill factor -> 2.5 GB of table for 10M rows;
-	// the binlog doubles it to the ~5 GB/node of Fig 17).
-	LeafCap int
 	// ClientThreads is the total number of YCSB threads. Every client
 	// thread holds a JDBC connection to every server (§6), so each server
 	// pays per-operation thread/connection management overhead that grows
 	// with the whole cluster's client count — one reason MySQL's scaling
 	// flattens near 8-12 nodes.
 	ClientThreads int
-	// PerThreadCPU is that per-operation overhead per client thread.
-	PerThreadCPU sim.Time
 }
 
 func (o *Options) defaults() {
-	if o.ReadCPU == 0 {
-		o.ReadCPU = 290 * sim.Microsecond
-	}
-	if o.WriteCPU == 0 {
-		o.WriteCPU = 330 * sim.Microsecond
-	}
-	if o.UpdateCPU == 0 {
-		o.UpdateCPU = 370 * sim.Microsecond
-	}
-	if o.ScanRowCPU == 0 {
-		o.ScanRowCPU = 900 * sim.Nanosecond
-	}
-	if o.TailRowCPU == 0 {
-		o.TailRowCPU = 40 * sim.Nanosecond
-	}
-	if o.VersionRowCPU == 0 {
-		o.VersionRowCPU = 1 * sim.Microsecond
-	}
-	if o.PurgeInterval == 0 {
-		o.PurgeInterval = sim.Second
-	}
-	if o.PurgeCapPerSec == 0 {
-		o.PurgeCapPerSec = 5000
-	}
 	if o.ScaleComp == 0 {
 		o.ScaleComp = 1
-	}
-	if o.BufferPoolFraction == 0 {
-		o.BufferPoolFraction = 0.8
-	}
-	if o.LeafCap == 0 {
-		o.LeafCap = 94
-	}
-	if o.PerThreadCPU == 0 {
-		o.PerThreadCPU = 500 * sim.Nanosecond
 	}
 }
 
 // connOverhead is the per-op server cost of managing all client connections.
 func (o *Options) connOverhead() sim.Time {
-	return sim.Time(o.ClientThreads) * o.PerThreadCPU
+	return sim.Time(o.ClientThreads) * perThreadCPU
 }
 
 // Store is the sharded MySQL deployment.
@@ -155,13 +128,13 @@ func New(c *cluster.Cluster, opts Options) *Store {
 	s := &Store{opts: opts, clust: c, ring: hashring.NewMod(len(c.Nodes))}
 	for _, n := range c.Nodes {
 		pageSize := int64(16 << 10)
-		poolBytes := int64(float64(n.Spec.RAMBytes) * opts.BufferPoolFraction)
+		poolBytes := int64(float64(n.Spec.RAMBytes) * bufferPoolFraction)
 		s.shards = append(s.shards, &shard{
 			node: n,
 			db: btree.New(btree.Config{
 				PageSize:    pageSize,
 				BufferPages: int(poolBytes / pageSize),
-				LeafCap:     opts.LeafCap,
+				LeafCap:     leafCap,
 				InternalCap: 512,
 			}),
 			redo:   wal.New(n, 5*sim.Millisecond),
@@ -170,11 +143,6 @@ func New(c *cluster.Cluster, opts Options) *Store {
 	}
 	s.down = make([]bool, len(c.Nodes))
 	return s
-}
-
-// Default returns the paper's configuration: binary log enabled.
-func Default(c *cluster.Cluster) *Store {
-	return New(c, Options{BinLog: true})
 }
 
 // Name implements store.Store.
@@ -213,7 +181,7 @@ func (s *Store) Read(p *sim.Proc, key string) (store.FieldsView, error) {
 	var out store.FieldsView
 	var ok bool
 	base.Roundtrip(p, sh.node, base.ReqHeader, base.RecordWire, func() {
-		sh.node.Compute(p, s.opts.ReadCPU+s.opts.connOverhead())
+		sh.node.Compute(p, readCPU+s.opts.connOverhead())
 		var io btree.IOStats
 		out, ok, io = sh.db.Get(key)
 		chargeIO(p, sh.node, io, 16<<10)
@@ -225,7 +193,7 @@ func (s *Store) Read(p *sim.Proc, key string) (store.FieldsView, error) {
 }
 
 // ensurePurger runs the background MVCC purge loop for a shard. Its
-// clearing rate is capped, so sustained insert rates above PurgeCapPerSec
+// clearing rate is capped, so sustained insert rates above purgeCapPerSec
 // grow the version backlog without bound.
 func (s *Store) ensurePurger(e *sim.Engine, sh *shard) {
 	if sh.purgerUp {
@@ -234,8 +202,8 @@ func (s *Store) ensurePurger(e *sim.Engine, sh *shard) {
 	sh.purgerUp = true
 	e.Go("mysql-purge", func(p *sim.Proc) {
 		for sh.unpurged > 0 {
-			p.Sleep(s.opts.PurgeInterval)
-			batch := int64(float64(s.opts.PurgeCapPerSec) * s.opts.PurgeInterval.Seconds())
+			p.Sleep(purgeInterval)
+			batch := int64(float64(purgeCapPerSec) * purgeInterval.Seconds())
 			if batch > sh.unpurged {
 				batch = sh.unpurged
 			}
@@ -253,7 +221,7 @@ func (s *Store) write(p *sim.Proc, key string, f store.Fields) error {
 	}
 	sh := s.shards[si]
 	base.Roundtrip(p, sh.node, base.ReqHeader+base.RecordWire, base.AckWire, func() {
-		sh.node.Compute(p, s.opts.WriteCPU+s.opts.connOverhead())
+		sh.node.Compute(p, writeCPU+s.opts.connOverhead())
 		sh.redo.Append(p, int64(store.RawRecordBytes), false)
 		if s.opts.BinLog {
 			sh.binlog.Append(p, binlogBytesPerRecord, false)
@@ -287,7 +255,7 @@ func (s *Store) Update(p *sim.Proc, key string, f store.Fields) error {
 	sh := s.shards[si]
 	var found bool
 	base.Roundtrip(p, sh.node, base.ReqHeader+base.RecordWire, base.AckWire, func() {
-		sh.node.Compute(p, s.opts.UpdateCPU+s.opts.connOverhead())
+		sh.node.Compute(p, updateCPU+s.opts.connOverhead())
 		var io btree.IOStats
 		found, io = sh.db.Update(key, f)
 		chargeIO(p, sh.node, io, 16<<10)
@@ -337,7 +305,7 @@ func (s *Store) Scan(p *sim.Proc, start string, count int) ([]store.Record, erro
 
 // versionPenalty is the MVCC read-view cost of traversing unpurged history.
 func (s *Store) versionPenalty(sh *shard) sim.Time {
-	return sim.Time(float64(sh.unpurged) * float64(s.opts.VersionRowCPU))
+	return sim.Time(float64(sh.unpurged) * float64(versionRowCPU))
 }
 
 // scanShard is one server's range read of up to count rows. With tail, the
@@ -345,15 +313,15 @@ func (s *Store) versionPenalty(sh *shard) sim.Time {
 // returned rows, rescaled to paper-equivalent rows so the cost does not
 // depend on the simulation's dataset scale.
 func (s *Store) scanShard(p *sim.Proc, sh *shard, start string, count int, tail bool) []btree.Entry {
-	sh.node.Compute(p, s.opts.ReadCPU)
+	sh.node.Compute(p, readCPU)
 	rows, io := sh.db.Scan(start, count)
 	chargeIO(p, sh.node, io, 16<<10)
-	rowCPU := sim.Time(len(rows)) * s.opts.ScanRowCPU
+	rowCPU := sim.Time(len(rows)) * scanRowCPU
 	if tail {
 		visited, tailIO := sh.db.ScanAllFrom(start)
 		chargeIO(p, sh.node, btree.IOStats{Misses: tailIO.Misses / 8}, 16<<10)
 		equivRows := float64(visited) * s.opts.ScaleComp
-		rowCPU = sim.Time(equivRows * float64(s.opts.TailRowCPU))
+		rowCPU = sim.Time(equivRows * float64(tailRowCPU))
 	}
 	sh.node.Compute(p, rowCPU+s.versionPenalty(sh))
 	return rows

@@ -17,7 +17,7 @@ func deploy(nodes int, opts Options) (*sim.Engine, *Store) {
 func TestDefaultsFilled(t *testing.T) {
 	var o Options
 	o.defaults()
-	if o.ReadCPU == 0 || o.TailRowCPU == 0 || o.PurgeCapPerSec == 0 || o.ScaleComp != 1 {
+	if o.ScaleComp != 1 {
 		t.Fatalf("defaults not filled: %+v", o)
 	}
 }
@@ -87,19 +87,23 @@ func TestShardedScanPaysTailCost(t *testing.T) {
 }
 
 func TestPurgeBacklogGrowsUnderHeavyInserts(t *testing.T) {
-	e, s := deploy(1, Options{PurgeCapPerSec: 100})
-	// Sustained inserts above the purge cap leave a growing backlog.
-	e.Go("w", func(p *sim.Proc) {
-		for i := int64(0); i < 3000; i++ {
-			s.Insert(p, store.Key(i), store.MakeFields(i))
-		}
-	})
-	e.Run(3 * sim.Second)
+	e, s := deploy(1, Options{})
+	// Sustained inserts above the purge cap leave a growing backlog: one
+	// inserter cannot outrun the cap, so enough of them run concurrently.
+	const inserters, burst = 16, 3 * sim.Second
+	for w := int64(0); w < inserters; w++ {
+		e.Go("w", func(p *sim.Proc) {
+			for i := w; p.Now() < burst; i += inserters {
+				s.Insert(p, store.Key(i), store.MakeFields(i))
+			}
+		})
+	}
+	e.Run(burst)
 	if s.shards[0].unpurged < 1000 {
-		t.Fatalf("backlog = %d after insert burst with cap 100/s, want growth", s.shards[0].unpurged)
+		t.Fatalf("backlog = %d after insert burst with cap %d/s, want growth", s.shards[0].unpurged, purgeCapPerSec)
 	}
 	// Let the purger drain with no more writes arriving.
-	drainFor := sim.Time(s.shards[0].unpurged/100+5) * sim.Second
+	drainFor := sim.Time(s.shards[0].unpurged/purgeCapPerSec+5) * sim.Second
 	e.Run(e.Now() + drainFor)
 	if s.shards[0].unpurged != 0 {
 		t.Fatalf("backlog = %d after drain window, want 0", s.shards[0].unpurged)
@@ -134,15 +138,6 @@ func TestBinlogAccounting(t *testing.T) {
 	diff := with.DiskUsage() - without.DiskUsage()
 	if diff != 1000*binlogBytesPerRecord {
 		t.Fatalf("binlog bytes = %d, want %d", diff, 1000*binlogBytesPerRecord)
-	}
-}
-
-func TestDefaultConstructor(t *testing.T) {
-	e := sim.NewEngine(1)
-	c := cluster.New(e, cluster.ClusterM(1).Scale(0.01))
-	s := Default(c)
-	if !s.opts.BinLog {
-		t.Fatal("Default must enable the binary log (paper configuration)")
 	}
 }
 

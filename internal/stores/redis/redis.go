@@ -24,16 +24,20 @@ import (
 	"repro/internal/stores/base"
 )
 
-// Options tunes the model.
-type Options struct {
-	// PerRecordOverhead is resident bytes per record beyond the payload.
+const (
+	// perRecordOverhead is resident bytes per record beyond the payload.
 	// Calibrated so that ~13M records approach a 16 GB node (EXPERIMENTS.md).
-	PerRecordOverhead int64
-	// ReadCPU/WriteCPU are event-loop service times per operation.
-	ReadCPU  sim.Time
-	WriteCPU sim.Time
-	// ScanPerRecordCPU is the per-returned-record cost of ZRANGEBYLEX+HGETALL.
-	ScanPerRecordCPU sim.Time
+	perRecordOverhead = 1200
+	// readCPU/writeCPU are event-loop service times per operation.
+	readCPU  = 18 * sim.Microsecond
+	writeCPU = 22 * sim.Microsecond
+	// scanPerRecordCPU is the per-returned-record cost of ZRANGEBYLEX+HGETALL.
+	scanPerRecordCPU = 3 * sim.Microsecond
+)
+
+// Options holds the deployment choices the harness varies: scale and the
+// variant vocabulary.
+type Options struct {
 	// Balanced replaces the Jedis ring with uniform hash-mod sharding
 	// (ablation: what Redis scaling would look like with good sharding).
 	Balanced bool
@@ -42,23 +46,11 @@ type Options struct {
 	// *rates* are not, so unscaled runtime growth would hit the RAM
 	// ceiling 1/scale times too fast; the harness passes its scale factor
 	// so the pressure trajectory over a measured window matches the
-	// paper's. Loaded data is always accounted in full.
+	// paper's. Loaded data is always accounted in full (0 = 1).
 	MemScale float64
 }
 
 func (o *Options) defaults() {
-	if o.PerRecordOverhead == 0 {
-		o.PerRecordOverhead = 1200
-	}
-	if o.ReadCPU == 0 {
-		o.ReadCPU = 18 * sim.Microsecond
-	}
-	if o.WriteCPU == 0 {
-		o.WriteCPU = 22 * sim.Microsecond
-	}
-	if o.ScanPerRecordCPU == 0 {
-		o.ScanPerRecordCPU = 3 * sim.Microsecond
-	}
 	if o.MemScale == 0 {
 		o.MemScale = 1
 	}
@@ -154,8 +146,8 @@ func (in *instance) swapPenalty(p *sim.Proc) {
 	}
 }
 
-func (in *instance) reserve(key string, f store.Fields, overhead int64, memScale float64) {
-	delta := int64(float64(recordBytes(key, f)+overhead) * memScale)
+func (in *instance) reserve(key string, f store.Fields, memScale float64) {
+	delta := int64(float64(recordBytes(key, f)+perRecordOverhead) * memScale)
 	in.resident += delta
 	in.node.ReserveRAM(delta)
 	if in.resident > in.node.Spec.RAMBytes {
@@ -173,9 +165,9 @@ func (s *Store) Insert(p *sim.Proc, key string, f store.Fields) error {
 	base.Roundtrip(p, in.node, base.ReqHeader+base.RecordWire, base.AckWire, func() {
 		in.loop.Acquire(p)
 		in.swapPenalty(p)
-		in.node.Compute(p, s.opts.WriteCPU)
+		in.node.Compute(p, writeCPU)
 		in.data.Put(key, f)
-		in.reserve(key, f, s.opts.PerRecordOverhead, s.opts.MemScale)
+		in.reserve(key, f, s.opts.MemScale)
 		in.loop.Release()
 	})
 	return nil
@@ -192,7 +184,7 @@ func (s *Store) Update(p *sim.Proc, key string, f store.Fields) error {
 	base.Roundtrip(p, in.node, base.ReqHeader+base.RecordWire, base.AckWire, func() {
 		in.loop.Acquire(p)
 		in.swapPenalty(p)
-		in.node.Compute(p, s.opts.WriteCPU)
+		in.node.Compute(p, writeCPU)
 		in.data.Put(key, f)
 		in.loop.Release()
 	})
@@ -211,7 +203,7 @@ func (s *Store) Read(p *sim.Proc, key string) (store.FieldsView, error) {
 	base.Roundtrip(p, in.node, base.ReqHeader, base.RecordWire, func() {
 		in.loop.Acquire(p)
 		in.swapPenalty(p)
-		in.node.Compute(p, s.opts.ReadCPU)
+		in.node.Compute(p, readCPU)
 		out, ok = in.data.Get(key)
 		in.loop.Release()
 	})
@@ -234,7 +226,7 @@ func (s *Store) Scan(p *sim.Proc, start string, count int) ([]store.Record, erro
 		base.Roundtrip(p, in.node, base.ReqHeader, int64(count)*base.RecordWire, func() {
 			in.loop.Acquire(p)
 			in.swapPenalty(p)
-			in.node.Compute(p, s.opts.ReadCPU+sim.Time(count)*s.opts.ScanPerRecordCPU)
+			in.node.Compute(p, readCPU+sim.Time(count)*scanPerRecordCPU)
 			// Scan materializes its rows under the loop resource and
 			// holds no memtable iterator past it, so a Put that splits a
 			// leaf cannot invalidate a cursor here.
@@ -249,7 +241,7 @@ func (s *Store) Scan(p *sim.Proc, start string, count int) ([]store.Record, erro
 func (s *Store) Load(key string, f store.Fields) error {
 	in := s.inst(key)
 	in.data.Put(key, f)
-	in.reserve(key, f, s.opts.PerRecordOverhead, 1) // full accounting
+	in.reserve(key, f, 1) // full accounting
 	return nil
 }
 

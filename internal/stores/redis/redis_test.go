@@ -17,7 +17,7 @@ func deploy(nodes int, opts Options) (*sim.Engine, *Store) {
 func TestDefaultsFilled(t *testing.T) {
 	var o Options
 	o.defaults()
-	if o.ReadCPU == 0 || o.WriteCPU == 0 || o.PerRecordOverhead == 0 {
+	if o.MemScale != 1 {
 		t.Fatalf("defaults not filled: %+v", o)
 	}
 }
@@ -48,9 +48,7 @@ func TestSingleThreadedLoopSerializes(t *testing.T) {
 	e.Run(0)
 	// 16 concurrent reads through one event loop cannot finish in one
 	// service time; they serialize.
-	var o Options
-	o.defaults()
-	if last < sim.Time(clients/2)*o.ReadCPU {
+	if last < sim.Time(clients/2)*readCPU {
 		t.Fatalf("16 reads finished at %v, too parallel for a single event loop", last)
 	}
 }

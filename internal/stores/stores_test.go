@@ -38,7 +38,7 @@ func deployAll(t *testing.T, nodes int) map[string]func() (*sim.Engine, store.St
 			return hbase.New(c, hbase.Options{MemstoreFlushBytes: 64 << 10})
 		}),
 		"voldemort": mk(func(c *cluster.Cluster) store.Store {
-			return voldemort.New(c, voldemort.Options{})
+			return voldemort.New(c)
 		}),
 		"redis": mk(func(c *cluster.Cluster) store.Store {
 			return redis.New(c, redis.Options{})
@@ -379,7 +379,7 @@ func TestContractCopiesOnIngest(t *testing.T) {
 func TestVoldemortScansUnsupported(t *testing.T) {
 	e := sim.NewEngine(1)
 	c := cluster.New(e, cluster.ClusterM(2).Scale(0.01))
-	s := voldemort.New(c, voldemort.Options{})
+	s := voldemort.New(c)
 	e.Go("r", func(p *sim.Proc) {
 		if _, err := s.Scan(p, "a", 10); err != store.ErrScansUnsupported {
 			t.Errorf("scan err = %v, want ErrScansUnsupported", err)

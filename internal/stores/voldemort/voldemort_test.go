@@ -8,22 +8,14 @@ import (
 	"repro/internal/store"
 )
 
-func deploy(nodes int, opts Options) (*sim.Engine, *Store) {
+func deploy(nodes int) (*sim.Engine, *Store) {
 	e := sim.NewEngine(1)
 	c := cluster.New(e, cluster.ClusterM(nodes).Scale(0.01))
-	return e, New(c, opts)
-}
-
-func TestDefaultsFilled(t *testing.T) {
-	var o Options
-	o.defaults()
-	if o.ClientPoolPerNode == 0 || o.ReadCPU == 0 || o.PartitionsPerNode != 2 {
-		t.Fatalf("defaults not filled: %+v", o)
-	}
+	return e, New(c)
 }
 
 func TestPartitionRoutingStable(t *testing.T) {
-	_, s := deploy(4, Options{})
+	_, s := deploy(4)
 	for i := int64(0); i < 100; i++ {
 		k := store.Key(i)
 		if s.server(k) != s.server(k) {
@@ -33,7 +25,7 @@ func TestPartitionRoutingStable(t *testing.T) {
 }
 
 func TestDataSpreadAcrossNodes(t *testing.T) {
-	_, s := deploy(4, Options{})
+	_, s := deploy(4)
 	for i := int64(0); i < 40000; i++ {
 		s.Load(store.Key(i), store.MakeFields(i))
 	}
@@ -46,7 +38,7 @@ func TestDataSpreadAcrossNodes(t *testing.T) {
 }
 
 func TestClientPoolLimitsConcurrency(t *testing.T) {
-	e, s := deploy(1, Options{ClientPoolPerNode: 2})
+	e, s := deploy(1)
 	s.Load(store.Key(1), store.MakeFields(1))
 	var last sim.Time
 	for i := 0; i < 8; i++ {
@@ -58,16 +50,15 @@ func TestClientPoolLimitsConcurrency(t *testing.T) {
 		})
 	}
 	e.Run(0)
-	// 8 reads through a pool of 2 take at least 4 service times.
-	var o Options
-	o.defaults()
-	if last < 4*o.ReadCPU {
-		t.Fatalf("8 reads via pool=2 finished at %v, too parallel", last)
+	// 8 reads through the pool of 3 take at least ceil(8/3) = 3 service
+	// times.
+	if last < 3*readCPU {
+		t.Fatalf("8 reads via pool=%d finished at %v, too parallel", clientPoolPerNode, last)
 	}
 }
 
 func TestReadWriteLatencySymmetric(t *testing.T) {
-	e, s := deploy(2, Options{})
+	e, s := deploy(2)
 	for i := int64(0); i < 20000; i++ {
 		s.Load(store.Key(i), store.MakeFields(i))
 	}
@@ -90,8 +81,8 @@ func TestReadWriteLatencySymmetric(t *testing.T) {
 func TestDiskBoundReadsPaySeeks(t *testing.T) {
 	e := sim.NewEngine(1)
 	c := cluster.New(e, cluster.ClusterD(1).Scale(0.002))
-	s := New(c, Options{BDBCacheFraction: 0.25})
-	for i := int64(0); i < 40000; i++ { // far exceeds the tiny BDB cache
+	s := New(c)
+	for i := int64(0); i < 120000; i++ { // far exceeds the tiny BDB cache
 		s.Load(store.Key(i), store.MakeFields(i))
 	}
 	var elapsed sim.Time
@@ -109,7 +100,7 @@ func TestDiskBoundReadsPaySeeks(t *testing.T) {
 }
 
 func TestScansRejected(t *testing.T) {
-	e, s := deploy(1, Options{})
+	e, s := deploy(1)
 	e.Go("r", func(p *sim.Proc) {
 		if _, err := s.Scan(p, "x", 5); err != store.ErrScansUnsupported {
 			t.Errorf("scan err = %v", err)
@@ -119,7 +110,7 @@ func TestScansRejected(t *testing.T) {
 }
 
 func TestDiskUsageGrowsWithLoad(t *testing.T) {
-	_, s := deploy(1, Options{})
+	_, s := deploy(1)
 	before := s.DiskUsage()
 	for i := int64(0); i < 10000; i++ {
 		s.Load(store.Key(i), store.MakeFields(i))
@@ -135,7 +126,7 @@ func TestDiskUsageGrowsWithLoad(t *testing.T) {
 }
 
 func TestUpdateRewritesInPlace(t *testing.T) {
-	e, s := deploy(1, Options{})
+	e, s := deploy(1)
 	for i := int64(0); i < 5000; i++ {
 		s.Load(store.Key(i), store.MakeFields(i))
 	}
@@ -158,7 +149,7 @@ func TestUpdateRewritesInPlace(t *testing.T) {
 }
 
 func TestUpdateLatencyBetweenReadAndReadPlusWrite(t *testing.T) {
-	e, s := deploy(1, Options{})
+	e, s := deploy(1)
 	for i := int64(0); i < 5000; i++ {
 		s.Load(store.Key(i), store.MakeFields(i))
 	}
@@ -174,18 +165,16 @@ func TestUpdateLatencyBetweenReadAndReadPlusWrite(t *testing.T) {
 		update = p.Now() - start
 	})
 	e.Run(0)
-	var o Options
-	o.defaults()
 	if update <= read {
 		t.Fatalf("update %v should exceed a bare read %v (RMW pays the leaf rewrite)", update, read)
 	}
-	if update >= read+sim.Time(float64(o.WriteCPU)*2) {
-		t.Fatalf("update %v should stay well under read+2x write (%v + %v)", update, read, o.WriteCPU)
+	if update >= read+sim.Time(float64(writeCPU)*2) {
+		t.Fatalf("update %v should stay well under read+2x write (%v + %v)", update, read, writeCPU)
 	}
 }
 
 func TestUpdateMissingKeyErrors(t *testing.T) {
-	e, s := deploy(1, Options{})
+	e, s := deploy(1)
 	s.Load(store.Key(1), store.MakeFields(1))
 	e.Go("u", func(p *sim.Proc) {
 		if err := s.Update(p, store.Key(99999), store.MakeFields(99999)); err != store.ErrNotFound {

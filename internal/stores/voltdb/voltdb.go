@@ -24,16 +24,20 @@ import (
 	"repro/internal/stores/base"
 )
 
-// Options tunes the model.
-type Options struct {
-	SitesPerHost int      // single-threaded partitions per host (paper: 6)
-	ExecCPU      sim.Time // stored procedure execution cost on a site
-	// OrderPerHost is the per-transaction global-ordering cost per host in
+const (
+	execCPU = 110 * sim.Microsecond // stored procedure execution cost on a site
+	// orderPerHost is the per-transaction global-ordering cost per host in
 	// the cluster (zero cost on single-host deployments).
-	OrderPerHost sim.Time
-	// MPFanoutCPU is the per-site cost of a multi-partition transaction.
-	MPFanoutCPU sim.Time
-	ScanRowCPU  sim.Time
+	orderPerHost = 25 * sim.Microsecond
+	// mpFanoutCPU is the per-site cost of a multi-partition transaction.
+	mpFanoutCPU = 180 * sim.Microsecond
+	scanRowCPU  = 4 * sim.Microsecond
+)
+
+// Options holds the deployment choices the harness varies: the variant
+// vocabulary.
+type Options struct {
+	SitesPerHost int // single-threaded partitions per host (paper: 6; 0 = 6)
 	// Async models VoltDB's asynchronous client (ablation): transaction
 	// ordering is pipelined, so the ordering cost is not serialized through
 	// a single global sequencer.
@@ -43,18 +47,6 @@ type Options struct {
 func (o *Options) defaults() {
 	if o.SitesPerHost == 0 {
 		o.SitesPerHost = 6
-	}
-	if o.ExecCPU == 0 {
-		o.ExecCPU = 110 * sim.Microsecond
-	}
-	if o.OrderPerHost == 0 {
-		o.OrderPerHost = 25 * sim.Microsecond
-	}
-	if o.MPFanoutCPU == 0 {
-		o.MPFanoutCPU = 180 * sim.Microsecond
-	}
-	if o.ScanRowCPU == 0 {
-		o.ScanRowCPU = 4 * sim.Microsecond
 	}
 }
 
@@ -127,7 +119,7 @@ func (s *Store) route(key string) (*host, *site) {
 }
 
 // order pays the global transaction initiation cost. On one host this is
-// local and free; on multiple hosts each transaction costs OrderPerHost x
+// local and free; on multiple hosts each transaction costs orderPerHost x
 // hosts, serialized through the cluster-wide sequencer for synchronous
 // clients.
 func (s *Store) order(p *sim.Proc, multiPartition bool) {
@@ -135,7 +127,7 @@ func (s *Store) order(p *sim.Proc, multiPartition bool) {
 	if n <= 1 {
 		return
 	}
-	cost := sim.Time(n) * s.opts.OrderPerHost
+	cost := sim.Time(n) * orderPerHost
 	if multiPartition {
 		cost *= 3
 	}
@@ -166,7 +158,7 @@ func (s *Store) singlePartition(p *sim.Proc, key string, reqBytes, respBytes int
 	serve := func() {
 		s.order(p, false)
 		st.exec.Acquire(p)
-		h.machine.Compute(p, s.opts.ExecCPU)
+		h.machine.Compute(p, execCPU)
 		fn(h, st)
 		st.exec.Release()
 	}
@@ -230,12 +222,12 @@ func (s *Store) Scan(p *sim.Proc, start string, count int) ([]store.Record, erro
 			frag := func() {
 				for _, st := range h.sites {
 					st.exec.Acquire(p)
-					h.machine.Compute(p, s.opts.MPFanoutCPU/sim.Time(s.opts.SitesPerHost))
+					h.machine.Compute(p, mpFanoutCPU/sim.Time(s.opts.SitesPerHost))
 					// Scan materializes its rows while the site is held
 					// and keeps no memtable iterator past it, so a Put
 					// that splits a leaf cannot invalidate a cursor here.
 					rows := st.data.Scan(start, count)
-					h.machine.Compute(p, sim.Time(len(rows))*s.opts.ScanRowCPU)
+					h.machine.Compute(p, sim.Time(len(rows))*scanRowCPU)
 					runs = append(runs, rows)
 					st.exec.Release()
 				}

@@ -20,9 +20,6 @@ func TestDefaultsFilled(t *testing.T) {
 	if o.SitesPerHost != 6 {
 		t.Fatalf("sites per host = %d, want the paper's 6", o.SitesPerHost)
 	}
-	if o.ExecCPU == 0 || o.OrderPerHost == 0 {
-		t.Fatalf("defaults not filled: %+v", o)
-	}
 }
 
 func TestRouteCoversAllSites(t *testing.T) {
@@ -79,9 +76,7 @@ func TestSequencerSerializesSyncClients(t *testing.T) {
 		})
 	}
 	e.Run(0)
-	var o Options
-	o.defaults()
-	minSerial := sim.Time(clients) * 4 * o.OrderPerHost // 32 txns through the sequencer
+	minSerial := sim.Time(clients) * 4 * orderPerHost // 32 txns through the sequencer
 	if last < minSerial {
 		t.Fatalf("32 sync txns finished at %v, faster than sequencer allows (%v)", last, minSerial)
 	}

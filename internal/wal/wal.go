@@ -156,6 +156,3 @@ func (l *Log) Close() {
 // Reopen restores a closed log on node restart; the next append spawns a
 // fresh flusher.
 func (l *Log) Reopen() { l.closed = false }
-
-// Closed reports whether the log is torn down.
-func (l *Log) Closed() bool { return l.closed }

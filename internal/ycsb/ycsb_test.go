@@ -257,7 +257,7 @@ func TestRunRejectsBadConfigs(t *testing.T) {
 func TestRunFailsOnStoreWithoutScans(t *testing.T) {
 	for _, w := range []Workload{{Name: "S", ScanProp: 1, ScanLength: 10}, WorkloadRS} {
 		e := sim.NewEngine(1)
-		db := voldemort.New(cluster.New(e, cluster.ClusterM(1).Scale(0.001)), voldemort.Options{})
+		db := voldemort.New(cluster.New(e, cluster.ClusterM(1).Scale(0.001)))
 		if err := Load(db, 1000); err != nil {
 			t.Fatal(err)
 		}
