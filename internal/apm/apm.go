@@ -12,6 +12,7 @@ import (
 	"iter"
 	"strconv"
 	"strings"
+	"unsafe"
 
 	"repro/internal/sim"
 	"repro/internal/store"
@@ -34,11 +35,14 @@ type Measurement struct {
 // assembled into one sized buffer instead of going through fmt (the format
 // is exactly "%s|%012d").
 func (m Measurement) Key() string {
-	b := make([]byte, 0, len(m.Metric)+1+timestampWidth)
-	b = append(b, m.Metric...)
+	return string(appendKey(make([]byte, 0, len(m.Metric)+1+timestampWidth), m.Metric, m.Timestamp))
+}
+
+// appendKey appends the storage key of metric's measurement at ts to b.
+func appendKey(b []byte, metric string, ts int64) []byte {
+	b = append(b, metric...)
 	b = append(b, '|')
-	b = appendPaddedInt(b, m.Timestamp)
-	return string(b)
+	return appendPaddedInt(b, ts)
 }
 
 // timestampWidth is the zero-padded timestamp field width; unix seconds fit
@@ -73,21 +77,52 @@ func appendUintPadded(b []byte, v uint64, width int) []byte {
 	return append(b, tmp[i:]...)
 }
 
-// Fields encodes the measurement payload as the record's value fields.
+// Fields encodes the measurement payload as the record's value fields:
+// value, min and max as fmt's %g renders them, then timestamp and duration
+// in decimal. The five fields share one sized buffer.
 func (m Measurement) Fields() store.Fields {
-	return store.Fields{
-		[]byte(fmt.Sprintf("%g", m.Value)),
-		[]byte(fmt.Sprintf("%g", m.Min)),
-		[]byte(fmt.Sprintf("%g", m.Max)),
-		[]byte(strconv.FormatInt(m.Timestamp, 10)),
-		[]byte(strconv.FormatInt(m.Duration, 10)),
+	// A 'g' float64 takes at most 24 bytes and an int64 at most 20.
+	b := make([]byte, 0, 3*24+2*20)
+	f := make(store.Fields, 0, 5)
+	for _, v := range [...]float64{m.Value, m.Min, m.Max} {
+		n := len(b)
+		b = strconv.AppendFloat(b, v, 'g', -1, 64)
+		f = append(f, b[n:len(b):len(b)])
 	}
+	for _, v := range [...]int64{m.Timestamp, m.Duration} {
+		n := len(b)
+		b = strconv.AppendInt(b, v, 10)
+		f = append(f, b[n:len(b):len(b)])
+	}
+	return f
 }
+
+// Columns is a set of a measurement's float columns: the ones a reader
+// converts (see Series). The metric, timestamp and duration are always
+// decoded.
+type Columns uint8
+
+const (
+	ColValue Columns = 1 << iota
+	ColMin
+	ColMax
+	// ColAll is every column: a whole Measurement.
+	ColAll = ColValue | ColMin | ColMax
+)
 
 // Decode reconstructs a measurement from its key and a view of its fields
 // (a record read or scanned back from a store; use store.ViewFields to
 // decode a hand-built field set).
 func Decode(key string, f store.FieldsView) (Measurement, error) {
+	return decode(key, f, ColAll)
+}
+
+// decode is Decode converting only the columns in cols; the others are
+// left zero. It accepts and rejects exactly the rows Decode does, with the
+// same error: an unconverted column is still validated, by a plain-form
+// check that strconv accepts whenever it passes, and by strconv itself
+// whenever it does not.
+func decode(key string, f store.FieldsView, cols Columns) (Measurement, error) {
 	sep := strings.LastIndexByte(key, '|')
 	if sep < 0 || f.Len() < 5 {
 		return Measurement{}, fmt.Errorf("apm: malformed record %q (%d fields)", key, f.Len())
@@ -95,23 +130,109 @@ func Decode(key string, f store.FieldsView) (Measurement, error) {
 	var m Measurement
 	m.Metric = key[:sep]
 	var err error
-	if m.Value, err = strconv.ParseFloat(string(f.Field(0)), 64); err != nil {
+	if m.Value, err = parseFloat(f.Field(0), cols&ColValue != 0); err != nil {
 		return Measurement{}, fmt.Errorf("apm: bad value in %q: %w", key, err)
 	}
-	if m.Min, err = strconv.ParseFloat(string(f.Field(1)), 64); err != nil {
+	if m.Min, err = parseFloat(f.Field(1), cols&ColMin != 0); err != nil {
 		return Measurement{}, fmt.Errorf("apm: bad min in %q: %w", key, err)
 	}
-	if m.Max, err = strconv.ParseFloat(string(f.Field(2)), 64); err != nil {
+	if m.Max, err = parseFloat(f.Field(2), cols&ColMax != 0); err != nil {
 		return Measurement{}, fmt.Errorf("apm: bad max in %q: %w", key, err)
 	}
-	if m.Timestamp, err = strconv.ParseInt(string(f.Field(3)), 10, 64); err != nil {
+	if m.Timestamp, err = parseInt(f.Field(3)); err != nil {
 		return Measurement{}, fmt.Errorf("apm: bad timestamp in %q: %w", key, err)
 	}
-	if m.Duration, err = strconv.ParseInt(string(f.Field(4)), 10, 64); err != nil {
+	if m.Duration, err = parseInt(f.Field(4)); err != nil {
 		return Measurement{}, fmt.Errorf("apm: bad duration in %q: %w", key, err)
 	}
 	return m, nil
 }
+
+// maxPlainFloat bounds plainFloat's input: 64 digits neither overflow nor
+// underflow a float64, so strconv.ParseFloat accepts every plain form this
+// short.
+const maxPlainFloat = 64
+
+// parseFloat converts b when want is set. Otherwise it only validates b,
+// returning 0: a plain decimal is accepted as is, and anything else goes
+// through strconv.ParseFloat for its verdict and error.
+func parseFloat(b []byte, want bool) (float64, error) {
+	if !want && plainFloat(b) {
+		return 0, nil
+	}
+	v, err := strconv.ParseFloat(view(b), 64)
+	if !want {
+		v = 0
+	}
+	return v, err
+}
+
+// plainFloat reports whether b is [+-]?digits[.digits], at most
+// maxPlainFloat bytes.
+func plainFloat(b []byte) bool {
+	if len(b) > maxPlainFloat {
+		return false
+	}
+	if len(b) > 0 && (b[0] == '+' || b[0] == '-') {
+		b = b[1:]
+	}
+	n := digits(b)
+	if n == 0 || n == len(b) {
+		return n > 0
+	}
+	frac := b[n+1:]
+	return b[n] == '.' && len(frac) > 0 && digits(frac) == len(frac)
+}
+
+// maxPlainInt bounds plainInt's digit count: 18 digits always fit an int64.
+const maxPlainInt = 18
+
+// parseInt converts a base-10 int64 column. The plain form, [+-]?digits
+// with 1 to maxPlainInt digits, is converted in place: it has exactly one
+// value, the one strconv.ParseInt returns. Anything else goes to ParseInt
+// for its value or its error.
+func parseInt(b []byte) (int64, error) {
+	if v, ok := plainInt(b); ok {
+		return v, nil
+	}
+	return strconv.ParseInt(view(b), 10, 64)
+}
+
+// plainInt converts b if it is [+-]?digits with 1 to maxPlainInt digits.
+func plainInt(b []byte) (int64, bool) {
+	neg := len(b) > 0 && b[0] == '-'
+	if len(b) > 0 && (b[0] == '+' || b[0] == '-') {
+		b = b[1:]
+	}
+	if len(b) == 0 || len(b) > maxPlainInt {
+		return 0, false
+	}
+	var v int64
+	for _, c := range b {
+		if c < '0' || c > '9' {
+			return 0, false
+		}
+		v = v*10 + int64(c-'0')
+	}
+	if neg {
+		v = -v
+	}
+	return v, true
+}
+
+// digits returns the length of b's leading run of ASCII digits.
+func digits(b []byte) int {
+	for i, c := range b {
+		if c < '0' || c > '9' {
+			return i
+		}
+	}
+	return len(b)
+}
+
+// view returns b as a string without copying. strconv does not retain its
+// input (its errors carry a copy), so the view never outlives the call.
+func view(b []byte) string { return unsafe.String(unsafe.SliceData(b), len(b)) }
 
 // pageSize is the row count of one paginated scan RPC in Series.
 const pageSize = 60
@@ -126,19 +247,27 @@ const pageSize = 60
 // and none once the consumer stops ranging. A failed scan or an
 // undecodable row ends the series with its error.
 //
+// Only the columns in cols are converted; the others are zero in the
+// yielded measurements. Every field of every row read is still validated,
+// before the row's metric and window are checked, so a row that Decode
+// rejects ends the series at that row with Decode's error whatever cols
+// holds.
+//
 // Rows are decoded from the page's field views as they are yielded, so the
 // loop body must not operate on s (see store.Store.Scan).
-func Series(p *sim.Proc, s store.Store, metric string, from, to int64) iter.Seq2[Measurement, error] {
+func Series(p *sim.Proc, s store.Store, metric string, from, to int64, cols Columns) iter.Seq2[Measurement, error] {
 	return func(yield func(Measurement, error) bool) {
-		start := Measurement{Metric: metric, Timestamp: from}.Key()
+		// One start-key buffer serves every page: Scan does not retain
+		// its lookup key (see store.Store).
+		buf := appendKey(make([]byte, 0, len(metric)+1+timestampWidth+1), metric, from)
 		for {
-			recs, err := s.Scan(p, start, pageSize)
+			recs, err := s.Scan(p, view(buf), pageSize)
 			if err != nil {
 				yield(Measurement{}, err)
 				return
 			}
 			for _, r := range recs {
-				m, err := Decode(r.Key, r.Fields)
+				m, err := decode(r.Key, r.Fields, cols)
 				if err != nil {
 					yield(Measurement{}, err)
 					return
@@ -150,7 +279,8 @@ func Series(p *sim.Proc, s store.Store, metric string, from, to int64) iter.Seq2
 			if len(recs) < pageSize {
 				return
 			}
-			start = recs[len(recs)-1].Key + "\x00"
+			buf = append(buf[:0], recs[len(recs)-1].Key...)
+			buf = append(buf, 0)
 		}
 	}
 }

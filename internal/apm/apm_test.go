@@ -49,7 +49,7 @@ func TestDecodeRejectsMalformed(t *testing.T) {
 // readSeries collects Series(metric, from, to) inside a process on e.
 func readSeries(e *sim.Engine, s store.Store, metric string, from, to int64) (got []Measurement, err error) {
 	e.Go("q", func(p *sim.Proc) {
-		for m, serr := range Series(p, s, metric, from, to) {
+		for m, serr := range Series(p, s, metric, from, to, ColAll) {
 			if serr != nil {
 				err = serr
 				return

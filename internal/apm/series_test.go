@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"strings"
 	"testing"
 
 	"repro/internal/sim"
@@ -52,7 +53,9 @@ func (s *scanLog) Read(p *sim.Proc, key string) (store.FieldsView, error) {
 }
 
 func (s *scanLog) Scan(p *sim.Proc, start string, count int) ([]store.Record, error) {
-	s.calls = append(s.calls, scanCall{start, count})
+	// Scan must not retain its lookup key (see store.Store): Series
+	// reuses the key's buffer for the next page.
+	s.calls = append(s.calls, scanCall{strings.Clone(start), count})
 	if s.scanErr != nil {
 		return nil, s.scanErr
 	}
@@ -89,7 +92,7 @@ func page(metric string, ts int64) scanCall {
 func consume(s *scanLog, metric string, to int64, limit int) (got []int64, err error) {
 	e := sim.NewEngine(1)
 	e.Go("reader", func(p *sim.Proc) {
-		for m, serr := range Series(p, s, metric, 1, to) {
+		for m, serr := range Series(p, s, metric, 1, to, ColAll) {
 			if serr != nil {
 				err = serr
 				return

@@ -22,18 +22,6 @@ func APMDashboard(nodes []int) *Scenario {
 		Systems:     []System{Cassandra, HBase, VoltDB, Redis, MySQL},
 		Nodes:       nodes,
 		Metric:      "scan-latency",
-		Queries: []query.Spec{
-			// The host overview panel: mean and peak of every metric on one
-			// host over the last 10 minutes (the paper's headline window).
-			{Name: "overview", Weight: 4, WindowSec: 600, Aggs: []string{"avg", "max"}},
-			// The hot-components panel: a longer window, filtered to
-			// saturated samples, top five series by occurrence count.
-			{Name: "hotspots", Weight: 2, WindowSec: 1800, Filter: "value>80",
-				Aggs: []string{"count", "avg"}, OrderBy: "count", Desc: true, Limit: 5},
-			// The tail-latency panel: per metric kind, median and p99 over
-			// the last hour.
-			{Name: "tails", Weight: 1, WindowSec: 3600, GroupBy: "kind",
-				Aggs: []string{"p50", "p99"}},
-		},
+		Queries:     query.DashboardPanels(),
 	}
 }

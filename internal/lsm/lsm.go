@@ -193,11 +193,13 @@ type scanSource struct {
 	isMem bool
 }
 
+// key is the current key alone: the merge heap compares keys, and only an
+// emitted row needs its entry.
 func (s *scanSource) key() string {
 	if s.isMem {
-		return s.mem.Entry().Key
+		return s.mem.Key()
 	}
-	return s.tab.Entry().Key
+	return s.tab.Key()
 }
 
 func (s *scanSource) entry() memtable.Entry {
@@ -297,18 +299,17 @@ func (t *Tree) Scan(p *sim.Proc, start string, count int) []memtable.Entry {
 	}
 	out := make([]memtable.Entry, 0, count)
 	for len(out) < count && len(h) > 0 {
-		e := h[0].entry()
+		// First occurrence of a key comes from the newest generation
+		// (heap order); shadowed older versions are skipped here.
+		if n := len(out); n == 0 || out[n-1].Key != h[0].key() {
+			out = append(out, h[0].entry())
+		}
 		if h[0].advance() {
 			h.down(0)
 		} else {
 			h[0] = h[len(h)-1]
 			h = h[:len(h)-1]
 			h.down(0)
-		}
-		// First occurrence of a key comes from the newest generation
-		// (heap order); shadowed older versions are skipped here.
-		if n := len(out); n == 0 || out[n-1].Key != e.Key {
-			out = append(out, e)
 		}
 	}
 	return out

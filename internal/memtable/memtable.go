@@ -396,13 +396,15 @@ func (m *Memtable) Get(key string) (slab.FieldsView, bool) {
 	return slab.FieldsView{}, false
 }
 
-// Scan returns up to count entries with keys >= start, in key order.
-func (m *Memtable) Scan(start string, count int) []Entry {
-	out := make([]Entry, 0, max(0, min(count, m.n)))
-	for it := m.SeekIter(start); it.Valid() && len(out) < count; it.Next() {
-		out = append(out, it.Entry())
+// ScanAppend appends up to count entries with keys >= start, in key
+// order, to dst and returns the extended slice, so a caller can reuse one
+// buffer across scans.
+func (m *Memtable) ScanAppend(dst []Entry, start string, count int) []Entry {
+	for it := m.SeekIter(start); it.Valid() && count > 0; it.Next() {
+		dst = append(dst, it.Entry())
+		count--
 	}
-	return out
+	return dst
 }
 
 // Len returns the number of entries.
@@ -503,6 +505,10 @@ func (it Iterator) Valid() bool { return it.i < it.n }
 // Entry returns the current entry. It must not be called on an invalid
 // iterator.
 func (it Iterator) Entry() Entry { return it.m.slotEntry(it.m.node(it.leaf), it.i) }
+
+// Key returns the current entry's key without building its field view.
+// It must not be called on an invalid iterator.
+func (it Iterator) Key() string { return it.m.slotKey(it.m.node(it.leaf), it.i) }
 
 // Next advances to the following entry in key order.
 func (it *Iterator) Next() {

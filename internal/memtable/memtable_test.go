@@ -46,11 +46,12 @@ func TestScanOrderedFromStart(t *testing.T) {
 	for i := 9; i >= 0; i-- {
 		m.Put(fmt.Sprintf("k%02d", i), f1("v"))
 	}
-	got := m.Scan("k03", 4)
-	if len(got) != 4 {
-		t.Fatalf("scan returned %d entries, want 4", len(got))
+	// The rows land after what dst already holds.
+	got := m.ScanAppend(m.ScanAppend(nil, "k00", 1), "k03", 4)
+	if len(got) != 5 {
+		t.Fatalf("scan returned %d entries, want 5", len(got))
 	}
-	want := []string{"k03", "k04", "k05", "k06"}
+	want := []string{"k00", "k03", "k04", "k05", "k06"}
 	for i, e := range got {
 		if e.Key != want[i] {
 			t.Fatalf("scan[%d] = %q, want %q", i, e.Key, want[i])
@@ -62,7 +63,7 @@ func TestScanStartBetweenKeys(t *testing.T) {
 	m := New()
 	m.Put("a", f1("v"))
 	m.Put("c", f1("v"))
-	got := m.Scan("b", 10)
+	got := m.ScanAppend(nil, "b", 10)
 	if len(got) != 1 || got[0].Key != "c" {
 		t.Fatalf("scan from between keys = %v, want [c]", got)
 	}
@@ -71,7 +72,7 @@ func TestScanStartBetweenKeys(t *testing.T) {
 func TestScanPastEnd(t *testing.T) {
 	m := New()
 	m.Put("a", f1("v"))
-	if got := m.Scan("z", 5); len(got) != 0 {
+	if got := m.ScanAppend(nil, "z", 5); len(got) != 0 {
 		t.Fatalf("scan past end returned %v", got)
 	}
 }
@@ -165,7 +166,7 @@ func TestPropertyScanMatchesSortedRef(t *testing.T) {
 		if len(want) > n {
 			want = want[:n]
 		}
-		got := m.Scan(start, n)
+		got := m.ScanAppend(nil, start, n)
 		if len(got) != len(want) {
 			return false
 		}
@@ -350,7 +351,7 @@ func TestSlabLayoutEquivalence(t *testing.T) {
 			}
 		case 3: // scan from a random start
 			count := 1 + rng.Intn(8)
-			got := m.Scan(key, count)
+			got := m.ScanAppend(nil, key, count)
 			var want []string
 			for _, k := range ref.sortedKeys() {
 				if k >= key && len(want) < count {
@@ -519,7 +520,7 @@ func checkModel(t *testing.T, m *Memtable, ref *refTable, rng *rand.Rand) {
 		count := 1 + rng.Intn(200)
 		lo := sort.SearchStrings(keys, start)
 		want := keys[lo:min(lo+count, len(keys))]
-		got := m.Scan(start, count)
+		got := m.ScanAppend(nil, start, count)
 		if len(got) != len(want) {
 			t.Fatalf("Scan(%q,%d) len %d, want %d", start, count, len(got), len(want))
 		}

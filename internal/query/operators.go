@@ -10,23 +10,26 @@ import (
 	"repro/internal/store"
 )
 
-// filterPred compiles a validated filter expression.
-func filterPred(expr string) (func(apm.Measurement) bool, error) {
+// filterPred compiles a validated filter expression and reports the
+// column it reads.
+func filterPred(expr string) (func(apm.Measurement) bool, apm.Columns, error) {
 	col, op, val, err := parseFilter(expr)
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	colFn := column(col)
+	var pred func(apm.Measurement) bool
 	switch op {
 	case "<":
-		return func(m apm.Measurement) bool { return colFn(m) < val }, nil
+		pred = func(m apm.Measurement) bool { return colFn(m) < val }
 	case "<=":
-		return func(m apm.Measurement) bool { return colFn(m) <= val }, nil
+		pred = func(m apm.Measurement) bool { return colFn(m) <= val }
 	case ">":
-		return func(m apm.Measurement) bool { return colFn(m) > val }, nil
+		pred = func(m apm.Measurement) bool { return colFn(m) > val }
 	default:
-		return func(m apm.Measurement) bool { return colFn(m) >= val }, nil
+		pred = func(m apm.Measurement) bool { return colFn(m) >= val }
 	}
+	return pred, columns[col], nil
 }
 
 // column returns the projection for a validated column name.
@@ -134,34 +137,39 @@ func OrderLimit(rows []ResultRow, orderBy string, aggs []string, desc bool, limi
 // Query is a planned pipeline for one spec.
 type Query struct {
 	Spec Spec
+	cols apm.Columns                // the columns the pipeline reads
 	pred func(apm.Measurement) bool // nil when unfiltered
 }
 
-// Plan validates and normalizes the spec and compiles its pipeline.
+// Plan validates and normalizes the spec and compiles its pipeline,
+// including the column set its scans convert: the projected column plus
+// the filter's.
 func Plan(s Spec) (*Query, error) {
 	if err := s.Normalize(); err != nil {
 		return nil, err
 	}
-	q := &Query{Spec: s}
+	q := &Query{Spec: s, cols: columns[s.Column]}
 	if s.Filter != "" {
-		pred, err := filterPred(s.Filter)
+		pred, cols, err := filterPred(s.Filter)
 		if err != nil {
 			return nil, fmt.Errorf("query: %s: %w", s.Name, err)
 		}
 		q.pred = pred
+		q.cols |= cols
 	}
 	return q, nil
 }
 
 // Execute runs the pipeline over the given per-metric ranges: each range's
-// apm.Series rows are filtered, projected and folded into per-group
-// aggregate state; the groups are then finalized, ordered and limited.
+// apm.Series rows, with the planned columns converted, are filtered,
+// projected and folded into per-group aggregate state; the groups are then
+// finalized, ordered and limited.
 func (q *Query) Execute(p *sim.Proc, st store.Store, ranges []Range) ([]ResultRow, error) {
 	col := column(q.Spec.Column)
 	keepVals := aggIndex(q.Spec.Aggs, "p50") >= 0 || aggIndex(q.Spec.Aggs, "p99") >= 0
 	groups := map[string]*aggState{}
 	for _, r := range ranges {
-		for m, err := range apm.Series(p, st, r.Metric, r.From, r.To) {
+		for m, err := range apm.Series(p, st, r.Metric, r.From, r.To, q.cols) {
 			if err != nil {
 				return nil, err
 			}

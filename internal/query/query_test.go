@@ -8,8 +8,11 @@ import (
 	"testing"
 
 	"repro/internal/apm"
+	"repro/internal/cluster"
 	"repro/internal/sim"
 	"repro/internal/store"
+	"repro/internal/stores/redis"
+	"repro/internal/stores/voltdb"
 )
 
 // memStore is a minimal sorted in-memory Store for operator tests: every
@@ -199,23 +202,50 @@ func TestDatasetDeterministicAndOrdered(t *testing.T) {
 	}
 }
 
-// expectedRows computes a query's grouped output directly from the dataset
-// definition (no store, no operators) for golden comparison.
-func expectedRows(ds Dataset, host int, s Spec) []ResultRow {
+// expectedRows is the reference fold for a query's grouped output, built
+// from the dataset definition alone: every in-window measurement is encoded
+// and decoded whole with apm.Decode, then filtered, projected and grouped
+// by logic local to this file (no store, no operators, no column pruning).
+func expectedRows(t testing.TB, ds Dataset, host int, s Spec) []ResultRow {
+	t.Helper()
 	from, to := ds.Window(s.WindowSec)
-	var pred func(apm.Measurement) bool
-	if s.Filter != "" {
-		pred, _ = filterPred(s.Filter)
+	pick := func(m apm.Measurement, col string) float64 {
+		switch col {
+		case "min":
+			return m.Min
+		case "max":
+			return m.Max
+		}
+		return m.Value
 	}
-	col := column(s.Column)
+	keep := func(apm.Measurement) bool { return true }
+	if s.Filter != "" {
+		col, op, val, err := parseFilter(s.Filter)
+		if err != nil {
+			t.Fatal(err)
+		}
+		keep = func(m apm.Measurement) bool {
+			switch v := pick(m, col); op {
+			case "<":
+				return v < val
+			case "<=":
+				return v <= val
+			case ">":
+				return v > val
+			default:
+				return v >= val
+			}
+		}
+	}
 	groups := map[string][]float64{}
 	for _, metric := range ds.HostMetrics(host) {
 		for k := int64(0); k < ds.Intervals; k++ {
-			m := ds.synth(metric, k)
-			if m.Timestamp < from || m.Timestamp > to {
-				continue
+			enc := ds.synth(metric, k)
+			m, err := apm.Decode(enc.Key(), store.ViewFields(enc.Fields()))
+			if err != nil {
+				t.Fatal(err)
 			}
-			if pred != nil && !pred(m) {
+			if m.Timestamp < from || m.Timestamp > to || !keep(m) {
 				continue
 			}
 			g := m.Metric
@@ -225,7 +255,7 @@ func expectedRows(ds Dataset, host int, s Spec) []ResultRow {
 			case "none":
 				g = "all"
 			}
-			groups[g] = append(groups[g], col(m))
+			groups[g] = append(groups[g], pick(m, s.Column))
 		}
 	}
 	var rows []ResultRow
@@ -298,7 +328,7 @@ func TestExecuteMatchesDirectComputation(t *testing.T) {
 						t.Errorf("Execute: %v", err)
 					}
 				})
-				want := expectedRows(ds, host, q.Spec)
+				want := expectedRows(t, ds, host, q.Spec)
 				if len(got) == 0 {
 					t.Fatalf("host %d: no rows", host)
 				}
@@ -307,6 +337,86 @@ func TestExecuteMatchesDirectComputation(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestExecuteMatchesFullDecode runs every dashboard panel, plus specs
+// that project min or max and one that filters on a column other than the
+// one it projects, against the test store and 2-node voltdb and redis
+// deployments: the rows a column-pruned plan returns must equal the
+// reference fold over fully decoded measurements.
+func TestExecuteMatchesFullDecode(t *testing.T) {
+	ds := SizeDataset(8000)
+	specs := append(DashboardPanels(),
+		Spec{Name: "mins", WindowSec: 1800, Column: "min", Aggs: []string{"avg", "min", "max", "p99"}},
+		Spec{Name: "maxes", WindowSec: 1800, Column: "max", GroupBy: "kind", Aggs: []string{"avg", "max", "p50"}},
+		Spec{Name: "max-over-hot", WindowSec: 3600, Column: "max", Filter: "value>50",
+			Aggs: []string{"count", "avg", "max"}, OrderBy: "max"},
+	)
+	onCluster := func(deploy func(*cluster.Cluster) store.Store) func() (*sim.Engine, store.Store) {
+		return func() (*sim.Engine, store.Store) {
+			e := sim.NewEngine(1)
+			return e, deploy(cluster.New(e, cluster.ClusterM(2).Scale(0.01)))
+		}
+	}
+	stores := []struct {
+		name   string
+		deploy func() (*sim.Engine, store.Store)
+	}{
+		{"mem", func() (*sim.Engine, store.Store) { return sim.NewEngine(1), newMemStore() }},
+		{"voltdb", onCluster(func(c *cluster.Cluster) store.Store { return voltdb.New(c, voltdb.Options{}) })},
+		{"redis", onCluster(func(c *cluster.Cluster) store.Store { return redis.New(c, redis.Options{}) })},
+	}
+	for _, sd := range stores {
+		t.Run(sd.name, func(t *testing.T) {
+			e, st := sd.deploy()
+			if err := ds.Load(st); err != nil {
+				t.Fatal(err)
+			}
+			for _, s := range specs {
+				q, err := Plan(s)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, host := range []int{0, ds.Hosts - 1} {
+					from, to := ds.Window(q.Spec.WindowSec)
+					var got []ResultRow
+					e.Go("q", func(p *sim.Proc) {
+						if got, err = q.Execute(p, st, ds.HostRanges(host, from, to)); err != nil {
+							t.Errorf("%s host %d: %v", s.Name, host, err)
+						}
+					})
+					e.Run(0)
+					want := expectedRows(t, ds, host, q.Spec)
+					if len(got) == 0 || fmt.Sprint(got) != fmt.Sprint(want) {
+						t.Fatalf("%s host %d rows diverge:\n got %v\nwant %v", s.Name, host, got, want)
+					}
+				}
+			}
+		})
+	}
+}
+
+// TestPlanCompilesColumns: a plan converts the projected column plus the
+// filter's, and no other.
+func TestPlanCompilesColumns(t *testing.T) {
+	for _, c := range []struct {
+		spec Spec
+		want apm.Columns
+	}{
+		{Spec{Name: "q"}, apm.ColValue},
+		{Spec{Name: "q", Column: "min"}, apm.ColMin},
+		{Spec{Name: "q", Column: "max", Filter: "max<3"}, apm.ColMax},
+		{Spec{Name: "q", Column: "max", Filter: "value>50"}, apm.ColMax | apm.ColValue},
+		{Spec{Name: "q", Filter: "min>=1"}, apm.ColValue | apm.ColMin},
+	} {
+		q, err := Plan(c.spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if q.cols != c.want {
+			t.Errorf("%s: columns %03b, want %03b", q.Spec, q.cols, c.want)
+		}
 	}
 }
 
@@ -324,7 +434,7 @@ func TestScanOpPaginatesWithoutLoss(t *testing.T) {
 	var rows []apm.Measurement
 	inProc(t, func(p *sim.Proc) {
 		for _, r := range ds.HostRanges(0, from, to) {
-			for m, err := range apm.Series(p, st, r.Metric, r.From, r.To) {
+			for m, err := range apm.Series(p, st, r.Metric, r.From, r.To, apm.ColAll) {
 				if err != nil {
 					t.Errorf("scan: %v", err)
 					return

@@ -15,6 +15,8 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+
+	"repro/internal/apm"
 )
 
 // Spec declares one analytic query shape. Zero values take documented
@@ -50,10 +52,11 @@ type Spec struct {
 	Limit int `json:"limit,omitempty"`
 }
 
-// groupKinds and columns enumerate the operator vocabulary.
+// groupKinds and columns enumerate the operator vocabulary; columns maps
+// each column name to the apm column it reads.
 var (
 	groupKinds = map[string]bool{"none": true, "metric": true, "kind": true}
-	columns    = map[string]bool{"value": true, "min": true, "max": true}
+	columns    = map[string]apm.Columns{"value": apm.ColValue, "min": apm.ColMin, "max": apm.ColMax}
 	aggKinds   = map[string]bool{"count": true, "avg": true, "min": true, "max": true, "p50": true, "p99": true}
 	filterOps  = []string{"<=", ">=", "<", ">"} // two-char ops first
 )
@@ -89,7 +92,7 @@ func (s *Spec) Normalize() error {
 	if s.Column == "" {
 		s.Column = "value"
 	}
-	if !columns[s.Column] {
+	if columns[s.Column] == 0 {
 		return fmt.Errorf("query: %s: unknown column %q (value, min, max)", s.Name, s.Column)
 	}
 	if len(s.Aggs) == 0 {
@@ -131,7 +134,7 @@ func parseFilter(f string) (col, op string, val float64, err error) {
 			if perr != nil {
 				return "", "", 0, fmt.Errorf("filter %q: bad constant", f)
 			}
-			if !columns[col] {
+			if columns[col] == 0 {
 				return "", "", 0, fmt.Errorf("filter %q: unknown column %q", f, col)
 			}
 			return col, op, v, nil
@@ -183,6 +186,25 @@ func (m Mix) String() string {
 		parts[i] = s.String()
 	}
 	return strings.Join(parts, "+")
+}
+
+// DashboardPanels returns the dashboard mix the built-in apm-dashboard
+// figure serves, one spec per panel. Each call returns a fresh mix, since
+// Normalize edits specs in place.
+func DashboardPanels() Mix {
+	return Mix{
+		// The host overview panel: mean and peak of every metric on one
+		// host over the last 10 minutes (the paper's headline window).
+		{Name: "overview", Weight: 4, WindowSec: 600, Aggs: []string{"avg", "max"}},
+		// The hot-components panel: a longer window, filtered to
+		// saturated samples, top five series by occurrence count.
+		{Name: "hotspots", Weight: 2, WindowSec: 1800, Filter: "value>80",
+			Aggs: []string{"count", "avg"}, OrderBy: "count", Desc: true, Limit: 5},
+		// The tail-latency panel: per metric kind, median and p99 over
+		// the last hour.
+		{Name: "tails", Weight: 1, WindowSec: 3600, GroupBy: "kind",
+			Aggs: []string{"p50", "p99"}},
+	}
 }
 
 // ParseMix parses the canonical encoding back into a normalized mix; it
@@ -274,7 +296,7 @@ func (m Mix) pick(u float64) int {
 	return len(m) - 1
 }
 
-// sortAggsIndex returns the index of agg in aggs (OrderBy resolution).
+// aggIndex returns the index of agg in aggs (OrderBy resolution).
 func aggIndex(aggs []string, agg string) int {
 	for i, a := range aggs {
 		if a == agg {

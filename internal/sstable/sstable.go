@@ -299,6 +299,10 @@ func (it Iterator) Valid() bool { return it.i < len(it.t.meta) }
 // iterator.
 func (it Iterator) Entry() memtable.Entry { return it.t.entryAt(it.i) }
 
+// Key returns the current entry's key without building its field view.
+// It must not be called on an invalid iterator.
+func (it Iterator) Key() string { return it.t.keyAt(it.i) }
+
 // Next advances to the following entry.
 func (it *Iterator) Next() { it.i++ }
 

@@ -1,6 +1,7 @@
 // Package base holds helpers shared by the store models: the client-to-
 // server round-trip pattern (YCSB clients ran on separate machines wired to
-// the same gigabit switch) and message-size constants.
+// the same gigabit switch), message-size constants, and the recycled row
+// buffers of fan-out scans.
 package base
 
 import (
@@ -26,3 +27,27 @@ func Roundtrip(p *sim.Proc, n *cluster.Node, reqBytes, respBytes int64, handler 
 	}
 	n.Send(p, n, respBytes)
 }
+
+// RunBufs is a free list of the row buffers a fan-out scan gathers its
+// per-partition runs into before store.MergeRuns. A scan takes one buffer
+// for the whole call and gives it back once MergeRuns has copied the
+// winning rows out, so two scans that park concurrently never share one; a
+// scan whose process is killed mid-fan-out just leaves its buffer to the
+// garbage collector. The rows themselves view store-owned memory, not the
+// buffer, so the merged page outlives the buffer's reuse.
+type RunBufs[E any] struct{ free [][]E }
+
+// Take returns an empty buffer with room for at least n rows.
+func (r *RunBufs[E]) Take(n int) []E {
+	if k := len(r.free) - 1; k >= 0 {
+		b := r.free[k]
+		r.free = r.free[:k]
+		if cap(b) >= n {
+			return b
+		}
+	}
+	return make([]E, 0, max(n, 0))
+}
+
+// Give returns b for reuse by a later Take.
+func (r *RunBufs[E]) Give(b []E) { r.free = append(r.free, b[:0]) }

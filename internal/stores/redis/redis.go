@@ -70,6 +70,8 @@ type Store struct {
 	// has no failover: a dead shard's keys are unavailable until restart.
 	down      []bool
 	downCount int
+	// runBufs recycles the buffers Scan gathers its instances' rows in.
+	runBufs base.RunBufs[memtable.Entry]
 }
 
 // instance is one single-threaded Redis process.
@@ -222,19 +224,31 @@ func (s *Store) Scan(p *sim.Proc, start string, count int) ([]store.Record, erro
 		return nil, store.ErrUnavailable
 	}
 	runs := make([][]memtable.Entry, 0, len(s.insts))
+	need := 0
+	for _, in := range s.insts {
+		need += min(count, in.data.Len())
+	}
+	buf := s.runBufs.Take(need)
 	for _, in := range s.insts {
 		base.Roundtrip(p, in.node, base.ReqHeader, int64(count)*base.RecordWire, func() {
 			in.loop.Acquire(p)
 			in.swapPenalty(p)
 			in.node.Compute(p, readCPU+sim.Time(count)*scanPerRecordCPU)
-			// Scan materializes its rows under the loop resource and
-			// holds no memtable iterator past it, so a Put that splits a
-			// leaf cannot invalidate a cursor here.
-			runs = append(runs, in.data.Scan(start, count))
+			// ScanAppend copies the instance's rows out under the loop
+			// resource and holds no memtable iterator past it, so a Put
+			// that splits a leaf cannot invalidate a cursor here. The
+			// run is sliced out of buf with its capacity capped, so the
+			// next instance's rows never overwrite it (if buf must grow,
+			// earlier runs keep the old array).
+			off := len(buf)
+			buf = in.data.ScanAppend(buf, start, count)
+			runs = append(runs, buf[off:len(buf):len(buf)])
 			in.loop.Release()
 		})
 	}
-	return store.MergeRuns(runs, count), nil
+	recs := store.MergeRuns(runs, count)
+	s.runBufs.Give(buf)
+	return recs, nil
 }
 
 // Load implements store.Store.

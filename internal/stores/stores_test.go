@@ -6,6 +6,7 @@ package stores_test
 import (
 	"fmt"
 	"slices"
+	"strings"
 	"testing"
 	"unsafe"
 
@@ -204,8 +205,7 @@ func TestScanReturnsGlobalPrefix(t *testing.T) {
 			}
 			e.Go("r", func(p *sim.Proc) {
 				for _, start := range starts {
-					from, _ := slices.BinarySearch(keys, start)
-					want := keys[from:min(from+count, n)]
+					want := globalPrefix(keys, start, count)
 					recs, err := s.Scan(p, start, count)
 					if err != nil {
 						t.Errorf("scan from %q: %v", start, err)
@@ -221,6 +221,93 @@ func TestScanReturnsGlobalPrefix(t *testing.T) {
 				}
 			})
 			e.Run(0)
+		})
+	}
+}
+
+// globalPrefix is the page a scan of the sorted key set must return: the
+// first count keys >= start.
+func globalPrefix(keys []string, start string, count int) []string {
+	from, _ := slices.BinarySearch(keys, start)
+	return keys[from:min(from+count, len(keys))]
+}
+
+// TestScanRunsNotShared drives two processes whose scans overlap across
+// the fan-out parks of the stores that recycle their per-partition run
+// buffers. Every page must still hold the bytes it was returned with after
+// the other process's later scans, and equal the global prefix.
+func TestScanRunsNotShared(t *testing.T) {
+	const n, count, rounds = 300, 20, 8
+	keys := make([]string, n)
+	for i := range keys {
+		keys[i] = store.Key(int64(i))
+	}
+	slices.Sort(keys)
+	starts := [2]string{keys[3], keys[150] + "!"}
+	render := func(recs []store.Record) string {
+		var b strings.Builder
+		for _, r := range recs {
+			b.WriteString(r.Key)
+			for i := range r.Fields.Len() {
+				fmt.Fprintf(&b, "|%s", r.Fields.Field(i))
+			}
+			b.WriteByte('\n')
+		}
+		return b.String()
+	}
+	for _, name := range []string{"redis", "voltdb"} {
+		t.Run(name, func(t *testing.T) {
+			e, s := deployAll(t, 2)[name]()
+			for i := int64(0); i < n; i++ {
+				s.Load(store.Key(i), store.MakeFields(i))
+			}
+			type page struct {
+				start      string
+				recs       []store.Record
+				snap       string
+				begin, end sim.Time
+			}
+			var pages [2][]page
+			for proc := range 2 {
+				e.Go(fmt.Sprint("scan", proc), func(p *sim.Proc) {
+					for r := range rounds {
+						start := starts[(proc+r)%2]
+						begin := p.Now()
+						recs, err := s.Scan(p, start, count)
+						if err != nil {
+							t.Errorf("scan from %q: %v", start, err)
+							return
+						}
+						pages[proc] = append(pages[proc], page{start, recs, render(recs), begin, p.Now()})
+					}
+				})
+			}
+			e.Run(0)
+			overlaps := 0
+			for _, a := range pages[0] {
+				for _, b := range pages[1] {
+					if a.begin < b.end && b.begin < a.end {
+						overlaps++
+					}
+				}
+			}
+			if overlaps == 0 {
+				t.Fatal("the two processes' scans never overlapped")
+			}
+			for proc := range pages {
+				for r, pg := range pages[proc] {
+					if got := render(pg.recs); got != pg.snap {
+						t.Fatalf("proc %d scan %d changed after it returned:\n got %s\nwant %s", proc, r, got, pg.snap)
+					}
+					got := make([]string, len(pg.recs))
+					for i, rec := range pg.recs {
+						got[i] = rec.Key
+					}
+					if want := globalPrefix(keys, pg.start, count); !slices.Equal(got, want) {
+						t.Fatalf("proc %d scan %d from %q:\n got %v\nwant %v", proc, r, pg.start, got, want)
+					}
+				}
+			}
 		})
 	}
 }

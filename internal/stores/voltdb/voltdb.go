@@ -62,6 +62,8 @@ type Store struct {
 	// k-safety, so a dead host's partitions are unavailable until restart.
 	down      []bool
 	downCount int
+	// runBufs recycles the buffers Scan gathers its partitions' rows in.
+	runBufs base.RunBufs[memtable.Entry]
 }
 
 // host is one VoltDB server process.
@@ -216,6 +218,13 @@ func (s *Store) Scan(p *sim.Proc, start string, count int) ([]store.Record, erro
 	}
 	arrival := s.hosts[ai]
 	runs := make([][]memtable.Entry, 0, len(s.hosts)*s.opts.SitesPerHost)
+	need := 0
+	for _, h := range s.hosts {
+		for _, st := range h.sites {
+			need += min(count, st.data.Len())
+		}
+	}
+	buf := s.runBufs.Take(need)
 	base.Roundtrip(p, arrival.machine, base.ReqHeader, int64(count)*base.RecordWire, func() {
 		s.order(p, true)
 		for _, h := range s.hosts {
@@ -223,10 +232,15 @@ func (s *Store) Scan(p *sim.Proc, start string, count int) ([]store.Record, erro
 				for _, st := range h.sites {
 					st.exec.Acquire(p)
 					h.machine.Compute(p, mpFanoutCPU/sim.Time(s.opts.SitesPerHost))
-					// Scan materializes its rows while the site is held
-					// and keeps no memtable iterator past it, so a Put
-					// that splits a leaf cannot invalidate a cursor here.
-					rows := st.data.Scan(start, count)
+					// ScanAppend copies the site's rows out while the site
+					// is held and keeps no memtable iterator past it, so a
+					// Put that splits a leaf cannot invalidate a cursor
+					// here. The run is sliced out of buf with its capacity
+					// capped, so the next site's rows never overwrite it
+					// (if buf must grow, earlier runs keep the old array).
+					off := len(buf)
+					buf = st.data.ScanAppend(buf, start, count)
+					rows := buf[off:len(buf):len(buf)]
 					h.machine.Compute(p, sim.Time(len(rows))*scanRowCPU)
 					runs = append(runs, rows)
 					st.exec.Release()
@@ -239,7 +253,9 @@ func (s *Store) Scan(p *sim.Proc, start string, count int) ([]store.Record, erro
 			arrival.machine.RPC(p, h.machine, base.ReqHeader, int64(count)*base.RecordWire, frag)
 		}
 	})
-	return store.MergeRuns(runs, count), nil
+	recs := store.MergeRuns(runs, count)
+	s.runBufs.Give(buf)
+	return recs, nil
 }
 
 // Load implements store.Store.
