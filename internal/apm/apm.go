@@ -35,8 +35,12 @@ type Measurement struct {
 // assembled into one sized buffer instead of going through fmt (the format
 // is exactly "%s|%012d").
 func (m Measurement) Key() string {
-	return string(appendKey(make([]byte, 0, len(m.Metric)+1+timestampWidth), m.Metric, m.Timestamp))
+	return string(m.AppendKey(make([]byte, 0, len(m.Metric)+1+timestampWidth)))
 }
+
+// AppendKey appends the measurement's storage key to b: Key without the
+// allocation, for loaders that rebuild one buffer per record.
+func (m Measurement) AppendKey(b []byte) []byte { return appendKey(b, m.Metric, m.Timestamp) }
 
 // appendKey appends the storage key of metric's measurement at ts to b.
 func appendKey(b []byte, metric string, ts int64) []byte {
@@ -81,9 +85,19 @@ func appendUintPadded(b []byte, v uint64, width int) []byte {
 // value, min and max as fmt's %g renders them, then timestamp and duration
 // in decimal. The five fields share one sized buffer.
 func (m Measurement) Fields() store.Fields {
-	// A 'g' float64 takes at most 24 bytes and an int64 at most 20.
-	b := make([]byte, 0, 3*24+2*20)
-	f := make(store.Fields, 0, 5)
+	f, _ := m.AppendFields(make(store.Fields, 0, 5), make([]byte, 0, fieldsBytes))
+	return f
+}
+
+// fieldsBytes bounds an encoded payload: a 'g' float64 takes at most 24
+// bytes and an int64 at most 20.
+const fieldsBytes = 3*24 + 2*20
+
+// AppendFields is Fields appending the five fields to f and their bytes
+// to b, returning both extended. Loaders reuse f and b across records
+// (passing back f[:0], b[:0]), so encoding allocates nothing once b holds
+// fieldsBytes.
+func (m Measurement) AppendFields(f store.Fields, b []byte) (store.Fields, []byte) {
 	for _, v := range [...]float64{m.Value, m.Min, m.Max} {
 		n := len(b)
 		b = strconv.AppendFloat(b, v, 'g', -1, 64)
@@ -94,7 +108,7 @@ func (m Measurement) Fields() store.Fields {
 		b = strconv.AppendInt(b, v, 10)
 		f = append(f, b[n:len(b):len(b)])
 	}
-	return f
+	return f, b
 }
 
 // Columns is a set of a measurement's float columns: the ones a reader

@@ -164,6 +164,36 @@ func TestKeyMatchesReferenceFormat(t *testing.T) {
 	}
 }
 
+// TestAppendReusesBuffers pins the loader's allocation-free encoding:
+// AppendKey and AppendFields into reused buffers reproduce Key and Fields
+// and allocate nothing.
+func TestAppendReusesBuffers(t *testing.T) {
+	var key []byte
+	f, b := make(store.Fields, 0, 5), make([]byte, 0, fieldsBytes)
+	for i, m := range []Measurement{
+		{Metric: "HostA/Agent/Component007/HeapUsage", Value: 42.5, Min: 34, Max: 53.125, Timestamp: 1_700_000_000, Duration: 15},
+		{Metric: "m", Value: -1e300, Min: 5e-324, Max: 1, Timestamp: -7, Duration: 0},
+	} {
+		key = m.AppendKey(key[:0])
+		f, b = m.AppendFields(f[:0], b[:0])
+		if string(key) != m.Key() {
+			t.Fatalf("case %d: AppendKey = %q, Key = %q", i, key, m.Key())
+		}
+		want := m.Fields()
+		for j := range want {
+			if string(f[j]) != string(want[j]) {
+				t.Fatalf("case %d: field %d = %q, want %q", i, j, f[j], want[j])
+			}
+		}
+		if n := testing.AllocsPerRun(100, func() {
+			key = m.AppendKey(key[:0])
+			f, b = m.AppendFields(f[:0], b[:0])
+		}); n != 0 {
+			t.Fatalf("case %d: reused encoding allocates %v times, want 0", i, n)
+		}
+	}
+}
+
 // BenchmarkMeasurementKey pins the allocation win of the fmt-free key
 // builder on the ingest hot path (was fmt.Sprintf with boxed args: 3
 // allocs/op and ~190 ns; now one sized buffer and its string conversion).

@@ -3,10 +3,7 @@
 // cannot contain a key.
 package bloom
 
-import (
-	"hash/fnv"
-	"math"
-)
+import "math"
 
 // Filter is a standard Bloom filter. It is not safe for concurrent use.
 type Filter struct {
@@ -35,6 +32,11 @@ func New(expectedN int, fpp float64) *Filter {
 	if nbits < 64 {
 		nbits = 64
 	}
+	return newBits(nbits, k)
+}
+
+// newBits creates a filter with exactly nbits bits and k probes.
+func newBits(nbits uint64, k int) *Filter {
 	return &Filter{
 		bits:  make([]uint64, (nbits+63)/64),
 		nbits: nbits,
@@ -42,22 +44,33 @@ func New(expectedN int, fpp float64) *Filter {
 	}
 }
 
-// hash2 derives two independent 64-bit hashes from key using FNV-1a over the
-// key and over the key with a salt byte appended.
-func hash2(key string) (uint64, uint64) {
-	h1 := fnv.New64a()
-	h1.Write([]byte(key))
-	a := h1.Sum64()
-	h1.Write([]byte{0xA5})
-	b := h1.Sum64()
-	return a, b
+// Hash is a key's double hash. Computing it once lets a reader probe any
+// number of filters (one per SSTable) without rehashing the key.
+type Hash struct{ a, b uint64 }
+
+// FNV-1a 64-bit parameters.
+const (
+	fnvOffset64 = 14695981039346656037
+	fnvPrime64  = 1099511628211
+)
+
+// HashKey derives two 64-bit hashes from key: FNV-1a over the key, and
+// FNV-1a over the key with a salt byte appended. The FNV loop runs over
+// the string directly, so hashing allocates nothing.
+func HashKey(key string) Hash {
+	h := uint64(fnvOffset64)
+	for i := 0; i < len(key); i++ {
+		h ^= uint64(key[i])
+		h *= fnvPrime64
+	}
+	return Hash{a: h, b: (h ^ 0xA5) * fnvPrime64}
 }
 
 // Add inserts key into the filter.
 func (f *Filter) Add(key string) {
-	a, b := hash2(key)
+	h := HashKey(key)
 	for i := 0; i < f.k; i++ {
-		idx := (a + uint64(i)*b) % f.nbits
+		idx := (h.a + uint64(i)*h.b) % f.nbits
 		f.bits[idx/64] |= 1 << (idx % 64)
 	}
 	f.n++
@@ -65,10 +78,12 @@ func (f *Filter) Add(key string) {
 
 // MayContain reports whether key might have been added. False positives are
 // possible; false negatives are not.
-func (f *Filter) MayContain(key string) bool {
-	a, b := hash2(key)
+func (f *Filter) MayContain(key string) bool { return f.MayContainHash(HashKey(key)) }
+
+// MayContainHash is MayContain for a key hashed by HashKey.
+func (f *Filter) MayContainHash(h Hash) bool {
 	for i := 0; i < f.k; i++ {
-		idx := (a + uint64(i)*b) % f.nbits
+		idx := (h.a + uint64(i)*h.b) % f.nbits
 		if f.bits[idx/64]&(1<<(idx%64)) == 0 {
 			return false
 		}

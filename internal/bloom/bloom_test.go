@@ -2,6 +2,8 @@ package bloom
 
 import (
 	"fmt"
+	"hash/fnv"
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -94,6 +96,106 @@ func TestPropertyMembership(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// refFilter is the filter before HashKey: hash/fnv over a []byte copy of
+// the key. The filter must set and test exactly its bits.
+type refFilter struct {
+	bits  []uint64
+	nbits uint64
+	k     int
+}
+
+func refHash2(key string) (uint64, uint64) {
+	h1 := fnv.New64a()
+	h1.Write([]byte(key))
+	a := h1.Sum64()
+	h1.Write([]byte{0xA5})
+	return a, h1.Sum64()
+}
+
+func (f *refFilter) add(key string) {
+	a, b := refHash2(key)
+	for i := 0; i < f.k; i++ {
+		idx := (a + uint64(i)*b) % f.nbits
+		f.bits[idx/64] |= 1 << (idx % 64)
+	}
+}
+
+func (f *refFilter) mayContain(key string) bool {
+	a, b := refHash2(key)
+	for i := 0; i < f.k; i++ {
+		idx := (a + uint64(i)*b) % f.nbits
+		if f.bits[idx/64]&(1<<(idx%64)) == 0 {
+			return false
+		}
+	}
+	return true
+}
+
+// wraps counts the probe steps of key whose 64-bit sum a + i·b wraps.
+func wraps(key string, k int) int {
+	a, b := refHash2(key)
+	n := 0
+	for i := 1; i < k; i++ {
+		if a+uint64(i)*b < a+uint64(i-1)*b {
+			n++
+		}
+	}
+	return n
+}
+
+func randKey(rng *rand.Rand) string {
+	b := make([]byte, rng.Intn(40))
+	rng.Read(b)
+	return string(b)
+}
+
+// TestFilterMatchesReference pins the filter's bits: over random keys,
+// power-of-two and other sizes and k up to 12, the filter words and every
+// MayContain answer equal the reference implementation's, with wrapping
+// 64-bit probe sums exercised.
+func TestFilterMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	wrapped := 0
+	for _, nbits := range []uint64{64, 100, 997, 1 << 12, 9585, 65537, 3<<20 + 1} {
+		for _, k := range []int{1, 2, 7, 12} {
+			f := newBits(nbits, k)
+			ref := &refFilter{bits: make([]uint64, len(f.bits)), nbits: nbits, k: k}
+			n := int(nbits / 16)
+			if n > 2000 {
+				n = 2000
+			}
+			for i := 0; i < n; i++ {
+				key := randKey(rng)
+				f.Add(key)
+				ref.add(key)
+				wrapped += wraps(key, k)
+			}
+			for i := range ref.bits {
+				if f.bits[i] != ref.bits[i] {
+					t.Fatalf("nbits=%d k=%d: word %d = %#x, reference %#x", nbits, k, i, f.bits[i], ref.bits[i])
+				}
+			}
+			for i := 0; i < 2000; i++ {
+				key := randKey(rng)
+				if got, want := f.MayContain(key), ref.mayContain(key); got != want {
+					t.Fatalf("nbits=%d k=%d: MayContain(%q) = %v, reference %v", nbits, k, key, got, want)
+				}
+			}
+		}
+	}
+	if wrapped == 0 {
+		t.Fatal("no probe sum wrapped: the wrapping probes went untested")
+	}
+}
+
+func TestHashKeyAllocatesNothing(t *testing.T) {
+	f := New(1000, 0.01)
+	key := "user000000000000000000042"
+	if n := testing.AllocsPerRun(100, func() { f.Add(key); f.MayContain(key) }); n != 0 {
+		t.Fatalf("Add+MayContain allocate %v times, want 0", n)
 	}
 }
 

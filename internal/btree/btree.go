@@ -149,7 +149,7 @@ type Tree struct {
 	pool pool
 
 	// pending is the buffered load batch; the tree is built from it on
-	// first use (see Load and seal). Keys and payloads are already in the
+	// first use (see Load and Seal). Keys and payloads are already in the
 	// slabs, so the batch itself is pointer-free.
 	pending []pentry
 	// loading marks the deferred build's replay: page touches record
@@ -335,8 +335,11 @@ func (t *Tree) Load(key string, fields [][]byte) {
 	})
 }
 
-// seal builds the tree from the buffered load batch, if any.
-func (t *Tree) seal() {
+// Seal builds the tree from the buffered load batch, if any. Every read,
+// write, scan and size accessor seals first, so calling it is never
+// needed for correctness; a loader calls it to end the load phase with
+// the tree built, so the build runs on the loader's goroutine.
+func (t *Tree) Seal() {
 	if t.pending == nil {
 		return
 	}
@@ -387,7 +390,7 @@ func collect(n *node, out *[]*node) {
 
 // Get returns a view of the fields for key.
 func (t *Tree) Get(key string) (slab.FieldsView, bool, IOStats) {
-	t.seal()
+	t.Seal()
 	var io IOStats
 	kp := prefixOf(key)
 	n := t.root
@@ -406,7 +409,7 @@ func (t *Tree) Get(key string) (slab.FieldsView, bool, IOStats) {
 
 // Put inserts or replaces key.
 func (t *Tree) Put(key string, fields [][]byte) IOStats {
-	t.seal()
+	t.Seal()
 	var io IOStats
 	t.put(key, prefixOf(key), t.ingestKey(key), t.ingestFields(fields), &io)
 	return io
@@ -524,7 +527,7 @@ func (t *Tree) splitInternal(n *node, io *IOStats) (kref, pfx, *node) {
 // paying one clean page touch per internal node, and returns the leaf with
 // key's prefix.
 func (t *Tree) descend(key string, io *IOStats) (*node, pfx) {
-	t.seal()
+	t.Seal()
 	kp := prefixOf(key)
 	n := t.root
 	for !n.leaf {
@@ -572,16 +575,16 @@ func (t *Tree) ScanAllFrom(start string) (entries int, io IOStats) {
 }
 
 // Len returns the number of entries.
-func (t *Tree) Len() int { t.seal(); return t.n }
+func (t *Tree) Len() int { t.Seal(); return t.n }
 
 // Height returns the tree height (1 = root is a leaf).
-func (t *Tree) Height() int { t.seal(); return t.height }
+func (t *Tree) Height() int { t.Seal(); return t.height }
 
 // Pages returns the number of allocated pages.
-func (t *Tree) Pages() int { t.seal(); return t.pages }
+func (t *Tree) Pages() int { t.Seal(); return t.pages }
 
 // DiskBytes returns the on-disk footprint (pages x page size).
-func (t *Tree) DiskBytes() int64 { t.seal(); return int64(t.pages) * t.cfg.PageSize }
+func (t *Tree) DiskBytes() int64 { t.Seal(); return int64(t.pages) * t.cfg.PageSize }
 
 // SlabBytes returns the heap footprint of the tree's key and payload
 // slabs (apmbench -memstats).

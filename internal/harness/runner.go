@@ -405,6 +405,15 @@ func (r *Runner) workers() int {
 	return runtime.GOMAXPROCS(0)
 }
 
+// loadFanout is how many cores a cell's load phase fills its nodes on:
+// the cores the cell worker pool leaves idle, shared evenly, and never
+// more than one per node. -parallel 1 (and a benchmark or a farm worker
+// of capacity 1) loads on every core; a pool as wide as GOMAXPROCS loads
+// serially. Loads are bit-identical at any fan-out (see store.LoadAll).
+func (r *Runner) loadFanout(c Cell) int {
+	return min(c.Nodes, max(1, runtime.GOMAXPROCS(0)/r.workers()))
+}
+
 func (r *Runner) emit(line string) {
 	if r.Progress == nil {
 		return
@@ -704,10 +713,11 @@ func (r *Runner) execute(c Cell, key string, rep int64) (*execution, error) {
 	if err != nil {
 		return nil, err
 	}
+	fanout := r.loadFanout(c)
 	if rv.mix != nil {
-		err = rv.ds.Load(dep.Store)
+		err = rv.ds.Load(dep.Store, fanout)
 	} else {
-		err = ycsb.LoadSized(dep.Store, rv.records, rv.wl.FieldSize())
+		err = ycsb.LoadSized(dep.Store, rv.records, rv.wl.FieldSize(), fanout)
 	}
 	if err != nil {
 		return nil, err

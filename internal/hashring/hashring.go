@@ -14,7 +14,7 @@ package hashring
 
 import (
 	"fmt"
-	"hash/fnv"
+	"slices"
 	"sort"
 )
 
@@ -23,9 +23,14 @@ import (
 // finalizer is applied so that structured sequential keys ("user000…001",
 // "user000…002") spread uniformly, as MD5 would.
 func Hash64(key string) uint64 {
-	h := fnv.New64a()
-	h.Write([]byte(key))
-	return Fmix64(h.Sum64())
+	// FNV-1a, looped over the string directly so hashing allocates
+	// nothing.
+	h := uint64(14695981039346656037)
+	for i := 0; i < len(key); i++ {
+		h ^= uint64(key[i])
+		h *= 1099511628211
+	}
+	return Fmix64(h)
 }
 
 // Fmix64 is MurmurHash3's 64-bit finalizer: a bijective avalanche mixer,
@@ -125,28 +130,28 @@ func (r *TokenRing) Owner(key string) int { return r.owner(Hash64(key)) }
 // Nodes returns the node count.
 func (r *TokenRing) Nodes() int { return r.nodes }
 
-// Replicas returns the n distinct nodes responsible for key, walking
-// clockwise from the owner (SimpleStrategy replica placement).
-func (r *TokenRing) Replicas(key string, n int) []int {
+// AppendReplicas appends the n distinct nodes responsible for key, walking
+// clockwise from the owner (SimpleStrategy replica placement), to dst and
+// returns the extended slice. With a caller-owned dst it allocates
+// nothing, and concurrent callers share no state. Replica counts are
+// small, so the distinctness check is a linear scan of what was appended.
+func (r *TokenRing) AppendReplicas(dst []int, key string, n int) []int {
 	if n > r.nodes {
 		n = r.nodes
 	}
 	h := Hash64(key)
 	i := sort.Search(len(r.points), func(i int) bool { return r.points[i].hash >= h })
-	var out []int
-	seen := map[int]bool{}
-	for len(out) < n {
+	base := len(dst)
+	for len(dst)-base < n {
 		if i == len(r.points) {
 			i = 0
 		}
-		o := r.points[i].owner
-		if !seen[o] {
-			seen[o] = true
-			out = append(out, o)
+		if o := r.points[i].owner; !slices.Contains(dst[base:], o) {
+			dst = append(dst, o)
 		}
 		i++
 	}
-	return out
+	return dst
 }
 
 // JedisRing reproduces Jedis's ShardedJedis placement: weighted virtual

@@ -2,7 +2,10 @@ package hashring
 
 import (
 	"fmt"
+	"hash/fnv"
 	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -59,7 +62,7 @@ func TestTokenRingSingleNodeOwnsAll(t *testing.T) {
 
 func TestReplicasDistinctAndOwnerFirst(t *testing.T) {
 	r := NewTokenRingOptimal(5)
-	reps := r.Replicas("somekey", 3)
+	reps := r.AppendReplicas(nil, "somekey", 3)
 	if len(reps) != 3 {
 		t.Fatalf("got %d replicas, want 3", len(reps))
 	}
@@ -77,7 +80,7 @@ func TestReplicasDistinctAndOwnerFirst(t *testing.T) {
 
 func TestReplicasCappedAtClusterSize(t *testing.T) {
 	r := NewTokenRingOptimal(2)
-	if got := len(r.Replicas("k", 3)); got != 2 {
+	if got := len(r.AppendReplicas(nil, "k", 3)); got != 2 {
 		t.Fatalf("replicas on 2-node ring = %d, want 2", got)
 	}
 }
@@ -188,6 +191,72 @@ func TestPropertyRoutingStable(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// refReplicas is the replica walk before AppendReplicas (then
+// TokenRing.Replicas): a seen-map and a fresh slice per call.
+func refReplicas(r *TokenRing, key string, n int) []int {
+	if n > r.nodes {
+		n = r.nodes
+	}
+	h := Hash64(key)
+	i := sort.Search(len(r.points), func(i int) bool { return r.points[i].hash >= h })
+	var out []int
+	seen := map[int]bool{}
+	for len(out) < n {
+		if i == len(r.points) {
+			i = 0
+		}
+		o := r.points[i].owner
+		if !seen[o] {
+			seen[o] = true
+			out = append(out, o)
+		}
+		i++
+	}
+	return out
+}
+
+func TestAppendReplicasMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for nodes := 1; nodes <= 12; nodes++ {
+		rings := map[string]*TokenRing{
+			"optimal": NewTokenRingOptimal(nodes),
+			"random":  NewTokenRingRandom(nodes, rng.Uint64),
+		}
+		for name, r := range rings {
+			for rf := 1; rf <= nodes+1; rf++ {
+				dst := []int{-1} // appended after a caller's prefix
+				for i := 0; i < 200; i++ {
+					key := fmt.Sprintf("user%021d", rng.Uint64())
+					want := refReplicas(r, key, rf)
+					dst = r.AppendReplicas(dst[:1], key, rf)
+					if dst[0] != -1 || !slices.Equal(dst[1:], want) {
+						t.Fatalf("%s ring, %d nodes, rf %d, %s: AppendReplicas = %v, want [-1] + %v", name, nodes, rf, key, dst, want)
+					}
+				}
+			}
+		}
+	}
+	r := NewTokenRingOptimal(8)
+	dst := make([]int, 0, 8)
+	if n := testing.AllocsPerRun(100, func() { dst = r.AppendReplicas(dst[:0], "user000000000000000000042", 3) }); n != 0 {
+		t.Fatalf("AppendReplicas into a sized dst allocates %v times, want 0", n)
+	}
+}
+
+// TestHash64MatchesFNV pins Hash64's bits to hash/fnv's FNV-1a.
+func TestHash64MatchesFNV(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for i := 0; i < 1000; i++ {
+		b := make([]byte, rng.Intn(40))
+		rng.Read(b)
+		h := fnv.New64a()
+		h.Write(b)
+		if got, want := Hash64(string(b)), Fmix64(h.Sum64()); got != want {
+			t.Fatalf("Hash64(%q) = %#x, want %#x", b, got, want)
+		}
 	}
 }
 

@@ -9,6 +9,7 @@
 package lsm
 
 import (
+	"repro/internal/bloom"
 	"repro/internal/cluster"
 	"repro/internal/memtable"
 	"repro/internal/sim"
@@ -163,8 +164,12 @@ func (t *Tree) Get(p *sim.Proc, key string) (slab.FieldsView, bool) {
 		t.memHits++
 		return v, true
 	}
+	if len(t.tables) == 0 {
+		return slab.FieldsView{}, false
+	}
+	h := bloom.HashKey(key) // one hash probes every table's filter
 	for _, tab := range t.tables {
-		if !tab.MayContain(key) {
+		if !tab.MayContain(key, h) {
 			t.bloomSkips++
 			continue
 		}

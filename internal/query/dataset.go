@@ -104,24 +104,44 @@ func (d Dataset) Window(win int64) (from, to int64) {
 	return from, to
 }
 
-// Load populates the store with the whole grid in global key order. Values
-// are a deterministic hash of (metric, timestamp) — integer-derived, so
-// every platform computes bit-identical floats.
-func (d Dataset) Load(s store.Store) error {
+// Load populates the store with the whole grid in global key order, on up
+// to fanout concurrent workers (see store.LoadAll; the result does not
+// depend on fanout). Values are a deterministic hash of (metric,
+// timestamp) — integer-derived, so every platform computes bit-identical
+// floats.
+func (d Dataset) Load(s store.Store, fanout int) error {
 	metrics := make([]string, 0, d.Hosts*d.MetricsPerHost)
 	for h := 0; h < d.Hosts; h++ {
 		metrics = append(metrics, d.HostMetrics(h)...)
 	}
 	sort.Strings(metrics)
-	for _, metric := range metrics {
-		for k := int64(0); k < d.Intervals; k++ {
-			m := d.synth(metric, k)
-			if err := s.Load(m.Key(), m.Fields()); err != nil {
-				return fmt.Errorf("query: load %s: %w", m.Key(), err)
-			}
-		}
+	return store.LoadAll(s, store.Records{
+		Count:      int64(len(metrics)) * d.Intervals,
+		NewBuilder: func() store.Builder { return &gridBuilder{d: d, metrics: metrics} },
+	}, fanout)
+}
+
+// gridBuilder builds the grid's records in global key order: record i is
+// interval i % Intervals of the (i / Intervals)-th metric in key order.
+type gridBuilder struct {
+	d       Dataset
+	metrics []string // sorted; shared read-only by every worker
+	fields  store.Fields
+	buf     []byte
+}
+
+func (b *gridBuilder) AppendKey(dst []byte, i int64) []byte {
+	m := apm.Measurement{
+		Metric:    b.metrics[i/b.d.Intervals],
+		Timestamp: b.d.BaseTs + i%b.d.Intervals*b.d.IntervalSec,
 	}
-	return nil
+	return m.AppendKey(dst)
+}
+
+func (b *gridBuilder) Fields(i int64) store.Fields {
+	m := b.d.synth(b.metrics[i/b.d.Intervals], i%b.d.Intervals)
+	b.fields, b.buf = m.AppendFields(b.fields[:0], b.buf[:0])
+	return b.fields
 }
 
 // synth builds interval k's measurement for metric: value in [0, 100] from

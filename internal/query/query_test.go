@@ -28,6 +28,8 @@ func newMemStore() *memStore { return &memStore{recs: map[string]store.Fields{}}
 func (m *memStore) Name() string { return "mem" }
 
 func (m *memStore) Load(key string, f store.Fields) error {
+	// Stores copy on ingest: loaders reuse their key and field buffers.
+	key, f = strings.Clone(key), f.Clone()
 	if _, ok := m.recs[key]; !ok {
 		i := sort.SearchStrings(m.keys, key)
 		m.keys = append(m.keys, "")
@@ -175,10 +177,10 @@ func TestDatasetDeterministicAndOrdered(t *testing.T) {
 		t.Fatalf("Records() inconsistent")
 	}
 	a, b := newMemStore(), newMemStore()
-	if err := ds.Load(a); err != nil {
+	if err := ds.Load(a, 1); err != nil {
 		t.Fatal(err)
 	}
-	if err := ds.Load(b); err != nil {
+	if err := ds.Load(b, 1); err != nil {
 		t.Fatal(err)
 	}
 	if len(a.keys) != int(ds.Records()) {
@@ -302,7 +304,7 @@ func expectedRows(t testing.TB, ds Dataset, host int, s Spec) []ResultRow {
 func TestExecuteMatchesDirectComputation(t *testing.T) {
 	ds := SizeDataset(8000)
 	st := newMemStore()
-	if err := ds.Load(st); err != nil {
+	if err := ds.Load(st, 1); err != nil {
 		t.Fatal(err)
 	}
 	specs := []Spec{
@@ -370,7 +372,7 @@ func TestExecuteMatchesFullDecode(t *testing.T) {
 	for _, sd := range stores {
 		t.Run(sd.name, func(t *testing.T) {
 			e, st := sd.deploy()
-			if err := ds.Load(st); err != nil {
+			if err := ds.Load(st, 1); err != nil {
 				t.Fatal(err)
 			}
 			for _, s := range specs {
@@ -427,7 +429,7 @@ func TestScanOpPaginatesWithoutLoss(t *testing.T) {
 	// every in-window row must come out exactly once, in key order.
 	ds := Dataset{Hosts: 1, MetricsPerHost: 4, Intervals: 150, IntervalSec: 15, BaseTs: datasetBaseTs}
 	st := newMemStore()
-	if err := ds.Load(st); err != nil {
+	if err := ds.Load(st, 1); err != nil {
 		t.Fatal(err)
 	}
 	from, to := ds.Window(150 * 15)
@@ -472,7 +474,7 @@ func TestPercentileNearestRank(t *testing.T) {
 func TestRunCollectsQueryLatencies(t *testing.T) {
 	ds := SizeDataset(4000)
 	st := newMemStore()
-	if err := ds.Load(st); err != nil {
+	if err := ds.Load(st, 1); err != nil {
 		t.Fatal(err)
 	}
 	mix := Mix{{Name: "overview", WindowSec: 600}, {Name: "deep", Weight: 0.5, WindowSec: 3600}}
@@ -523,7 +525,7 @@ func (noQueryStore) Scan(p *sim.Proc, start string, count int) ([]store.Record, 
 func BenchmarkQueryFilterAgg(b *testing.B) {
 	ds := SizeDataset(4000)
 	st := newMemStore()
-	if err := ds.Load(st); err != nil {
+	if err := ds.Load(st, 1); err != nil {
 		b.Fatal(err)
 	}
 	q, err := Plan(Spec{Name: "bench", WindowSec: 3600, Filter: "value>50",

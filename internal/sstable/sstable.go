@@ -245,12 +245,13 @@ func (t *Table) SlabBytes() int64 {
 	return t.data.Allocated() + int64(len(t.meta))*32
 }
 
-// MayContain consults the Bloom filter and key range.
-func (t *Table) MayContain(key string) bool {
+// MayContain consults the key range and the Bloom filter; h is key's
+// bloom.HashKey, computed once by a reader probing several tables.
+func (t *Table) MayContain(key string, h bloom.Hash) bool {
 	if len(t.meta) == 0 || key < t.minKey || key > t.maxKey {
 		return false
 	}
-	return t.filter.MayContain(key)
+	return t.filter.MayContainHash(h)
 }
 
 // Get returns a view of the fields for key.

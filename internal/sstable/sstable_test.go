@@ -7,6 +7,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/bloom"
 	"repro/internal/memtable"
 	"repro/internal/slab"
 )
@@ -49,13 +50,14 @@ func TestBuildDeduplicatesKeepingLast(t *testing.T) {
 
 func TestMayContainRespectsRange(t *testing.T) {
 	tb := Build(1, []memtable.Entry{entry("m", "1"), entry("p", "2")}, ov, 0.01)
-	if tb.MayContain("a") {
+	may := func(k string) bool { return tb.MayContain(k, bloom.HashKey(k)) }
+	if may("a") {
 		t.Fatal("key below range should be excluded without a filter probe")
 	}
-	if tb.MayContain("z") {
+	if may("z") {
 		t.Fatal("key above range should be excluded")
 	}
-	if !tb.MayContain("m") || !tb.MayContain("p") {
+	if !may("m") || !may("p") {
 		t.Fatal("present keys must pass the filter")
 	}
 }
@@ -113,7 +115,7 @@ func TestMergeReducesDiskBytesOnOverlap(t *testing.T) {
 
 func TestEmptyTable(t *testing.T) {
 	tb := Build(1, nil, ov, 0.01)
-	if tb.Len() != 0 || tb.MayContain("x") {
+	if tb.Len() != 0 || tb.MayContain("x", bloom.HashKey("x")) {
 		t.Fatal("empty table misbehaves")
 	}
 	if got := tb.Scan("", 10); len(got) != 0 {
@@ -239,7 +241,7 @@ func TestMergeMatchesReference(t *testing.T) {
 					t.Fatalf("round %d key %q field %d = %q, want %q", round, g.Key, f, g.Fields.Field(f), w.Fields.Field(f))
 				}
 			}
-			if !got.MayContain(w.Key) {
+			if !got.MayContain(w.Key, bloom.HashKey(w.Key)) {
 				t.Fatalf("round %d: merged filter rejects %q", round, w.Key)
 			}
 		}

@@ -2,6 +2,7 @@ package store
 
 import (
 	"fmt"
+	"math/rand"
 	"strings"
 	"testing"
 
@@ -89,7 +90,12 @@ func TestKeyMatchesReferenceFormat(t *testing.T) {
 	// The hand-rolled digit writer must reproduce the historical
 	// fmt.Sprintf("user%021d", hashring.Fmix64(uint64(i))) format exactly — keys
 	// are baked into every deterministic result.
-	for _, i := range []int64{0, 1, 42, 999, 1e9, 1<<40 + 3, -1, -12345} {
+	rng := rand.New(rand.NewSource(1))
+	ids := []int64{0, 1, 42, 999, 1e9, 1<<40 + 3, -1, -12345}
+	for range 1000 {
+		ids = append(ids, int64(rng.Uint64()))
+	}
+	for _, i := range ids {
 		want := fmt.Sprintf("user%021d", hashring.Fmix64(uint64(i)))
 		if got := Key(i); got != want {
 			t.Fatalf("Key(%d) = %q, want %q", i, got, want)

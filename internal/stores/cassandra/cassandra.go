@@ -221,7 +221,8 @@ func (s *Store) readTarget(key string) *node {
 	if s.downCount == 0 {
 		return s.owner(key)
 	}
-	for _, idx := range s.ring.Replicas(key, s.opts.ReplicationFactor) {
+	var buf [4]int
+	for _, idx := range s.ring.AppendReplicas(buf[:0], key, s.opts.ReplicationFactor) {
 		if !s.down[idx] {
 			return s.nodes[idx]
 		}
@@ -231,7 +232,8 @@ func (s *Store) readTarget(key string) *node {
 
 // replicas returns the nodes holding key under SimpleStrategy.
 func (s *Store) replicas(key string) []*node {
-	idxs := s.ring.Replicas(key, s.opts.ReplicationFactor)
+	var buf [4]int
+	idxs := s.ring.AppendReplicas(buf[:0], key, s.opts.ReplicationFactor)
 	out := make([]*node, len(idxs))
 	for i, idx := range idxs {
 		out[i] = s.nodes[idx]
@@ -413,12 +415,21 @@ func (s *Store) Scan(p *sim.Proc, start string, count int) ([]store.Record, erro
 }
 
 // Load implements store.Store.
-func (s *Store) Load(key string, f store.Fields) error {
-	for _, rep := range s.replicas(key) {
-		rep.tree.LoadDirect(key, f)
-	}
-	return nil
+func (s *Store) Load(key string, f store.Fields) error { return store.LoadVia(s, key, f) }
+
+// Nodes implements store.NodeLoader.
+func (s *Store) Nodes() int { return len(s.nodes) }
+
+// LoadNodes implements store.NodeLoader: key's SimpleStrategy replicas.
+func (s *Store) LoadNodes(dst []int, key string) []int {
+	return s.ring.AppendReplicas(dst, key, s.opts.ReplicationFactor)
 }
+
+// LoadNode implements store.NodeLoader.
+func (s *Store) LoadNode(i int, key string, f store.Fields) { s.nodes[i].tree.LoadDirect(key, f) }
+
+// SealNode implements store.NodeLoader; the LSM tree defers nothing.
+func (s *Store) SealNode(int) {}
 
 // DiskUsage implements store.Store.
 func (s *Store) DiskUsage() int64 {
@@ -469,4 +480,4 @@ func (s *Store) RestartNode(p *sim.Proc, i int) {
 // replica application lands on node i.
 func (s *Store) SetReplicaLag(i int, extra sim.Time) { s.lag[i] = extra }
 
-var _ store.Store = (*Store)(nil)
+var _ store.NodeLoader = (*Store)(nil)

@@ -187,13 +187,10 @@ func (s *Store) ScanStats() (positioned, pruned int64) {
 	return positioned, pruned
 }
 
-// regionIndex routes a key to its region by lexicographic range.
+// regionIndex routes a key to its region by lexicographic range: the
+// first region whose split key is greater than key.
 func (s *Store) regionIndex(key string) int {
-	return sort.SearchStrings(s.splits, key+"\x00") // first split > key
-}
-
-func (s *Store) regionFor(key string) *region {
-	return s.regions[s.regionIndex(key)]
+	return sort.Search(len(s.splits), func(i int) bool { return s.splits[i] > key })
 }
 
 // Read implements store.Store.
@@ -294,10 +291,19 @@ func (s *Store) Scan(p *sim.Proc, start string, count int) ([]store.Record, erro
 }
 
 // Load implements store.Store.
-func (s *Store) Load(key string, f store.Fields) error {
-	s.regionFor(key).tree.LoadDirect(key, f)
-	return nil
-}
+func (s *Store) Load(key string, f store.Fields) error { return store.LoadVia(s, key, f) }
+
+// Nodes implements store.NodeLoader: one region per node.
+func (s *Store) Nodes() int { return len(s.regions) }
+
+// LoadNodes implements store.NodeLoader: the region holding key.
+func (s *Store) LoadNodes(dst []int, key string) []int { return append(dst, s.regionIndex(key)) }
+
+// LoadNode implements store.NodeLoader.
+func (s *Store) LoadNode(i int, key string, f store.Fields) { s.regions[i].tree.LoadDirect(key, f) }
+
+// SealNode implements store.NodeLoader; the LSM tree defers nothing.
+func (s *Store) SealNode(int) {}
 
 // DiskUsage implements store.Store.
 func (s *Store) DiskUsage() int64 {
@@ -342,4 +348,4 @@ func (s *Store) RestartNode(p *sim.Proc, i int) {
 	s.downCount--
 }
 
-var _ store.Store = (*Store)(nil)
+var _ store.NodeLoader = (*Store)(nil)

@@ -1,6 +1,7 @@
 package hbase
 
 import (
+	"sort"
 	"testing"
 
 	"repro/internal/cluster"
@@ -58,6 +59,27 @@ func TestRegionIndexBoundaries(t *testing.T) {
 	// A key above every split lands in the last region.
 	if got := s.regionIndex("user999999999999999999999"); got != 2 {
 		t.Fatalf("highest key in region %d, want 2", got)
+	}
+}
+
+// TestRegionIndexMatchesSearchStrings pins regionIndex to the routing it
+// replaced, sort.SearchStrings(splits, key+"\x00"), on the keys where a
+// strict and a non-strict comparison could disagree, and checks routing
+// allocates nothing.
+func TestRegionIndexMatchesSearchStrings(t *testing.T) {
+	_, s := deploy(5, Options{})
+	keys := []string{"", "u", "user", "user999999999999999999999", store.Key(7)}
+	for _, sp := range s.splits {
+		keys = append(keys, sp, sp+"\x00", sp+"\x00\x00", sp[:len(sp)-1], sp[:len(sp)/2], sp+"0")
+	}
+	for _, k := range keys {
+		if got, want := s.regionIndex(k), sort.SearchStrings(s.splits, k+"\x00"); got != want {
+			t.Errorf("regionIndex(%q) = %d, want %d", k, got, want)
+		}
+	}
+	key := store.Key(42)
+	if n := testing.AllocsPerRun(100, func() { s.regionIndex(key) }); n != 0 {
+		t.Fatalf("regionIndex allocates %v times, want 0", n)
 	}
 }
 

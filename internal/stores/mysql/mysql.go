@@ -158,8 +158,6 @@ func (s *Store) SlabBytes() int64 {
 	return total
 }
 
-func (s *Store) shard(key string) *shard { return s.shards[s.ring.Owner(key)] }
-
 func (s *Store) shardIndex(key string) int { return s.ring.Owner(key) }
 
 func chargeIO(p *sim.Proc, n *cluster.Node, io btree.IOStats, pageSize int64) {
@@ -328,16 +326,28 @@ func (s *Store) scanShard(p *sim.Proc, sh *shard, start string, count int, tail 
 }
 
 // Load implements store.Store: buffered into the B-tree's deferred bulk
-// build (one batched construction pass when the workload starts).
-func (s *Store) Load(key string, f store.Fields) error {
-	sh := s.shard(key)
+// build (one batched construction pass, run by SealNode at the end of the
+// load phase or else on first use).
+func (s *Store) Load(key string, f store.Fields) error { return store.LoadVia(s, key, f) }
+
+// Nodes implements store.NodeLoader: one server per node.
+func (s *Store) Nodes() int { return len(s.shards) }
+
+// LoadNodes implements store.NodeLoader: the shard holding key.
+func (s *Store) LoadNodes(dst []int, key string) []int { return append(dst, s.shardIndex(key)) }
+
+// LoadNode implements store.NodeLoader.
+func (s *Store) LoadNode(i int, key string, f store.Fields) {
+	sh := s.shards[i]
 	sh.db.Load(key, f)
 	if s.opts.BinLog {
 		sh.binBytes += binlogBytesPerRecord
 		sh.node.AddDiskUsage(binlogBytesPerRecord)
 	}
-	return nil
 }
+
+// SealNode implements store.NodeLoader: the shard's deferred bulk build.
+func (s *Store) SealNode(i int) { s.shards[i].db.Seal() }
 
 // DiskUsage implements store.Store: table space plus binary log.
 func (s *Store) DiskUsage() int64 {
@@ -389,4 +399,4 @@ func (s *Store) RestartNode(p *sim.Proc, i int) {
 	s.downCount--
 }
 
-var _ store.Store = (*Store)(nil)
+var _ store.NodeLoader = (*Store)(nil)

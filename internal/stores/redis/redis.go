@@ -118,8 +118,6 @@ func (s *Store) SlabBytes() int64 {
 	return total
 }
 
-func (s *Store) inst(key string) *instance { return s.insts[s.ring.Owner(key)] }
-
 func (s *Store) instIndex(key string) int { return s.ring.Owner(key) }
 
 func recordBytes(key string, f store.Fields) int64 {
@@ -252,12 +250,23 @@ func (s *Store) Scan(p *sim.Proc, start string, count int) ([]store.Record, erro
 }
 
 // Load implements store.Store.
-func (s *Store) Load(key string, f store.Fields) error {
-	in := s.inst(key)
+func (s *Store) Load(key string, f store.Fields) error { return store.LoadVia(s, key, f) }
+
+// Nodes implements store.NodeLoader: one instance per node.
+func (s *Store) Nodes() int { return len(s.insts) }
+
+// LoadNodes implements store.NodeLoader: the instance holding key.
+func (s *Store) LoadNodes(dst []int, key string) []int { return append(dst, s.instIndex(key)) }
+
+// LoadNode implements store.NodeLoader.
+func (s *Store) LoadNode(i int, key string, f store.Fields) {
+	in := s.insts[i]
 	in.data.Put(key, f)
 	in.reserve(key, f, 1) // full accounting
-	return nil
 }
+
+// SealNode implements store.NodeLoader; the memtable defers nothing.
+func (s *Store) SealNode(int) {}
 
 // DiskUsage implements store.Store: Redis keeps data in memory (the paper
 // excludes it from the disk-usage experiment).
@@ -321,4 +330,4 @@ func (s *Store) SwappingNodes() int {
 	return n
 }
 
-var _ store.Store = (*Store)(nil)
+var _ store.NodeLoader = (*Store)(nil)

@@ -26,7 +26,7 @@ func TestShardingRoutesConsistently(t *testing.T) {
 	_, s := deploy(4, Options{})
 	for i := int64(0); i < 50; i++ {
 		k := store.Key(i)
-		if s.inst(k) != s.inst(k) {
+		if s.instIndex(k) != s.instIndex(k) {
 			t.Fatal("same key routed differently")
 		}
 	}

@@ -118,10 +118,6 @@ func (s *Store) serverIndex(key string) int {
 	return s.ring.Owner(key) % len(s.nodes)
 }
 
-func (s *Store) server(key string) *server {
-	return s.nodes[s.serverIndex(key)]
-}
-
 // chargeIO converts B-tree page statistics into disk time on the server.
 func chargeIO(p *sim.Proc, n *cluster.Node, io btree.IOStats) {
 	for i := 0; i < io.Misses; i++ {
@@ -213,10 +209,19 @@ func (s *Store) Scan(p *sim.Proc, start string, count int) ([]store.Record, erro
 
 // Load implements store.Store: buffered into the B-tree's deferred bulk
 // build.
-func (s *Store) Load(key string, f store.Fields) error {
-	s.server(key).db.Load(key, f)
-	return nil
-}
+func (s *Store) Load(key string, f store.Fields) error { return store.LoadVia(s, key, f) }
+
+// Nodes implements store.NodeLoader: one server per node.
+func (s *Store) Nodes() int { return len(s.nodes) }
+
+// LoadNodes implements store.NodeLoader: the server holding key.
+func (s *Store) LoadNodes(dst []int, key string) []int { return append(dst, s.serverIndex(key)) }
+
+// LoadNode implements store.NodeLoader.
+func (s *Store) LoadNode(i int, key string, f store.Fields) { s.nodes[i].db.Load(key, f) }
+
+// SealNode implements store.NodeLoader: the server's deferred bulk build.
+func (s *Store) SealNode(i int) { s.nodes[i].db.Seal() }
 
 // DiskUsage implements store.Store: the BDB files plus unrecycled log.
 func (s *Store) DiskUsage() int64 {
@@ -266,4 +271,4 @@ func (s *Store) RestartNode(p *sim.Proc, i int) {
 	s.downCount--
 }
 
-var _ store.Store = (*Store)(nil)
+var _ store.NodeLoader = (*Store)(nil)

@@ -18,7 +18,7 @@ func TestPartitionRoutingStable(t *testing.T) {
 	_, s := deploy(4)
 	for i := int64(0); i < 100; i++ {
 		k := store.Key(i)
-		if s.server(k) != s.server(k) {
+		if s.serverIndex(k) != s.serverIndex(k) {
 			t.Fatal("routing not stable")
 		}
 	}

@@ -113,13 +113,6 @@ func (s *Store) SlabBytes() int64 {
 	return total
 }
 
-// route returns the host and site owning key.
-func (s *Store) route(key string) (*host, *site) {
-	part := s.ring.Owner(key)
-	h := s.hosts[part/s.opts.SitesPerHost]
-	return h, h.sites[part%s.opts.SitesPerHost]
-}
-
 // order pays the global transaction initiation cost. On one host this is
 // local and free; on multiple hosts each transaction costs orderPerHost x
 // hosts, serialized through the cluster-wide sequencer for synchronous
@@ -259,11 +252,23 @@ func (s *Store) Scan(p *sim.Proc, start string, count int) ([]store.Record, erro
 }
 
 // Load implements store.Store.
-func (s *Store) Load(key string, f store.Fields) error {
-	_, st := s.route(key)
-	st.data.Put(key, f)
-	return nil
+func (s *Store) Load(key string, f store.Fields) error { return store.LoadVia(s, key, f) }
+
+// Nodes implements store.NodeLoader. Its engines are the partition sites
+// (SitesPerHost per host), which share no state, so a loader routes a key
+// once, straight to its site.
+func (s *Store) Nodes() int { return len(s.hosts) * s.opts.SitesPerHost }
+
+// LoadNodes implements store.NodeLoader: the partition owning key.
+func (s *Store) LoadNodes(dst []int, key string) []int { return append(dst, s.ring.Owner(key)) }
+
+// LoadNode implements store.NodeLoader: partition part's site.
+func (s *Store) LoadNode(part int, key string, f store.Fields) {
+	s.hosts[part/s.opts.SitesPerHost].sites[part%s.opts.SitesPerHost].data.Put(key, f)
 }
+
+// SealNode implements store.NodeLoader; the memtable defers nothing.
+func (s *Store) SealNode(int) {}
 
 // DiskUsage implements store.Store: VoltDB keeps data in memory (excluded
 // from the paper's disk experiment).
@@ -302,4 +307,4 @@ func (s *Store) RestartNode(p *sim.Proc, i int) {
 	s.downCount--
 }
 
-var _ store.Store = (*Store)(nil)
+var _ store.NodeLoader = (*Store)(nil)

@@ -24,10 +24,9 @@ func TestDefaultsFilled(t *testing.T) {
 
 func TestRouteCoversAllSites(t *testing.T) {
 	_, s := deploy(2, Options{})
-	seen := map[*site]bool{}
+	seen := map[int]bool{}
 	for i := int64(0); i < 20000; i++ {
-		_, st := s.route(store.Key(i))
-		seen[st] = true
+		seen[s.LoadNodes(nil, store.Key(i))[0]] = true
 	}
 	if len(seen) != 12 {
 		t.Fatalf("keys hit %d sites, want all 12 (2 hosts x 6)", len(seen))

@@ -65,22 +65,31 @@ type Result struct {
 
 // Load populates the store with n records (record numbers 0..n-1) without
 // consuming virtual time, mirroring the paper's separate load phase.
-func Load(s store.Store, n int64) error { return LoadSized(s, n, store.FieldBytes) }
+func Load(s store.Store, n int64) error { return LoadSized(s, n, store.FieldBytes, 1) }
 
 // LoadSized is Load with fieldBytes-sized value fields per record, for
-// workloads that vary record size (0 means the default 10 bytes). Stores
-// copy on ingest, so it reuses one key buffer and one fields buffer for the
-// whole load.
-func LoadSized(s store.Store, n int64, fieldBytes int) error {
-	var buf store.Fields
-	var kb keyBuf
-	for i := int64(0); i < n; i++ {
-		buf = store.FillFields(buf, i, fieldBytes)
-		if err := s.Load(kb.key(i), buf); err != nil {
-			return fmt.Errorf("ycsb: load record %d: %w", i, err)
-		}
-	}
-	return nil
+// workloads that vary record size (0 means the default 10 bytes), on up
+// to fanout concurrent workers (see store.LoadAll; the result does not
+// depend on fanout).
+func LoadSized(s store.Store, n int64, fieldBytes, fanout int) error {
+	return store.LoadAll(s, store.Records{
+		Count:      n,
+		NewBuilder: func() store.Builder { return &recordBuilder{fieldBytes: fieldBytes} },
+	}, fanout)
+}
+
+// recordBuilder builds YCSB records: store.Key and FillFields into one
+// reused field set.
+type recordBuilder struct {
+	fields     store.Fields
+	fieldBytes int
+}
+
+func (b *recordBuilder) AppendKey(dst []byte, i int64) []byte { return store.AppendKey(dst, i) }
+
+func (b *recordBuilder) Fields(i int64) store.Fields {
+	b.fields = store.FillFields(b.fields, i, b.fieldBytes)
+	return b.fields
 }
 
 // Run executes the workload and returns collected statistics. It drives the
