@@ -11,6 +11,7 @@ package repro
 
 import (
 	"fmt"
+	"runtime/debug"
 	"testing"
 	"unsafe"
 
@@ -264,6 +265,51 @@ func BenchmarkLSMInsert(b *testing.B) {
 		}
 	})
 	e.Run(0)
+}
+
+// BenchmarkLSMLoadDirect measures the load path through flushes and
+// compactions: each op bulk-loads a fixed 100,000 benchmark-shaped
+// records into a fresh tree whose 512 KiB memtable flushes about 14
+// times, enough for compactions over two size tiers. Keys are distinct,
+// as in the load phase, so every compaction adopts its inputs' payload
+// chunks and every flush recycles the memtable's node arena. The work
+// per op is fixed, so its bytes/op compares across runs of any length.
+//
+// The collector is off for the whole benchmark, so the heap grows by
+// about 21 MB per op, plus one untimed warm-up load, until it returns:
+// run it at a small fixed count. A collection cycle allocates a few
+// runtime objects of its own, as many as GC timing dictates, which made
+// allocs/op wander by one across runs. The warm-up gives the runtime's
+// work after the harness's own collection time to finish, so allocs/op
+// counts the load path alone.
+func BenchmarkLSMLoadDirect(b *testing.B) {
+	const records = 100000
+	var buf store.Fields
+	var kb []byte
+	load := func() *lsm.Tree {
+		e := sim.NewEngine(1)
+		tr := lsm.New(lsm.Config{
+			Node:       cluster.New(e, cluster.ClusterM(1)).Nodes[0],
+			FlushBytes: 1 << 19,
+			Overhead:   sstable.Overhead{PerEntry: 10, PerCell: 20},
+		})
+		for id := int64(0); id < records; id++ {
+			buf = store.FillFields(buf, id, store.FieldBytes)
+			kb = store.AppendKey(kb[:0], id)
+			// Zero-copy key view: the memtable copies key bytes on ingest.
+			tr.LoadDirect(unsafe.String(unsafe.SliceData(kb), len(kb)), buf)
+		}
+		return tr
+	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	if load().Compactions() == 0 {
+		b.Fatal("no compaction ran")
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		load()
+	}
 }
 
 // benchBTreeConfig mirrors the MySQL deployment's InnoDB shape (94-row

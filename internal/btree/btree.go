@@ -19,15 +19,20 @@
 //     compare only on a double tie (the same treatment the memtable's skip
 //     list got). Sound because zero-padded big-endian prefix order is a
 //     coarsening of lexicographic order.
-//   - The load phase is batched: Load buffers entries and the tree is built
-//     lazily on first use (see Load). The deferred build replays the batch
-//     in arrival order — hash-permuted keys produce an insertion-order-
-//     dependent page layout, and that layout is part of the model (it sets
-//     the disk footprint and the buffer-pool miss sequence) — but skips all
-//     per-touch buffer-pool work and reconstructs the pool's exact final
-//     state afterwards from last-touch stamps. A bulk-loaded tree is
-//     bit-equivalent to a per-record-loaded one: same pages, same pool
-//     contents and recency order, same charges on every later operation.
+//   - The load phase is batched: Load buffers entries in fixed-size chunks
+//     (8,192 entries once past the first few), so the batch never regrows
+//     or moves, and the tree is built lazily on first use (see Load). The
+//     deferred build replays the chunks in arrival order — hash-permuted
+//     keys produce an insertion-order-dependent page layout, and that
+//     layout is part of the model (it sets the disk footprint and the
+//     buffer-pool miss sequence) — but skips all per-touch buffer-pool
+//     work and reconstructs the pool's exact final state afterwards from
+//     last-touch stamps. A bulk-loaded tree is bit-equivalent to a
+//     per-record-loaded one: same pages, same pool contents and recency
+//     order, same charges on every later operation.
+//   - Nodes are allocated at page capacity (LeafCap+1 leaf slots,
+//     InternalCap separators and InternalCap+1 children) and a split keeps
+//     the left node's arrays, so inserts never regrow a node's slices.
 package btree
 
 import (
@@ -148,15 +153,21 @@ type Tree struct {
 
 	pool pool
 
-	// pending is the buffered load batch; the tree is built from it on
-	// first use (see Load and Seal). Keys and payloads are already in the
-	// slabs, so the batch itself is pointer-free.
-	pending []pentry
+	// pending is the buffered load batch, in fixed chunks of pendingChunk
+	// entries so it never regrows; the tree is built from it on first use
+	// (see Load and Seal). Keys and payloads are already in the slabs, so
+	// each chunk is pointer-free.
+	pending [][]pentry
 	// loading marks the deferred build's replay: page touches record
 	// last-touch stamps instead of driving the buffer pool.
 	loading bool
 	stampC  int64
 }
+
+// pendingChunk is the load batch's full chunk length: 8,192 entries,
+// 320 KiB. The first five chunks double up to it from 256 entries, so a
+// small tree's batch stays small.
+const pendingChunk = 8192
 
 // pentry is one buffered load record: its key ref, the key's prefix, and
 // its ingested payload.
@@ -176,10 +187,22 @@ func New(cfg Config) *Tree {
 	return t
 }
 
+// newNode allocates a page with its slices at page capacity, once: a leaf
+// holds up to LeafCap+1 entries (one past full, until it splits), an inner
+// node up to InternalCap separators and InternalCap+1 children. Inserts
+// and splits then never regrow them.
 func (t *Tree) newNode(leaf bool) *node {
 	t.nextID++
 	t.pages++
-	return &node{id: t.nextID, leaf: leaf}
+	n := &node{id: t.nextID, leaf: leaf}
+	if leaf {
+		c := t.cfg.LeafCap + 1
+		n.keys, n.pfxs, n.vals = make([]kref, 0, c), make([]pfx, 0, c), make([]vref, 0, c)
+	} else {
+		c := t.cfg.InternalCap
+		n.keys, n.pfxs, n.children = make([]kref, 0, c), make([]pfx, 0, c), make([]*node, 0, c+1)
+	}
+	return n
 }
 
 // keyStr returns the key bytes for kr as a zero-copy string view.
@@ -328,7 +351,16 @@ func (t *Tree) admit(io *IOStats, n *node) {
 // obligations: a bulk-loaded tree is indistinguishable (pages, pool state,
 // every later charge) from one built by calling Put per record.
 func (t *Tree) Load(key string, fields [][]byte) {
-	t.pending = append(t.pending, pentry{
+	last := len(t.pending) - 1
+	if last < 0 || len(t.pending[last]) == cap(t.pending[last]) {
+		size := pendingChunk
+		if last < 4 {
+			size >>= 4 - last // 256, 512, …, 4096, then 8,192 for good
+		}
+		t.pending = append(t.pending, make([]pentry, 0, size))
+		last++
+	}
+	t.pending[last] = append(t.pending[last], pentry{
 		kr: t.ingestKey(key),
 		kp: prefixOf(key),
 		v:  t.ingestFields(fields),
@@ -345,13 +377,14 @@ func (t *Tree) Seal() {
 	}
 	batch := t.pending
 	t.pending = nil
-	if len(batch) == 0 {
-		return
-	}
 	t.loading = true
 	var io IOStats // load-phase page traffic is not charged
-	for i := range batch {
-		t.put(t.keyStr(batch[i].kr), batch[i].kp, batch[i].kr, batch[i].v, &io)
+	for ci, chunk := range batch {
+		for i := range chunk {
+			e := &chunk[i]
+			t.put(t.keyStr(e.kr), e.kp, e.kr, e.v, &io)
+		}
+		batch[ci] = nil // replayed: let the GC have it during the build
 	}
 	t.loading = false
 	t.rebuildPool()
@@ -421,9 +454,9 @@ func (t *Tree) put(key string, kp pfx, kr kref, v vref, io *IOStats) {
 	sep, sepPfx, right := t.insert(t.root, key, kp, kr, v, io)
 	if right != nil {
 		newRoot := t.newNode(false)
-		newRoot.keys = []kref{sep}
-		newRoot.pfxs = []pfx{sepPfx}
-		newRoot.children = []*node{t.root, right}
+		newRoot.keys = append(newRoot.keys, sep)
+		newRoot.pfxs = append(newRoot.pfxs, sepPfx)
+		newRoot.children = append(newRoot.children, t.root, right)
 		t.root = newRoot
 		t.height++
 		t.admit(io, newRoot)
@@ -498,9 +531,9 @@ func (t *Tree) splitLeaf(n *node, io *IOStats) (kref, pfx, *node) {
 	right.keys = append(right.keys, n.keys[mid:]...)
 	right.pfxs = append(right.pfxs, n.pfxs[mid:]...)
 	right.vals = append(right.vals, n.vals[mid:]...)
-	n.keys = n.keys[:mid:mid]
-	n.pfxs = n.pfxs[:mid:mid]
-	n.vals = n.vals[:mid:mid]
+	n.keys = n.keys[:mid]
+	n.pfxs = n.pfxs[:mid]
+	n.vals = n.vals[:mid]
 	right.next = n.next
 	n.next = right
 	t.admit(io, right)
@@ -516,9 +549,10 @@ func (t *Tree) splitInternal(n *node, io *IOStats) (kref, pfx, *node) {
 	right.keys = append(right.keys, n.keys[midKey+1:]...)
 	right.pfxs = append(right.pfxs, n.pfxs[midKey+1:]...)
 	right.children = append(right.children, n.children[midKey+1:]...)
-	n.keys = n.keys[:midKey:midKey]
-	n.pfxs = n.pfxs[:midKey:midKey]
-	n.children = n.children[: midKey+1 : midKey+1]
+	n.keys = n.keys[:midKey]
+	n.pfxs = n.pfxs[:midKey]
+	clear(n.children[midKey+1:])
+	n.children = n.children[:midKey+1]
 	t.admit(io, right)
 	return sep, sepPfx, right
 }

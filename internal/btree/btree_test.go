@@ -293,14 +293,32 @@ func TestBulkLoadAcrossMultipleBatches(t *testing.T) {
 // charges on every subsequent operation, including buffer-pool misses and
 // dirty write-backs under an eviction-heavy pool, which requires the
 // rebuilt pool's contents, recency order and dirty flags to match the
-// per-touch-maintained pool exactly.
+// per-touch-maintained pool exactly. Besides a tiny fanout, it runs the
+// Voldemort and MySQL page shapes over more records than one load-batch
+// chunk holds, so the replay crosses chunk boundaries.
 func TestBulkBuildEquivalence(t *testing.T) {
-	cfg := small()
-	cfg.BufferPages = 7 // tiny: constant eviction, so pool state divergence shows up immediately
+	for _, tc := range []struct {
+		name                 string
+		leafCap, internalCap int
+		records              int
+	}{
+		{"fanout8", 8, 8, 3000},
+		{"voldemort", 11, 128, 2*pendingChunk + 3617}, // 20,001: seven chunks
+		{"mysql", 94, 512, 2*pendingChunk + 3617},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			bulkEquivalence(t, Config{PageSize: 4096, LeafCap: tc.leafCap, InternalCap: tc.internalCap,
+				BufferPages: 7}, // tiny: constant eviction, so pool state divergence shows up immediately
+				tc.records)
+		})
+	}
+}
+
+func bulkEquivalence(t *testing.T, cfg Config, records int) {
 	perRecord := New(cfg)
 	bulk := New(cfg)
 	rng := rand.New(rand.NewSource(11))
-	perm := rng.Perm(3000)
+	perm := rng.Perm(records)
 	for _, i := range perm { // hash-permuted arrival, like the benchmark's load
 		k := fmt.Sprintf("k%06d", i)
 		perRecord.Put(k, fields(fmt.Sprintf("v%d", i)))
@@ -315,10 +333,11 @@ func TestBulkBuildEquivalence(t *testing.T) {
 	}
 	// Identical op sequence, compared op by op: values AND charges.
 	opRng := rand.New(rand.NewSource(12))
+	extra := records / 6
 	for op := 0; op < 4000; op++ {
 		switch opRng.Intn(4) {
 		case 0:
-			k := fmt.Sprintf("k%06d", opRng.Intn(3500)) // some misses
+			k := fmt.Sprintf("k%06d", opRng.Intn(records+extra)) // some misses
 			va, oka, ioa := perRecord.Get(k)
 			vb, okb, iob := bulk.Get(k)
 			if oka != okb || ioa != iob {
@@ -328,25 +347,30 @@ func TestBulkBuildEquivalence(t *testing.T) {
 				t.Fatalf("op %d: Get(%s) values diverged", op, k)
 			}
 		case 1:
-			k := fmt.Sprintf("k%06d", 3000+opRng.Intn(500))
+			k := fmt.Sprintf("k%06d", records+opRng.Intn(extra))
 			ioa := perRecord.Put(k, fields("new"))
 			iob := bulk.Put(k, fields("new"))
 			if ioa != iob {
 				t.Fatalf("op %d: Put(%s) charges diverged: %+v vs %+v", op, k, ioa, iob)
 			}
 		case 2:
-			k := fmt.Sprintf("k%06d", opRng.Intn(3000))
+			k := fmt.Sprintf("k%06d", opRng.Intn(records))
 			founda, ioa := perRecord.Update(k, fields("upd"))
 			foundb, iob := bulk.Update(k, fields("upd"))
 			if founda != foundb || ioa != iob {
 				t.Fatalf("op %d: Update(%s) diverged: (%v,%+v) vs (%v,%+v)", op, k, founda, ioa, foundb, iob)
 			}
 		case 3:
-			k := fmt.Sprintf("k%06d", opRng.Intn(3000))
+			k := fmt.Sprintf("k%06d", opRng.Intn(records))
 			ra, ioa := perRecord.Scan(k, 20)
 			rb, iob := bulk.Scan(k, 20)
 			if len(ra) != len(rb) || ioa != iob {
 				t.Fatalf("op %d: Scan(%s) diverged: (%d,%+v) vs (%d,%+v)", op, k, len(ra), ioa, len(rb), iob)
+			}
+			for i := range ra {
+				if ra[i].Key != rb[i].Key || string(ra[i].Fields.Field(0)) != string(rb[i].Fields.Field(0)) {
+					t.Fatalf("op %d: Scan(%s) entry %d diverged: %q vs %q", op, k, i, ra[i].Key, rb[i].Key)
+				}
 			}
 		}
 	}

@@ -349,15 +349,16 @@ func (t *Tree) maybeFlush(e *sim.Engine, direct bool) {
 }
 
 // flushNow converts the current memtable to a table without timing (loader
-// path).
+// path). No scan is in flight while loading, so nothing reads the frozen
+// memtable again and the next memtable recycles its node arena.
 func (t *Tree) flushNow() {
 	if t.mem.Len() == 0 {
 		return
 	}
 	t.gen++
 	mem := t.mem
-	t.mem = memtable.New()
 	tab := sstable.FromMemtable(t.gen, mem, t.cfg.Overhead, bloomFPP)
+	t.mem = mem.Recycle()
 	t.installTable(tab, mem.Bytes())
 	t.maybeCompactDirect()
 }
@@ -488,7 +489,8 @@ func (t *Tree) replaceTables(victims []*sstable.Table, merged *sstable.Table) {
 }
 
 // LoadDirect inserts a record without simulation timing, for bulk loading
-// before a measured run. Disk usage accounting still happens.
+// before a measured run. Disk usage accounting still happens. No scan may
+// be in flight: a full memtable is flushed and its node arena recycled.
 func (t *Tree) LoadDirect(key string, fields [][]byte) {
 	t.log.AppendDirect(payloadBytes(key, fields))
 	t.mem.Put(key, fields)

@@ -2,6 +2,7 @@ package lsm
 
 import (
 	"fmt"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -159,6 +160,86 @@ func TestLoadDirectNoVirtualTime(t *testing.T) {
 		}
 	})
 	e.Run(0)
+}
+
+// TestLoadDirectSlabBytesCountsDistinctChunks loads enough records for
+// many flushes and compactions, the last quarter overwriting earlier keys
+// so that later compactions copy while earlier ones adopt, and checks
+// that SlabBytes, kept by counters, equals the footprint recomputed from
+// what is reachable: each distinct chunk once, whichever tables adopted
+// it, plus the memtable's recycled chunks not yet reused. Every key must
+// still read its last loaded value.
+func TestLoadDirectSlabBytesCountsDistinctChunks(t *testing.T) {
+	e := sim.NewEngine(1)
+	tr := newTree(e, 1<<18)
+	const n = 30000
+	val := func(i, pass int) [][]byte { // 400 B: tables outgrow a slab chunk
+		return [][]byte{[]byte(fmt.Sprintf("%02d-%0397d", pass, i))}
+	}
+	check := func(phase string) {
+		t.Helper()
+		if got, want := tr.SlabBytes(), reachableSlabBytes(tr); got != want {
+			t.Fatalf("%s: SlabBytes = %d, distinct reachable chunks and entry records hold %d", phase, got, want)
+		}
+	}
+	for i := 0; i < n; i++ {
+		tr.LoadDirect(fmt.Sprintf("k%07d", i*7919%n), val(i*7919%n, 0))
+	}
+	if tr.Compactions() < 5 {
+		t.Fatalf("%d compactions of distinct keys, want at least 5", tr.Compactions())
+	}
+	check("distinct keys")
+	before := tr.Compactions()
+	for i := 0; i < n/4; i++ {
+		tr.LoadDirect(fmt.Sprintf("k%07d", i*3), val(i*3, 1))
+	}
+	if tr.Compactions() == before {
+		t.Fatal("no compaction over the overwrites")
+	}
+	check("overwrites")
+	e.Go("r", func(p *sim.Proc) {
+		for i := 0; i < n; i++ {
+			pass := 0
+			if i%3 == 0 && i/3 < n/4 {
+				pass = 1
+			}
+			v, ok := tr.Get(p, fmt.Sprintf("k%07d", i))
+			if !ok || string(v.Field(0)) != string(val(i, pass)[0]) {
+				t.Errorf("k%07d = %q, %v, want %q", i, v.Field(0), ok, val(i, pass)[0])
+				return
+			}
+		}
+	})
+	e.Run(0)
+}
+
+// reachableSlabBytes recomputes SlabBytes from the tree's structures
+// instead of its counters: the capacity of every distinct chunk reachable
+// from the memtable (node words, recycled chunks, payload slab) and the
+// live tables (payload slab), plus each table's entry records.
+func reachableSlabBytes(t *Tree) int64 {
+	seen := map[uintptr]bool{}
+	var total int64
+	addChunks := func(chunks reflect.Value) {
+		for i := 0; i < chunks.Len(); i++ {
+			c := chunks.Index(i)
+			if p := c.Pointer(); !seen[p] {
+				seen[p] = true
+				total += int64(c.Cap()) * int64(c.Type().Elem().Size())
+			}
+		}
+	}
+	mem := reflect.ValueOf(t.mem).Elem()
+	addChunks(mem.FieldByName("arena").FieldByName("chunks"))
+	addChunks(mem.FieldByName("arena").FieldByName("free"))
+	addChunks(mem.FieldByName("data").FieldByName("chunks"))
+	for _, tab := range t.tables {
+		v := reflect.ValueOf(tab).Elem()
+		addChunks(v.FieldByName("data").FieldByName("chunks"))
+		meta := v.FieldByName("meta")
+		total += int64(meta.Len()) * int64(meta.Type().Elem().Size())
+	}
+	return total
 }
 
 func TestDiskBytesIncludesFormatOverhead(t *testing.T) {

@@ -10,6 +10,8 @@
 //   - Slab: a chunked append-only byte arena. Alloc carves a region and
 //     returns a Ref; View/String recover the bytes later. Chunks are
 //     never moved, so refs and views stay valid for the slab's lifetime.
+//     Adopt shares another slab's chunks by reference, which is how a
+//     compaction that drops nothing keeps its inputs' payloads in place.
 //   - ShapeTable: an interner for field layouts. A record's per-field
 //     lengths are stored once as a cumulative-end-offset slice shared by
 //     every record with that shape, so uniform-schema workloads (the
@@ -43,13 +45,18 @@ type Ref uint64
 
 // chunkBytes is the default chunk capacity. Large enough that chunk
 // allocations amortize to ~zero per record, small enough that a nearly
-// empty table wastes little.
+// empty table wastes little. A slab's first chunks double up to it from
+// chunkBytes/8 (64, 128, 256 KiB), so a small slab, such as a memtable
+// that flushes at a few hundred KiB, is not one mostly empty chunk.
 const chunkBytes = 512 << 10
 
 // Slab is a chunked append-only byte arena. The zero value is ready to
 // use. Not safe for concurrent use.
 type Slab struct {
 	chunks [][]byte
+	// sealed counts the leading chunks Alloc must not write into: those
+	// taken by Adopt.
+	sealed int
 	// allocated is the total capacity of all chunks, for footprint
 	// reporting (apmbench -memstats).
 	allocated int64
@@ -62,11 +69,14 @@ type Slab struct {
 func (s *Slab) Alloc(n int) (Ref, []byte) {
 	ci := len(s.chunks) - 1
 	var c []byte
-	if ci >= 0 {
+	if ci >= s.sealed {
 		c = s.chunks[ci]
 	}
-	if ci < 0 || cap(c)-len(c) < n {
+	if ci < s.sealed || cap(c)-len(c) < n {
 		size := chunkBytes
+		if k := len(s.chunks); k < 3 {
+			size >>= 3 - k
+		}
 		if n > size {
 			size = n
 		}
@@ -113,6 +123,36 @@ func (s *Slab) String(ref Ref, n int) string {
 	b := s.View(ref, n)
 	return unsafe.String(unsafe.SliceData(b), n)
 }
+
+// Grow makes the next n bytes that Alloc carves fit in the open chunk:
+// if it lacks room, Grow opens a chunk of exactly n bytes. A caller that
+// knows how much it will copy in gets one chunk it fills completely.
+func (s *Slab) Grow(n int) {
+	ci := len(s.chunks) - 1
+	if n <= 0 || ci >= s.sealed && cap(s.chunks[ci])-len(s.chunks[ci]) >= n {
+		return
+	}
+	s.chunks = append(s.chunks, make([]byte, 0, n))
+	s.allocated += int64(n)
+}
+
+// Adopt appends o's chunks to s by reference and returns the chunk base
+// at which they now sit: a ref r into o addresses the same bytes in s as
+// r + base<<32. Adopted chunks are sealed: s's next Alloc opens a fresh
+// chunk, so s never writes into bytes o may still use. They keep their
+// capacity, which Allocated counts, so it still matches the heap that s
+// retains. The adopted bytes must not be overwritten afterwards through
+// either slab (immutable sstable payloads).
+func (s *Slab) Adopt(o *Slab) (base uint64) {
+	base = uint64(len(s.chunks))
+	s.chunks = append(s.chunks, o.chunks...)
+	s.allocated += o.allocated
+	s.sealed = len(s.chunks)
+	return base
+}
+
+// Chunks returns the number of chunks, the base the next Adopt returns.
+func (s *Slab) Chunks() int { return len(s.chunks) }
 
 // Allocated returns the total chunk capacity in bytes, including regions
 // carved and later abandoned. This is the slab's true heap footprint.

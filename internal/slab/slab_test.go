@@ -73,6 +73,86 @@ func TestAllocZeroLength(t *testing.T) {
 	}
 }
 
+// TestAdoptCapsChunks pins Adopt's contract: a ref r into the adopted
+// slab reads the same bytes as r + base<<32 in the adopter, the
+// adopter's Allocated grows by the adopted chunks' capacity, and no later
+// Alloc on the adopter writes into any byte of the adopted chunks, spare
+// capacity past the adoptee's last region included.
+func TestAdoptCapsChunks(t *testing.T) {
+	var s, o Slab
+	s.AppendString("adopter's own region")
+	type region struct {
+		ref Ref
+		val string
+	}
+	var regions []region
+	for i := 0; i < 3000; i++ { // spans chunks; the last one is part full
+		val := fmt.Sprintf("adopted-%06d", i*7919)
+		regions = append(regions, region{o.AppendString(val), val})
+	}
+	before := make([][]byte, len(o.chunks))
+	for i, c := range o.chunks {
+		before[i] = bytes.Clone(c[:cap(c)])
+	}
+	own, theirs := s.Allocated(), o.Allocated()
+	base := s.Adopt(&o)
+	if base != 1 || s.Chunks() != 1+o.Chunks() {
+		t.Fatalf("base = %d with %d chunks after Adopt, want 1 and %d", base, s.Chunks(), 1+o.Chunks())
+	}
+	if s.Allocated() != own+theirs {
+		t.Fatalf("Allocated = %d, want %d + %d", s.Allocated(), own, theirs)
+	}
+	for _, n := range []int{1, 100, chunkBytes / 2, chunkBytes, 3} {
+		_, dst := s.Alloc(n)
+		for i := range dst {
+			dst[i] = 0xFF
+		}
+	}
+	for i, c := range o.chunks {
+		if !bytes.Equal(c[:cap(c)], before[i]) {
+			t.Fatalf("adopted chunk %d changed under the adopter's Alloc", i)
+		}
+	}
+	for _, r := range regions {
+		if got := s.String(r.ref+Ref(base)<<32, len(r.val)); got != r.val {
+			t.Fatalf("rebased ref %#x reads %q, want %q", r.ref, got, r.val)
+		}
+	}
+}
+
+// TestGrow pins the helper a copying compaction uses: Grow opens a chunk
+// of exactly the size asked for when the open chunk lacks room, Alloc
+// then fills that chunk, and Grow never counts an adopted chunk's spare
+// room as room.
+func TestGrow(t *testing.T) {
+	var s Slab
+	s.AppendString("small")
+	s.Grow(100) // fits the open chunk: no new chunk
+	if s.Chunks() != 1 {
+		t.Fatalf("Grow with room opened a chunk: %d chunks", s.Chunks())
+	}
+	const n = chunkBytes + 12345
+	before := s.Allocated()
+	s.Grow(n)
+	if s.Chunks() != 2 || s.Allocated() != before+n {
+		t.Fatalf("Grow(%d): %d chunks, Allocated %d, want 2 and %d", n, s.Chunks(), s.Allocated(), before+n)
+	}
+	for i := 0; i < n/5; i++ {
+		ref, _ := s.Alloc(5)
+		if ref>>32 != 1 {
+			t.Fatalf("region %d went to chunk %d, want the grown chunk 1", i, ref>>32)
+		}
+	}
+	var o Slab
+	o.AppendString("part full")
+	var a Slab
+	a.Adopt(&o)
+	a.Grow(1) // the adopted chunk has room, but is sealed
+	if a.Chunks() != 2 {
+		t.Fatalf("Grow wrote into an adopted chunk: %d chunks, want 2", a.Chunks())
+	}
+}
+
 func TestShapeInternReuses(t *testing.T) {
 	var st ShapeTable
 	f := [][]byte{[]byte("0123456789"), []byte("abcde")}

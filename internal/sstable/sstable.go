@@ -10,8 +10,11 @@
 // key+field payload bytes held in a slab.Slab, so a multi-million-entry
 // table is a few large buffers the garbage collector never has to walk.
 // The flush path (FromMemtable) adopts the frozen memtable's payload slab
-// without copying a byte; compactions copy surviving payloads into the
-// merged table's own slab, which is what reclaims dead versions.
+// without copying a byte. A compaction adopts or copies by one rule:
+// when every input entry survives, the merged table adopts its inputs'
+// payload chunks by reference (slab.Adopt); when any entry died, it
+// copies the survivors into its own slab, which is what reclaims dead
+// versions.
 package sstable
 
 import (
@@ -157,21 +160,6 @@ func (b *builder) add(key string, fields slab.FieldsView) {
 	})
 }
 
-// copyEntry appends entry i of src (keys must arrive in ascending order,
-// no duplicates), copying its contiguous key+field bytes in one copy and
-// re-interning its shape in the table's own shape table.
-func (b *builder) copyEntry(src *Table, i int) {
-	t := b.t
-	m := src.meta[i]
-	keyLen, fieldsLen := int(m.meta&0xffff), int(m.meta>>16&0xffffffff)
-	ref, buf := t.data.Alloc(keyLen + fieldsLen)
-	copy(buf, src.data.View(m.ref, keyLen+fieldsLen))
-	shape := t.shapes.InternEnds(src.shapes.Ends(uint32(m.meta >> 48)))
-	m.ref = ref
-	m.meta = packMeta(keyLen, fieldsLen, shape)
-	t.meta = append(t.meta, m)
-}
-
 // finalize computes the Bloom filter, disk accounting and key range. The
 // filter is built from the sorted entry sequence, so any construction
 // path (flush handoff, test build, merge) yields an identical filter for
@@ -240,7 +228,8 @@ func (t *Table) KeyRange() (string, string) { return t.minKey, t.maxKey }
 
 // SlabBytes returns the heap footprint of the table's payload slab
 // (apmbench -memstats). Shared flush-handoff chunks are attributed to
-// the table, which outlives the memtable they came from.
+// the table, which outlives the memtable they came from, and adopted
+// chunks to the merged table, which replaces its inputs.
 func (t *Table) SlabBytes() int64 {
 	return t.data.Allocated() + int64(len(t.meta))*32
 }
@@ -326,9 +315,15 @@ func compareEntries(t *Table, i int, u *Table, j int) int {
 // generation. Inputs are already sorted, so this is a streaming k-way
 // merge: O(n·k) comparisons with one pass and no intermediate map or
 // re-sort. Comparisons read the entries' prefix words and touch key bytes
-// only on a double tie; surviving payloads are copied into the merged
-// table's slab, so dead versions' bytes are reclaimed when the inputs are
-// dropped.
+// only on a double tie.
+//
+// Payloads are adopted or copied, by whether any entry died. If every
+// input entry survives (a load-phase compaction of distinct keys), the
+// merged table adopts its inputs' payload chunks by reference and copies
+// nothing. Otherwise the survivors' payloads are copied into one chunk
+// sized to hold them exactly, so dead versions' bytes are reclaimed when
+// the inputs are dropped. Either way the entries, shapes, filter,
+// DiskBytes and key range are the same.
 func Merge(tables []*Table, ov Overhead, fpp float64) *Table {
 	total := 0
 	maxGen := 0
@@ -338,8 +333,20 @@ func Merge(tables []*Table, ov Overhead, fpp float64) *Table {
 			maxGen = t.Gen
 		}
 	}
-	pos := make([]int, len(tables))
-	b := newBuilder(maxGen, total)
+	// pos[i] is table i's cursor. base[i] is the index of table i's
+	// first payload chunk were every input's chunks laid end to end, as
+	// adopting them lays them: survivors carry their ref rebased by it,
+	// which both addresses an adopted payload and names a copied one's
+	// source.
+	k := len(tables)
+	scratch := make([]int, 2*k)
+	pos, base := scratch[:k], scratch[k:]
+	chunks := 0
+	for i, t := range tables {
+		base[i] = chunks
+		chunks += t.data.Chunks()
+	}
+	out := &Table{Gen: maxGen, meta: make([]entryMeta, 0, total)}
 	for {
 		// Pick the smallest current key; among duplicates the entry from
 		// the highest-generation table wins and the others are skipped.
@@ -362,7 +369,11 @@ func Merge(tables []*Table, ov Overhead, fpp float64) *Table {
 			break
 		}
 		src, at := tables[best], pos[best]
-		b.copyEntry(src, at)
+		m := src.meta[at]
+		shape := out.shapes.InternEnds(src.shapes.Ends(uint32(m.meta >> 48)))
+		m.ref += slab.Ref(base[best]) << 32
+		m.meta = packMeta(int(m.meta&0xffff), int(m.meta>>16&0xffffffff), shape)
+		out.meta = append(out.meta, m)
 		// Consume this key from every source. A table holds each key at
 		// most once, so one step per source suffices.
 		for i, t := range tables {
@@ -371,6 +382,38 @@ func Merge(tables []*Table, ov Overhead, fpp float64) *Table {
 			}
 		}
 	}
-	b.t.finalize(ov, fpp)
-	return b.t
+	if len(out.meta) == total {
+		for _, t := range tables {
+			out.data.Adopt(&t.data)
+		}
+	} else {
+		copyPayloads(out, tables, base)
+	}
+	out.finalize(ov, fpp)
+	return out
+}
+
+// copyPayloads copies every merged entry's key+field bytes, in entry
+// order, into one chunk of out's sized to hold them exactly. Entry refs
+// arrive rebased by their source's chunk base in base: the source is the
+// last table whose base is at most the ref's chunk (a table without
+// chunks shares the next one's base and holds no entries).
+func copyPayloads(out *Table, tables []*Table, base []int) {
+	total := 0
+	for _, m := range out.meta {
+		total += int(m.meta&0xffff) + int(m.meta>>16&0xffffffff)
+	}
+	out.data.Grow(total)
+	for j := range out.meta {
+		m := &out.meta[j]
+		c := int(m.ref >> 32)
+		i := len(base) - 1
+		for base[i] > c {
+			i--
+		}
+		n := int(m.meta&0xffff) + int(m.meta>>16&0xffffffff)
+		ref, buf := out.data.Alloc(n)
+		copy(buf, tables[i].data.View(m.ref-slab.Ref(base[i])<<32, n))
+		m.ref = ref
+	}
 }

@@ -1,11 +1,14 @@
 package sstable
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"repro/internal/bloom"
 	"repro/internal/memtable"
@@ -167,7 +170,15 @@ func TestPropertyMergeUnion(t *testing.T) {
 // (so only the byte-compare fallback orders them, and some differ only
 // in length past a zero byte), field shapes vary per entry, some inputs
 // are empty, some generations repeat (the earlier table wins the tie),
-// and half the inputs adopt a memtable's slab via FromMemtable.
+// and half the inputs adopt a memtable's slab via FromMemtable. Every
+// fourth round draws each table's keys from its own slice of the pool,
+// so nothing dies and the merge adopts its inputs' payload chunks
+// instead of copying them; which path ran shows in the chunks the merged
+// table shares with its inputs and, after adoption, in its SlabBytes
+// equalling the inputs' total. A quarter of the fields are large, so
+// inputs span several chunks. Both paths must build the table the
+// reference's Build does: the same entries, field bytes, shape indices
+// and ends, filter answers, DiskBytes and key range.
 func TestMergeMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	const shared = "0123456789abcdef"
@@ -175,10 +186,15 @@ func TestMergeMatchesReference(t *testing.T) {
 	for i := 0; i < 40; i++ {
 		keyPool = append(keyPool, fmt.Sprintf("%s%d", shared, rng.Intn(1000)), fmt.Sprintf("k%04d", rng.Intn(10000)))
 	}
+	sort.Strings(keyPool)
+	keyPool = slices.Compact(keyPool) // distinct, so disjoint draws stay disjoint
 	randFields := func() [][]byte {
 		fs := make([][]byte, 1+rng.Intn(3))
 		for i := range fs {
 			fs[i] = []byte(fmt.Sprint(rng.Intn(1 << uint(rng.Intn(30)))))
+			if rng.Intn(4) == 0 { // large: inputs span several slab chunks
+				fs[i] = append(fs[i], bytes.Repeat([]byte{byte('a' + rng.Intn(26))}, rng.Intn(32<<10))...)
+			}
 		}
 		return fs
 	}
@@ -187,16 +203,23 @@ func TestMergeMatchesReference(t *testing.T) {
 		fields [][]byte
 		gen    int
 	}
-	for round := 0; round < 60; round++ {
+	adopted, multiChunk := 0, 0
+	for round := 0; round < 80; round++ {
+		disjoint := round%4 == 3
 		var tables []*Table
 		var all []ent
-		for ti := 0; ti < 3+rng.Intn(4); ti++ {
+		nt := 3 + rng.Intn(4)
+		for ti := 0; ti < nt; ti++ {
 			gen := 1 + rng.Intn(4)
 			n := rng.Intn(3) * rng.Intn(len(keyPool)) // a third of the inputs are empty
 			m := memtable.New()
 			var es []memtable.Entry
 			for range n {
-				k, f := keyPool[rng.Intn(len(keyPool))], randFields()
+				k := keyPool[rng.Intn(len(keyPool))]
+				if disjoint {
+					k = keyPool[rng.Intn(len(keyPool)/nt)*nt+ti]
+				}
+				f := randFields()
 				m.Put(k, f)
 				es = append(es, memtable.Entry{Key: k, Fields: slab.View(f)})
 			}
@@ -226,9 +249,42 @@ func TestMergeMatchesReference(t *testing.T) {
 		}
 		got := Merge(tables, ov, 0.01)
 		ref := Build(got.Gen, want, ov, 0.01)
+		nothingDied := len(want) == len(all)
+		if disjoint && !nothingDied {
+			t.Fatalf("round %d: disjoint inputs lost %d entries", round, len(all)-len(want))
+		}
+		// Adopting shares every input chunk and copies nothing, so the
+		// merged table's footprint is its inputs' total; copying shares
+		// none and fills one chunk of the merged table's own.
+		var inputBytes int64
+		for ti, tab := range tables {
+			inputBytes += tab.SlabBytes()
+			want := 0
+			if nothingDied {
+				want = tab.data.Chunks()
+				multiChunk += max(0, want-1)
+			}
+			if n := sharedChunks(got, tab); n != want {
+				t.Fatalf("round %d: merged table shares %d of input %d's %d chunks, want %d (nothing died: %v)",
+					round, n, ti, tab.data.Chunks(), want, nothingDied)
+			}
+		}
+		if nothingDied {
+			adopted++
+			if got.SlabBytes() != inputBytes {
+				t.Fatalf("round %d: adopting merge holds %d slab bytes, inputs %d", round, got.SlabBytes(), inputBytes)
+			}
+		} else if got.data.Chunks() > 1 {
+			t.Fatalf("round %d: copied payloads fill %d chunks, want one at most", round, got.data.Chunks())
+		}
 		if got.Len() != len(want) || got.DiskBytes != ref.DiskBytes || got.FilterBytes() != ref.FilterBytes() {
 			t.Fatalf("round %d: Len/DiskBytes/FilterBytes = %d/%d/%d, want %d/%d/%d", round,
 				got.Len(), got.DiskBytes, got.FilterBytes(), len(want), ref.DiskBytes, ref.FilterBytes())
+		}
+		gmin, gmax := got.KeyRange()
+		rmin, rmax := ref.KeyRange()
+		if gmin != rmin || gmax != rmax {
+			t.Fatalf("round %d: range = [%q,%q], want [%q,%q]", round, gmin, gmax, rmin, rmax)
 		}
 		for i := range want {
 			g, w := got.entryAt(i), want[i]
@@ -241,11 +297,46 @@ func TestMergeMatchesReference(t *testing.T) {
 					t.Fatalf("round %d key %q field %d = %q, want %q", round, g.Key, f, g.Fields.Field(f), w.Fields.Field(f))
 				}
 			}
+			// Same packed key length, field length and shape index, and
+			// the same shape behind the index.
+			_, gEnds, _ := g.Fields.Slab()
+			_, rEnds, _ := ref.fieldsAt(i).Slab()
+			if got.meta[i].meta != ref.meta[i].meta || fmt.Sprint(gEnds) != fmt.Sprint(rEnds) {
+				t.Fatalf("round %d key %q: meta %#x ends %v, want %#x ends %v",
+					round, g.Key, got.meta[i].meta, gEnds, ref.meta[i].meta, rEnds)
+			}
 			if !got.MayContain(w.Key, bloom.HashKey(w.Key)) {
 				t.Fatalf("round %d: merged filter rejects %q", round, w.Key)
 			}
 		}
+		for i := 0; i < 200; i++ {
+			miss := fmt.Sprintf("miss%d", rng.Intn(1<<20))
+			if i%2 == 1 {
+				miss = keyPool[rng.Intn(len(keyPool))] + "\x01"
+			}
+			h := bloom.HashKey(miss)
+			if got.MayContain(miss, h) != ref.MayContain(miss, h) {
+				t.Fatalf("round %d: MayContain(%q) differs from the reference", round, miss)
+			}
+		}
 	}
+	if adopted < 20 || multiChunk < 20 {
+		t.Fatalf("only %d of 80 rounds took the adopt path, with %d chunks past their inputs' first", adopted, multiChunk)
+	}
+}
+
+// sharedChunks counts tab's payload chunks that got's slab holds too.
+func sharedChunks(got, tab *Table) int {
+	n := 0
+	for ci := 0; ci < tab.data.Chunks(); ci++ {
+		c := tab.data.View(slab.Ref(ci)<<32, 0)
+		for gi := 0; gi < got.data.Chunks(); gi++ {
+			if unsafe.SliceData(got.data.View(slab.Ref(gi)<<32, 0)) == unsafe.SliceData(c) {
+				n++
+			}
+		}
+	}
+	return n
 }
 
 func BenchmarkGet(b *testing.B) {
@@ -377,8 +468,22 @@ func TestFromMemtableMatchesBuildSorted(t *testing.T) {
 }
 
 // BenchmarkSSTableMerge measures a compaction of four overlapping tables
-// of 25k entries each over the benchmark's key and field shapes.
+// of 25k entries each over the benchmark's key and field shapes: entries
+// die, so the merge copies the survivors.
 func BenchmarkSSTableMerge(b *testing.B) {
+	benchMerge(b, 2) // consecutive tables overlap by half their key range
+}
+
+// BenchmarkSSTableMergeDisjoint measures a compaction of four tables of
+// 25k distinct keys each, the load phase's case: nothing dies, so the
+// merge adopts its inputs' payload chunks.
+func BenchmarkSSTableMergeDisjoint(b *testing.B) {
+	benchMerge(b, 1)
+}
+
+// benchMerge merges four 25k-entry tables whose key ranges start
+// perTable/stride apart.
+func benchMerge(b *testing.B, stride int) {
 	const perTable = 25000
 	fields := slab.View([][]byte{
 		[]byte("0123456780"), []byte("0123456781"), []byte("0123456782"),
@@ -388,8 +493,7 @@ func BenchmarkSSTableMerge(b *testing.B) {
 	for ti := range tables {
 		es := make([]memtable.Entry, perTable)
 		for i := range es {
-			// Consecutive tables overlap by half their key range.
-			es[i] = memtable.Entry{Key: fmt.Sprintf("user%021d", (ti*perTable/2+i)*7919), Fields: fields}
+			es[i] = memtable.Entry{Key: fmt.Sprintf("user%021d", (ti*perTable/stride+i)*7919), Fields: fields}
 		}
 		tables[ti] = Build(ti+1, es, ov, 0.01)
 	}

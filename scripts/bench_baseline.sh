@@ -2,24 +2,28 @@
 # Emit a JSON perf baseline (ns/op, B/op, allocs/op) for the tracked
 # hot-path benchmarks, so future PRs have a trajectory to diff against:
 #
-#   scripts/bench_baseline.sh             # writes BENCH_PR17.json
+#   scripts/bench_baseline.sh             # writes BENCH_PR23.json
 #   scripts/bench_baseline.sh out.json    # custom path
 #   BENCHTIME=1000000x scripts/bench_baseline.sh   # higher fidelity
 #
 # allocs/op is exact at any BENCHTIME; ns/op is only meaningful on an
-# otherwise idle machine. BenchmarkSSTableMerge compacts 100k entries per
-# op, so it runs a fixed 20 iterations whatever BENCHTIME says.
+# otherwise idle machine. Three benches do a fixed amount of work per op
+# and run a fixed count whatever BENCHTIME says, so their B/op compares
+# across runs: BenchmarkSSTableMerge and BenchmarkSSTableMergeDisjoint
+# compact 100k entries per op (20 iterations), BenchmarkLSMLoadDirect
+# loads 100k records through flushes and compactions (10 iterations).
 set -euo pipefail
 cd "$(dirname "$0")/.."
-out="${1:-BENCH_PR17.json}"
+out="${1:-BENCH_PR23.json}"
 bt="${BENCHTIME:-100000x}"
 
 {
   go test -run '^$' -bench 'BenchmarkEngineSchedule$|BenchmarkLSMGet$|BenchmarkLSMScan$|BenchmarkLSMInsert$|BenchmarkBTreeInsert$|BenchmarkBTreeBulkLoad$|BenchmarkBTreeUpdate$' -benchtime "$bt" -benchmem .
+  go test -run '^$' -bench 'BenchmarkLSMLoadDirect$' -benchtime 10x -benchmem .
   go test -run '^$' -bench 'BenchmarkProcSleepSwitch$|BenchmarkResourceUse$|BenchmarkProcSpawn$' -benchtime "$bt" -benchmem ./internal/sim
   go test -run '^$' -bench 'BenchmarkStoreKey$|BenchmarkStoreAppendKey$|BenchmarkMakeFields$' -benchtime "$bt" -benchmem ./internal/store
   go test -run '^$' -bench 'BenchmarkMemtablePut$|BenchmarkMemtableGet$|BenchmarkMemtableScan$' -benchtime "$bt" -benchmem ./internal/memtable
-  go test -run '^$' -bench 'BenchmarkSSTableMerge$' -benchtime 20x -benchmem ./internal/sstable
+  go test -run '^$' -bench 'BenchmarkSSTableMerge$|BenchmarkSSTableMergeDisjoint$' -benchtime 20x -benchmem ./internal/sstable
   go test -run '^$' -bench 'BenchmarkSlabAppend$|BenchmarkShapeIntern$' -benchtime "$bt" -benchmem ./internal/slab
   go test -run '^$' -bench 'BenchmarkAppendPeriodic$' -benchtime "$bt" -benchmem ./internal/wal
   go test -run '^$' -bench 'BenchmarkQueryFilterAgg$' -benchtime "$bt" -benchmem ./internal/query
