@@ -173,6 +173,13 @@ func BenchmarkSingleOps(b *testing.B) {
 			for i := int64(0); i < 1000; i++ {
 				dep.Store.Load(keyOf(i), fieldsOf(i))
 			}
+			// End the load phase as the harness does, so deferred builds
+			// stay out of the timed reads.
+			if nl, ok := dep.Store.(store.NodeLoader); ok {
+				for i := 0; i < nl.Nodes(); i++ {
+					nl.SealNode(i)
+				}
+			}
 			b.ResetTimer()
 			dep.Engine.Go("bench", func(p *sim.Proc) {
 				for i := 0; i < b.N; i++ {
@@ -199,7 +206,9 @@ func BenchmarkEngineSchedule(b *testing.B) {
 }
 
 // benchTree builds a memory-bound LSM tree with 50k records spread over
-// several SSTable generations, plus the precomputed key set.
+// several SSTable generations, plus the precomputed key set. It seals the
+// tree, as a loader does, so the deferred build stays out of the timed
+// reads.
 func benchTree(e *sim.Engine) (*lsm.Tree, []string) {
 	n := cluster.New(e, cluster.ClusterM(1)).Nodes[0]
 	tr := lsm.New(lsm.Config{
@@ -213,6 +222,7 @@ func benchTree(e *sim.Engine) (*lsm.Tree, []string) {
 		keys[i] = fmt.Sprintf("key%09d", i)
 		tr.LoadDirect(keys[i], [][]byte{[]byte("0123456789")})
 	}
+	tr.Seal()
 	return tr, keys
 }
 
@@ -267,13 +277,15 @@ func BenchmarkLSMInsert(b *testing.B) {
 	e.Run(0)
 }
 
-// BenchmarkLSMLoadDirect measures the load path through flushes and
-// compactions: each op bulk-loads a fixed 100,000 benchmark-shaped
-// records into a fresh tree whose 512 KiB memtable flushes about 14
-// times, enough for compactions over two size tiers. Keys are distinct,
-// as in the load phase, so every compaction adopts its inputs' payload
-// chunks and every flush recycles the memtable's node arena. The work
-// per op is fixed, so its bytes/op compares across runs of any length.
+// BenchmarkLSMLoadDirect measures the deferred load: each op bulk-loads
+// a fixed 100,000 benchmark-shaped records into a fresh tree and seals it.
+// The records are cut into batches at the 512 KiB flush threshold (about
+// 14 of them), the flush and compaction schedule over two size tiers is
+// replayed on their sizes, and Seal builds each final table once, merging
+// its batches and adopting their payload chunks. Keys are distinct, as in
+// the load phase, so the op fails if the load fell back to the per-record
+// path. The work per op is fixed, so its bytes/op compares across runs of
+// any length.
 //
 // The collector is off for the whole benchmark, so the heap grows by
 // about 21 MB per op, plus one untimed warm-up load, until it returns:
@@ -296,8 +308,11 @@ func BenchmarkLSMLoadDirect(b *testing.B) {
 		for id := int64(0); id < records; id++ {
 			buf = store.FillFields(buf, id, store.FieldBytes)
 			kb = store.AppendKey(kb[:0], id)
-			// Zero-copy key view: the memtable copies key bytes on ingest.
+			// Zero-copy key view: the tree copies key bytes on ingest.
 			tr.LoadDirect(unsafe.String(unsafe.SliceData(kb), len(kb)), buf)
+		}
+		if !tr.Seal() {
+			b.Fatal("the load fell back to the per-record path")
 		}
 		return tr
 	}

@@ -6,9 +6,21 @@
 // flushes and compactions run as background processes that contend for the
 // node's disks and therefore perturb foreground latency exactly when the
 // paper's systems did.
+//
+// Loading is deferred. A fresh tree, one nothing has read, written or
+// sealed, buffers what LoadDirect gives it in flush-sized batches and
+// replays the flush and compaction schedule on their sizes alone; Seal
+// then builds each final table once, so a record is sorted, merged and
+// hashed into a Bloom filter once instead of at every tier it would
+// pass. Every reader, writer and accessor seals first, so the deferral is
+// invisible: the sealed tree is the one per-record loading builds. A
+// loader seals explicitly (store.NodeLoader.SealNode) to run the build on
+// its own goroutine.
 package lsm
 
 import (
+	"slices"
+
 	"repro/internal/bloom"
 	"repro/internal/cluster"
 	"repro/internal/memtable"
@@ -97,15 +109,22 @@ type Tree struct {
 	// pruned by key range without any I/O.
 	scanPositioned int64
 	scanPruned     int64
+
+	// fresh holds until the tree is first sealed: only a tree nothing has
+	// read or written defers its load (see LoadDirect).
+	fresh bool
+	// bulk is the deferred load in progress, nil when none is.
+	bulk *bulkLoad
 }
 
 // New creates an empty tree.
 func New(cfg Config) *Tree {
 	cfg.defaults()
 	return &Tree{
-		cfg: cfg,
-		mem: memtable.New(),
-		log: wal.New(cfg.Node, cfg.WALWindow),
+		cfg:   cfg,
+		mem:   memtable.New(),
+		log:   wal.New(cfg.Node, cfg.WALWindow),
+		fresh: true,
 	}
 }
 
@@ -120,6 +139,7 @@ func payloadBytes(key string, fields [][]byte) int64 {
 // Put appends to the commit log and inserts into the memtable, triggering a
 // background flush when the memtable is full.
 func (t *Tree) Put(p *sim.Proc, key string, fields [][]byte) {
+	t.Seal()
 	t.log.Append(p, payloadBytes(key, fields), t.cfg.WALSync)
 	t.mem.Put(key, fields)
 	t.maybeFlush(p.Engine(), false)
@@ -131,6 +151,7 @@ func (t *Tree) Put(p *sim.Proc, key string, fields [][]byte) {
 // timing, so heavy deferred writes still generate the disk load that slows
 // concurrent reads.
 func (t *Tree) PutDeferred(e *sim.Engine, key string, fields [][]byte) {
+	t.Seal()
 	t.log.AppendDirect(payloadBytes(key, fields))
 	t.mem.Put(key, fields)
 	t.maybeFlush(e, false)
@@ -160,6 +181,7 @@ func (t *Tree) chargeTableRead(p *sim.Proc) {
 // confirmed hit cannot be shadowed by any table probed later — older
 // generations are skipped entirely instead of probed and discarded.
 func (t *Tree) Get(p *sim.Proc, key string) (slab.FieldsView, bool) {
+	t.Seal()
 	if v, ok := t.mem.Get(key); ok {
 		t.memHits++
 		return v, true
@@ -260,6 +282,7 @@ func (h mergeHeap) down(i int) {
 // the merge starts; the k-way heap merge then pulls entries lazily, so it
 // never reads past the count-th distinct key.
 func (t *Tree) Scan(p *sim.Proc, start string, count int) []memtable.Entry {
+	t.Seal()
 	// Snapshot both layers before parking on disk charges: t.tables is COW
 	// (the slice header is a consistent view) and t.mem must be captured
 	// with it — a flush during a park swaps t.mem and installs the flushed
@@ -348,9 +371,8 @@ func (t *Tree) maybeFlush(e *sim.Engine, direct bool) {
 	})
 }
 
-// flushNow converts the current memtable to a table without timing (loader
-// path). No scan is in flight while loading, so nothing reads the frozen
-// memtable again and the next memtable recycles its node arena.
+// flushNow converts the current memtable to a table without timing (the
+// per-record load path).
 func (t *Tree) flushNow() {
 	if t.mem.Len() == 0 {
 		return
@@ -358,7 +380,7 @@ func (t *Tree) flushNow() {
 	t.gen++
 	mem := t.mem
 	tab := sstable.FromMemtable(t.gen, mem, t.cfg.Overhead, bloomFPP)
-	t.mem = mem.Recycle()
+	t.mem = memtable.New()
 	t.installTable(tab, mem.Bytes())
 	t.maybeCompactDirect()
 }
@@ -386,31 +408,54 @@ func tier(bytes int64) int {
 	return t
 }
 
-// pickCompaction returns the indices of tables in the fullest tier with at
-// least CompactMin members (lowest tier number on ties). The choice must
-// not depend on map iteration order: same-seed runs have to pick the same
-// victims or table layouts — and with them every downstream RNG draw —
-// diverge between runs.
-func (t *Tree) pickCompaction() []int {
-	byTier := map[int][]int{}
-	for i, tab := range t.tables {
-		tr := tier(tab.DiskBytes)
-		byTier[tr] = append(byTier[tr], i)
+// maxTiers bounds tier over int64 sizes: each tier is 4x the one below.
+const maxTiers = 32
+
+// pickCompaction is the size-tiered compaction policy, the one place it
+// lives: given table sizes in table order (newest first), it appends to
+// dst the indices, ascending, of the tables in the fullest tier with at
+// least compactMin members (the lower tier on ties) and returns the
+// extended slice; it appends nothing when no tier is that full. The
+// choice is a pure function of the sizes: same-seed runs have to pick
+// the same victims or table layouts — and with them every downstream RNG
+// draw — diverge between runs.
+func pickCompaction(dst []int, sizes []int64, compactMin int) []int {
+	var count [maxTiers]int
+	for _, s := range sizes {
+		count[tier(s)]++
 	}
 	best := -1
-	for tr, idxs := range byTier {
-		if len(idxs) < t.cfg.CompactMin {
-			continue
-		}
-		if best < 0 || len(idxs) > len(byTier[best]) ||
-			(len(idxs) == len(byTier[best]) && tr < best) {
+	for tr, n := range count {
+		if n > 0 && n >= compactMin && (best < 0 || n > count[best]) {
 			best = tr
 		}
 	}
 	if best < 0 {
+		return dst
+	}
+	for i, s := range sizes {
+		if tier(s) == best {
+			dst = append(dst, i)
+		}
+	}
+	return dst
+}
+
+// pickVictims applies pickCompaction to the live tables.
+func (t *Tree) pickVictims() []*sstable.Table {
+	sizes := make([]int64, len(t.tables))
+	for i, tab := range t.tables {
+		sizes[i] = tab.DiskBytes
+	}
+	idxs := pickCompaction(nil, sizes, t.cfg.CompactMin)
+	if len(idxs) == 0 {
 		return nil
 	}
-	return byTier[best]
+	victims := make([]*sstable.Table, len(idxs))
+	for i, idx := range idxs {
+		victims[i] = t.tables[idx]
+	}
+	return victims
 }
 
 // maybeCompact runs one size-tiered compaction in the background.
@@ -418,16 +463,14 @@ func (t *Tree) maybeCompact(e *sim.Engine) {
 	if t.compacting {
 		return
 	}
-	idxs := t.pickCompaction()
-	if idxs == nil {
+	victims := t.pickVictims()
+	if victims == nil {
 		return
 	}
 	t.compacting = true
-	victims := make([]*sstable.Table, len(idxs))
 	var inBytes int64
-	for i, idx := range idxs {
-		victims[i] = t.tables[idx]
-		inBytes += t.tables[idx].DiskBytes
+	for _, v := range victims {
+		inBytes += v.DiskBytes
 	}
 	e.Go("lsm-compact", func(p *sim.Proc) {
 		t.cfg.IO.ReadBlock(p, inBytes, false)
@@ -440,17 +483,10 @@ func (t *Tree) maybeCompact(e *sim.Engine) {
 	})
 }
 
-// maybeCompactDirect compacts synchronously without timing (loader path).
+// maybeCompactDirect compacts synchronously without timing (the
+// per-record load path).
 func (t *Tree) maybeCompactDirect() {
-	for {
-		idxs := t.pickCompaction()
-		if idxs == nil {
-			return
-		}
-		victims := make([]*sstable.Table, len(idxs))
-		for i, idx := range idxs {
-			victims[i] = t.tables[idx]
-		}
+	for victims := t.pickVictims(); victims != nil; victims = t.pickVictims() {
 		merged := sstable.Merge(victims, t.cfg.Overhead, bloomFPP)
 		t.replaceTables(victims, merged)
 		t.compactions++
@@ -489,27 +525,195 @@ func (t *Tree) replaceTables(victims []*sstable.Table, merged *sstable.Table) {
 }
 
 // LoadDirect inserts a record without simulation timing, for bulk loading
-// before a measured run. Disk usage accounting still happens. No scan may
-// be in flight: a full memtable is flushed and its node arena recycled.
+// before a measured run. The WAL and the node's disk usage are accounted
+// as loading proceeds.
+//
+// A fresh tree (never read, written or sealed) defers the load: records
+// are buffered in flush-sized batches (sstable.Run), the flush and
+// compaction schedule is replayed on their sizes alone, and Seal builds
+// each final table once, from the batches it holds. Seal runs on first
+// use: every read, write, scan and accessor seals first, so the tree a
+// caller sees is the one per-record loading would have built, down to
+// its generations, entries, shapes, filters, payload chunks and
+// memtable. A load the batches cannot reproduce (a key repeated where a
+// memtable replace or a compaction would drop a version) is replayed
+// record by record instead, as is any LoadDirect into a tree that is no
+// longer fresh. No scan may be in flight.
 func (t *Tree) LoadDirect(key string, fields [][]byte) {
-	t.log.AppendDirect(payloadBytes(key, fields))
+	n := payloadBytes(key, fields)
+	t.log.AppendDirect(n)
+	if t.fresh {
+		t.fresh = false
+		// Size the first batch for records of this one's size, up to 2 MiB
+		// of entries; cutRun sizes each later one by its predecessor.
+		t.bulk = &bulkLoad{cur: sstable.NewRun(int(min(t.cfg.FlushBytes/max(1, n)+1, 1<<16)))}
+	}
+	if b := t.bulk; b != nil {
+		b.cur.Add(key, fields)
+		if b.cur.Bytes() >= t.cfg.FlushBytes {
+			t.cutRun()
+		}
+		return
+	}
 	t.mem.Put(key, fields)
 	t.maybeFlush(nil, true)
 }
 
+// bulkLoad is a deferred load: the records LoadDirect buffered, cut into
+// the batches the per-record path would have flushed, and the table list
+// it would have built from them, replayed on sizes alone.
+type bulkLoad struct {
+	runs []*sstable.Run // cut batches, sorted, in cut order
+	cur  *sstable.Run   // the batch being filled: the memtable's records
+	// tables is the replayed table list, newest first.
+	tables []plannedTable
+	// flushed is the payload of every cut batch: the WAL bytes their
+	// flushes truncated.
+	flushed int64
+	// sizes and victims are pickCompaction's scratch.
+	sizes   []int64
+	victims []int
+}
+
+// plannedTable is one table of a replayed table list: its generation,
+// its DiskBytes, and the runs it holds, in the order its payload chunks
+// sit (see sstable.FromRuns).
+type plannedTable struct {
+	gen  int
+	size int64
+	runs []int
+}
+
+// cutRun ends the batch being filled where the per-record path flushes
+// the memtable, and replays that flush and the compactions it triggers
+// on sizes: for distinct keys a table's DiskBytes is the sum of its
+// entries', so a merge's is the sum of its inputs'.
+func (t *Tree) cutRun() {
+	b := t.bulk
+	r := b.cur
+	if !r.Sort() {
+		t.replayLoad()
+		return
+	}
+	// Same-shaped records fill each batch to the same count.
+	b.cur = sstable.NewRun(r.Len() + 1)
+	b.runs = append(b.runs, r)
+	t.gen++
+	size := r.DiskBytes(t.cfg.Overhead)
+	t.tableBytes += size
+	t.cfg.Node.AddDiskUsage(size)
+	t.log.Truncate(r.Bytes())
+	b.flushed += r.Bytes()
+	b.tables = slices.Insert(b.tables, 0, plannedTable{gen: t.gen, size: size, runs: []int{len(b.runs) - 1}})
+	for {
+		b.sizes = b.sizes[:0]
+		for _, pt := range b.tables {
+			b.sizes = append(b.sizes, pt.size)
+		}
+		b.victims = pickCompaction(b.victims[:0], b.sizes, t.cfg.CompactMin)
+		if len(b.victims) == 0 {
+			return
+		}
+		var merged plannedTable
+		kept, v := b.tables[:0], 0
+		for i, pt := range b.tables {
+			if v < len(b.victims) && b.victims[v] == i {
+				v++
+				merged.gen = max(merged.gen, pt.gen)
+				merged.size += pt.size
+				merged.runs = append(merged.runs, pt.runs...)
+				continue
+			}
+			kept = append(kept, pt)
+		}
+		// As replaceTables: above every older generation.
+		at := len(kept)
+		for i, pt := range kept {
+			if merged.gen > pt.gen {
+				at = i
+				break
+			}
+		}
+		b.tables = slices.Insert(kept, at, merged)
+		t.compactions++
+	}
+}
+
+// Seal ends a deferred load (see LoadDirect): it builds each replayed
+// table once from its runs and hands the unflushed batch to the memtable.
+// Every read, write, scan and accessor seals first, so calling it is
+// never needed for correctness; a loader calls it to end the load phase
+// with the tree built, so the build runs on the loader's goroutine. A
+// tree sealed once defers no later load. Seal reports whether it built a
+// deferred load from its batches: false when there was none to build, or
+// when the load had to be replayed record by record.
+func (t *Tree) Seal() bool {
+	t.fresh = false
+	return t.bulk != nil && t.build()
+}
+
+func (t *Tree) build() bool {
+	b := t.bulk
+	runs := make([][]*sstable.Run, len(b.tables))
+	orders := make([][]uint32, len(b.tables))
+	for i, pt := range b.tables {
+		for _, r := range pt.runs {
+			runs[i] = append(runs[i], b.runs[r])
+		}
+		// Check every merge before building any table, so a replay still
+		// finds every batch.
+		if len(runs[i]) > 1 {
+			if orders[i] = sstable.MergeOrder(runs[i]); orders[i] == nil {
+				t.replayLoad()
+				return false
+			}
+		}
+	}
+	t.bulk = nil
+	t.tables = make([]*sstable.Table, len(b.tables))
+	for i, pt := range b.tables {
+		t.tables[i] = sstable.FromRuns(pt.gen, runs[i], orders[i], t.cfg.Overhead, bloomFPP)
+		// A merged table holds its runs' payload chunks, not their entries.
+		runs[i], orders[i] = nil, nil
+		for _, r := range pt.runs {
+			b.runs[r] = nil
+		}
+	}
+	b.cur.Unflushed(t.mem)
+	return true
+}
+
+// replayLoad abandons a deferred load whose batches cannot reproduce it,
+// undoes the flush accounting cutRun did, and replays every buffered
+// record in arrival order through the per-record path. Their WAL bytes
+// are accounted already.
+func (t *Tree) replayLoad() {
+	b := t.bulk
+	t.bulk = nil
+	t.cfg.Node.AddDiskUsage(b.flushed - t.tableBytes)
+	t.tables, t.gen, t.tableBytes, t.compactions = nil, 0, 0, 0
+	for _, r := range append(b.runs, b.cur) {
+		r.Records(func(key string, fields [][]byte) {
+			t.mem.Put(key, fields)
+			t.maybeFlush(nil, true)
+		})
+	}
+}
+
 // TableCount returns the number of live SSTables.
-func (t *Tree) TableCount() int { return len(t.tables) }
+func (t *Tree) TableCount() int { t.Seal(); return len(t.tables) }
 
 // DiskBytes returns the on-disk footprint of live tables.
-func (t *Tree) DiskBytes() int64 { return t.tableBytes }
+func (t *Tree) DiskBytes() int64 { t.Seal(); return t.tableBytes }
 
 // MemBytes returns the current memtable payload size.
-func (t *Tree) MemBytes() int64 { return t.mem.Bytes() }
+func (t *Tree) MemBytes() int64 { t.Seal(); return t.mem.Bytes() }
 
 // SlabBytes returns the retained heap footprint of the tree's record
 // state: the memtable's arenas plus every live table's payload slab and
 // entry metadata (apmbench -memstats).
 func (t *Tree) SlabBytes() int64 {
+	t.Seal()
 	b := t.mem.SlabBytes()
 	for _, tab := range t.tables {
 		b += tab.SlabBytes()
@@ -518,11 +722,12 @@ func (t *Tree) SlabBytes() int64 {
 }
 
 // Compactions returns how many compactions have completed.
-func (t *Tree) Compactions() int64 { return t.compactions }
+func (t *Tree) Compactions() int64 { t.Seal(); return t.compactions }
 
 // Stats returns read-path counters: table probes, Bloom-filter skips,
 // actual disk reads, and memtable hits.
 func (t *Tree) Stats() (probes, bloomSkips, diskReads, memHits int64) {
+	t.Seal()
 	return t.probes, t.bloomSkips, t.diskReads, t.memHits
 }
 
@@ -530,8 +735,9 @@ func (t *Tree) Stats() (probes, bloomSkips, diskReads, memHits int64) {
 // charge vs tables pruned because their key range cannot intersect the
 // scan. Tests pin the pruning contract with them.
 func (t *Tree) ScanStats() (positioned, pruned int64) {
+	t.Seal()
 	return t.scanPositioned, t.scanPruned
 }
 
 // Log exposes the commit log (for stores that need its accounting).
-func (t *Tree) Log() *wal.Log { return t.log }
+func (t *Tree) Log() *wal.Log { t.Seal(); return t.log }

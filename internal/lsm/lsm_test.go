@@ -3,8 +3,10 @@ package lsm
 import (
 	"fmt"
 	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"repro/internal/cluster"
 	"repro/internal/sim"
@@ -167,8 +169,7 @@ func TestLoadDirectNoVirtualTime(t *testing.T) {
 // so that later compactions copy while earlier ones adopt, and checks
 // that SlabBytes, kept by counters, equals the footprint recomputed from
 // what is reachable: each distinct chunk once, whichever tables adopted
-// it, plus the memtable's recycled chunks not yet reused. Every key must
-// still read its last loaded value.
+// it. Every key must still read its last loaded value.
 func TestLoadDirectSlabBytesCountsDistinctChunks(t *testing.T) {
 	e := sim.NewEngine(1)
 	tr := newTree(e, 1<<18)
@@ -215,7 +216,7 @@ func TestLoadDirectSlabBytesCountsDistinctChunks(t *testing.T) {
 
 // reachableSlabBytes recomputes SlabBytes from the tree's structures
 // instead of its counters: the capacity of every distinct chunk reachable
-// from the memtable (node words, recycled chunks, payload slab) and the
+// from the memtable (node words, payload slab) and the
 // live tables (payload slab), plus each table's entry records.
 func reachableSlabBytes(t *Tree) int64 {
 	seen := map[uintptr]bool{}
@@ -231,7 +232,6 @@ func reachableSlabBytes(t *Tree) int64 {
 	}
 	mem := reflect.ValueOf(t.mem).Elem()
 	addChunks(mem.FieldByName("arena").FieldByName("chunks"))
-	addChunks(mem.FieldByName("arena").FieldByName("free"))
 	addChunks(mem.FieldByName("data").FieldByName("chunks"))
 	for _, tab := range t.tables {
 		v := reflect.ValueOf(tab).Elem()
@@ -407,6 +407,7 @@ func BenchmarkGetAcrossTables(b *testing.B) {
 	for i := 0; i < 50000; i++ {
 		tr.LoadDirect(fmt.Sprintf("key%09d", i), fields("0123456789"))
 	}
+	tr.Seal() // build the deferred load before the timer starts
 	e.Go("r", func(p *sim.Proc) {
 		for i := 0; i < b.N; i++ {
 			tr.Get(p, fmt.Sprintf("key%09d", i%50000))
@@ -505,4 +506,242 @@ func TestScanCursorDedupsNewestWins(t *testing.T) {
 		}
 	})
 	e.Run(0)
+}
+
+// TestDeferredLoadMatchesPerRecord loads the same records into a fresh
+// tree, which defers the load and builds it at Seal, and into a tree
+// sealed before loading, which takes the per-record path, and requires
+// the two to match table by table: generation, entries, shapes, Bloom
+// filter, key range, payload chunks, DiskBytes and SlabBytes, plus the
+// table count, compactions, WAL bytes, node disk usage and memtable
+// contents and layout. Each case also pins which path the deferred tree took: a key
+// repeated within a batch, or in batches a compaction merges, must be
+// replayed record by record, and a key repeated only across final tables
+// must not.
+func TestDeferredLoadMatchesPerRecord(t *testing.T) {
+	type rec struct {
+		key    string
+		fields [][]byte
+	}
+	// value builds record i's fields: a third of the records carry a
+	// second, shorter field, so tables intern several shapes.
+	value := func(i, size int) [][]byte {
+		v := [][]byte{[]byte(fmt.Sprintf("%0*d", size, i))}
+		if i%3 == 0 {
+			v = append(v, []byte(fmt.Sprintf("x%d", i%7)))
+		}
+		return v
+	}
+	randomKeys := func(n, size int) []rec {
+		out := make([]rec, n)
+		for i := range out {
+			j := i * 7919 % n // n is not a multiple of 7919: a permutation
+			out[i] = rec{fmt.Sprintf("k%09d", j), value(j, size)}
+		}
+		return out
+	}
+	sequential := func(from, n, size int) []rec {
+		out := make([]rec, n)
+		for i := range out {
+			out[i] = rec{fmt.Sprintf("m/%06d/%012d", (from+i)%5, from+i), value(from+i, size)}
+		}
+		return out
+	}
+	// repeat gives the keys of recs[from:to] new values, size bytes long.
+	repeat := func(recs []rec, from, to, size int) []rec {
+		out := make([]rec, 0, to-from)
+		for i, r := range recs[from:to] {
+			out = append(out, rec{r.key, value(-1-i, size)})
+		}
+		return out
+	}
+	cat := func(parts ...[]rec) []rec { return slices.Concat(parts...) }
+	// uniform returns n distinct 100-byte records: a 21-byte key and one
+	// 79-byte field.
+	uniform := func(n int) []rec {
+		out := make([]rec, n)
+		for i := range out {
+			out[i] = rec{fmt.Sprintf("u/%06d/%012d", i%5, i), [][]byte{[]byte(fmt.Sprintf("%079d", i))}}
+		}
+		return out
+	}
+	big, small := randomKeys(5000, 1000), randomKeys(3000, 90)
+	const flush = 64 << 10
+	cases := []struct {
+		name  string
+		flush int64
+		load  []rec // loaded before the deferred tree's Seal
+		after []rec // loaded after it
+		built bool  // whether the deferred tree's Seal builds from batches
+		tiers int   // at least this many tiers among the final tables
+	}{
+		{name: "random keys over two tiers", flush: flush, load: randomKeys(12000, 1000), built: true, tiers: 2},
+		{name: "sequential keys", flush: flush, load: sequential(0, 20000, 90), built: true},
+		{
+			// small[10]'s key comes back ten records later, inside the
+			// first batch.
+			name:  "duplicate within a batch",
+			flush: flush,
+			load:  cat(small[:20], repeat(small, 10, 11, 90), small[20:]),
+		},
+		{
+			// The same inside the fifth batch, which no compaction merges:
+			// Sort alone catches it.
+			name:  "duplicate within an unmerged batch",
+			flush: flush,
+			load:  cat(small[:2800], repeat(small, 2790, 2791, 90), small[2800:], sequential(0, 1000, 90)),
+		},
+		{
+			// The repeats land a few batches after their originals, and
+			// every table is tier 0, so a compaction merges the two.
+			name:  "duplicates in batches that merge",
+			flush: flush,
+			load:  cat(small, repeat(small, 0, 50, 90), sequential(0, 3000, 90)),
+		},
+		{
+			// big[0]'s key comes back in big's fourth batch, which merges
+			// with the first into what becomes the tier-1 table; the
+			// sequential records after it merge cleanly into a newer
+			// tier-0 table. Seal must check both merges before building
+			// either: the replay needs every batch.
+			name:  "duplicate in an older merged table",
+			flush: flush,
+			load:  cat(big[:200], repeat(big, 0, 1, 1000), big[200:], sequential(0, 3000, 90)),
+			tiers: 2,
+		},
+		{
+			// big settles into one tier-1 table and a few tier-0 ones.
+			// The repeats of its first records, all in that tier-1 table,
+			// fill tier-0 tables and the memtable, which nothing merges
+			// with it.
+			name:  "duplicates only across final tables",
+			flush: flush,
+			load:  cat(big, repeat(big, 0, 600, 90), repeat(big, 600, 630, 50)),
+			built: true,
+			tiers: 2,
+		},
+		{
+			// The repeats of small's last records stay in the memtable,
+			// which replaces them, one with a new shape.
+			name:  "duplicates within the memtable",
+			flush: flush,
+			load:  cat(small, repeat(small, 2990, 3000, 90), repeat(small, 2995, 2996, 50)),
+			built: true,
+		},
+		// 4,000-byte flushes of 100-byte records: 1,000 records fill
+		// exactly 25 batches.
+		{name: "load ending on a flush boundary", flush: 4000, load: uniform(1000), built: true},
+		{name: "empty load", flush: flush},
+		{name: "load after a seal", flush: flush, load: small, after: cat(sequential(0, 4000, 90), repeat(small, 0, 100, 90)), built: true},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			deferred := newTree(sim.NewEngine(1), c.flush)
+			perRecord := newTree(sim.NewEngine(1), c.flush)
+			perRecord.Seal()
+			for _, r := range c.load {
+				deferred.LoadDirect(r.key, r.fields)
+				perRecord.LoadDirect(r.key, r.fields)
+			}
+			if got := deferred.Seal(); got != c.built {
+				t.Fatalf("Seal built the deferred load: %v, want %v", got, c.built)
+			}
+			for _, r := range c.after {
+				deferred.LoadDirect(r.key, r.fields)
+				perRecord.LoadDirect(r.key, r.fields)
+			}
+			if deferred.Seal() {
+				t.Fatal("a second Seal built again")
+			}
+			requireSameTree(t, deferred, perRecord)
+			tiers := map[int]bool{}
+			for _, tab := range perRecord.tables {
+				tiers[tier(tab.DiskBytes)] = true
+			}
+			if len(tiers) < c.tiers {
+				t.Fatalf("final tables span %d tiers, want at least %d", len(tiers), c.tiers)
+			}
+			if c.name == "load ending on a flush boundary" && (perRecord.MemBytes() != 0 || perRecord.TableCount() == 0) {
+				t.Fatalf("load left %d bytes in the memtable over %d tables, want a full last batch",
+					perRecord.MemBytes(), perRecord.TableCount())
+			}
+		})
+	}
+}
+
+// requireSameTree fails unless got and want hold the same tables, field
+// by field, and the same counters, log, disk usage and memtable contents.
+func requireSameTree(t *testing.T, got, want *Tree) {
+	t.Helper()
+	if g, w := got.TableCount(), want.TableCount(); g != w {
+		t.Fatalf("TableCount = %d, want %d", g, w)
+	}
+	for i, w := range want.tables {
+		g := got.tables[i]
+		for _, f := range []string{"Gen", "meta", "shapes", "filter", "minKey", "maxKey", "data", "DiskBytes"} {
+			if !reflect.DeepEqual(field(g, f), field(w, f)) {
+				t.Fatalf("table %d (gen %d): %s differs", i, w.Gen, f)
+			}
+		}
+		if g.SlabBytes() != w.SlabBytes() {
+			t.Fatalf("table %d: SlabBytes = %d, want %d", i, g.SlabBytes(), w.SlabBytes())
+		}
+	}
+	for _, c := range []struct {
+		name      string
+		got, want int64
+	}{
+		{"generation", int64(got.gen), int64(want.gen)},
+		{"Compactions", got.Compactions(), want.Compactions()},
+		{"DiskBytes", got.DiskBytes(), want.DiskBytes()},
+		{"WAL DurableBytes", got.Log().DurableBytes(), want.Log().DurableBytes()},
+		{"node DiskUsed", got.cfg.Node.DiskUsed(), want.cfg.Node.DiskUsed()},
+		{"MemBytes", got.MemBytes(), want.MemBytes()},
+		{"SlabBytes", got.SlabBytes(), want.SlabBytes()},
+		{"memtable Len", int64(got.mem.Len()), int64(want.mem.Len())},
+	} {
+		if c.got != c.want {
+			t.Fatalf("%s = %d, want %d", c.name, c.got, c.want)
+		}
+	}
+	ge, we := got.mem.All(), want.mem.All()
+	for i := range we {
+		if ge[i].Key != we[i].Key || !reflect.DeepEqual(ge[i].Fields.Materialize(), we[i].Fields.Materialize()) {
+			t.Fatalf("memtable entry %d = %q, want %q", i, ge[i].Key, we[i].Key)
+		}
+	}
+	if !reflect.DeepEqual(got.mem, want.mem) {
+		t.Fatal("memtables hold the same entries in different nodes or slabs")
+	}
+}
+
+// field reads a table's field by name, unexported ones included.
+func field(tab *sstable.Table, name string) any {
+	f := reflect.ValueOf(tab).Elem().FieldByName(name)
+	return reflect.NewAt(f.Type(), unsafe.Pointer(f.UnsafeAddr())).Elem().Interface()
+}
+
+// TestPickCompaction pins the size-tiered policy: the fullest tier with at
+// least CompactMin tables, the lower tier on ties, indices in table order.
+func TestPickCompaction(t *testing.T) {
+	const mb = 1 << 20
+	for _, c := range []struct {
+		sizes []int64
+		min   int
+		want  []int
+	}{
+		{sizes: nil, min: 4, want: nil},
+		{sizes: []int64{1, 2, 3}, min: 4, want: nil},
+		{sizes: []int64{1, 2, 3, 4}, min: 4, want: []int{0, 1, 2, 3}},
+		// Tier 1 (4–16 MiB) holds four, tier 0 three: tier 1 wins.
+		{sizes: []int64{1, 5 * mb, 2, 6 * mb, 3, 7 * mb, 8 * mb}, min: 3, want: []int{1, 3, 5, 6}},
+		// Four each: the lower tier wins the tie.
+		{sizes: []int64{5 * mb, 1, 6 * mb, 2, 7 * mb, 3, 8 * mb, 4}, min: 4, want: []int{1, 3, 5, 7}},
+		// An empty tier never qualifies, whatever the minimum.
+		{sizes: []int64{5 * mb}, min: 0, want: []int{0}},
+	} {
+		if got := pickCompaction(nil, c.sizes, c.min); !slices.Equal(got, c.want) {
+			t.Errorf("pickCompaction(%v, %d) = %v, want %v", c.sizes, c.min, got, c.want)
+		}
+	}
 }

@@ -18,11 +18,6 @@
 // memory — which is what lets callers reuse one fields buffer across
 // operations (see store.Store).
 //
-// Only the bulk loader recycles memory: after a load-phase flush has
-// streamed a frozen memtable into an sstable, Recycle hands its cleared
-// node-word chunks to the next memtable. A run-time flush never does,
-// because a scan may still be reading the frozen tree.
-//
 // Ownership note: Get/Scan/iterators return views of the memtable's
 // payload slab. A later Put that replaces a key with same-shaped fields
 // overwrites those bytes in place, so a value read before a simulated
@@ -90,13 +85,8 @@ const (
 // wordArena is a chunked append-only uint64 arena addressed by packed
 // (chunk<<15 | word) offsets.
 type wordArena struct {
-	chunks [][]uint64
-	// free holds zeroed chunks taken over from a recycled memtable (see
-	// Recycle), used before any fresh chunk is allocated.
-	free [][]uint64
-	// allocated counts every chunk the arena holds, free ones included:
-	// they are retained heap until reused.
-	allocated int64
+	chunks    [][]uint64
+	allocated int64 // bytes of every chunk
 }
 
 // alloc carves words zeroed words, padding past a chunk tail rather than
@@ -108,13 +98,8 @@ func (a *wordArena) alloc(words int) uint64 {
 		c = a.chunks[ci]
 	}
 	if ci < 0 || cap(c)-len(c) < words {
-		if nf := len(a.free); nf > 0 {
-			c = a.free[nf-1]
-			a.free = a.free[:nf-1]
-		} else {
-			c = make([]uint64, 0, arenaWords)
-			a.allocated += arenaWords * 8
-		}
+		c = make([]uint64, 0, arenaWords)
+		a.allocated += arenaWords * 8
 		a.chunks = append(a.chunks, c)
 		ci++
 	}
@@ -429,8 +414,7 @@ func (m *Memtable) Len() int { return m.n }
 func (m *Memtable) Bytes() int64 { return m.bytes }
 
 // SlabBytes returns the heap footprint of the memtable's arenas: node
-// words, recycled chunks not yet reused among them, plus payload slab
-// capacity (apmbench -memstats).
+// words plus payload slab capacity (apmbench -memstats).
 func (m *Memtable) SlabBytes() int64 {
 	return m.arena.allocated + m.data.Allocated()
 }
@@ -471,8 +455,8 @@ type FlushEntry struct {
 // to fn, and returns the payload slab and shape table for zero-copy
 // reuse by the flushed sstable. The slabs are shared, not moved:
 // outstanding readers of the frozen tree stay valid, since nothing
-// writes to it again; the word arena is freed with the memtable (or
-// handed on by Recycle) while the payload chunks live on inside the table.
+// writes to it again; the word arena is freed with the memtable while the
+// payload chunks live on inside the table.
 func (m *Memtable) Freeze(fn func(FlushEntry)) (slab.Slab, slab.ShapeTable) {
 	m.frozen = true
 	for it := m.SeekIter(""); it.Valid(); it.Next() {
@@ -488,29 +472,6 @@ func (m *Memtable) Freeze(fn func(FlushEntry)) (slab.Slab, slab.ShapeTable) {
 		})
 	}
 	return m.data, m.shapes
-}
-
-// Recycle returns an empty memtable that reuses m's node arena, for a
-// loader that flushes m and keeps writing. m must be frozen, and nothing
-// may read it again: its node words are cleared and handed over, so the
-// new memtable's nodes start zeroed exactly as fresh ones do. The payload
-// slab and shape table stay with the sstable Freeze handed them to.
-func (m *Memtable) Recycle() *Memtable {
-	if !m.frozen {
-		panic("memtable: Recycle of a memtable that was not frozen")
-	}
-	free := m.arena.chunks
-	for i, c := range free {
-		clear(c)
-		free[i] = c[:0]
-	}
-	n := &Memtable{arena: wordArena{
-		free:      append(free, m.arena.free...),
-		allocated: m.arena.allocated,
-	}}
-	m.arena = wordArena{}
-	n.root = n.arena.alloc(leafWords)
-	return n
 }
 
 // Iterator is a forward cursor over the linked leaves. It is a small

@@ -532,90 +532,6 @@ func checkModel(t *testing.T, m *Memtable, ref *refTable, rng *rand.Rand) {
 	}
 }
 
-// TestRecycledMemtableMatchesNew drives a recycled memtable and a fresh
-// one through the same random Put/Get/ScanAppend sequence, ending each
-// segment with Freeze, and requires identical answers and Freeze streams.
-// The recycled arena starts fully dirty, so a node word that Recycle
-// failed to clear (a stale count or next-leaf link) changes an answer.
-// Segments alternate between outgrowing the recycled chunks and leaving
-// some unused, which the next Recycle must carry along, and the arena
-// must count every chunk it holds, free ones included.
-func TestRecycledMemtableMatchesNew(t *testing.T) {
-	rng := rand.New(rand.NewSource(23))
-	dirty := New()
-	for i := 0; i < 12000; i++ {
-		dirty.Put(hashedKey(i), f1(fmt.Sprintf("v%d", i)))
-	}
-	dirty.Freeze(func(FlushEntry) {})
-	a, b := dirty.Recycle(), New()
-	for seg, ops := range []int{40000, 5000, 60000} {
-		if got, want := a.arena.allocated, int64(len(a.arena.chunks)+len(a.arena.free))*arenaWords*8; got != want {
-			t.Fatalf("segment %d: arena counts %d bytes, holds %d", seg, got, want)
-		}
-		keys := ops / 2
-		for op := 0; op < ops; op++ {
-			k := hashedKey(rng.Intn(keys))
-			switch r := rng.Intn(10); {
-			case r < 6:
-				f := f1(fmt.Sprintf("s%d-%d", seg, op%97))
-				if r == 0 {
-					f = [][]byte{[]byte("reshaped"), []byte(k)}
-				}
-				a.Put(k, f)
-				b.Put(k, f)
-			case r < 8:
-				va, oka := a.Get(k)
-				vb, okb := b.Get(k)
-				if oka != okb || oka && !sameFields(va.Materialize(), vb.Materialize()) {
-					t.Fatalf("segment %d op %d: Get(%q) = %v,%v vs %v,%v", seg, op, k, va, oka, vb, okb)
-				}
-			default:
-				start := k[:rng.Intn(len(k)+1)]
-				count := 1 + rng.Intn(100)
-				ga, gb := a.ScanAppend(nil, start, count), b.ScanAppend(nil, start, count)
-				if len(ga) != len(gb) {
-					t.Fatalf("segment %d op %d: Scan(%q,%d) len %d vs %d", seg, op, start, count, len(ga), len(gb))
-				}
-				for j := range ga {
-					if ga[j].Key != gb[j].Key || !sameFields(ga[j].Fields.Materialize(), gb[j].Fields.Materialize()) {
-						t.Fatalf("segment %d op %d: Scan(%q)[%d] = %q vs %q", seg, op, start, j, ga[j].Key, gb[j].Key)
-					}
-				}
-			}
-		}
-		if a.Len() != b.Len() || a.Bytes() != b.Bytes() {
-			t.Fatalf("segment %d: Len/Bytes = %d/%d vs %d/%d", seg, a.Len(), a.Bytes(), b.Len(), b.Bytes())
-		}
-		if outgrew := len(a.arena.free) == 0; outgrew != (seg != 1) {
-			t.Fatalf("segment %d: %d recycled chunks left unused", seg, len(a.arena.free))
-		}
-		var sa, sb []FlushEntry
-		a.Freeze(func(e FlushEntry) { sa = append(sa, e) })
-		b.Freeze(func(e FlushEntry) { sb = append(sb, e) })
-		if len(sa) != len(sb) {
-			t.Fatalf("segment %d: Freeze streamed %d vs %d entries", seg, len(sa), len(sb))
-		}
-		for j := range sa {
-			if sa[j] != sb[j] || data0(a, sa[j]) != data0(b, sb[j]) {
-				t.Fatalf("segment %d: Freeze entry %d = %+v vs %+v", seg, j, sa[j], sb[j])
-			}
-		}
-		a, b = a.Recycle(), New()
-	}
-}
-
-func sameFields(a, b [][]byte) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if string(a[i]) != string(b[i]) {
-			return false
-		}
-	}
-	return true
-}
-
 // TestNodeBytesPerEntry pins the tree's node overhead (SlabBytes minus the
 // payload slab) at or below the skip list it replaced, which spent a
 // 5-word node header plus a geometric(1/4) tower (4/3 words expected) on

@@ -14,12 +14,14 @@
 // when every input entry survives, the merged table adopts its inputs'
 // payload chunks by reference (slab.Adopt); when any entry died, it
 // copies the survivors into its own slab, which is what reclaims dead
-// versions.
+// versions. A deferred bulk load skips the intermediate tables: it
+// buffers flush batches as Runs, and FromRuns builds the table a chain of
+// flushes and lossless compactions would have produced, in one merge.
 package sstable
 
 import (
 	"cmp"
-	"sort"
+	"slices"
 	"strings"
 
 	"repro/internal/bloom"
@@ -110,56 +112,6 @@ func (t *Table) search(key string) int {
 	return lo
 }
 
-// builder assembles a table by copying entries into its own slabs.
-type builder struct {
-	t       *Table
-	scratch []uint32
-}
-
-func newBuilder(gen, n int) *builder {
-	return &builder{t: &Table{Gen: gen, meta: make([]entryMeta, 0, n)}}
-}
-
-// add appends one entry (keys must arrive in ascending order, no
-// duplicates), copying key and field bytes into the table's slab.
-func (b *builder) add(key string, fields slab.FieldsView) {
-	t := b.t
-	var shape uint32
-	fieldsLen := int(fields.Bytes())
-	if data, ends, ok := fields.Slab(); ok {
-		shape = t.shapes.InternEnds(ends)
-		ref, buf := t.data.Alloc(len(key) + fieldsLen)
-		p := copy(buf, key)
-		copy(buf[p:], data)
-		t.meta = append(t.meta, entryMeta{
-			keyPfx:  slab.KeyPrefix(key, 0),
-			keyPfx2: slab.KeyPrefix(key, 8),
-			ref:     ref,
-			meta:    packMeta(len(key), fieldsLen, shape),
-		})
-		return
-	}
-	n := fields.Len()
-	b.scratch = b.scratch[:0]
-	acc := uint32(0)
-	for i := 0; i < n; i++ {
-		acc += uint32(len(fields.Field(i)))
-		b.scratch = append(b.scratch, acc)
-	}
-	shape = t.shapes.InternEnds(b.scratch)
-	ref, buf := t.data.Alloc(len(key) + fieldsLen)
-	p := copy(buf, key)
-	for i := 0; i < n; i++ {
-		p += copy(buf[p:], fields.Field(i))
-	}
-	t.meta = append(t.meta, entryMeta{
-		keyPfx:  slab.KeyPrefix(key, 0),
-		keyPfx2: slab.KeyPrefix(key, 8),
-		ref:     ref,
-		meta:    packMeta(len(key), fieldsLen, shape),
-	})
-}
-
 // finalize computes the Bloom filter, disk accounting and key range. The
 // filter is built from the sorted entry sequence, so any construction
 // path (flush handoff, test build, merge) yields an identical filter for
@@ -200,24 +152,241 @@ func FromMemtable(gen int, m *memtable.Memtable, ov Overhead, fpp float64) *Tabl
 	return t
 }
 
-// Build creates a table from entries (they will be sorted; later duplicates
-// win). Key and field bytes are copied into the table's own slab. fpp is
-// the Bloom filter false-positive target.
-func Build(gen int, entries []memtable.Entry, ov Overhead, fpp float64) *Table {
-	sorted := make([]memtable.Entry, len(entries))
-	copy(sorted, entries)
-	// The stable sort keeps duplicates in input order, so keeping only the
-	// last of each run of equal keys preserves newest-write-wins.
-	sort.SliceStable(sorted, func(i, j int) bool { return sorted[i].Key < sorted[j].Key })
-	b := newBuilder(gen, len(sorted))
-	for i, e := range sorted {
-		if i+1 < len(sorted) && sorted[i+1].Key == e.Key {
-			continue
-		}
-		b.add(e.Key, e.Fields)
+// Run is one flush batch of a deferred bulk load: the records a memtable
+// would hold between two load-phase flushes, buffered without the
+// memtable's B+-tree. Add lays each record out exactly as memtable.Put
+// lays out a new key (payload carved from the run's slab and shape
+// interned, both in arrival order), so for distinct keys the table
+// FromRuns builds from a run is the one FromMemtable would build from that
+// memtable.
+type Run struct {
+	meta   []entryMeta // arrival order until Sort, key order after
+	data   slab.Slab
+	shapes slab.ShapeTable
+	bytes  int64 // key and field bytes: the memtable's Bytes for distinct keys
+	cells  int64 // fields, for DiskBytes
+	sorted bool
+}
+
+// NewRun returns an empty run with room for n entries.
+func NewRun(n int) *Run { return &Run{meta: make([]entryMeta, 0, n)} }
+
+// Add buffers one record, copying its key and field bytes.
+func (r *Run) Add(key string, fields [][]byte) {
+	if len(key) > 0xffff {
+		panic("sstable: key longer than 64 KiB")
 	}
-	b.t.finalize(ov, fpp)
-	return b.t
+	shape, fieldsLen := r.shapes.Intern(fields)
+	ref, buf := r.data.Alloc(len(key) + fieldsLen)
+	p := copy(buf, key)
+	for _, f := range fields {
+		p += copy(buf[p:], f)
+	}
+	r.meta = append(r.meta, entryMeta{
+		keyPfx:  slab.KeyPrefix(key, 0),
+		keyPfx2: slab.KeyPrefix(key, 8),
+		ref:     ref,
+		meta:    packMeta(len(key), fieldsLen, shape),
+	})
+	r.bytes += int64(len(key) + fieldsLen)
+	r.cells += int64(len(fields))
+}
+
+// Len returns the number of buffered records.
+func (r *Run) Len() int { return len(r.meta) }
+
+// Bytes returns the buffered key and field bytes.
+func (r *Run) Bytes() int64 { return r.bytes }
+
+// DiskBytes returns the DiskBytes of the table built from the run alone,
+// by finalize's formula.
+func (r *Run) DiskBytes(ov Overhead) int64 {
+	return r.bytes + int64(len(r.meta))*ov.PerEntry + r.cells*ov.PerCell
+}
+
+func (r *Run) key(m *entryMeta) string { return r.data.String(m.ref, int(m.meta&0xffff)) }
+
+// compare orders two of the run's entries by key.
+func (r *Run) compare(a, b entryMeta) int { return compareKeys(&a, &r.data, &b, &r.data) }
+
+// Sort orders the entries by key, as a flush streams them, and reports
+// whether the keys are distinct. A repeated key is a record the memtable
+// would have replaced in place, which a run cannot reproduce.
+func (r *Run) Sort() bool {
+	r.sorted = true
+	slices.SortFunc(r.meta, r.compare)
+	for i := 1; i < len(r.meta); i++ {
+		if r.compare(r.meta[i-1], r.meta[i]) == 0 {
+			return false
+		}
+	}
+	return true
+}
+
+// Records calls fn for every buffered record in arrival order. The key and
+// field slices alias the run's slab and fn must not retain them; fields is
+// reused across calls.
+func (r *Run) Records(fn func(key string, fields [][]byte)) {
+	order := r.meta
+	if r.sorted {
+		// Payloads were carved in arrival order, so their refs ascend in it.
+		order = slices.Clone(order)
+		slices.SortFunc(order, func(a, b entryMeta) int { return cmp.Compare(a.ref, b.ref) })
+	}
+	var fields [][]byte
+	for i := range order {
+		m := &order[i]
+		keyLen := int(m.meta & 0xffff)
+		data := r.data.View(m.ref+slab.Ref(keyLen), int(m.meta>>16&0xffffffff))
+		v := slab.SlabView(data, r.shapes.Ends(uint32(m.meta>>48)))
+		fields = fields[:0]
+		for j := 0; j < v.Len(); j++ {
+			fields = append(fields, v.Field(j))
+		}
+		fn(r.key(m), fields)
+	}
+}
+
+// Unflushed puts the run's records into the memtable m in arrival order,
+// as the per-record load would have. The run must not be sorted.
+func (r *Run) Unflushed(m *memtable.Memtable) {
+	if r.sorted {
+		panic("sstable: Unflushed on a sorted run")
+	}
+	r.Records(m.Put)
+}
+
+// MergeOrder merges the keys of sorted runs and returns, for each entry of
+// the merged sequence, the index of the run it comes from; FromRuns builds
+// the table from it. If two runs share a key, a merge would have dropped
+// the older version, which FromRuns cannot reproduce, and MergeOrder
+// returns nil. It reads only the runs' keys, so a caller can check every
+// table it will build before building any (and dropping their runs).
+//
+// The runs are merged once, through a heap: O(n log k) for n entries in k
+// runs, where the chain of merges it stands for re-merges every entry at
+// each tier it passes.
+func MergeOrder(runs []*Run) []uint32 {
+	total := 0
+	for _, r := range runs {
+		total += len(r.meta)
+	}
+	order := make([]uint32, 0, total)
+	h := runHeap{runs: runs, cur: make([]runCursor, 0, len(runs))}
+	for i, r := range runs {
+		if len(r.meta) > 0 {
+			h.cur = append(h.cur, runCursor{rest: r.meta, run: i})
+		}
+	}
+	for i := len(h.cur)/2 - 1; i >= 0; i-- {
+		h.down(i)
+	}
+	var prev *entryMeta
+	var prevData *slab.Slab
+	for len(h.cur) > 0 {
+		c := &h.cur[0]
+		r, m := runs[c.run], &c.rest[0]
+		// The output ascends, so a repeated key is the previous one.
+		if prev != nil && compareKeys(prev, prevData, m, &r.data) == 0 {
+			return nil
+		}
+		prev, prevData = m, &r.data
+		order = append(order, uint32(c.run))
+		if c.rest = c.rest[1:]; len(c.rest) == 0 {
+			h.cur[0] = h.cur[len(h.cur)-1]
+			h.cur = h.cur[:len(h.cur)-1]
+		}
+		h.down(0)
+	}
+	return order
+}
+
+// FromRuns builds the table that flushing each run into a table and
+// merging those tables would build: entries, shapes, payload chunks,
+// filter, DiskBytes and key range alike. runs must be sorted (Sort) and
+// listed in the order the merges adopt their payload chunks: a merge's
+// inputs newest first, each merged input's own runs in place. One run is a
+// flush (FromMemtable), which keeps the run's slab, entries and shape
+// table; several are a Merge in which every entry survives, which adopts
+// the runs' chunks and re-interns shapes in output order, taking entries
+// in order, which MergeOrder(runs) returned. The runs' payload chunks
+// live on in the table; their entry arrays may be dropped.
+func FromRuns(gen int, runs []*Run, order []uint32, ov Overhead, fpp float64) *Table {
+	if len(runs) == 1 {
+		r := runs[0]
+		t := &Table{Gen: gen, meta: r.meta, data: r.data, shapes: r.shapes}
+		t.finalize(ov, fpp)
+		return t
+	}
+	out := &Table{Gen: gen, meta: make([]entryMeta, 0, len(order))}
+	// next[i] is run i's first entry not yet taken; base[i] its first
+	// chunk in the table's slab.
+	next := make([]int, len(runs))
+	base := make([]slab.Ref, len(runs))
+	chunks := 0
+	for i, r := range runs {
+		base[i] = slab.Ref(chunks) << 32
+		chunks += r.data.Chunks()
+	}
+	for _, i := range order {
+		r := runs[i]
+		m := &r.meta[next[i]]
+		next[i]++
+		shape := out.shapes.InternEnds(r.shapes.Ends(uint32(m.meta >> 48)))
+		out.meta = append(out.meta, entryMeta{
+			keyPfx:  m.keyPfx,
+			keyPfx2: m.keyPfx2,
+			ref:     m.ref + base[i],
+			meta:    packMeta(int(m.meta&0xffff), int(m.meta>>16&0xffffffff), shape),
+		})
+	}
+	for _, r := range runs {
+		out.data.Adopt(&r.data)
+	}
+	out.finalize(ov, fpp)
+	return out
+}
+
+// runCursor is one run's entries not yet merged, in MergeOrder's merge.
+type runCursor struct {
+	rest []entryMeta
+	run  int
+}
+
+// runHeap is MergeOrder's min-heap of run cursors by current key.
+type runHeap struct {
+	runs []*Run
+	cur  []runCursor
+}
+
+// less orders cursors by current key, settling almost every pair on the
+// prefix words inline (compareKeys does not inline).
+func (h *runHeap) less(a, b *runCursor) bool {
+	ma, mb := &a.rest[0], &b.rest[0]
+	if ma.keyPfx != mb.keyPfx {
+		return ma.keyPfx < mb.keyPfx
+	}
+	if ma.keyPfx2 != mb.keyPfx2 {
+		return ma.keyPfx2 < mb.keyPfx2
+	}
+	return compareKeys(ma, &h.runs[a.run].data, mb, &h.runs[b.run].data) < 0
+}
+
+func (h *runHeap) down(i int) {
+	for {
+		min := i
+		if l := 2*i + 1; l < len(h.cur) && h.less(&h.cur[l], &h.cur[min]) {
+			min = l
+		}
+		if r := 2*i + 2; r < len(h.cur) && h.less(&h.cur[r], &h.cur[min]) {
+			min = r
+		}
+		if min == i {
+			return
+		}
+		h.cur[i], h.cur[min] = h.cur[min], h.cur[i]
+		i = min
+	}
 }
 
 // Len returns the number of entries.
@@ -296,17 +465,22 @@ func (it Iterator) Key() string { return it.t.keyAt(it.i) }
 // Next advances to the following entry.
 func (it *Iterator) Next() { it.i++ }
 
-// compareEntries orders entry i of t against entry j of u: by key
-// prefix pair in registers, by key bytes only on a double tie.
+// compareEntries orders entry i of t against entry j of u by key.
 func compareEntries(t *Table, i int, u *Table, j int) int {
-	a, b := &t.meta[i], &u.meta[j]
+	return compareKeys(&t.meta[i], &t.data, &u.meta[j], &u.data)
+}
+
+// compareKeys orders entry a, whose key is in slab da, against entry b,
+// whose key is in db: by key prefix pair in registers, by key bytes only
+// on a double tie.
+func compareKeys(a *entryMeta, da *slab.Slab, b *entryMeta, db *slab.Slab) int {
 	switch {
 	case a.keyPfx != b.keyPfx:
 		return cmp.Compare(a.keyPfx, b.keyPfx)
 	case a.keyPfx2 != b.keyPfx2:
 		return cmp.Compare(a.keyPfx2, b.keyPfx2)
 	}
-	return strings.Compare(t.keyAt(i), u.keyAt(j))
+	return strings.Compare(da.String(a.ref, int(a.meta&0xffff)), db.String(b.ref, int(b.meta&0xffff)))
 }
 
 // Merge combines tables into one run; for duplicate keys the entry from the

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"reflect"
 	"slices"
 	"sort"
 	"testing"
@@ -16,6 +17,77 @@ import (
 )
 
 var ov = Overhead{PerEntry: 10, PerCell: 20}
+
+// builder assembles a table by copying entries into its own slabs.
+type builder struct {
+	t       *Table
+	scratch []uint32
+}
+
+func newBuilder(gen, n int) *builder {
+	return &builder{t: &Table{Gen: gen, meta: make([]entryMeta, 0, n)}}
+}
+
+// add appends one entry (keys must arrive in ascending order, no
+// duplicates), copying key and field bytes into the table's slab.
+func (b *builder) add(key string, fields slab.FieldsView) {
+	t := b.t
+	var shape uint32
+	fieldsLen := int(fields.Bytes())
+	if data, ends, ok := fields.Slab(); ok {
+		shape = t.shapes.InternEnds(ends)
+		ref, buf := t.data.Alloc(len(key) + fieldsLen)
+		p := copy(buf, key)
+		copy(buf[p:], data)
+		t.meta = append(t.meta, entryMeta{
+			keyPfx:  slab.KeyPrefix(key, 0),
+			keyPfx2: slab.KeyPrefix(key, 8),
+			ref:     ref,
+			meta:    packMeta(len(key), fieldsLen, shape),
+		})
+		return
+	}
+	n := fields.Len()
+	b.scratch = b.scratch[:0]
+	acc := uint32(0)
+	for i := 0; i < n; i++ {
+		acc += uint32(len(fields.Field(i)))
+		b.scratch = append(b.scratch, acc)
+	}
+	shape = t.shapes.InternEnds(b.scratch)
+	ref, buf := t.data.Alloc(len(key) + fieldsLen)
+	p := copy(buf, key)
+	for i := 0; i < n; i++ {
+		p += copy(buf[p:], fields.Field(i))
+	}
+	t.meta = append(t.meta, entryMeta{
+		keyPfx:  slab.KeyPrefix(key, 0),
+		keyPfx2: slab.KeyPrefix(key, 8),
+		ref:     ref,
+		meta:    packMeta(len(key), fieldsLen, shape),
+	})
+}
+
+// Build creates a table from entries (they will be sorted; later duplicates
+// win), the reference construction tests compare the production paths
+// against. Key and field bytes are copied into the table's own slab. fpp is
+// the Bloom filter false-positive target.
+func Build(gen int, entries []memtable.Entry, ov Overhead, fpp float64) *Table {
+	sorted := make([]memtable.Entry, len(entries))
+	copy(sorted, entries)
+	// The stable sort keeps duplicates in input order, so keeping only the
+	// last of each run of equal keys preserves newest-write-wins.
+	sort.SliceStable(sorted, func(i, j int) bool { return sorted[i].Key < sorted[j].Key })
+	b := newBuilder(gen, len(sorted))
+	for i, e := range sorted {
+		if i+1 < len(sorted) && sorted[i+1].Key == e.Key {
+			continue
+		}
+		b.add(e.Key, e.Fields)
+	}
+	b.t.finalize(ov, fpp)
+	return b.t
+}
 
 func entry(k, v string) memtable.Entry {
 	return memtable.Entry{Key: k, Fields: slab.View([][]byte{[]byte(v)})}
@@ -464,6 +536,83 @@ func TestFromMemtableMatchesBuildSorted(t *testing.T) {
 	}
 	if ri.Valid() {
 		t.Fatal("reference has more entries than the handoff table")
+	}
+}
+
+// TestFromRunsMatchesFlushAndMerge buffers random records in runs and
+// requires FromRuns to build, field by field, the table that flushing each
+// run's records through a memtable and merging the flushed tables builds:
+// entries, shapes, payload chunks, filter, key range and DiskBytes. Keys
+// share long prefixes, so the sort and the merge compare key bytes past
+// the prefix pair; a third of them carry a second field, so tables intern
+// several shapes. A key repeated within a run fails Sort, and one repeated
+// across runs fails MergeOrder.
+func TestFromRunsMatchesFlushAndMerge(t *testing.T) {
+	rng := rand.New(rand.NewSource(24))
+	type rec struct {
+		key    string
+		fields [][]byte
+	}
+	for round := 0; round < 40; round++ {
+		k := 1 + rng.Intn(6)
+		perm := rng.Perm(k * 400)
+		runs := make([]*Run, k)
+		flushed := make([]*Table, k)
+		for i := range runs {
+			var recs []rec
+			for _, id := range perm[i*400 : i*400+50+rng.Intn(350)] {
+				f := [][]byte{[]byte(fmt.Sprintf("v%0*d", 1+rng.Intn(40), id))}
+				if id%3 == 0 {
+					f = append(f, []byte("extra"))
+				}
+				recs = append(recs, rec{fmt.Sprintf("tenant/%04d/series/%08d", id%7, id), f})
+			}
+			runs[i] = NewRun(0)
+			m := memtable.New()
+			for _, r := range recs {
+				runs[i].Add(r.key, r.fields)
+				m.Put(r.key, r.fields)
+			}
+			if !runs[i].Sort() {
+				t.Fatalf("round %d: Sort found a repeat among distinct keys", round)
+			}
+			// Runs are listed newest first, as a merge's inputs are.
+			flushed[i] = FromMemtable(k-i, m, ov, 0.01)
+		}
+		want := flushed[0]
+		if k > 1 {
+			want = Merge(flushed, ov, 0.01)
+		}
+		var order []uint32
+		if k > 1 {
+			if order = MergeOrder(runs); order == nil {
+				t.Fatalf("round %d: MergeOrder found a repeat among distinct keys", round)
+			}
+		}
+		got := FromRuns(k, runs, order, ov, 0.01)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("round %d (%d runs): FromRuns built a different table", round, k)
+		}
+	}
+
+	dup := NewRun(0)
+	for _, key := range []string{"b", "a", "b"} {
+		dup.Add(key, [][]byte{[]byte(key)})
+	}
+	if dup.Sort() {
+		t.Fatal("Sort missed a key repeated within the run")
+	}
+	a, b := NewRun(0), NewRun(0)
+	for _, key := range []string{"a", "c", "e"} {
+		a.Add(key, nil)
+	}
+	for _, key := range []string{"b", "e"} {
+		b.Add(key, nil)
+	}
+	a.Sort()
+	b.Sort()
+	if MergeOrder([]*Run{a, b}) != nil {
+		t.Fatal("MergeOrder merged a key repeated across runs")
 	}
 }
 

@@ -30,8 +30,9 @@ type NodeLoader interface {
 	// engines may run concurrently.
 	LoadNode(i int, key string, f Fields)
 	// SealNode ends engine i's load phase, building any structure the
-	// engine defers until first use (the B-tree stores' bulk build), so
-	// the build runs on the loading worker. Other stores do nothing.
+	// engine defers until first use (the B-tree stores' bulk build, the
+	// LSM stores' deferred table build), so the build runs on the loading
+	// worker. Stores whose engines defer nothing do nothing.
 	SealNode(i int)
 }
 

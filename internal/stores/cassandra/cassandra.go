@@ -428,8 +428,9 @@ func (s *Store) LoadNodes(dst []int, key string) []int {
 // LoadNode implements store.NodeLoader.
 func (s *Store) LoadNode(i int, key string, f store.Fields) { s.nodes[i].tree.LoadDirect(key, f) }
 
-// SealNode implements store.NodeLoader; the LSM tree defers nothing.
-func (s *Store) SealNode(int) {}
+// SealNode implements store.NodeLoader: it builds the LSM tree's
+// deferred load.
+func (s *Store) SealNode(i int) { s.nodes[i].tree.Seal() }
 
 // DiskUsage implements store.Store.
 func (s *Store) DiskUsage() int64 {

@@ -2,7 +2,7 @@
 # Emit a JSON perf baseline (ns/op, B/op, allocs/op) for the tracked
 # hot-path benchmarks, so future PRs have a trajectory to diff against:
 #
-#   scripts/bench_baseline.sh             # writes BENCH_PR23.json
+#   scripts/bench_baseline.sh             # writes BENCH_PR24.json
 #   scripts/bench_baseline.sh out.json    # custom path
 #   BENCHTIME=1000000x scripts/bench_baseline.sh   # higher fidelity
 #
@@ -11,10 +11,10 @@
 # and run a fixed count whatever BENCHTIME says, so their B/op compares
 # across runs: BenchmarkSSTableMerge and BenchmarkSSTableMergeDisjoint
 # compact 100k entries per op (20 iterations), BenchmarkLSMLoadDirect
-# loads 100k records through flushes and compactions (10 iterations).
+# loads and seals 100k records in a deferred LSM load (10 iterations).
 set -euo pipefail
 cd "$(dirname "$0")/.."
-out="${1:-BENCH_PR23.json}"
+out="${1:-BENCH_PR24.json}"
 bt="${BENCHTIME:-100000x}"
 
 {
