@@ -11,6 +11,7 @@ package repro
 
 import (
 	"fmt"
+	"runtime"
 	"runtime/debug"
 	"testing"
 	"unsafe"
@@ -370,6 +371,40 @@ func BenchmarkBTreeBulkLoad(b *testing.B) {
 		tr.Load(keys[i], vals[i])
 	}
 	_ = tr.Len() // Len seals: the deferred build runs inside the timer
+}
+
+// BenchmarkBTreeSeal measures the load phase's B-tree build alone: each
+// op loads a fixed 100,000 benchmark-shaped records (hash-ordered keys)
+// into a fresh tree outside the timer and times only Seal, for the
+// Voldemort (11-row leaves, 128-way internals) and MySQL (94/512) page
+// shapes. Keys are distinct, so the op fails if Seal fell back to the
+// replay. The build keeps its scratch between builds, so after the first
+// op bytes/op counts the tree's pages alone; a collection before each op
+// keeps the previous op's tree out of the timed build. Each op loads 100k
+// records: run it at a small fixed count.
+func BenchmarkBTreeSeal(b *testing.B) {
+	const records = 100_000
+	keys, vals := benchBTreeData(records)
+	for _, shape := range []struct {
+		name        string
+		leaf, inner int
+	}{{"voldemort", 11, 128}, {"mysql", 94, 512}} {
+		b.Run(shape.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				tr := btree.New(btree.Config{LeafCap: shape.leaf, InternalCap: shape.inner})
+				for j := range keys {
+					tr.Load(keys[j], vals[j])
+				}
+				runtime.GC()
+				b.StartTimer()
+				if !tr.Seal() {
+					b.Fatal("the build fell back to the replay")
+				}
+			}
+		})
+	}
 }
 
 // BenchmarkBTreeUpdate measures the read-modify-write path MySQL/Voldemort

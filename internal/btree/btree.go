@@ -21,15 +21,20 @@
 //     coarsening of lexicographic order.
 //   - The load phase is batched: Load buffers entries in fixed-size chunks
 //     (8,192 entries once past the first few), so the batch never regrows
-//     or moves, and the tree is built lazily on first use (see Load). The
-//     deferred build replays the chunks in arrival order — hash-permuted
-//     keys produce an insertion-order-dependent page layout, and that
-//     layout is part of the model (it sets the disk footprint and the
-//     buffer-pool miss sequence) — but skips all per-touch buffer-pool
-//     work and reconstructs the pool's exact final state afterwards from
-//     last-touch stamps. A bulk-loaded tree is bit-equivalent to a
-//     per-record-loaded one: same pages, same pool contents and recency
-//     order, same charges on every later operation.
+//     or moves, and the tree is built at Seal or on first use. Hash-
+//     permuted keys produce an insertion-order-dependent page layout, and
+//     that layout is part of the model (it sets the disk footprint and the
+//     buffer-pool miss sequence), but it is a function of the keys' order
+//     and their arrival order alone. So a fresh tree's build (build.go)
+//     sorts the batch once by key, simulates each level's splits in
+//     arrival order over key-sorted positions, builds every final node
+//     once, and restores the pool from each page's last touch. A batch
+//     that repeats a key, or a load into a tree that was already read,
+//     written or built, is replayed instead: record by record in arrival
+//     order, with per-touch pool work replaced by last-touch stamps. Either
+//     way a bulk-loaded tree is bit-equivalent to a per-record-loaded one:
+//     same pages, same pool contents and recency order, same charges on
+//     every later operation.
 //   - Nodes are allocated at page capacity (LeafCap+1 leaf slots,
 //     InternalCap separators and InternalCap+1 children) and a split keeps
 //     the left node's arrays, so inserts never regrow a node's slices.
@@ -117,7 +122,6 @@ type vref struct {
 }
 
 type node struct {
-	id       int
 	leaf     bool
 	keys     []kref // internal: separators (len == len(children)-1); leaf: entry keys
 	pfxs     []pfx  // keys[i]'s 16-byte prefix, kept parallel to keys
@@ -143,7 +147,6 @@ type Tree struct {
 	cfg    Config
 	root   *node
 	height int
-	nextID int
 	n      int
 	pages  int
 
@@ -165,15 +168,15 @@ type Tree struct {
 }
 
 // pendingChunk is the load batch's full chunk length: 8,192 entries,
-// 320 KiB. The first five chunks double up to it from 256 entries, so a
+// 192 KiB. The first five chunks double up to it from 256 entries, so a
 // small tree's batch stays small.
 const pendingChunk = 8192
 
-// pentry is one buffered load record: its key ref, the key's prefix, and
-// its ingested payload.
+// pentry is one buffered load record: its key ref and its ingested
+// payload. The key's prefix is recomputed from the key slab when the batch
+// is built, which keeps the batch at 24 bytes a record.
 type pentry struct {
 	kr kref
-	kp pfx
 	v  vref
 }
 
@@ -192,9 +195,8 @@ func New(cfg Config) *Tree {
 // node up to InternalCap separators and InternalCap+1 children. Inserts
 // and splits then never regrow them.
 func (t *Tree) newNode(leaf bool) *node {
-	t.nextID++
 	t.pages++
-	n := &node{id: t.nextID, leaf: leaf}
+	n := &node{leaf: leaf}
 	if leaf {
 		c := t.cfg.LeafCap + 1
 		n.keys, n.pfxs, n.vals = make([]kref, 0, c), make([]pfx, 0, c), make([]vref, 0, c)
@@ -344,12 +346,14 @@ func (t *Tree) admit(io *IOStats, n *node) {
 // Load buffers an entry for the deferred bulk build, charging nothing: the
 // benchmark's load phase runs outside measured time. Key and payload bytes
 // are copied into the tree's slabs immediately (the caller's slices are not
-// retained). The tree is built on first use (any read, write, scan or size
-// accessor), replaying the batch in arrival order — duplicate keys resolve
-// last-write-wins, exactly as per-record insertion would — and then
-// reconstructing the buffer pool's final state. The caller keeps no
-// obligations: a bulk-loaded tree is indistinguishable (pages, pool state,
-// every later charge) from one built by calling Put per record.
+// retained). The tree is built by Seal, which every read, write, scan and
+// size accessor calls first. On a fresh tree (nothing read, written or
+// built yet) a batch of distinct keys takes the sorted build, which
+// computes the pages from the keys' order and arrival order. Otherwise the
+// batch is replayed in arrival order, so duplicate keys resolve
+// last-write-wins exactly as per-record insertion would. The caller keeps
+// no obligations: a bulk-loaded tree is indistinguishable (pages, pool
+// state, every later charge) from one built by calling Put per record.
 func (t *Tree) Load(key string, fields [][]byte) {
 	last := len(t.pending) - 1
 	if last < 0 || len(t.pending[last]) == cap(t.pending[last]) {
@@ -360,34 +364,47 @@ func (t *Tree) Load(key string, fields [][]byte) {
 		t.pending = append(t.pending, make([]pentry, 0, size))
 		last++
 	}
-	t.pending[last] = append(t.pending[last], pentry{
-		kr: t.ingestKey(key),
-		kp: prefixOf(key),
-		v:  t.ingestFields(fields),
-	})
+	t.pending[last] = append(t.pending[last], pentry{kr: t.ingestKey(key), v: t.ingestFields(fields)})
 }
 
 // Seal builds the tree from the buffered load batch, if any. Every read,
 // write, scan and size accessor seals first, so calling it is never
 // needed for correctness; a loader calls it to end the load phase with
-// the tree built, so the build runs on the loader's goroutine.
-func (t *Tree) Seal() {
+// the tree built, so the build runs on the loader's goroutine. Seal
+// reports whether it took the sorted build: false when there was no batch,
+// or when the batch was replayed (see Load).
+func (t *Tree) Seal() bool { return t.seal(true) }
+
+// seal builds the pending batch, by the sorted build if sorted allows it
+// and the tree is fresh, else by replay.
+func (t *Tree) seal(sorted bool) bool {
 	if t.pending == nil {
-		return
+		return false
 	}
 	batch := t.pending
 	t.pending = nil
+	n := 0
+	for _, chunk := range batch {
+		n += len(chunk)
+	}
+	// No page touched yet means nothing was read, written or built: the
+	// tree is still New's single empty leaf.
+	if sorted && t.stampC == 0 && t.sortedBuild(batch, n) {
+		return true
+	}
 	t.loading = true
 	var io IOStats // load-phase page traffic is not charged
 	for ci, chunk := range batch {
 		for i := range chunk {
 			e := &chunk[i]
-			t.put(t.keyStr(e.kr), e.kp, e.kr, e.v, &io)
+			k := t.keyStr(e.kr)
+			t.put(k, prefixOf(k), e.kr, e.v, &io)
 		}
 		batch[ci] = nil // replayed: let the GC have it during the build
 	}
 	t.loading = false
 	t.rebuildPool()
+	return false
 }
 
 // rebuildPool reconstructs the buffer pool after a deferred build: the LRU

@@ -21,7 +21,10 @@
 //     [][]byte (for callers that still build records by hand).
 package slab
 
-import "unsafe"
+import (
+	"encoding/binary"
+	"unsafe"
+)
 
 // KeyPrefix packs bytes [off, off+8) of k as a big-endian integer, zero
 // padded. Zero-padded big-endian prefix order is a coarsening of
@@ -30,6 +33,9 @@ import "unsafe"
 // of these in registers and fall back to byte-wise compares only on a
 // double tie.
 func KeyPrefix(k string, off int) uint64 {
+	if off >= 0 && len(k)-off >= 8 {
+		return binary.BigEndian.Uint64(unsafe.Slice(unsafe.StringData(k[off:]), 8))
+	}
 	var p uint64
 	for i := 0; i < 8 && off+i < len(k); i++ {
 		p |= uint64(k[off+i]) << (56 - 8*i)

@@ -3,6 +3,9 @@ package slab
 import (
 	"bytes"
 	"fmt"
+	"slices"
+	"sort"
+	"strings"
 	"testing"
 )
 
@@ -268,5 +271,96 @@ func BenchmarkShapeIntern(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		st.Intern(fields)
+	}
+}
+
+// TestKeyPrefixMatchesBytes checks KeyPrefix against a byte-by-byte
+// big-endian packing, zero padded, on every offset of short and long keys.
+func TestKeyPrefixMatchesBytes(t *testing.T) {
+	for _, k := range []string{"", "a", "user0123", "user0123456789012345678901", "Host000/Agent/Co\xff\x00x"} {
+		for off := 0; off <= len(k)+1; off++ {
+			var want uint64
+			for i := 0; i < 8; i++ {
+				if off+i < len(k) {
+					want |= uint64(k[off+i]) << (56 - 8*i)
+				}
+			}
+			if got := KeyPrefix(k, off); got != want {
+				t.Fatalf("KeyPrefix(%q, %d) = %#x, want %#x", k, off, got, want)
+			}
+		}
+	}
+}
+
+// ycsbPrefixItems returns n items keyed like the benchmark's records:
+// "user" and 21 hashed decimal digits.
+func ycsbPrefixItems(n int) ([]PrefixItem, []string) {
+	keys := make([]string, n)
+	items := make([]PrefixItem, n)
+	for i := range keys {
+		v := uint64(i)*0x9e3779b97f4a7c15 ^ 0x5bd1e995
+		keys[i] = fmt.Sprintf("user%021d", v%1e19)
+		items[i] = PrefixItem{Hi: KeyPrefix(keys[i], 0), Lo: KeyPrefix(keys[i], 8), I: uint32(i)}
+	}
+	return items, keys
+}
+
+func BenchmarkSortByPrefix(b *testing.B) {
+	items, keys := ycsbPrefixItems(100_000)
+	work := make([]PrefixItem, len(items))
+	cmp := func(x, y uint32) int { return strings.Compare(keys[x], keys[y]) }
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		copy(work, items)
+		if !SortByPrefix(work, cmp) {
+			b.Fatal("distinct keys reported as repeated")
+		}
+	}
+}
+
+// TestSortByPrefix checks the sort against sort.Strings on keys that tie
+// on all 16 prefix bytes, keys shorter than a prefix word, hashed keys on
+// both sides of the insertion-sort cutoff, and a repeated key.
+func TestSortByPrefix(t *testing.T) {
+	var apm []string
+	for h := 0; h < 3; h++ {
+		for p := 0; p < 700; p++ {
+			apm = append(apm, fmt.Sprintf("Host%03d/Agent/Component/Metric|%012d", h, (p*7919)%700*15000))
+		}
+	}
+	_, hashed := ycsbPrefixItems(5000)
+	for _, tc := range []struct {
+		name string
+		keys []string
+	}{
+		{"empty", nil},
+		{"one", []string{"x"}},
+		{"short", []string{"b", "", "ab", "a", "a\x00", "abcdefghi", "abcdefgh", "ba"}},
+		{"hashed-small", hashed[:insertionMax+1]},
+		{"hashed", hashed},
+		{"apm-ties", apm},
+		{"repeat", append(slices.Clone(hashed[:700]), hashed[350])},
+		{"repeat-tied", append(slices.Clone(apm), apm[1000])},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			items := make([]PrefixItem, len(tc.keys))
+			for i, k := range tc.keys {
+				items[i] = PrefixItem{Hi: KeyPrefix(k, 0), Lo: KeyPrefix(k, 8), I: uint32(i)}
+			}
+			distinct := SortByPrefix(items, func(a, b uint32) int { return strings.Compare(tc.keys[a], tc.keys[b]) })
+			want := slices.Clone(tc.keys)
+			sort.Strings(want)
+			got := make([]string, len(items))
+			for i, it := range items {
+				got[i] = tc.keys[it.I]
+			}
+			if !slices.Equal(got, want) {
+				t.Fatalf("sorted keys differ from sort.Strings")
+			}
+			if wantDistinct := len(slices.Compact(want)) == len(tc.keys); distinct != wantDistinct {
+				t.Fatalf("distinct = %v, want %v", distinct, wantDistinct)
+			}
+		})
 	}
 }

@@ -206,21 +206,43 @@ func (r *Run) DiskBytes(ov Overhead) int64 {
 
 func (r *Run) key(m *entryMeta) string { return r.data.String(m.ref, int(m.meta&0xffff)) }
 
-// compare orders two of the run's entries by key.
-func (r *Run) compare(a, b entryMeta) int { return compareKeys(&a, &r.data, &b, &r.data) }
-
 // Sort orders the entries by key, as a flush streams them, and reports
 // whether the keys are distinct. A repeated key is a record the memtable
-// would have replaced in place, which a run cannot reproduce.
+// would have replaced in place, which a run cannot reproduce. The entries
+// are ordered by slab.SortByPrefix, whose distinct result is the check of
+// adjacent keys, then moved into that order in place.
 func (r *Run) Sort() bool {
 	r.sorted = true
-	slices.SortFunc(r.meta, r.compare)
-	for i := 1; i < len(r.meta); i++ {
-		if r.compare(r.meta[i-1], r.meta[i]) == 0 {
-			return false
-		}
+	n := len(r.meta)
+	items := slab.Items.Get()
+	if cap(items) < n {
+		items = make([]slab.PrefixItem, n)
 	}
-	return true
+	items = items[:n]
+	defer slab.Items.Put(items)
+	for i := range r.meta {
+		items[i] = slab.PrefixItem{Hi: r.meta[i].keyPfx, Lo: r.meta[i].keyPfx2, I: uint32(i)}
+	}
+	distinct := slab.SortByPrefix(items, func(a, b uint32) int {
+		return strings.Compare(r.key(&r.meta[a]), r.key(&r.meta[b]))
+	})
+	// Entry k becomes old entry items[k].I: follow each cycle of the
+	// permutation once, marking a filled slot by pointing it at itself.
+	for k := range items {
+		if items[k].I == uint32(k) {
+			continue
+		}
+		first := r.meta[k]
+		j := k
+		for src := int(items[j].I); src != k; src = int(items[j].I) {
+			r.meta[j] = r.meta[src]
+			items[j].I = uint32(j)
+			j = src
+		}
+		r.meta[j] = first
+		items[j].I = uint32(j)
+	}
+	return distinct
 }
 
 // Records calls fn for every buffered record in arrival order. The key and

@@ -2,24 +2,26 @@
 # Emit a JSON perf baseline (ns/op, B/op, allocs/op) for the tracked
 # hot-path benchmarks, so future PRs have a trajectory to diff against:
 #
-#   scripts/bench_baseline.sh             # writes BENCH_PR24.json
+#   scripts/bench_baseline.sh             # writes BENCH_PR25.json
 #   scripts/bench_baseline.sh out.json    # custom path
 #   BENCHTIME=1000000x scripts/bench_baseline.sh   # higher fidelity
 #
 # allocs/op is exact at any BENCHTIME; ns/op is only meaningful on an
-# otherwise idle machine. Three benches do a fixed amount of work per op
+# otherwise idle machine. Four benches do a fixed amount of work per op
 # and run a fixed count whatever BENCHTIME says, so their B/op compares
 # across runs: BenchmarkSSTableMerge and BenchmarkSSTableMergeDisjoint
 # compact 100k entries per op (20 iterations), BenchmarkLSMLoadDirect
-# loads and seals 100k records in a deferred LSM load (10 iterations).
+# loads and seals 100k records in a deferred LSM load (10 iterations), and
+# BenchmarkBTreeSeal builds a 100k-record B-tree in the Voldemort and
+# MySQL page shapes (10 iterations each).
 set -euo pipefail
 cd "$(dirname "$0")/.."
-out="${1:-BENCH_PR24.json}"
+out="${1:-BENCH_PR25.json}"
 bt="${BENCHTIME:-100000x}"
 
 {
   go test -run '^$' -bench 'BenchmarkEngineSchedule$|BenchmarkLSMGet$|BenchmarkLSMScan$|BenchmarkLSMInsert$|BenchmarkBTreeInsert$|BenchmarkBTreeBulkLoad$|BenchmarkBTreeUpdate$' -benchtime "$bt" -benchmem .
-  go test -run '^$' -bench 'BenchmarkLSMLoadDirect$' -benchtime 10x -benchmem .
+  go test -run '^$' -bench 'BenchmarkLSMLoadDirect$|BenchmarkBTreeSeal$' -benchtime 10x -benchmem .
   go test -run '^$' -bench 'BenchmarkProcSleepSwitch$|BenchmarkResourceUse$|BenchmarkProcSpawn$' -benchtime "$bt" -benchmem ./internal/sim
   go test -run '^$' -bench 'BenchmarkStoreKey$|BenchmarkStoreAppendKey$|BenchmarkMakeFields$' -benchtime "$bt" -benchmem ./internal/store
   go test -run '^$' -bench 'BenchmarkMemtablePut$|BenchmarkMemtableGet$|BenchmarkMemtableScan$' -benchtime "$bt" -benchmem ./internal/memtable
