@@ -23,11 +23,11 @@ import (
 	"repro/internal/sim"
 	"repro/internal/sstable"
 	"repro/internal/store"
+	"repro/internal/ycsb"
 )
 
-func clusterM4() cluster.Spec       { return cluster.ClusterM(4) }
-func keyOf(i int64) string          { return store.Key(i) }
-func fieldsOf(i int64) store.Fields { return store.MakeFields(i) }
+func clusterM4() cluster.Spec { return cluster.ClusterM(4) }
+func keyOf(i int64) string    { return store.Key(i) }
 
 // benchCfg is the shared quick-fidelity configuration. A single cached
 // runner is shared across benchmarks so figures over the same cells (e.g.
@@ -171,16 +171,9 @@ func BenchmarkSingleOps(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			for i := int64(0); i < 1000; i++ {
-				dep.Store.Load(keyOf(i), fieldsOf(i))
-			}
-			// End the load phase as the harness does, so deferred builds
-			// stay out of the timed reads.
-			if nl, ok := dep.Store.(store.NodeLoader); ok {
-				for i := 0; i < nl.Nodes(); i++ {
-					nl.SealNode(i)
-				}
-			}
+			// The load seals every engine as the harness's does, so
+			// deferred builds stay out of the timed reads.
+			ycsb.Load(dep.Store, 1000)
 			b.ResetTimer()
 			dep.Engine.Go("bench", func(p *sim.Proc) {
 				for i := 0; i < b.N; i++ {
@@ -283,10 +276,8 @@ func BenchmarkLSMInsert(b *testing.B) {
 // The records are cut into batches at the 512 KiB flush threshold (about
 // 14 of them), the flush and compaction schedule over two size tiers is
 // replayed on their sizes, and Seal builds each final table once, merging
-// its batches and adopting their payload chunks. Keys are distinct, as in
-// the load phase, so the op fails if the load fell back to the per-record
-// path. The work per op is fixed, so its bytes/op compares across runs of
-// any length.
+// its batches and adopting their payload chunks. The work per op is
+// fixed, so its bytes/op compares across runs of any length.
 //
 // The collector is off for the whole benchmark, so the heap grows by
 // about 21 MB per op, plus one untimed warm-up load, until it returns:
@@ -312,9 +303,7 @@ func BenchmarkLSMLoadDirect(b *testing.B) {
 			// Zero-copy key view: the tree copies key bytes on ingest.
 			tr.LoadDirect(unsafe.String(unsafe.SliceData(kb), len(kb)), buf)
 		}
-		if !tr.Seal() {
-			b.Fatal("the load fell back to the per-record path")
-		}
+		tr.Seal()
 		return tr
 	}
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
@@ -360,8 +349,8 @@ func BenchmarkBTreeInsert(b *testing.B) {
 }
 
 // BenchmarkBTreeBulkLoad measures the deferred bulk build the load phase
-// uses by default: buffer the batch, then one construction pass with no
-// per-touch buffer-pool work and a stamp-rebuilt pool.
+// uses: buffer the batch, then one construction pass with no per-touch
+// buffer-pool work and a pool restored from each page's last touch.
 func BenchmarkBTreeBulkLoad(b *testing.B) {
 	keys, vals := benchBTreeData(b.N)
 	tr := btree.New(benchBTreeConfig())
@@ -377,8 +366,7 @@ func BenchmarkBTreeBulkLoad(b *testing.B) {
 // op loads a fixed 100,000 benchmark-shaped records (hash-ordered keys)
 // into a fresh tree outside the timer and times only Seal, for the
 // Voldemort (11-row leaves, 128-way internals) and MySQL (94/512) page
-// shapes. Keys are distinct, so the op fails if Seal fell back to the
-// replay. The build keeps its scratch between builds, so after the first
+// shapes. The build keeps its scratch between builds, so after the first
 // op bytes/op counts the tree's pages alone; a collection before each op
 // keeps the previous op's tree out of the timed build. Each op loads 100k
 // records: run it at a small fixed count.
@@ -399,9 +387,7 @@ func BenchmarkBTreeSeal(b *testing.B) {
 				}
 				runtime.GC()
 				b.StartTimer()
-				if !tr.Seal() {
-					b.Fatal("the build fell back to the replay")
-				}
+				tr.Seal()
 			}
 		})
 	}

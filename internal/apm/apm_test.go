@@ -61,6 +61,15 @@ func readSeries(e *sim.Engine, s store.Store, metric string, from, to int64) (go
 	return got, err
 }
 
+// load loads m into s as a load phase does: into every engine the store
+// routes its key to.
+func load(s store.Store, m Measurement) {
+	k := m.Key()
+	for _, i := range s.LoadNodes(nil, k) {
+		s.LoadNode(i, k, m.Fields())
+	}
+}
+
 func TestWindowAggregatesOverStore(t *testing.T) {
 	e := sim.NewEngine(1)
 	c := cluster.New(e, cluster.ClusterM(2).Scale(0.01))
@@ -70,14 +79,12 @@ func TestWindowAggregatesOverStore(t *testing.T) {
 	for i := int64(0); i < 60; i++ {
 		m := Measurement{Metric: metric, Value: float64(i), Min: float64(i), Max: float64(i),
 			Timestamp: 1000 + i*10, Duration: 10}
-		if err := s.Load(m.Key(), m.Fields()); err != nil {
-			t.Fatal(err)
-		}
+		load(s, m)
 	}
 	// Another metric that must not leak into the window.
 	other := Measurement{Metric: "HostB/Agent/Component000/ConnectionCount",
 		Value: 1e9, Max: 1e9, Timestamp: 1200, Duration: 10}
-	s.Load(other.Key(), other.Fields())
+	load(s, other)
 
 	got, err := readSeries(e, s, metric, 1000, 1590)
 	if err != nil {
@@ -100,7 +107,7 @@ func TestWindowRespectsBounds(t *testing.T) {
 	metric := "H/x"
 	for i := int64(0); i < 100; i++ {
 		m := Measurement{Metric: metric, Value: 1, Timestamp: i * 10, Duration: 10}
-		s.Load(m.Key(), m.Fields())
+		load(s, m)
 	}
 	got, err := readSeries(e, s, metric, 200, 390)
 	if err != nil {

@@ -62,7 +62,7 @@ func TestSeriesValidatesUnreadColumns(t *testing.T) {
 		bad := Measurement{Metric: "a", Value: 7, Min: 7, Max: 7, Timestamp: 7, Duration: 1}
 		f := bad.Fields()
 		f[i] = []byte("7x")
-		s.Load(bad.Key(), f)
+		s.put(bad.Key(), f)
 		_, want := Decode(bad.Key(), store.ViewFields(f))
 		if want == nil || !strings.Contains(want.Error(), "bad "+field) {
 			t.Fatalf("Decode accepted a bad %s: %v", field, want)

@@ -30,7 +30,8 @@ func newScanLog() *scanLog { return &scanLog{recs: map[string]store.Fields{}} }
 
 func (s *scanLog) Name() string { return "scanlog" }
 
-func (s *scanLog) Load(key string, f store.Fields) error {
+// put stores a record, replacing any with its key.
+func (s *scanLog) put(key string, f store.Fields) error {
 	if _, ok := s.recs[key]; !ok {
 		i := sort.SearchStrings(s.keys, key)
 		s.keys = append(s.keys, "")
@@ -41,8 +42,14 @@ func (s *scanLog) Load(key string, f store.Fields) error {
 	return nil
 }
 
-func (s *scanLog) Insert(p *sim.Proc, key string, f store.Fields) error { return s.Load(key, f) }
-func (s *scanLog) Update(p *sim.Proc, key string, f store.Fields) error { return s.Load(key, f) }
+func (s *scanLog) Insert(p *sim.Proc, key string, f store.Fields) error { return s.put(key, f) }
+func (s *scanLog) Update(p *sim.Proc, key string, f store.Fields) error { return s.put(key, f) }
+
+// scanLog is one engine to the loader.
+func (s *scanLog) Nodes() int                                 { return 1 }
+func (s *scanLog) LoadNodes(dst []int, key string) []int      { return append(dst, 0) }
+func (s *scanLog) LoadNode(_ int, key string, f store.Fields) { s.put(key, f) }
+func (s *scanLog) SealNode(int)                               {}
 
 func (s *scanLog) Read(p *sim.Proc, key string) (store.FieldsView, error) {
 	f, ok := s.recs[key]
@@ -73,7 +80,7 @@ func (s *scanLog) SlabBytes() int64 { return 0 }
 func (s *scanLog) fill(metric string, n int64) {
 	for ts := int64(1); ts <= n; ts++ {
 		m := Measurement{Metric: metric, Value: float64(ts), Min: float64(ts), Max: float64(ts), Timestamp: ts, Duration: 1}
-		s.Load(m.Key(), m.Fields())
+		s.put(m.Key(), m.Fields())
 	}
 }
 
@@ -176,7 +183,7 @@ func TestWindowSurfacesDecodeAndScanErrors(t *testing.T) {
 	bad := Measurement{Metric: "a", Timestamp: 7}
 	f := bad.Fields()
 	f[0] = []byte("notanumber")
-	s.Load(bad.Key(), f)
+	s.put(bad.Key(), f)
 	got, err := consume(s, "a", 20, -1)
 	if err == nil || len(got) != 6 {
 		t.Fatalf("series over an undecodable row: %d rows, err %v; want the 6 rows before it, then an error", len(got), err)

@@ -25,26 +25,20 @@
 //     permuted keys produce an insertion-order-dependent page layout, and
 //     that layout is part of the model (it sets the disk footprint and the
 //     buffer-pool miss sequence), but it is a function of the keys' order
-//     and their arrival order alone. So a fresh tree's build (build.go)
-//     sorts the batch once by key, simulates each level's splits in
-//     arrival order over key-sorted positions, builds every final node
-//     once, and restores the pool from each page's last touch. A batch
-//     that repeats a key, or a load into a tree that was already read,
-//     written or built, is replayed instead: record by record in arrival
-//     order, with per-touch pool work replaced by last-touch stamps. Either
-//     way a bulk-loaded tree is bit-equivalent to a per-record-loaded one:
-//     same pages, same pool contents and recency order, same charges on
-//     every later operation.
+//     and their arrival order alone. So the build (build.go) sorts the
+//     batch once by key, simulates each level's splits in arrival order
+//     over key-sorted positions, builds every final node once, and
+//     restores the pool from each page's last touch. A bulk-loaded tree is
+//     bit-equivalent to one fed the same records by Put: same pages, same
+//     pool contents and recency order, same charges on every later
+//     operation. The batch must follow the load contract (store.LoadAll):
+//     distinct keys, into a tree nothing has read, written or sealed.
 //   - Nodes are allocated at page capacity (LeafCap+1 leaf slots,
 //     InternalCap separators and InternalCap+1 children) and a split keeps
 //     the left node's arrays, so inserts never regrow a node's slices.
 package btree
 
-import (
-	"sort"
-
-	"repro/internal/slab"
-)
+import "repro/internal/slab"
 
 // Entry is a key with a view of its field values.
 type Entry struct {
@@ -135,11 +129,6 @@ type node struct {
 	inPool           bool
 	dirty            bool
 	lruPrev, lruNext *node
-	// stamp is the page's last-touch sequence number; the deferred bulk
-	// build reconstructs the pool's exact LRU state from it (the pool's
-	// contents after any access sequence are the cap most-recently-touched
-	// pages, in recency order).
-	stamp int64
 }
 
 // Tree is a B+tree with buffer-pool accounting.
@@ -161,10 +150,9 @@ type Tree struct {
 	// (see Load and Seal). Keys and payloads are already in the slabs, so
 	// each chunk is pointer-free.
 	pending [][]pentry
-	// loading marks the deferred build's replay: page touches record
-	// last-touch stamps instead of driving the buffer pool.
-	loading bool
-	stampC  int64
+	// sealed is set by the first Seal, which every accessor calls: from
+	// then on the tree takes no Load.
+	sealed bool
 }
 
 // pendingChunk is the load batch's full chunk length: 8,192 entries,
@@ -180,9 +168,15 @@ type pentry struct {
 	v  vref
 }
 
-// New creates an empty tree.
+// New creates an empty tree. It panics on leaves that hold no entry or
+// inner pages with fewer than three children: the build needs every level
+// to hold at most half the nodes of the level below, which bounds the
+// height its last-touch keys encode.
 func New(cfg Config) *Tree {
 	cfg.defaults()
+	if cfg.LeafCap < 1 || cfg.InternalCap < 3 {
+		panic("btree: LeafCap below 1 or InternalCap below 3")
+	}
 	t := &Tree{cfg: cfg}
 	t.pool.init(cfg.BufferPages)
 	t.root = t.newNode(true)
@@ -307,15 +301,7 @@ func (t *Tree) searchGT(n *node, k string, kp pfx) int {
 }
 
 // touch records a buffer pool access to page n; dirty marks it modified.
-// During a deferred bulk build it only stamps the page (every load-phase
-// touch is a write, so survivors come out dirty when the pool is rebuilt).
 func (t *Tree) touch(io *IOStats, n *node, dirty bool) {
-	t.stampC++
-	n.stamp = t.stampC
-	if t.loading {
-		n.dirty = true
-		return
-	}
 	io.PagesTouched++
 	miss, wb := t.pool.access(n, dirty)
 	if miss {
@@ -330,12 +316,6 @@ func (t *Tree) touch(io *IOStats, n *node, dirty bool) {
 // never on disk, so no read miss is charged (evicting a victim may still
 // cost a write-back).
 func (t *Tree) admit(io *IOStats, n *node) {
-	t.stampC++
-	n.stamp = t.stampC
-	if t.loading {
-		n.dirty = true
-		return
-	}
 	io.PagesTouched++
 	_, wb := t.pool.access(n, true)
 	if wb {
@@ -347,14 +327,16 @@ func (t *Tree) admit(io *IOStats, n *node) {
 // benchmark's load phase runs outside measured time. Key and payload bytes
 // are copied into the tree's slabs immediately (the caller's slices are not
 // retained). The tree is built by Seal, which every read, write, scan and
-// size accessor calls first. On a fresh tree (nothing read, written or
-// built yet) a batch of distinct keys takes the sorted build, which
-// computes the pages from the keys' order and arrival order. Otherwise the
-// batch is replayed in arrival order, so duplicate keys resolve
-// last-write-wins exactly as per-record insertion would. The caller keeps
-// no obligations: a bulk-loaded tree is indistinguishable (pages, pool
-// state, every later charge) from one built by calling Put per record.
+// size accessor calls first; the build computes the pages from the keys'
+// order and arrival order. A Load after Seal panics, and Seal panics on a
+// batch that repeats a key (see store.LoadAll for the contract). The
+// caller keeps no other obligations: a bulk-loaded tree is
+// indistinguishable (pages, pool state, every later charge) from one
+// built by calling Put per record.
 func (t *Tree) Load(key string, fields [][]byte) {
+	if t.sealed {
+		panic("btree: Load after Seal")
+	}
 	last := len(t.pending) - 1
 	if last < 0 || len(t.pending[last]) == cap(t.pending[last]) {
 		size := pendingChunk
@@ -367,74 +349,18 @@ func (t *Tree) Load(key string, fields [][]byte) {
 	t.pending[last] = append(t.pending[last], pentry{kr: t.ingestKey(key), v: t.ingestFields(fields)})
 }
 
-// Seal builds the tree from the buffered load batch, if any. Every read,
-// write, scan and size accessor seals first, so calling it is never
-// needed for correctness; a loader calls it to end the load phase with
-// the tree built, so the build runs on the loader's goroutine. Seal
-// reports whether it took the sorted build: false when there was no batch,
-// or when the batch was replayed (see Load).
-func (t *Tree) Seal() bool { return t.seal(true) }
-
-// seal builds the pending batch, by the sorted build if sorted allows it
-// and the tree is fresh, else by replay.
-func (t *Tree) seal(sorted bool) bool {
-	if t.pending == nil {
-		return false
+// Seal ends the load phase, building the tree from the buffered load
+// batch, if any. Every read, write, scan and size accessor seals first,
+// so calling it is never needed for correctness; a loader calls it to end
+// the load phase with the tree built, so the build runs on the loader's
+// goroutine.
+func (t *Tree) Seal() {
+	if t.sealed {
+		return
 	}
-	batch := t.pending
-	t.pending = nil
-	n := 0
-	for _, chunk := range batch {
-		n += len(chunk)
-	}
-	// No page touched yet means nothing was read, written or built: the
-	// tree is still New's single empty leaf.
-	if sorted && t.stampC == 0 && t.sortedBuild(batch, n) {
-		return true
-	}
-	t.loading = true
-	var io IOStats // load-phase page traffic is not charged
-	for ci, chunk := range batch {
-		for i := range chunk {
-			e := &chunk[i]
-			k := t.keyStr(e.kr)
-			t.put(k, prefixOf(k), e.kr, e.v, &io)
-		}
-		batch[ci] = nil // replayed: let the GC have it during the build
-	}
-	t.loading = false
-	t.rebuildPool()
-	return false
-}
-
-// rebuildPool reconstructs the buffer pool after a deferred build: the LRU
-// contents after any access sequence are exactly the cap most-recently-
-// touched distinct pages in recency order, so the stamps carry enough
-// information to rebuild the state per-touch maintenance would have left.
-func (t *Tree) rebuildPool() {
-	nodes := make([]*node, 0, t.pages)
-	collect(t.root, &nodes)
-	sort.Slice(nodes, func(i, j int) bool { return nodes[i].stamp > nodes[j].stamp })
-	t.pool.reset()
-	keep := t.pool.cap
-	if keep > len(nodes) {
-		keep = len(nodes)
-	}
-	// Push least-recent first so the most recently stamped page ends up at
-	// the head. Dirty flags were maintained by the stamping touches.
-	for i := keep - 1; i >= 0; i-- {
-		t.pool.pushFront(nodes[i])
-		nodes[i].inPool = true
-	}
-	t.pool.len = keep
-}
-
-func collect(n *node, out *[]*node) {
-	*out = append(*out, n)
-	if !n.leaf {
-		for _, c := range n.children {
-			collect(c, out)
-		}
+	t.sealed = true
+	if t.pending != nil {
+		t.build()
 	}
 }
 
@@ -654,17 +580,6 @@ func (l *pool) init(capacity int) {
 		capacity = 1
 	}
 	l.cap = capacity
-}
-
-// reset empties the pool, clearing membership flags on cached nodes.
-func (l *pool) reset() {
-	for n := l.head; n != nil; {
-		next := n.lruNext
-		n.inPool = false
-		n.lruPrev, n.lruNext = nil, nil
-		n = next
-	}
-	l.head, l.tail, l.len = nil, nil, 0
 }
 
 func (l *pool) unlink(n *node) {

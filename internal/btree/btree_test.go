@@ -254,36 +254,30 @@ func TestBulkLoadSingleKey(t *testing.T) {
 	}
 }
 
-func TestBulkLoadDuplicateLastWins(t *testing.T) {
+// A batch that repeats a key breaks the load contract: Seal panics
+// instead of resolving it last-write-wins.
+func TestBulkLoadDuplicatePanics(t *testing.T) {
 	tr := New(small())
 	for i := 0; i < 100; i++ {
 		tr.Load(fmt.Sprintf("k%03d", i), fields("first"))
 	}
 	tr.Load("k042", fields("second"))
-	tr.Load("k042", fields("third"))
-	if tr.Len() != 100 {
-		t.Fatalf("Len = %d with in-batch duplicates, want 100", tr.Len())
-	}
-	v, ok, _ := tr.Get("k042")
-	if !ok || string(v.Field(0)) != "third" {
-		t.Fatalf("duplicate key resolved to %q, want last write", v.Field(0))
-	}
+	mustPanic(t, "repeats a key", func() { tr.Len() })
 }
 
-func TestBulkLoadAcrossMultipleBatches(t *testing.T) {
+// A sealed tree takes no second batch: the Load panics and the first
+// batch stays as built.
+func TestBulkLoadAfterSealPanics(t *testing.T) {
 	tr := New(small())
 	for i := 0; i < 500; i++ {
 		tr.Load(fmt.Sprintf("k%04d", i), fields("a"))
 	}
-	if tr.Len() != 500 { // seals batch one
+	if tr.Len() != 500 { // seals the batch
 		t.Fatalf("Len = %d", tr.Len())
 	}
-	for i := 500; i < 1000; i++ {
-		tr.Load(fmt.Sprintf("k%04d", i), fields("b"))
-	}
-	got, _ := tr.Scan("", 1000)
-	if len(got) != 1000 {
-		t.Fatalf("scan after second batch returned %d, want 1000", len(got))
+	mustPanic(t, "Load after Seal", func() { tr.Load("k0500", fields("b")) })
+	if got, _ := tr.Scan("", 1000); len(got) != 500 {
+		t.Fatalf("scan after the refused Load returned %d, want 500", len(got))
 	}
 }
 
@@ -295,7 +289,7 @@ func TestBulkLoadAcrossMultipleBatches(t *testing.T) {
 // rebuilt pool's contents, recency order and dirty flags to match the
 // per-touch-maintained pool exactly. Besides a tiny fanout, it runs the
 // Voldemort and MySQL page shapes over more records than one load-batch
-// chunk holds, so the replay crosses chunk boundaries.
+// chunk holds, so the build crosses chunk boundaries.
 func TestBulkBuildEquivalence(t *testing.T) {
 	for _, tc := range []struct {
 		name                 string
@@ -445,16 +439,18 @@ func TestUpdateDirtiesOnlyLeaf(t *testing.T) {
 	}
 }
 
-// Property: bulk and per-record construction agree with a reference map
-// under arbitrary interleavings of batches and point ops.
+// Property: a bulk-loaded batch of distinct keys followed by point ops
+// agrees with a reference map.
 func TestPropertyBulkAgainstMap(t *testing.T) {
 	f := func(batch []uint16, extra []uint16) bool {
 		tr := New(small())
 		ref := map[string]bool{}
 		for _, k := range batch {
 			key := fmt.Sprintf("k%05d", k)
-			tr.Load(key, fields("v"))
-			ref[key] = true
+			if !ref[key] { // a load batch holds distinct keys
+				tr.Load(key, fields("v"))
+				ref[key] = true
+			}
 		}
 		for _, k := range extra {
 			key := fmt.Sprintf("x%05d", k)

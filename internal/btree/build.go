@@ -7,8 +7,8 @@ import (
 	"repro/internal/slab"
 )
 
-// The sorted build: Seal on a fresh tree computes the page layout a replay
-// of the load batch would leave, instead of replaying it. A node always
+// The build: Seal computes the page layout that inserting the load batch
+// record by record would leave, instead of inserting it. A node always
 // holds exactly the arrived keys in its key range, so each level's splits
 // can be simulated over key-sorted positions in arrival order: a node is
 // the span between two boundaries, and a full node splits at its middle
@@ -95,14 +95,17 @@ func at(batch [][]pentry, j uint32) *pentry {
 	return &batch[5+j/pendingChunk][j%pendingChunk]
 }
 
-// sortedBuild builds the fresh tree from the load batch of n records, or
-// returns false, having changed nothing, when the batch repeats a key or
-// the inner pages are too small (InternalCap < 3) for every level to hold
-// at most half the nodes of the level below, which bounds the height the
-// page stamps encode.
-func (t *Tree) sortedBuild(batch [][]pentry, n int) bool {
-	if t.cfg.LeafCap < 1 || t.cfg.InternalCap < 3 || n >= 1<<32-1 {
-		return false
+// build builds the tree from the load batch into New's empty tree. It
+// panics if the batch repeats a key.
+func (t *Tree) build() {
+	batch := t.pending
+	t.pending = nil
+	n := 0
+	for _, chunk := range batch {
+		n += len(chunk)
+	}
+	if n >= 1<<32-1 {
+		panic("btree: load batch of 2^32 records or more")
 	}
 	s := getScratch(n)
 	defer putScratch(s)
@@ -117,12 +120,11 @@ func (t *Tree) sortedBuild(batch [][]pentry, n int) bool {
 	if !slab.SortByPrefix(s.items, func(a, b uint32) int {
 		return strings.Compare(t.keyStr(at(batch, a).kr), t.keyStr(at(batch, b).kr))
 	}) {
-		return false
+		panic("btree: load batch repeats a key")
 	}
 	s.simulate(t.cfg, n)
 	t.assemble(s, batch, n)
 	t.restorePool(s)
-	return true
 }
 
 // simulate runs every level's splits: the leaves take the records in
@@ -327,7 +329,7 @@ func (t *Tree) assemble(s *buildScratch, batch [][]pentry, n int) {
 	t.n = n
 }
 
-// restorePool leaves the buffer pool as the replay's page touches would:
+// restorePool leaves the buffer pool as the inserts' page touches would:
 // the BufferPages most recently touched pages, in recency order, all
 // dirty. A page's last touch, as (arrival, phase, level) in touch order,
 // is the later of
@@ -338,9 +340,6 @@ func (t *Tree) assemble(s *buildScratch, batch [][]pentry, n int) {
 //   - its admission (t, 1, level), if nothing touched it since: a split
 //     admits the right halves bottom up, then a new root. New's root leaf
 //     is never admitted.
-//
-// Pages are stamped in last-touch order, so a later replay (a Load after
-// Seal) keeps ordering them as the per-touch stamps would.
 func (t *Tree) restorePool(s *buildScratch) {
 	s.touch = grow(s.touch, len(s.pages))
 	for i := range s.pages {
@@ -359,18 +358,14 @@ func (t *Tree) restorePool(s *buildScratch) {
 		s.touch[i] = slab.PrefixItem{Hi: key, I: uint32(i)}
 		pg.nd.dirty = true
 	}
-	// Last touches are distinct, so the sort never compares keys.
+	// Last touches are distinct, so the sort never compares keys. The
+	// pool is empty: nothing touched a page before the build.
 	slab.SortByPrefix(s.touch, nil)
-	t.pool.reset()
 	keep := min(t.pool.cap, len(s.touch))
-	for r, it := range s.touch {
+	for _, it := range s.touch[len(s.touch)-keep:] {
 		nd := s.pages[it.I].nd
-		nd.stamp = int64(r + 1)
-		if r >= len(s.touch)-keep {
-			t.pool.pushFront(nd)
-			nd.inPool = true
-		}
+		t.pool.pushFront(nd)
+		nd.inPool = true
 	}
 	t.pool.len = keep
-	t.stampC = int64(len(s.touch))
 }

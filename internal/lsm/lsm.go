@@ -7,15 +7,16 @@
 // node's disks and therefore perturb foreground latency exactly when the
 // paper's systems did.
 //
-// Loading is deferred. A fresh tree, one nothing has read, written or
-// sealed, buffers what LoadDirect gives it in flush-sized batches and
-// replays the flush and compaction schedule on their sizes alone; Seal
-// then builds each final table once, so a record is sorted, merged and
-// hashed into a Bloom filter once instead of at every tier it would
-// pass. Every reader, writer and accessor seals first, so the deferral is
-// invisible: the sealed tree is the one per-record loading builds. A
-// loader seals explicitly (store.NodeLoader.SealNode) to run the build on
-// its own goroutine.
+// The load is deferred. A tree buffers what LoadDirect gives it in
+// flush-sized batches and replays the flush and compaction schedule on
+// their sizes alone; Seal then builds each final table once, so a record
+// is sorted, merged and hashed into a Bloom filter once instead of at
+// every tier it would pass. Every reader, writer and accessor seals
+// first, so the deferral is invisible: the sealed tree is the one
+// per-record load builds. A loader seals explicitly
+// (store.Store.SealNode) to run the build on its own goroutine. The load
+// follows the contract of store.LoadAll: no LoadDirect after a seal, and
+// no key repeated where a flush or a compaction would meet both versions.
 package lsm
 
 import (
@@ -110,9 +111,9 @@ type Tree struct {
 	scanPositioned int64
 	scanPruned     int64
 
-	// fresh holds until the tree is first sealed: only a tree nothing has
-	// read or written defers its load (see LoadDirect).
-	fresh bool
+	// sealed is set by the first Seal, which every accessor calls: from
+	// then on the tree takes no LoadDirect.
+	sealed bool
 	// bulk is the deferred load in progress, nil when none is.
 	bulk *bulkLoad
 }
@@ -121,10 +122,9 @@ type Tree struct {
 func New(cfg Config) *Tree {
 	cfg.defaults()
 	return &Tree{
-		cfg:   cfg,
-		mem:   memtable.New(),
-		log:   wal.New(cfg.Node, cfg.WALWindow),
-		fresh: true,
+		cfg: cfg,
+		mem: memtable.New(),
+		log: wal.New(cfg.Node, cfg.WALWindow),
 	}
 }
 
@@ -142,7 +142,7 @@ func (t *Tree) Put(p *sim.Proc, key string, fields [][]byte) {
 	t.Seal()
 	t.log.Append(p, payloadBytes(key, fields), t.cfg.WALSync)
 	t.mem.Put(key, fields)
-	t.maybeFlush(p.Engine(), false)
+	t.maybeFlush(p.Engine())
 }
 
 // PutDeferred inserts without charging foreground I/O time: the caller has
@@ -154,7 +154,7 @@ func (t *Tree) PutDeferred(e *sim.Engine, key string, fields [][]byte) {
 	t.Seal()
 	t.log.AppendDirect(payloadBytes(key, fields))
 	t.mem.Put(key, fields)
-	t.maybeFlush(e, false)
+	t.maybeFlush(e)
 }
 
 // missProb returns the probability that an SSTable read misses the page
@@ -344,15 +344,8 @@ func (t *Tree) Scan(p *sim.Proc, start string, count int) []memtable.Entry {
 }
 
 // maybeFlush swaps the memtable and writes it out in the background.
-func (t *Tree) maybeFlush(e *sim.Engine, direct bool) {
-	if t.mem.Bytes() < t.cfg.FlushBytes {
-		return
-	}
-	if direct {
-		t.flushNow()
-		return
-	}
-	if t.flushing {
+func (t *Tree) maybeFlush(e *sim.Engine) {
+	if t.mem.Bytes() < t.cfg.FlushBytes || t.flushing {
 		return
 	}
 	t.flushing = true
@@ -369,20 +362,6 @@ func (t *Tree) maybeFlush(e *sim.Engine, direct bool) {
 		t.flushing = false
 		t.maybeCompact(p.Engine())
 	})
-}
-
-// flushNow converts the current memtable to a table without timing (the
-// per-record load path).
-func (t *Tree) flushNow() {
-	if t.mem.Len() == 0 {
-		return
-	}
-	t.gen++
-	mem := t.mem
-	tab := sstable.FromMemtable(t.gen, mem, t.cfg.Overhead, bloomFPP)
-	t.mem = memtable.New()
-	t.installTable(tab, mem.Bytes())
-	t.maybeCompactDirect()
 }
 
 // installTable publishes a freshly flushed table. Flushes are serialized and
@@ -483,16 +462,6 @@ func (t *Tree) maybeCompact(e *sim.Engine) {
 	})
 }
 
-// maybeCompactDirect compacts synchronously without timing (the
-// per-record load path).
-func (t *Tree) maybeCompactDirect() {
-	for victims := t.pickVictims(); victims != nil; victims = t.pickVictims() {
-		merged := sstable.Merge(victims, t.cfg.Overhead, bloomFPP)
-		t.replaceTables(victims, merged)
-		t.compactions++
-	}
-}
-
 // replaceTables swaps victims for merged, updating accounting. The new list
 // is built copy-on-write (readers may hold the old slice across disk parks)
 // and keeps the newest-generation-first order, inserting merged at its
@@ -524,52 +493,46 @@ func (t *Tree) replaceTables(victims []*sstable.Table, merged *sstable.Table) {
 	t.cfg.Node.AddDiskUsage(merged.DiskBytes - deadBytes)
 }
 
-// LoadDirect inserts a record without simulation timing, for bulk loading
-// before a measured run. The WAL and the node's disk usage are accounted
-// as loading proceeds.
+// LoadDirect inserts a record without simulation timing, to bulk-load the
+// tree before a measured run. The WAL and the node's disk usage are
+// accounted as the load proceeds.
 //
-// A fresh tree (never read, written or sealed) defers the load: records
-// are buffered in flush-sized batches (sstable.Run), the flush and
-// compaction schedule is replayed on their sizes alone, and Seal builds
-// each final table once, from the batches it holds. Seal runs on first
-// use: every read, write, scan and accessor seals first, so the tree a
-// caller sees is the one per-record loading would have built, down to
-// its generations, entries, shapes, filters, payload chunks and
-// memtable. A load the batches cannot reproduce (a key repeated where a
-// memtable replace or a compaction would drop a version) is replayed
-// record by record instead, as is any LoadDirect into a tree that is no
-// longer fresh. No scan may be in flight.
+// The load is deferred: records are buffered in flush-sized batches
+// (sstable.Run), the flush and compaction schedule is replayed on their
+// sizes alone, and Seal builds each final table once, from the batches it
+// holds. Seal runs on first use: every read, write, scan and accessor
+// seals first, so the tree a caller sees is the one a per-record load
+// would have built, down to its generations, entries, shapes, filters,
+// payload chunks and memtable. A LoadDirect after Seal panics, and so
+// does a key repeated within a flushed batch or within the batches one
+// table merges, where a memtable replace or a compaction would drop a
+// version.
 func (t *Tree) LoadDirect(key string, fields [][]byte) {
+	if t.sealed {
+		panic("lsm: LoadDirect after Seal")
+	}
 	n := payloadBytes(key, fields)
 	t.log.AppendDirect(n)
-	if t.fresh {
-		t.fresh = false
+	if t.bulk == nil {
 		// Size the first batch for records of this one's size, up to 2 MiB
 		// of entries; cutRun sizes each later one by its predecessor.
 		t.bulk = &bulkLoad{cur: sstable.NewRun(int(min(t.cfg.FlushBytes/max(1, n)+1, 1<<16)))}
 	}
-	if b := t.bulk; b != nil {
-		b.cur.Add(key, fields)
-		if b.cur.Bytes() >= t.cfg.FlushBytes {
-			t.cutRun()
-		}
-		return
+	b := t.bulk
+	b.cur.Add(key, fields)
+	if b.cur.Bytes() >= t.cfg.FlushBytes {
+		t.cutRun()
 	}
-	t.mem.Put(key, fields)
-	t.maybeFlush(nil, true)
 }
 
 // bulkLoad is a deferred load: the records LoadDirect buffered, cut into
-// the batches the per-record path would have flushed, and the table list
+// the batches a per-record load would have flushed, and the table list
 // it would have built from them, replayed on sizes alone.
 type bulkLoad struct {
 	runs []*sstable.Run // cut batches, sorted, in cut order
 	cur  *sstable.Run   // the batch being filled: the memtable's records
 	// tables is the replayed table list, newest first.
 	tables []plannedTable
-	// flushed is the payload of every cut batch: the WAL bytes their
-	// flushes truncated.
-	flushed int64
 	// sizes and victims are pickCompaction's scratch.
 	sizes   []int64
 	victims []int
@@ -584,17 +547,14 @@ type plannedTable struct {
 	runs []int
 }
 
-// cutRun ends the batch being filled where the per-record path flushes
+// cutRun ends the batch being filled where a per-record load flushes
 // the memtable, and replays that flush and the compactions it triggers
 // on sizes: for distinct keys a table's DiskBytes is the sum of its
 // entries', so a merge's is the sum of its inputs'.
 func (t *Tree) cutRun() {
 	b := t.bulk
 	r := b.cur
-	if !r.Sort() {
-		t.replayLoad()
-		return
-	}
+	r.Sort()
 	// Same-shaped records fill each batch to the same count.
 	b.cur = sstable.NewRun(r.Len() + 1)
 	b.runs = append(b.runs, r)
@@ -603,7 +563,6 @@ func (t *Tree) cutRun() {
 	t.tableBytes += size
 	t.cfg.Node.AddDiskUsage(size)
 	t.log.Truncate(r.Bytes())
-	b.flushed += r.Bytes()
 	b.tables = slices.Insert(b.tables, 0, plannedTable{gen: t.gen, size: size, runs: []int{len(b.runs) - 1}})
 	for {
 		b.sizes = b.sizes[:0]
@@ -639,65 +598,36 @@ func (t *Tree) cutRun() {
 	}
 }
 
-// Seal ends a deferred load (see LoadDirect): it builds each replayed
-// table once from its runs and hands the unflushed batch to the memtable.
-// Every read, write, scan and accessor seals first, so calling it is
-// never needed for correctness; a loader calls it to end the load phase
-// with the tree built, so the build runs on the loader's goroutine. A
-// tree sealed once defers no later load. Seal reports whether it built a
-// deferred load from its batches: false when there was none to build, or
-// when the load had to be replayed record by record.
-func (t *Tree) Seal() bool {
-	t.fresh = false
-	return t.bulk != nil && t.build()
+// Seal ends the load phase: it builds each replayed table once from its
+// runs and hands the unflushed batch to the memtable. Every read, write,
+// scan and accessor seals first, so calling it is never needed for
+// correctness; a loader calls it to end the load phase with the tree
+// built, so the build runs on the loader's goroutine.
+func (t *Tree) Seal() {
+	t.sealed = true
+	if t.bulk != nil {
+		t.build()
+	}
 }
 
-func (t *Tree) build() bool {
+func (t *Tree) build() {
 	b := t.bulk
-	runs := make([][]*sstable.Run, len(b.tables))
-	orders := make([][]uint32, len(b.tables))
-	for i, pt := range b.tables {
-		for _, r := range pt.runs {
-			runs[i] = append(runs[i], b.runs[r])
-		}
-		// Check every merge before building any table, so a replay still
-		// finds every batch.
-		if len(runs[i]) > 1 {
-			if orders[i] = sstable.MergeOrder(runs[i]); orders[i] == nil {
-				t.replayLoad()
-				return false
-			}
-		}
-	}
 	t.bulk = nil
 	t.tables = make([]*sstable.Table, len(b.tables))
 	for i, pt := range b.tables {
-		t.tables[i] = sstable.FromRuns(pt.gen, runs[i], orders[i], t.cfg.Overhead, bloomFPP)
-		// A merged table holds its runs' payload chunks, not their entries.
-		runs[i], orders[i] = nil, nil
-		for _, r := range pt.runs {
-			b.runs[r] = nil
+		runs := make([]*sstable.Run, len(pt.runs))
+		for j, r := range pt.runs {
+			// A merged table holds its runs' payload chunks, not their
+			// entries: drop each batch as its table is built.
+			runs[j], b.runs[r] = b.runs[r], nil
 		}
+		var order []uint32
+		if len(runs) > 1 {
+			order = sstable.MergeOrder(runs)
+		}
+		t.tables[i] = sstable.FromRuns(pt.gen, runs, order, t.cfg.Overhead, bloomFPP)
 	}
 	b.cur.Unflushed(t.mem)
-	return true
-}
-
-// replayLoad abandons a deferred load whose batches cannot reproduce it,
-// undoes the flush accounting cutRun did, and replays every buffered
-// record in arrival order through the per-record path. Their WAL bytes
-// are accounted already.
-func (t *Tree) replayLoad() {
-	b := t.bulk
-	t.bulk = nil
-	t.cfg.Node.AddDiskUsage(b.flushed - t.tableBytes)
-	t.tables, t.gen, t.tableBytes, t.compactions = nil, 0, 0, 0
-	for _, r := range append(b.runs, b.cur) {
-		r.Records(func(key string, fields [][]byte) {
-			t.mem.Put(key, fields)
-			t.maybeFlush(nil, true)
-		})
-	}
 }
 
 // TableCount returns the number of live SSTables.

@@ -4,11 +4,13 @@ import (
 	"fmt"
 	"reflect"
 	"slices"
+	"strings"
 	"testing"
 	"testing/quick"
 	"unsafe"
 
 	"repro/internal/cluster"
+	"repro/internal/memtable"
 	"repro/internal/sim"
 	"repro/internal/sstable"
 )
@@ -165,8 +167,9 @@ func TestLoadDirectNoVirtualTime(t *testing.T) {
 }
 
 // TestLoadDirectSlabBytesCountsDistinctChunks loads enough records for
-// many flushes and compactions, the last quarter overwriting earlier keys
-// so that later compactions copy while earlier ones adopt, and checks
+// many flushes and compactions, then overwrites a quarter of the keys
+// with timed writes so that later compactions copy while earlier ones
+// adopt, and checks
 // that SlabBytes, kept by counters, equals the footprint recomputed from
 // what is reachable: each distinct chunk once, whichever tables adopted
 // it. Every key must still read its last loaded value.
@@ -191,9 +194,17 @@ func TestLoadDirectSlabBytesCountsDistinctChunks(t *testing.T) {
 	}
 	check("distinct keys")
 	before := tr.Compactions()
-	for i := 0; i < n/4; i++ {
-		tr.LoadDirect(fmt.Sprintf("k%07d", i*3), val(i*3, 1))
-	}
+	// The overwrites are timed writes, pausing now and then so the
+	// background flushes and compactions keep up.
+	e.Go("w", func(p *sim.Proc) {
+		for i := 0; i < n/4; i++ {
+			tr.Put(p, fmt.Sprintf("k%07d", i*3), val(i*3, 1))
+			if i%64 == 63 {
+				p.Sleep(sim.Millisecond)
+			}
+		}
+	})
+	e.Run(0)
 	if tr.Compactions() == before {
 		t.Fatal("no compaction over the overwrites")
 	}
@@ -508,16 +519,46 @@ func TestScanCursorDedupsNewestWins(t *testing.T) {
 	e.Run(0)
 }
 
-// TestDeferredLoadMatchesPerRecord loads the same records into a fresh
-// tree, which defers the load and builds it at Seal, and into a tree
-// sealed before loading, which takes the per-record path, and requires
-// the two to match table by table: generation, entries, shapes, Bloom
-// filter, key range, payload chunks, DiskBytes and SlabBytes, plus the
-// table count, compactions, WAL bytes, node disk usage and memtable
-// contents and layout. Each case also pins which path the deferred tree took: a key
-// repeated within a batch, or in batches a compaction merges, must be
-// replayed record by record, and a key repeated only across final tables
-// must not.
+// loadPerRecord is the deferred load's oracle: LoadDirect's effect when
+// every record goes through the memtable and each flush, with the
+// compactions it triggers, runs at once and untimed.
+func loadPerRecord(t *Tree, key string, fields [][]byte) {
+	t.log.AppendDirect(payloadBytes(key, fields))
+	t.mem.Put(key, fields)
+	if t.mem.Bytes() < t.cfg.FlushBytes {
+		return
+	}
+	t.gen++
+	full := t.mem
+	t.mem = memtable.New()
+	t.installTable(sstable.FromMemtable(t.gen, full, t.cfg.Overhead, bloomFPP), full.Bytes())
+	for victims := t.pickVictims(); victims != nil; victims = t.pickVictims() {
+		t.replaceTables(victims, sstable.Merge(victims, t.cfg.Overhead, bloomFPP))
+		t.compactions++
+	}
+}
+
+// mustPanic fails unless fn panics with a message containing want.
+func mustPanic(t *testing.T, want string, fn func()) {
+	t.Helper()
+	defer func() {
+		t.Helper()
+		if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), want) {
+			t.Fatalf("panic %v, want one containing %q", r, want)
+		}
+	}()
+	fn()
+}
+
+// TestDeferredLoadMatchesPerRecord loads the same records into a tree,
+// which defers the load and builds it at Seal, and through
+// loadPerRecord, and requires the two to match table by table:
+// generation, entries, shapes, Bloom filter, key range, payload chunks,
+// DiskBytes and SlabBytes, plus the table count, compactions, WAL bytes,
+// node disk usage and memtable contents and layout. A key repeated
+// within a flushed batch, or in batches a compaction merges, breaks the
+// load contract and must panic, as must a LoadDirect after Seal; a key
+// repeated only across final tables, or within the memtable, must not.
 func TestDeferredLoadMatchesPerRecord(t *testing.T) {
 	type rec struct {
 		key    string
@@ -567,47 +608,50 @@ func TestDeferredLoadMatchesPerRecord(t *testing.T) {
 	}
 	big, small := randomKeys(5000, 1000), randomKeys(3000, 90)
 	const flush = 64 << 10
+	const inRun, inMerge = "a run repeats a key", "merged runs repeat a key"
 	cases := []struct {
-		name  string
-		flush int64
-		load  []rec // loaded before the deferred tree's Seal
-		after []rec // loaded after it
-		built bool  // whether the deferred tree's Seal builds from batches
-		tiers int   // at least this many tiers among the final tables
+		name   string
+		flush  int64
+		load   []rec  // loaded before the deferred tree's Seal
+		after  []rec  // loaded after it: the first must panic
+		panics string // the load's panic; "" if it must build
+		tiers  int    // at least this many tiers among the final tables
 	}{
-		{name: "random keys over two tiers", flush: flush, load: randomKeys(12000, 1000), built: true, tiers: 2},
-		{name: "sequential keys", flush: flush, load: sequential(0, 20000, 90), built: true},
+		{name: "random keys over two tiers", flush: flush, load: randomKeys(12000, 1000), tiers: 2},
+		{name: "sequential keys", flush: flush, load: sequential(0, 20000, 90)},
 		{
 			// small[10]'s key comes back ten records later, inside the
 			// first batch.
-			name:  "duplicate within a batch",
-			flush: flush,
-			load:  cat(small[:20], repeat(small, 10, 11, 90), small[20:]),
+			name:   "duplicate within a batch",
+			flush:  flush,
+			load:   cat(small[:20], repeat(small, 10, 11, 90), small[20:]),
+			panics: inRun,
 		},
 		{
 			// The same inside the fifth batch, which no compaction merges:
 			// Sort alone catches it.
-			name:  "duplicate within an unmerged batch",
-			flush: flush,
-			load:  cat(small[:2800], repeat(small, 2790, 2791, 90), small[2800:], sequential(0, 1000, 90)),
+			name:   "duplicate within an unmerged batch",
+			flush:  flush,
+			load:   cat(small[:2800], repeat(small, 2790, 2791, 90), small[2800:], sequential(0, 1000, 90)),
+			panics: inRun,
 		},
 		{
 			// The repeats land a few batches after their originals, and
 			// every table is tier 0, so a compaction merges the two.
-			name:  "duplicates in batches that merge",
-			flush: flush,
-			load:  cat(small, repeat(small, 0, 50, 90), sequential(0, 3000, 90)),
+			name:   "duplicates in batches that merge",
+			flush:  flush,
+			load:   cat(small, repeat(small, 0, 50, 90), sequential(0, 3000, 90)),
+			panics: inMerge,
 		},
 		{
 			// big[0]'s key comes back in big's fourth batch, which merges
 			// with the first into what becomes the tier-1 table; the
 			// sequential records after it merge cleanly into a newer
-			// tier-0 table. Seal must check both merges before building
-			// either: the replay needs every batch.
-			name:  "duplicate in an older merged table",
-			flush: flush,
-			load:  cat(big[:200], repeat(big, 0, 1, 1000), big[200:], sequential(0, 3000, 90)),
-			tiers: 2,
+			// tier-0 table.
+			name:   "duplicate in an older merged table",
+			flush:  flush,
+			load:   cat(big[:200], repeat(big, 0, 1, 1000), big[200:], sequential(0, 3000, 90)),
+			panics: inMerge,
 		},
 		{
 			// big settles into one tier-1 table and a few tier-0 ones.
@@ -617,7 +661,6 @@ func TestDeferredLoadMatchesPerRecord(t *testing.T) {
 			name:  "duplicates only across final tables",
 			flush: flush,
 			load:  cat(big, repeat(big, 0, 600, 90), repeat(big, 600, 630, 50)),
-			built: true,
 			tiers: 2,
 		},
 		{
@@ -626,34 +669,36 @@ func TestDeferredLoadMatchesPerRecord(t *testing.T) {
 			name:  "duplicates within the memtable",
 			flush: flush,
 			load:  cat(small, repeat(small, 2990, 3000, 90), repeat(small, 2995, 2996, 50)),
-			built: true,
 		},
 		// 4,000-byte flushes of 100-byte records: 1,000 records fill
 		// exactly 25 batches.
-		{name: "load ending on a flush boundary", flush: 4000, load: uniform(1000), built: true},
+		{name: "load ending on a flush boundary", flush: 4000, load: uniform(1000)},
 		{name: "empty load", flush: flush},
-		{name: "load after a seal", flush: flush, load: small, after: cat(sequential(0, 4000, 90), repeat(small, 0, 100, 90)), built: true},
+		{name: "load after a seal", flush: flush, load: small, after: sequential(0, 4000, 90)},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			deferred := newTree(sim.NewEngine(1), c.flush)
+			load := func() {
+				for _, r := range c.load {
+					deferred.LoadDirect(r.key, r.fields)
+				}
+				deferred.Seal()
+			}
+			if c.panics != "" {
+				mustPanic(t, c.panics, load)
+				return
+			}
+			load()
 			perRecord := newTree(sim.NewEngine(1), c.flush)
 			perRecord.Seal()
 			for _, r := range c.load {
-				deferred.LoadDirect(r.key, r.fields)
-				perRecord.LoadDirect(r.key, r.fields)
-			}
-			if got := deferred.Seal(); got != c.built {
-				t.Fatalf("Seal built the deferred load: %v, want %v", got, c.built)
-			}
-			for _, r := range c.after {
-				deferred.LoadDirect(r.key, r.fields)
-				perRecord.LoadDirect(r.key, r.fields)
-			}
-			if deferred.Seal() {
-				t.Fatal("a second Seal built again")
+				loadPerRecord(perRecord, r.key, r.fields)
 			}
 			requireSameTree(t, deferred, perRecord)
+			if len(c.after) > 0 {
+				mustPanic(t, "LoadDirect after Seal", func() { deferred.LoadDirect(c.after[0].key, c.after[0].fields) })
+			}
 			tiers := map[int]bool{}
 			for _, tab := range perRecord.tables {
 				tiers[tier(tab.DiskBytes)] = true

@@ -109,13 +109,13 @@ func (d Dataset) Window(win int64) (from, to int64) {
 // depend on fanout). Values are a deterministic hash of (metric,
 // timestamp) — integer-derived, so every platform computes bit-identical
 // floats.
-func (d Dataset) Load(s store.Store, fanout int) error {
+func (d Dataset) Load(s store.Store, fanout int) {
 	metrics := make([]string, 0, d.Hosts*d.MetricsPerHost)
 	for h := 0; h < d.Hosts; h++ {
 		metrics = append(metrics, d.HostMetrics(h)...)
 	}
 	sort.Strings(metrics)
-	return store.LoadAll(s, store.Records{
+	store.LoadAll(s, store.Records{
 		Count:      int64(len(metrics)) * d.Intervals,
 		NewBuilder: func() store.Builder { return &gridBuilder{d: d, metrics: metrics} },
 	}, fanout)

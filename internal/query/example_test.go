@@ -21,10 +21,7 @@ func ExampleQuery_Execute() {
 	engine := sim.NewEngine(1)
 	db := hbase.New(cluster.New(engine, cluster.ClusterM(1).Scale(0.01)), hbase.Options{MemstoreFlushBytes: 64 << 10})
 	ds := query.Dataset{Hosts: 4, MetricsPerHost: 5, Intervals: 240, IntervalSec: 10, BaseTs: 1_600_000_000}
-	if err := ds.Load(db, 1); err != nil {
-		fmt.Println(err)
-		return
-	}
+	ds.Load(db, 1)
 	// ranges selects one metric kind's series on the given hosts.
 	ranges := func(kind string, from, to int64, hosts ...int) []query.Range {
 		var out []query.Range

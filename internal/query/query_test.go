@@ -27,7 +27,8 @@ func newMemStore() *memStore { return &memStore{recs: map[string]store.Fields{}}
 
 func (m *memStore) Name() string { return "mem" }
 
-func (m *memStore) Load(key string, f store.Fields) error {
+// put stores a record, replacing any with its key.
+func (m *memStore) put(key string, f store.Fields) error {
 	// Stores copy on ingest: loaders reuse their key and field buffers.
 	key, f = strings.Clone(key), f.Clone()
 	if _, ok := m.recs[key]; !ok {
@@ -41,12 +42,18 @@ func (m *memStore) Load(key string, f store.Fields) error {
 }
 
 func (m *memStore) Insert(p *sim.Proc, key string, f store.Fields) error {
-	return m.Load(key, f)
+	return m.put(key, f)
 }
 
 func (m *memStore) Update(p *sim.Proc, key string, f store.Fields) error {
-	return m.Load(key, f)
+	return m.put(key, f)
 }
+
+// memStore is one engine to the loader.
+func (m *memStore) Nodes() int                                 { return 1 }
+func (m *memStore) LoadNodes(dst []int, key string) []int      { return append(dst, 0) }
+func (m *memStore) LoadNode(_ int, key string, f store.Fields) { m.put(key, f) }
+func (m *memStore) SealNode(int)                               {}
 
 func (m *memStore) Read(p *sim.Proc, key string) (store.FieldsView, error) {
 	f, ok := m.recs[key]
@@ -177,12 +184,8 @@ func TestDatasetDeterministicAndOrdered(t *testing.T) {
 		t.Fatalf("Records() inconsistent")
 	}
 	a, b := newMemStore(), newMemStore()
-	if err := ds.Load(a, 1); err != nil {
-		t.Fatal(err)
-	}
-	if err := ds.Load(b, 1); err != nil {
-		t.Fatal(err)
-	}
+	ds.Load(a, 1)
+	ds.Load(b, 1)
 	if len(a.keys) != int(ds.Records()) {
 		t.Fatalf("loaded %d keys, want %d", len(a.keys), ds.Records())
 	}
@@ -304,9 +307,7 @@ func expectedRows(t testing.TB, ds Dataset, host int, s Spec) []ResultRow {
 func TestExecuteMatchesDirectComputation(t *testing.T) {
 	ds := SizeDataset(8000)
 	st := newMemStore()
-	if err := ds.Load(st, 1); err != nil {
-		t.Fatal(err)
-	}
+	ds.Load(st, 1)
 	specs := []Spec{
 		{Name: "plain", WindowSec: 600, Aggs: []string{"avg", "max", "count"}},
 		{Name: "filtered", WindowSec: 1800, Filter: "value>50", Aggs: []string{"count", "avg"}},
@@ -372,9 +373,7 @@ func TestExecuteMatchesFullDecode(t *testing.T) {
 	for _, sd := range stores {
 		t.Run(sd.name, func(t *testing.T) {
 			e, st := sd.deploy()
-			if err := ds.Load(st, 1); err != nil {
-				t.Fatal(err)
-			}
+			ds.Load(st, 1)
 			for _, s := range specs {
 				q, err := Plan(s)
 				if err != nil {
@@ -429,9 +428,7 @@ func TestScanOpPaginatesWithoutLoss(t *testing.T) {
 	// every in-window row must come out exactly once, in key order.
 	ds := Dataset{Hosts: 1, MetricsPerHost: 4, Intervals: 150, IntervalSec: 15, BaseTs: datasetBaseTs}
 	st := newMemStore()
-	if err := ds.Load(st, 1); err != nil {
-		t.Fatal(err)
-	}
+	ds.Load(st, 1)
 	from, to := ds.Window(150 * 15)
 	var rows []apm.Measurement
 	inProc(t, func(p *sim.Proc) {
@@ -474,9 +471,7 @@ func TestPercentileNearestRank(t *testing.T) {
 func TestRunCollectsQueryLatencies(t *testing.T) {
 	ds := SizeDataset(4000)
 	st := newMemStore()
-	if err := ds.Load(st, 1); err != nil {
-		t.Fatal(err)
-	}
+	ds.Load(st, 1)
 	mix := Mix{{Name: "overview", WindowSec: 600}, {Name: "deep", Weight: 0.5, WindowSec: 3600}}
 	e := sim.NewEngine(7)
 	res, err := Run(e, RunConfig{
@@ -525,9 +520,7 @@ func (noQueryStore) Scan(p *sim.Proc, start string, count int) ([]store.Record, 
 func BenchmarkQueryFilterAgg(b *testing.B) {
 	ds := SizeDataset(4000)
 	st := newMemStore()
-	if err := ds.Load(st, 1); err != nil {
-		b.Fatal(err)
-	}
+	ds.Load(st, 1)
 	q, err := Plan(Spec{Name: "bench", WindowSec: 3600, Filter: "value>50",
 		Aggs: []string{"count", "avg", "p99"}})
 	if err != nil {

@@ -21,7 +21,6 @@ package sstable
 
 import (
 	"cmp"
-	"slices"
 	"strings"
 
 	"repro/internal/bloom"
@@ -206,12 +205,12 @@ func (r *Run) DiskBytes(ov Overhead) int64 {
 
 func (r *Run) key(m *entryMeta) string { return r.data.String(m.ref, int(m.meta&0xffff)) }
 
-// Sort orders the entries by key, as a flush streams them, and reports
-// whether the keys are distinct. A repeated key is a record the memtable
-// would have replaced in place, which a run cannot reproduce. The entries
-// are ordered by slab.SortByPrefix, whose distinct result is the check of
-// adjacent keys, then moved into that order in place.
-func (r *Run) Sort() bool {
+// Sort orders the entries by key, as a flush streams them. It panics on
+// a repeated key: a record the memtable would have replaced in place,
+// which a run cannot reproduce (see store.LoadAll for the contract). The
+// entries are ordered by slab.SortByPrefix, whose distinct result is the
+// check of adjacent keys, then moved into that order in place.
+func (r *Run) Sort() {
 	r.sorted = true
 	n := len(r.meta)
 	items := slab.Items.Get()
@@ -223,9 +222,11 @@ func (r *Run) Sort() bool {
 	for i := range r.meta {
 		items[i] = slab.PrefixItem{Hi: r.meta[i].keyPfx, Lo: r.meta[i].keyPfx2, I: uint32(i)}
 	}
-	distinct := slab.SortByPrefix(items, func(a, b uint32) int {
+	if !slab.SortByPrefix(items, func(a, b uint32) int {
 		return strings.Compare(r.key(&r.meta[a]), r.key(&r.meta[b]))
-	})
+	}) {
+		panic("sstable: a run repeats a key")
+	}
 	// Entry k becomes old entry items[k].I: follow each cycle of the
 	// permutation once, marking a filled slot by pointing it at itself.
 	for k := range items {
@@ -242,31 +243,6 @@ func (r *Run) Sort() bool {
 		r.meta[j] = first
 		items[j].I = uint32(j)
 	}
-	return distinct
-}
-
-// Records calls fn for every buffered record in arrival order. The key and
-// field slices alias the run's slab and fn must not retain them; fields is
-// reused across calls.
-func (r *Run) Records(fn func(key string, fields [][]byte)) {
-	order := r.meta
-	if r.sorted {
-		// Payloads were carved in arrival order, so their refs ascend in it.
-		order = slices.Clone(order)
-		slices.SortFunc(order, func(a, b entryMeta) int { return cmp.Compare(a.ref, b.ref) })
-	}
-	var fields [][]byte
-	for i := range order {
-		m := &order[i]
-		keyLen := int(m.meta & 0xffff)
-		data := r.data.View(m.ref+slab.Ref(keyLen), int(m.meta>>16&0xffffffff))
-		v := slab.SlabView(data, r.shapes.Ends(uint32(m.meta>>48)))
-		fields = fields[:0]
-		for j := 0; j < v.Len(); j++ {
-			fields = append(fields, v.Field(j))
-		}
-		fn(r.key(m), fields)
-	}
 }
 
 // Unflushed puts the run's records into the memtable m in arrival order,
@@ -275,15 +251,24 @@ func (r *Run) Unflushed(m *memtable.Memtable) {
 	if r.sorted {
 		panic("sstable: Unflushed on a sorted run")
 	}
-	r.Records(m.Put)
+	var fields [][]byte
+	for i := range r.meta {
+		e := &r.meta[i]
+		keyLen := int(e.meta & 0xffff)
+		data := r.data.View(e.ref+slab.Ref(keyLen), int(e.meta>>16&0xffffffff))
+		v := slab.SlabView(data, r.shapes.Ends(uint32(e.meta>>48)))
+		fields = fields[:0]
+		for j := 0; j < v.Len(); j++ {
+			fields = append(fields, v.Field(j))
+		}
+		m.Put(r.key(e), fields)
+	}
 }
 
 // MergeOrder merges the keys of sorted runs and returns, for each entry of
 // the merged sequence, the index of the run it comes from; FromRuns builds
-// the table from it. If two runs share a key, a merge would have dropped
-// the older version, which FromRuns cannot reproduce, and MergeOrder
-// returns nil. It reads only the runs' keys, so a caller can check every
-// table it will build before building any (and dropping their runs).
+// the table from it. It panics if two runs share a key: a merge would
+// have dropped the older version, which FromRuns cannot reproduce.
 //
 // The runs are merged once, through a heap: O(n log k) for n entries in k
 // runs, where the chain of merges it stands for re-merges every entry at
@@ -310,7 +295,7 @@ func MergeOrder(runs []*Run) []uint32 {
 		r, m := runs[c.run], &c.rest[0]
 		// The output ascends, so a repeated key is the previous one.
 		if prev != nil && compareKeys(prev, prevData, m, &r.data) == 0 {
-			return nil
+			panic("sstable: merged runs repeat a key")
 		}
 		prev, prevData = m, &r.data
 		order = append(order, uint32(c.run))

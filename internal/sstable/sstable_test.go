@@ -7,6 +7,7 @@ import (
 	"reflect"
 	"slices"
 	"sort"
+	"strings"
 	"testing"
 	"testing/quick"
 	"unsafe"
@@ -545,8 +546,8 @@ func TestFromMemtableMatchesBuildSorted(t *testing.T) {
 // entries, shapes, payload chunks, filter, key range and DiskBytes. Keys
 // share long prefixes, so the sort and the merge compare key bytes past
 // the prefix pair; a third of them carry a second field, so tables intern
-// several shapes. A key repeated within a run fails Sort, and one repeated
-// across runs fails MergeOrder.
+// several shapes. A key repeated within a run panics in Sort, and one
+// repeated across runs in MergeOrder.
 func TestFromRunsMatchesFlushAndMerge(t *testing.T) {
 	rng := rand.New(rand.NewSource(24))
 	type rec struct {
@@ -573,9 +574,7 @@ func TestFromRunsMatchesFlushAndMerge(t *testing.T) {
 				runs[i].Add(r.key, r.fields)
 				m.Put(r.key, r.fields)
 			}
-			if !runs[i].Sort() {
-				t.Fatalf("round %d: Sort found a repeat among distinct keys", round)
-			}
+			runs[i].Sort()
 			// Runs are listed newest first, as a merge's inputs are.
 			flushed[i] = FromMemtable(k-i, m, ov, 0.01)
 		}
@@ -585,9 +584,7 @@ func TestFromRunsMatchesFlushAndMerge(t *testing.T) {
 		}
 		var order []uint32
 		if k > 1 {
-			if order = MergeOrder(runs); order == nil {
-				t.Fatalf("round %d: MergeOrder found a repeat among distinct keys", round)
-			}
+			order = MergeOrder(runs)
 		}
 		got := FromRuns(k, runs, order, ov, 0.01)
 		if !reflect.DeepEqual(got, want) {
@@ -599,9 +596,7 @@ func TestFromRunsMatchesFlushAndMerge(t *testing.T) {
 	for _, key := range []string{"b", "a", "b"} {
 		dup.Add(key, [][]byte{[]byte(key)})
 	}
-	if dup.Sort() {
-		t.Fatal("Sort missed a key repeated within the run")
-	}
+	mustPanic(t, "a run repeats a key", dup.Sort)
 	a, b := NewRun(0), NewRun(0)
 	for _, key := range []string{"a", "c", "e"} {
 		a.Add(key, nil)
@@ -611,9 +606,19 @@ func TestFromRunsMatchesFlushAndMerge(t *testing.T) {
 	}
 	a.Sort()
 	b.Sort()
-	if MergeOrder([]*Run{a, b}) != nil {
-		t.Fatal("MergeOrder merged a key repeated across runs")
-	}
+	mustPanic(t, "merged runs repeat a key", func() { MergeOrder([]*Run{a, b}) })
+}
+
+// mustPanic fails unless fn panics with a message containing want.
+func mustPanic(t *testing.T, want string, fn func()) {
+	t.Helper()
+	defer func() {
+		t.Helper()
+		if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), want) {
+			t.Fatalf("panic %v, want one containing %q", r, want)
+		}
+	}()
+	fn()
 }
 
 // BenchmarkSSTableMerge measures a compaction of four overlapping tables

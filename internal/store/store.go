@@ -219,8 +219,8 @@ func ScanStatsOf(s Store) (positioned, pruned int64, ok bool) {
 // methods run inside a simulation process and advance virtual time by the
 // full client-observed operation latency.
 //
-// Stores copy on ingest: Insert, Update and Load must copy key and field
-// bytes before retaining them, and Read and Scan must not retain the
+// Stores copy on ingest: Insert, Update and LoadNode must copy key and
+// field bytes before retaining them, and Read and Scan must not retain the
 // lookup key. Callers rely on this to reuse one AppendKey buffer and one
 // FillFields buffer across operations, so a store that keeps caller bytes
 // past an operation's return (an asynchronous replica write, say) clones
@@ -242,10 +242,29 @@ type Store interface {
 	// memory and, like Read's, are valid until the next operation against
 	// the store.
 	Scan(p *sim.Proc, start string, count int) ([]Record, error)
-	// Load inserts a record without consuming virtual time; used to
-	// populate the store before a measured run. Disk/memory accounting
-	// still happens.
-	Load(key string, f Fields) error
+	// Nodes, LoadNodes, LoadNode and SealNode are the load phase, which
+	// LoadAll drives under its contract: it populates the store before a
+	// measured run without consuming virtual time, while disk and memory
+	// accounting still happen. Every store model is a set of per-node
+	// engines that share no mutable state (Cassandra replica trees, HBase
+	// regions, MySQL shards, Voldemort servers, Redis instances, VoltDB
+	// partition sites), so the load splits into routing (LoadNodes) and
+	// applying on one engine (LoadNode), and loaders that give each
+	// engine to one worker need no locks.
+	//
+	// Nodes is the number of per-node engines, indexed 0..Nodes()-1.
+	Nodes() int
+	// LoadNodes appends to dst the engines a load of key writes and
+	// returns the extended slice.
+	LoadNodes(dst []int, key string) []int
+	// LoadNode loads the record into engine i only. Calls for distinct
+	// engines may run concurrently.
+	LoadNode(i int, key string, f Fields)
+	// SealNode ends engine i's load phase, building any structure the
+	// engine defers until first use (the B-tree stores' bulk build, the
+	// LSM stores' deferred table build), so the build runs on the load
+	// worker. Stores whose engines defer nothing do nothing.
+	SealNode(i int)
 	// DiskUsage returns durable bytes across all nodes.
 	DiskUsage() int64
 	// SlabBytes returns the bytes of slab-backed record state (keys,

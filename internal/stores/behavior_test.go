@@ -12,6 +12,7 @@ import (
 	"repro/internal/stores/redis"
 	"repro/internal/stores/voldemort"
 	"repro/internal/stores/voltdb"
+	"repro/internal/ycsb"
 )
 
 // measureOp runs fn in a fresh process and returns elapsed virtual time.
@@ -30,9 +31,7 @@ func TestHBaseWriteCheaperThanRead(t *testing.T) {
 	e := sim.NewEngine(1)
 	c := cluster.New(e, cluster.ClusterM(2).Scale(0.01))
 	s := hbase.New(c, hbase.Options{})
-	for i := int64(0); i < 1000; i++ {
-		s.Load(store.Key(i), store.MakeFields(i))
-	}
+	ycsb.Load(s, 1000)
 	write := measureOp(e, func(p *sim.Proc) { s.Insert(p, store.Key(2000), store.MakeFields(2000)) })
 	read := measureOp(e, func(p *sim.Proc) { s.Read(p, store.Key(1)) })
 	if write*10 > read {
@@ -67,9 +66,7 @@ func TestCassandraDiskOverheadPerRecord(t *testing.T) {
 	c := cluster.New(e, cluster.ClusterM(1).Scale(0.01))
 	s := cassandra.New(c, cassandra.Options{MemtableFlushBytes: 4 << 10})
 	const n = 10000
-	for i := int64(0); i < n; i++ {
-		s.Load(store.Key(i), store.MakeFields(i))
-	}
+	ycsb.Load(s, n)
 	perRecord := float64(s.DiskUsage()) / n
 	// Paper Fig 17: 2.5 GB / 10M records = 250 bytes per record.
 	if perRecord < 230 || perRecord > 270 {
@@ -83,10 +80,8 @@ func TestHBaseDiskOverheadLargest(t *testing.T) {
 	hb := hbase.New(c, hbase.Options{MemstoreFlushBytes: 4 << 10})
 	ca := cassandra.New(c, cassandra.Options{MemtableFlushBytes: 4 << 10})
 	const n = 10000
-	for i := int64(0); i < n; i++ {
-		hb.Load(store.Key(i), store.MakeFields(i))
-		ca.Load(store.Key(i), store.MakeFields(i))
-	}
+	ycsb.Load(hb, n)
+	ycsb.Load(ca, n)
 	hbPer := float64(hb.DiskUsage()) / n
 	if hbPer < 700 || hbPer > 800 {
 		t.Fatalf("HBase disk/record = %.1f bytes, want ~750 (Fig 17: 7.5 GB/10M)", hbPer)
@@ -101,10 +96,8 @@ func TestMySQLBinlogDoublesDiskUsage(t *testing.T) {
 	c := cluster.New(e, cluster.ClusterM(1).Scale(0.01))
 	with := mysql.New(c, mysql.Options{BinLog: true})
 	without := mysql.New(c, mysql.Options{BinLog: false})
-	for i := int64(0); i < 20000; i++ {
-		with.Load(store.Key(i), store.MakeFields(i))
-		without.Load(store.Key(i), store.MakeFields(i))
-	}
+	ycsb.Load(with, 20000)
+	ycsb.Load(without, 20000)
 	ratio := float64(with.DiskUsage()) / float64(without.DiskUsage())
 	if ratio < 1.5 || ratio > 2.5 {
 		t.Fatalf("binlog usage ratio = %.2f, want ~2 (paper §5.7)", ratio)
@@ -119,9 +112,7 @@ func TestMySQLScanCheapOnOneNodeCostlyOnMany(t *testing.T) {
 		e := sim.NewEngine(1)
 		c := cluster.New(e, cluster.ClusterM(nodes).Scale(0.01))
 		s := mysql.New(c, mysql.Options{BinLog: true})
-		for i := int64(0); i < int64(nodes)*20000; i++ {
-			s.Load(store.Key(i), store.MakeFields(i))
-		}
+		ycsb.Load(s, int64(nodes)*20000)
 		return e, s
 	}
 	e1, s1 := mk(1)
@@ -140,10 +131,10 @@ func TestVoltDBSingleNodeFastMultiNodeSlow(t *testing.T) {
 		return e, voltdb.New(c, voltdb.Options{})
 	}
 	e1, s1 := mk(1)
-	s1.Load(store.Key(1), store.MakeFields(1))
+	ycsb.Load(s1, 2) // keys 0 and 1
 	one := measureOp(e1, func(p *sim.Proc) { s1.Read(p, store.Key(1)) })
 	e8, s8 := mk(8)
-	s8.Load(store.Key(1), store.MakeFields(1))
+	ycsb.Load(s8, 2) // keys 0 and 1
 	eight := measureOp(e8, func(p *sim.Proc) { s8.Read(p, store.Key(1)) })
 	if eight <= one {
 		t.Fatalf("8-node VoltDB read %v should exceed 1-node %v (global ordering)", eight, one)
@@ -155,8 +146,8 @@ func TestVoltDBAsyncCheaperOrdering(t *testing.T) {
 	c := cluster.New(e, cluster.ClusterM(8).Scale(0.01))
 	syncS := voltdb.New(c, voltdb.Options{})
 	asyncS := voltdb.New(c, voltdb.Options{Async: true})
-	syncS.Load(store.Key(1), store.MakeFields(1))
-	asyncS.Load(store.Key(1), store.MakeFields(1))
+	ycsb.Load(syncS, 2)  // keys 0 and 1
+	ycsb.Load(asyncS, 2) // keys 0 and 1
 	// Run many concurrent reads; async should finish sooner in aggregate.
 	run := func(s store.Store) sim.Time {
 		eng := sim.NewEngine(2)
@@ -167,9 +158,7 @@ func TestVoltDBAsyncCheaperOrdering(t *testing.T) {
 		} else {
 			st = voltdb.New(cl, voltdb.Options{Async: true})
 		}
-		for i := int64(0); i < 100; i++ {
-			st.Load(store.Key(i), store.MakeFields(i))
-		}
+		ycsb.Load(st, 100)
 		for i := 0; i < 64; i++ {
 			eng.Go("c", func(p *sim.Proc) {
 				for j := int64(0); j < 20; j++ {
@@ -194,9 +183,7 @@ func TestRedisImbalanceAndOOM(t *testing.T) {
 	c := cluster.New(e, spec)
 	s := redis.New(c, redis.Options{})
 	perNode := int64(float64(10_000_000) * 0.0015)
-	for i := int64(0); i < perNode*12; i++ {
-		s.Load(store.Key(i), store.MakeFields(i))
-	}
+	ycsb.Load(s, perNode*12)
 	if lf := s.HottestLoadFactor(); lf < 1.1 {
 		t.Fatalf("hottest load factor = %.2f, want > 1.1 (Jedis imbalance)", lf)
 	}
@@ -212,9 +199,7 @@ func TestRedisBalancedShardingEvens(t *testing.T) {
 	e := sim.NewEngine(1)
 	c := cluster.New(e, cluster.ClusterM(12).Scale(0.01))
 	s := redis.New(c, redis.Options{Balanced: true})
-	for i := int64(0); i < 120000; i++ {
-		s.Load(store.Key(i), store.MakeFields(i))
-	}
+	ycsb.Load(s, 120000)
 	if lf := s.HottestLoadFactor(); lf > 1.05 {
 		t.Fatalf("balanced sharding load factor = %.2f, want <= 1.05", lf)
 	}
@@ -224,9 +209,7 @@ func TestVoldemortLatencyFlat(t *testing.T) {
 	e := sim.NewEngine(1)
 	c := cluster.New(e, cluster.ClusterM(4).Scale(0.01))
 	s := voldemort.New(c)
-	for i := int64(0); i < 50000; i++ {
-		s.Load(store.Key(i), store.MakeFields(i))
-	}
+	ycsb.Load(s, 50000)
 	read := measureOp(e, func(p *sim.Proc) { s.Read(p, store.Key(7)) })
 	write := measureOp(e, func(p *sim.Proc) { s.Insert(p, store.Key(60000), store.MakeFields(60000)) })
 	// Paper: both ~230-260µs and similar to each other.
@@ -243,9 +226,7 @@ func TestCassandraScanCostsMultipleReads(t *testing.T) {
 	e := sim.NewEngine(1)
 	c := cluster.New(e, cluster.ClusterM(4).Scale(0.01))
 	s := cassandra.New(c, cassandra.Options{MemtableFlushBytes: 64 << 10})
-	for i := int64(0); i < 40000; i++ {
-		s.Load(store.Key(i), store.MakeFields(i))
-	}
+	ycsb.Load(s, 40000)
 	read := measureOp(e, func(p *sim.Proc) { s.Read(p, store.Key(3)) })
 	scan := measureOp(e, func(p *sim.Proc) { s.Scan(p, store.Key(3), 50) })
 	if scan < 2*read {

@@ -414,21 +414,18 @@ func (s *Store) Scan(p *sim.Proc, start string, count int) ([]store.Record, erro
 	return store.MergeRuns(runs, count), nil
 }
 
-// Load implements store.Store.
-func (s *Store) Load(key string, f store.Fields) error { return store.LoadVia(s, key, f) }
-
-// Nodes implements store.NodeLoader.
+// Nodes implements store.Store.
 func (s *Store) Nodes() int { return len(s.nodes) }
 
-// LoadNodes implements store.NodeLoader: key's SimpleStrategy replicas.
+// LoadNodes implements store.Store: key's SimpleStrategy replicas.
 func (s *Store) LoadNodes(dst []int, key string) []int {
 	return s.ring.AppendReplicas(dst, key, s.opts.ReplicationFactor)
 }
 
-// LoadNode implements store.NodeLoader.
+// LoadNode implements store.Store.
 func (s *Store) LoadNode(i int, key string, f store.Fields) { s.nodes[i].tree.LoadDirect(key, f) }
 
-// SealNode implements store.NodeLoader: it builds the LSM tree's
+// SealNode implements store.Store: it builds the LSM tree's
 // deferred load.
 func (s *Store) SealNode(i int) { s.nodes[i].tree.Seal() }
 
@@ -481,4 +478,4 @@ func (s *Store) RestartNode(p *sim.Proc, i int) {
 // replica application lands on node i.
 func (s *Store) SetReplicaLag(i int, extra sim.Time) { s.lag[i] = extra }
 
-var _ store.NodeLoader = (*Store)(nil)
+var _ store.Store = (*Store)(nil)

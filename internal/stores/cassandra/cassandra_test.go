@@ -6,6 +6,7 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/sim"
 	"repro/internal/store"
+	"repro/internal/ycsb"
 )
 
 func deploy(nodes int, opts Options) (*sim.Engine, *Store) {
@@ -37,9 +38,7 @@ func TestOwnerConsistentWithRing(t *testing.T) {
 
 func TestLoadBalancedAcrossNodes(t *testing.T) {
 	_, s := deploy(4, Options{})
-	for i := int64(0); i < 40000; i++ {
-		s.Load(store.Key(i), store.MakeFields(i))
-	}
+	ycsb.Load(s, 40000)
 	for i, n := range s.nodes {
 		if frac := float64(n.tree.DiskBytes()+n.tree.MemBytes()) / float64(s.DiskUsage()+1); frac < 0.15 || frac > 0.35 {
 			t.Fatalf("node %d holds %.2f of the data, want ~0.25 (optimal tokens)", i, frac)
@@ -72,9 +71,7 @@ func TestRandomTokensSkewData(t *testing.T) {
 
 func TestScanReturnsGlobalOrderAcrossNodes(t *testing.T) {
 	e, s := deploy(3, Options{})
-	for i := int64(0); i < 3000; i++ {
-		s.Load(store.Key(i), store.MakeFields(i))
-	}
+	ycsb.Load(s, 3000)
 	e.Go("r", func(p *sim.Proc) {
 		recs, err := s.Scan(p, store.Key(0), 30)
 		if err != nil {
@@ -98,7 +95,7 @@ func TestForwardingCostsMoreThanLocal(t *testing.T) {
 	// With one node every op is local; with many nodes most ops forward.
 	measure := func(nodes int) sim.Time {
 		e, s := deploy(nodes, Options{})
-		s.Load(store.Key(1), store.MakeFields(1))
+		ycsb.Load(s, 2) // keys 0 and 1
 		var total sim.Time
 		e.Go("r", func(p *sim.Proc) {
 			start := p.Now()
@@ -124,9 +121,7 @@ func TestTreeAccessor(t *testing.T) {
 
 func TestDiskUsageSumsNodes(t *testing.T) {
 	_, s := deploy(2, Options{})
-	for i := int64(0); i < 5000; i++ {
-		s.Load(store.Key(i), store.MakeFields(i))
-	}
+	ycsb.Load(s, 5000)
 	var sum int64
 	for i := range s.nodes {
 		sum += s.Tree(i).DiskBytes()
@@ -161,10 +156,8 @@ func TestUpdateVisibleAfterFlushCycles(t *testing.T) {
 func TestReplicationMultipliesDiskUsage(t *testing.T) {
 	_, r1 := deploy(4, Options{MemtableFlushBytes: 4 << 10})
 	_, r3 := deploy(4, Options{MemtableFlushBytes: 4 << 10, ReplicationFactor: 3})
-	for i := int64(0); i < 5000; i++ {
-		r1.Load(store.Key(i), store.MakeFields(i))
-		r3.Load(store.Key(i), store.MakeFields(i))
-	}
+	ycsb.Load(r1, 5000)
+	ycsb.Load(r3, 5000)
 	ratio := float64(r3.DiskUsage()) / float64(r1.DiskUsage())
 	if ratio < 2.8 || ratio > 3.2 {
 		t.Fatalf("RF=3 disk ratio = %.2f, want ~3", ratio)
@@ -173,9 +166,7 @@ func TestReplicationMultipliesDiskUsage(t *testing.T) {
 
 func TestReplicatedReadsServeFromAnyReplicaAfterLoad(t *testing.T) {
 	e, s := deploy(4, Options{ReplicationFactor: 3})
-	for i := int64(0); i < 1000; i++ {
-		s.Load(store.Key(i), store.MakeFields(i))
-	}
+	ycsb.Load(s, 1000)
 	e.Go("r", func(p *sim.Proc) {
 		for i := int64(0); i < 100; i++ {
 			if _, err := s.Read(p, store.Key(i)); err != nil {
@@ -230,10 +221,8 @@ func TestAsyncReplicasEventuallyApplied(t *testing.T) {
 func TestCompressionShrinksDiskAndCostsCPU(t *testing.T) {
 	_, plain := deploy(1, Options{MemtableFlushBytes: 4 << 10})
 	_, comp := deploy(1, Options{MemtableFlushBytes: 4 << 10, Compression: true})
-	for i := int64(0); i < 5000; i++ {
-		plain.Load(store.Key(i), store.MakeFields(i))
-		comp.Load(store.Key(i), store.MakeFields(i))
-	}
+	ycsb.Load(plain, 5000)
+	ycsb.Load(comp, 5000)
 	if comp.DiskUsage() >= plain.DiskUsage() {
 		t.Fatalf("compressed usage %d >= plain %d", comp.DiskUsage(), plain.DiskUsage())
 	}
@@ -242,7 +231,7 @@ func TestCompressionShrinksDiskAndCostsCPU(t *testing.T) {
 		e := sim.NewEngine(5)
 		c := cluster.New(e, cluster.ClusterM(1).Scale(0.01))
 		ns := New(c, s.opts)
-		ns.Load(store.Key(1), store.MakeFields(1))
+		ycsb.Load(ns, 2) // keys 0 and 1
 		var lat sim.Time
 		e.Go("r", func(p *sim.Proc) {
 			start := p.Now()

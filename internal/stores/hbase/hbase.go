@@ -290,19 +290,16 @@ func (s *Store) Scan(p *sim.Proc, start string, count int) ([]store.Record, erro
 	return out, nil
 }
 
-// Load implements store.Store.
-func (s *Store) Load(key string, f store.Fields) error { return store.LoadVia(s, key, f) }
-
-// Nodes implements store.NodeLoader: one region per node.
+// Nodes implements store.Store: one region per node.
 func (s *Store) Nodes() int { return len(s.regions) }
 
-// LoadNodes implements store.NodeLoader: the region holding key.
+// LoadNodes implements store.Store: the region holding key.
 func (s *Store) LoadNodes(dst []int, key string) []int { return append(dst, s.regionIndex(key)) }
 
-// LoadNode implements store.NodeLoader.
+// LoadNode implements store.Store.
 func (s *Store) LoadNode(i int, key string, f store.Fields) { s.regions[i].tree.LoadDirect(key, f) }
 
-// SealNode implements store.NodeLoader: it builds the LSM tree's
+// SealNode implements store.Store: it builds the LSM tree's
 // deferred load.
 func (s *Store) SealNode(i int) { s.regions[i].tree.Seal() }
 
@@ -349,4 +346,4 @@ func (s *Store) RestartNode(p *sim.Proc, i int) {
 	s.downCount--
 }
 
-var _ store.NodeLoader = (*Store)(nil)
+var _ store.Store = (*Store)(nil)

@@ -7,6 +7,7 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/sim"
 	"repro/internal/store"
+	"repro/internal/ycsb"
 )
 
 func deploy(nodes int, opts Options) (*sim.Engine, *Store) {
@@ -85,9 +86,7 @@ func TestRegionIndexMatchesSearchStrings(t *testing.T) {
 
 func TestScanCrossesRegionBoundary(t *testing.T) {
 	e, s := deploy(4, Options{})
-	for i := int64(0); i < 4000; i++ {
-		s.Load(store.Key(i), store.MakeFields(i))
-	}
+	ycsb.Load(s, 4000)
 	// Start the scan just below a split so it must continue into the next
 	// region to fill the count.
 	start := s.splits[0][:len(s.splits[0])-1] // strictly below split, very close
@@ -164,9 +163,7 @@ func TestAutoFlushDisablesBuffering(t *testing.T) {
 func TestDiskUsagePerRecordMatchesFig17(t *testing.T) {
 	_, s := deploy(1, Options{MemstoreFlushBytes: 4 << 10})
 	const n = 5000
-	for i := int64(0); i < n; i++ {
-		s.Load(store.Key(i), store.MakeFields(i))
-	}
+	ycsb.Load(s, n)
 	per := float64(s.DiskUsage()) / n
 	if per < 700 || per > 800 {
 		t.Fatalf("bytes/record = %.0f, want ~750 (Fig 17)", per)

@@ -325,18 +325,13 @@ func (s *Store) scanShard(p *sim.Proc, sh *shard, start string, count int, tail 
 	return rows
 }
 
-// Load implements store.Store: buffered into the B-tree's deferred bulk
-// build (one batched construction pass, run by SealNode at the end of the
-// load phase or else on first use).
-func (s *Store) Load(key string, f store.Fields) error { return store.LoadVia(s, key, f) }
-
-// Nodes implements store.NodeLoader: one server per node.
+// Nodes implements store.Store: one server per node.
 func (s *Store) Nodes() int { return len(s.shards) }
 
-// LoadNodes implements store.NodeLoader: the shard holding key.
+// LoadNodes implements store.Store: the shard holding key.
 func (s *Store) LoadNodes(dst []int, key string) []int { return append(dst, s.shardIndex(key)) }
 
-// LoadNode implements store.NodeLoader.
+// LoadNode implements store.Store.
 func (s *Store) LoadNode(i int, key string, f store.Fields) {
 	sh := s.shards[i]
 	sh.db.Load(key, f)
@@ -346,7 +341,7 @@ func (s *Store) LoadNode(i int, key string, f store.Fields) {
 	}
 }
 
-// SealNode implements store.NodeLoader: the shard's deferred bulk build.
+// SealNode implements store.Store: the shard's deferred bulk build.
 func (s *Store) SealNode(i int) { s.shards[i].db.Seal() }
 
 // DiskUsage implements store.Store: table space plus binary log.
@@ -399,4 +394,4 @@ func (s *Store) RestartNode(p *sim.Proc, i int) {
 	s.downCount--
 }
 
-var _ store.NodeLoader = (*Store)(nil)
+var _ store.Store = (*Store)(nil)

@@ -6,6 +6,7 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/sim"
 	"repro/internal/store"
+	"repro/internal/ycsb"
 )
 
 func deploy(nodes int, opts Options) (*sim.Engine, *Store) {
@@ -34,9 +35,7 @@ func TestConnOverheadGrowsWithThreads(t *testing.T) {
 
 func TestShardingBalanced(t *testing.T) {
 	_, s := deploy(4, Options{})
-	for i := int64(0); i < 40000; i++ {
-		s.Load(store.Key(i), store.MakeFields(i))
-	}
+	ycsb.Load(s, 40000)
 	for i, sh := range s.shards {
 		frac := float64(sh.db.Len()) / 40000
 		if frac < 0.2 || frac > 0.3 {
@@ -47,9 +46,7 @@ func TestShardingBalanced(t *testing.T) {
 
 func TestSingleNodeScanHonorsLimit(t *testing.T) {
 	e, s := deploy(1, Options{})
-	for i := int64(0); i < 10000; i++ {
-		s.Load(store.Key(i), store.MakeFields(i))
-	}
+	ycsb.Load(s, 10000)
 	var lat sim.Time
 	e.Go("r", func(p *sim.Proc) {
 		start := p.Now()
@@ -67,9 +64,7 @@ func TestSingleNodeScanHonorsLimit(t *testing.T) {
 
 func TestShardedScanPaysTailCost(t *testing.T) {
 	e, s := deploy(2, Options{ScaleComp: 100})
-	for i := int64(0); i < 20000; i++ {
-		s.Load(store.Key(i), store.MakeFields(i))
-	}
+	ycsb.Load(s, 20000)
 	var lat sim.Time
 	e.Go("r", func(p *sim.Proc) {
 		start := p.Now()
@@ -112,9 +107,7 @@ func TestPurgeBacklogGrowsUnderHeavyInserts(t *testing.T) {
 
 func TestVersionPenaltySlowsScan(t *testing.T) {
 	e, s := deploy(1, Options{})
-	for i := int64(0); i < 5000; i++ {
-		s.Load(store.Key(i), store.MakeFields(i))
-	}
+	ycsb.Load(s, 5000)
 	s.shards[0].unpurged = 50000 // simulate purge lag
 	var lat sim.Time
 	e.Go("r", func(p *sim.Proc) {
@@ -131,10 +124,8 @@ func TestVersionPenaltySlowsScan(t *testing.T) {
 func TestBinlogAccounting(t *testing.T) {
 	_, with := deploy(1, Options{BinLog: true})
 	_, without := deploy(1, Options{BinLog: false})
-	for i := int64(0); i < 1000; i++ {
-		with.Load(store.Key(i), store.MakeFields(i))
-		without.Load(store.Key(i), store.MakeFields(i))
-	}
+	ycsb.Load(with, 1000)
+	ycsb.Load(without, 1000)
 	diff := with.DiskUsage() - without.DiskUsage()
 	if diff != 1000*binlogBytesPerRecord {
 		t.Fatalf("binlog bytes = %d, want %d", diff, 1000*binlogBytesPerRecord)
@@ -143,9 +134,7 @@ func TestBinlogAccounting(t *testing.T) {
 
 func TestUpdateRewritesInPlace(t *testing.T) {
 	e, s := deploy(1, Options{BinLog: true})
-	for i := int64(0); i < 5000; i++ {
-		s.Load(store.Key(i), store.MakeFields(i))
-	}
+	ycsb.Load(s, 5000)
 	tableBytes := s.shards[0].db.DiskBytes()
 	binBefore := s.shards[0].binBytes
 	var err error
@@ -176,7 +165,7 @@ func TestUpdateRewritesInPlace(t *testing.T) {
 
 func TestUpdateMissingKeyErrors(t *testing.T) {
 	e, s := deploy(1, Options{})
-	s.Load(store.Key(1), store.MakeFields(1))
+	ycsb.Load(s, 2) // keys 0 and 1
 	e.Go("u", func(p *sim.Proc) {
 		if err := s.Update(p, store.Key(99999), store.MakeFields(99999)); err != store.ErrNotFound {
 			t.Errorf("update of absent key: err = %v, want ErrNotFound", err)

@@ -249,23 +249,20 @@ func (s *Store) Scan(p *sim.Proc, start string, count int) ([]store.Record, erro
 	return recs, nil
 }
 
-// Load implements store.Store.
-func (s *Store) Load(key string, f store.Fields) error { return store.LoadVia(s, key, f) }
-
-// Nodes implements store.NodeLoader: one instance per node.
+// Nodes implements store.Store: one instance per node.
 func (s *Store) Nodes() int { return len(s.insts) }
 
-// LoadNodes implements store.NodeLoader: the instance holding key.
+// LoadNodes implements store.Store: the instance holding key.
 func (s *Store) LoadNodes(dst []int, key string) []int { return append(dst, s.instIndex(key)) }
 
-// LoadNode implements store.NodeLoader.
+// LoadNode implements store.Store.
 func (s *Store) LoadNode(i int, key string, f store.Fields) {
 	in := s.insts[i]
 	in.data.Put(key, f)
 	in.reserve(key, f, 1) // full accounting
 }
 
-// SealNode implements store.NodeLoader; the memtable defers nothing.
+// SealNode implements store.Store; the memtable defers nothing.
 func (s *Store) SealNode(int) {}
 
 // DiskUsage implements store.Store: Redis keeps data in memory (the paper
@@ -330,4 +327,4 @@ func (s *Store) SwappingNodes() int {
 	return n
 }
 
-var _ store.NodeLoader = (*Store)(nil)
+var _ store.Store = (*Store)(nil)

@@ -6,6 +6,7 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/sim"
 	"repro/internal/store"
+	"repro/internal/ycsb"
 )
 
 func deploy(nodes int, opts Options) (*sim.Engine, *Store) {
@@ -34,7 +35,7 @@ func TestShardingRoutesConsistently(t *testing.T) {
 
 func TestSingleThreadedLoopSerializes(t *testing.T) {
 	e, s := deploy(1, Options{})
-	s.Load(store.Key(1), store.MakeFields(1))
+	ycsb.Load(s, 2) // keys 0 and 1
 	var last sim.Time
 	const clients = 16
 	for i := 0; i < clients; i++ {
@@ -59,9 +60,7 @@ func TestMemoryAccountingAndSwap(t *testing.T) {
 	spec.Node.RAMBytes = 1 << 20 // 1 MiB node: overflow fast
 	c := cluster.New(e, spec)
 	s := New(c, Options{})
-	for i := int64(0); i < 2000; i++ { // 2000 x ~1.3KB > 1MiB
-		s.Load(store.Key(i), store.MakeFields(i))
-	}
+	ycsb.Load(s, 2000) // 2000 x ~1.3KB > 1MiB
 	if s.SwappingNodes() != 1 {
 		t.Fatalf("swapping nodes = %d, want 1", s.SwappingNodes())
 	}
@@ -82,9 +81,7 @@ func TestMemoryAccountingAndSwap(t *testing.T) {
 
 func TestBalancedOptionUsesModSharding(t *testing.T) {
 	_, s := deploy(8, Options{Balanced: true})
-	for i := int64(0); i < 80000; i++ {
-		s.Load(store.Key(i), store.MakeFields(i))
-	}
+	ycsb.Load(s, 80000)
 	if lf := s.HottestLoadFactor(); lf > 1.05 {
 		t.Fatalf("balanced load factor %.3f, want <= 1.05", lf)
 	}
@@ -92,9 +89,7 @@ func TestBalancedOptionUsesModSharding(t *testing.T) {
 
 func TestJedisDefaultImbalanced(t *testing.T) {
 	_, s := deploy(12, Options{})
-	for i := int64(0); i < 120000; i++ {
-		s.Load(store.Key(i), store.MakeFields(i))
-	}
+	ycsb.Load(s, 120000)
 	if lf := s.HottestLoadFactor(); lf < 1.1 {
 		t.Fatalf("jedis load factor %.3f, want visible imbalance (>1.1)", lf)
 	}
@@ -102,9 +97,7 @@ func TestJedisDefaultImbalanced(t *testing.T) {
 
 func TestScanConsultsAllShards(t *testing.T) {
 	e, s := deploy(3, Options{})
-	for i := int64(0); i < 300; i++ {
-		s.Load(store.Key(i), store.MakeFields(i))
-	}
+	ycsb.Load(s, 300)
 	e.Go("r", func(p *sim.Proc) {
 		recs, err := s.Scan(p, store.Key(0), 25)
 		if err != nil || len(recs) != 25 {

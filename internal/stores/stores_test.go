@@ -19,6 +19,7 @@ import (
 	"repro/internal/stores/redis"
 	"repro/internal/stores/voldemort"
 	"repro/internal/stores/voltdb"
+	"repro/internal/ycsb"
 )
 
 // deployAll builds every store on a fresh small cluster.
@@ -99,11 +100,7 @@ func TestContractLoadThenRead(t *testing.T) {
 	for name, deploy := range deployAll(t, 4) {
 		t.Run(name, func(t *testing.T) {
 			e, s := deploy()
-			for i := int64(0); i < 500; i++ {
-				if err := s.Load(store.Key(i), store.MakeFields(i)); err != nil {
-					t.Fatalf("load: %v", err)
-				}
-			}
+			ycsb.Load(s, 500)
 			if e.Now() != 0 {
 				t.Fatal("Load consumed virtual time")
 			}
@@ -143,8 +140,8 @@ func TestContractScanOrderAndBound(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			e, s := tc.deploy()
 			atOrAfter := 0
+			ycsb.Load(s, 300)
 			for i := int64(0); i < 300; i++ {
-				s.Load(store.Key(i), store.MakeFields(i))
 				if store.Key(i) >= tc.start {
 					atOrAfter++
 				}
@@ -200,9 +197,7 @@ func TestScanReturnsGlobalPrefix(t *testing.T) {
 	for _, name := range []string{"redis", "voltdb", "mysql", "hbase"} {
 		t.Run(name, func(t *testing.T) {
 			e, s := all[name]()
-			for i := int64(0); i < n; i++ {
-				s.Load(store.Key(i), store.MakeFields(i))
-			}
+			ycsb.Load(s, n)
 			e.Go("r", func(p *sim.Proc) {
 				for _, start := range starts {
 					want := globalPrefix(keys, start, count)
@@ -258,9 +253,7 @@ func TestScanRunsNotShared(t *testing.T) {
 	for _, name := range []string{"redis", "voltdb"} {
 		t.Run(name, func(t *testing.T) {
 			e, s := deployAll(t, 2)[name]()
-			for i := int64(0); i < n; i++ {
-				s.Load(store.Key(i), store.MakeFields(i))
-			}
+			ycsb.Load(s, n)
 			type page struct {
 				start      string
 				recs       []store.Record
@@ -342,7 +335,7 @@ func TestContractUpdateOverwrites(t *testing.T) {
 }
 
 // TestContractCopiesOnIngest pins the copy-on-ingest half of the Store
-// contract. Insert, Update and Load are all fed from one key buffer and one
+// contract. Insert, Update and LoadNode are all fed from one key buffer and one
 // FillFields buffer, overwritten after every call the way the YCSB
 // runner's reuse overwrites them; Read and Scan must still return the
 // bytes each record was written with. Cassandra at replication=3 covers
@@ -383,8 +376,9 @@ func TestContractCopiesOnIngest(t *testing.T) {
 			// pattern it must hold.
 			src := make([]int64, 2*n)
 			for id := int64(0); id < n; id++ {
-				if err := s.Load(key(id), fields(id)); err != nil {
-					t.Fatalf("load %d: %v", id, err)
+				k, f := key(id), fields(id)
+				for _, i := range s.LoadNodes(nil, k) {
+					s.LoadNode(i, k, f)
 				}
 				scribble()
 				src[id] = id
@@ -523,9 +517,7 @@ func BenchmarkShardedScan(b *testing.B) {
 	const loaded, page = 6000, 60
 	e := sim.NewEngine(1)
 	s := voltdb.New(cluster.New(e, cluster.ClusterM(2).Scale(0.01)), voltdb.Options{})
-	for i := int64(0); i < loaded; i++ {
-		s.Load(store.Key(i), store.MakeFields(i))
-	}
+	ycsb.Load(s, loaded)
 	e.Go("scan", func(p *sim.Proc) {
 		for i := 0; i < b.N; i++ {
 			if recs, err := s.Scan(p, store.Key(int64(i%loaded)), page); err != nil || len(recs) == 0 {

@@ -207,20 +207,16 @@ func (s *Store) Scan(p *sim.Proc, start string, count int) ([]store.Record, erro
 	return nil, store.ErrScansUnsupported
 }
 
-// Load implements store.Store: buffered into the B-tree's deferred bulk
-// build.
-func (s *Store) Load(key string, f store.Fields) error { return store.LoadVia(s, key, f) }
-
-// Nodes implements store.NodeLoader: one server per node.
+// Nodes implements store.Store: one server per node.
 func (s *Store) Nodes() int { return len(s.nodes) }
 
-// LoadNodes implements store.NodeLoader: the server holding key.
+// LoadNodes implements store.Store: the server holding key.
 func (s *Store) LoadNodes(dst []int, key string) []int { return append(dst, s.serverIndex(key)) }
 
-// LoadNode implements store.NodeLoader.
+// LoadNode implements store.Store.
 func (s *Store) LoadNode(i int, key string, f store.Fields) { s.nodes[i].db.Load(key, f) }
 
-// SealNode implements store.NodeLoader: the server's deferred bulk build.
+// SealNode implements store.Store: the server's deferred bulk build.
 func (s *Store) SealNode(i int) { s.nodes[i].db.Seal() }
 
 // DiskUsage implements store.Store: the BDB files plus unrecycled log.
@@ -271,4 +267,4 @@ func (s *Store) RestartNode(p *sim.Proc, i int) {
 	s.downCount--
 }
 
-var _ store.NodeLoader = (*Store)(nil)
+var _ store.Store = (*Store)(nil)

@@ -6,6 +6,7 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/sim"
 	"repro/internal/store"
+	"repro/internal/ycsb"
 )
 
 func deploy(nodes int) (*sim.Engine, *Store) {
@@ -26,9 +27,7 @@ func TestPartitionRoutingStable(t *testing.T) {
 
 func TestDataSpreadAcrossNodes(t *testing.T) {
 	_, s := deploy(4)
-	for i := int64(0); i < 40000; i++ {
-		s.Load(store.Key(i), store.MakeFields(i))
-	}
+	ycsb.Load(s, 40000)
 	for i, sv := range s.nodes {
 		frac := float64(sv.db.Len()) / 40000
 		if frac < 0.1 || frac > 0.4 {
@@ -39,7 +38,7 @@ func TestDataSpreadAcrossNodes(t *testing.T) {
 
 func TestClientPoolLimitsConcurrency(t *testing.T) {
 	e, s := deploy(1)
-	s.Load(store.Key(1), store.MakeFields(1))
+	ycsb.Load(s, 2) // keys 0 and 1
 	var last sim.Time
 	for i := 0; i < 8; i++ {
 		e.Go("c", func(p *sim.Proc) {
@@ -59,9 +58,7 @@ func TestClientPoolLimitsConcurrency(t *testing.T) {
 
 func TestReadWriteLatencySymmetric(t *testing.T) {
 	e, s := deploy(2)
-	for i := int64(0); i < 20000; i++ {
-		s.Load(store.Key(i), store.MakeFields(i))
-	}
+	ycsb.Load(s, 20000)
 	var read, write sim.Time
 	e.Go("o", func(p *sim.Proc) {
 		start := p.Now()
@@ -82,9 +79,7 @@ func TestDiskBoundReadsPaySeeks(t *testing.T) {
 	e := sim.NewEngine(1)
 	c := cluster.New(e, cluster.ClusterD(1).Scale(0.002))
 	s := New(c)
-	for i := int64(0); i < 120000; i++ { // far exceeds the tiny BDB cache
-		s.Load(store.Key(i), store.MakeFields(i))
-	}
+	ycsb.Load(s, 120000) // far exceeds the tiny BDB cache
 	var elapsed sim.Time
 	e.Go("r", func(p *sim.Proc) {
 		start := p.Now()
@@ -110,11 +105,12 @@ func TestScansRejected(t *testing.T) {
 }
 
 func TestDiskUsageGrowsWithLoad(t *testing.T) {
+	// DiskUsage ends the load phase, so the empty footprint comes from a
+	// deployment of its own.
+	_, empty := deploy(1)
+	before := empty.DiskUsage()
 	_, s := deploy(1)
-	before := s.DiskUsage()
-	for i := int64(0); i < 10000; i++ {
-		s.Load(store.Key(i), store.MakeFields(i))
-	}
+	ycsb.Load(s, 10000)
 	after := s.DiskUsage()
 	if after <= before {
 		t.Fatal("disk usage did not grow")
@@ -127,9 +123,7 @@ func TestDiskUsageGrowsWithLoad(t *testing.T) {
 
 func TestUpdateRewritesInPlace(t *testing.T) {
 	e, s := deploy(1)
-	for i := int64(0); i < 5000; i++ {
-		s.Load(store.Key(i), store.MakeFields(i))
-	}
+	ycsb.Load(s, 5000)
 	diskBefore := s.DiskUsage()
 	var err error
 	e.Go("u", func(p *sim.Proc) {
@@ -150,9 +144,7 @@ func TestUpdateRewritesInPlace(t *testing.T) {
 
 func TestUpdateLatencyBetweenReadAndReadPlusWrite(t *testing.T) {
 	e, s := deploy(1)
-	for i := int64(0); i < 5000; i++ {
-		s.Load(store.Key(i), store.MakeFields(i))
-	}
+	ycsb.Load(s, 5000)
 	var read, update sim.Time
 	e.Go("o", func(p *sim.Proc) {
 		start := p.Now()
@@ -175,7 +167,7 @@ func TestUpdateLatencyBetweenReadAndReadPlusWrite(t *testing.T) {
 
 func TestUpdateMissingKeyErrors(t *testing.T) {
 	e, s := deploy(1)
-	s.Load(store.Key(1), store.MakeFields(1))
+	ycsb.Load(s, 2) // keys 0 and 1
 	e.Go("u", func(p *sim.Proc) {
 		if err := s.Update(p, store.Key(99999), store.MakeFields(99999)); err != store.ErrNotFound {
 			t.Errorf("update of absent key: err = %v, want ErrNotFound", err)

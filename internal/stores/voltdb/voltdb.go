@@ -251,23 +251,20 @@ func (s *Store) Scan(p *sim.Proc, start string, count int) ([]store.Record, erro
 	return recs, nil
 }
 
-// Load implements store.Store.
-func (s *Store) Load(key string, f store.Fields) error { return store.LoadVia(s, key, f) }
-
-// Nodes implements store.NodeLoader. Its engines are the partition sites
+// Nodes implements store.Store. Its engines are the partition sites
 // (SitesPerHost per host), which share no state, so a loader routes a key
 // once, straight to its site.
 func (s *Store) Nodes() int { return len(s.hosts) * s.opts.SitesPerHost }
 
-// LoadNodes implements store.NodeLoader: the partition owning key.
+// LoadNodes implements store.Store: the partition owning key.
 func (s *Store) LoadNodes(dst []int, key string) []int { return append(dst, s.ring.Owner(key)) }
 
-// LoadNode implements store.NodeLoader: partition part's site.
+// LoadNode implements store.Store: partition part's site.
 func (s *Store) LoadNode(part int, key string, f store.Fields) {
 	s.hosts[part/s.opts.SitesPerHost].sites[part%s.opts.SitesPerHost].data.Put(key, f)
 }
 
-// SealNode implements store.NodeLoader; the memtable defers nothing.
+// SealNode implements store.Store; the memtable defers nothing.
 func (s *Store) SealNode(int) {}
 
 // DiskUsage implements store.Store: VoltDB keeps data in memory (excluded
@@ -307,4 +304,4 @@ func (s *Store) RestartNode(p *sim.Proc, i int) {
 	s.downCount--
 }
 
-var _ store.NodeLoader = (*Store)(nil)
+var _ store.Store = (*Store)(nil)

@@ -6,6 +6,7 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/sim"
 	"repro/internal/store"
+	"repro/internal/ycsb"
 )
 
 func deploy(nodes int, opts Options) (*sim.Engine, *Store) {
@@ -35,7 +36,7 @@ func TestRouteCoversAllSites(t *testing.T) {
 
 func TestSingleHostSkipsOrdering(t *testing.T) {
 	e1, s1 := deploy(1, Options{})
-	s1.Load(store.Key(1), store.MakeFields(1))
+	ycsb.Load(s1, 2) // keys 0 and 1
 	var one sim.Time
 	e1.Go("r", func(p *sim.Proc) {
 		start := p.Now()
@@ -45,7 +46,7 @@ func TestSingleHostSkipsOrdering(t *testing.T) {
 	e1.Run(0)
 
 	e4, s4 := deploy(4, Options{})
-	s4.Load(store.Key(1), store.MakeFields(1))
+	ycsb.Load(s4, 2) // keys 0 and 1
 	var four sim.Time
 	e4.Go("r", func(p *sim.Proc) {
 		start := p.Now()
@@ -60,9 +61,7 @@ func TestSingleHostSkipsOrdering(t *testing.T) {
 
 func TestSequencerSerializesSyncClients(t *testing.T) {
 	e, s := deploy(4, Options{})
-	for i := int64(0); i < 100; i++ {
-		s.Load(store.Key(i), store.MakeFields(i))
-	}
+	ycsb.Load(s, 100)
 	var last sim.Time
 	const clients = 32
 	for i := 0; i < clients; i++ {
@@ -84,9 +83,7 @@ func TestSequencerSerializesSyncClients(t *testing.T) {
 func TestAsyncClientBypassesSequencer(t *testing.T) {
 	run := func(async bool) sim.Time {
 		e, s := deploy(4, Options{Async: async})
-		for i := int64(0); i < 100; i++ {
-			s.Load(store.Key(i), store.MakeFields(i))
-		}
+		ycsb.Load(s, 100)
 		var last sim.Time
 		for i := 0; i < 32; i++ {
 			i := i
@@ -107,9 +104,7 @@ func TestAsyncClientBypassesSequencer(t *testing.T) {
 
 func TestMultiPartitionScanBlocksAllSites(t *testing.T) {
 	e, s := deploy(2, Options{})
-	for i := int64(0); i < 1000; i++ {
-		s.Load(store.Key(i), store.MakeFields(i))
-	}
+	ycsb.Load(s, 1000)
 	e.Go("r", func(p *sim.Proc) {
 		recs, err := s.Scan(p, store.Key(0), 20)
 		if err != nil {
@@ -130,9 +125,7 @@ func TestMultiPartitionScanBlocksAllSites(t *testing.T) {
 
 func TestInMemoryNoDiskUsage(t *testing.T) {
 	_, s := deploy(1, Options{})
-	for i := int64(0); i < 1000; i++ {
-		s.Load(store.Key(i), store.MakeFields(i))
-	}
+	ycsb.Load(s, 1000)
 	if s.DiskUsage() != 0 {
 		t.Fatal("VoltDB is in-memory; paper excludes it from Fig 17")
 	}

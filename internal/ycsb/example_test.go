@@ -35,10 +35,7 @@ func ExampleRun() {
 	db := cassandra.New(cluster.New(engine, cluster.ClusterM(nodes).Scale(scale)),
 		cassandra.Options{MemtableFlushBytes: 16 << 10})
 	records := int64(nodes * 10_000_000 * scale)
-	if err := ycsb.Load(db, records); err != nil {
-		fmt.Println(err)
-		return
-	}
+	ycsb.Load(db, records)
 	res, err := ycsb.Run(engine, ycsb.RunConfig{
 		Store:          db,
 		Workload:       ycsb.WorkloadW,

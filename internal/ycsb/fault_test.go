@@ -24,9 +24,12 @@ func (downStore) Read(p *sim.Proc, key string) (store.FieldsView, error) {
 func (downStore) Scan(p *sim.Proc, start string, count int) ([]store.Record, error) {
 	return nil, store.ErrUnavailable
 }
-func (downStore) Load(key string, f store.Fields) error { return nil }
-func (downStore) DiskUsage() int64                      { return 0 }
-func (downStore) SlabBytes() int64                      { return 0 }
+func (downStore) Nodes() int                                 { return 1 }
+func (downStore) LoadNodes(dst []int, key string) []int      { return append(dst, 0) }
+func (downStore) LoadNode(_ int, key string, f store.Fields) {}
+func (downStore) SealNode(int)                               {}
+func (downStore) DiskUsage() int64                           { return 0 }
+func (downStore) SlabBytes() int64                           { return 0 }
 
 // A run against a 100%-unavailable store must terminate (the backoff
 // advances virtual time), record zero successful ops, and count every
@@ -77,9 +80,7 @@ func TestFullyUnavailableWindowYieldsZeroOkOps(t *testing.T) {
 func TestOpTimeoutClassification(t *testing.T) {
 	e := sim.NewEngine(3)
 	f := newFake(5*sim.Millisecond, 5*sim.Millisecond, 0)
-	if err := Load(f, 100); err != nil {
-		t.Fatal(err)
-	}
+	Load(f, 100)
 	res, err := Run(e, RunConfig{
 		Store:          f,
 		Workload:       WorkloadR,
@@ -115,9 +116,7 @@ func TestOpTimeoutClassification(t *testing.T) {
 func TestRunPopulatesWindows(t *testing.T) {
 	e := sim.NewEngine(5)
 	f := newFake(2*sim.Millisecond, 2*sim.Millisecond, 0)
-	if err := Load(f, 100); err != nil {
-		t.Fatal(err)
-	}
+	Load(f, 100)
 	res, err := Run(e, RunConfig{
 		Store:          f,
 		Workload:       WorkloadR,

@@ -65,14 +65,14 @@ type Result struct {
 
 // Load populates the store with n records (record numbers 0..n-1) without
 // consuming virtual time, mirroring the paper's separate load phase.
-func Load(s store.Store, n int64) error { return LoadSized(s, n, store.FieldBytes, 1) }
+func Load(s store.Store, n int64) { LoadSized(s, n, store.FieldBytes, 1) }
 
 // LoadSized is Load with fieldBytes-sized value fields per record, for
 // workloads that vary record size (0 means the default 10 bytes), on up
 // to fanout concurrent workers (see store.LoadAll; the result does not
 // depend on fanout).
-func LoadSized(s store.Store, n int64, fieldBytes, fanout int) error {
-	return store.LoadAll(s, store.Records{
+func LoadSized(s store.Store, n int64, fieldBytes, fanout int) {
+	store.LoadAll(s, store.Records{
 		Count:      n,
 		NewBuilder: func() store.Builder { return &recordBuilder{fieldBytes: fieldBytes} },
 	}, fanout)

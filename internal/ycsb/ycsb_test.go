@@ -49,10 +49,14 @@ func (f *fakeStore) Scan(p *sim.Proc, start string, count int) ([]store.Record, 
 	f.scans++
 	return nil, nil
 }
-func (f *fakeStore) Load(key string, fl store.Fields) error {
+
+// fakeStore is one engine to the loader.
+func (f *fakeStore) Nodes() int                            { return 1 }
+func (f *fakeStore) LoadNodes(dst []int, key string) []int { return append(dst, 0) }
+func (f *fakeStore) LoadNode(_ int, key string, fl store.Fields) {
 	f.data[strings.Clone(key)] = fl.Clone()
-	return nil
 }
+func (f *fakeStore) SealNode(int)     {}
 func (f *fakeStore) DiskUsage() int64 { return 0 }
 func (f *fakeStore) SlabBytes() int64 { return 0 }
 
@@ -134,9 +138,7 @@ func TestClosedLoopThroughputMatchesLittlesLaw(t *testing.T) {
 	// 8 clients, 1ms per op -> 8000 ops/s.
 	e := sim.NewEngine(1)
 	f := newFake(sim.Millisecond, sim.Millisecond, sim.Millisecond)
-	if err := Load(f, 1000); err != nil {
-		t.Fatal(err)
-	}
+	Load(f, 1000)
 	res, err := Run(e, RunConfig{
 		Store: f, Workload: WorkloadR, Clients: 8,
 		InitialRecords: 1000, Warmup: 100 * sim.Millisecond, Measure: sim.Second,
@@ -258,9 +260,7 @@ func TestRunFailsOnStoreWithoutScans(t *testing.T) {
 	for _, w := range []Workload{{Name: "S", ScanProp: 1, ScanLength: 10}, WorkloadRS} {
 		e := sim.NewEngine(1)
 		db := voldemort.New(cluster.New(e, cluster.ClusterM(1).Scale(0.001)))
-		if err := Load(db, 1000); err != nil {
-			t.Fatal(err)
-		}
+		Load(db, 1000)
 		done := make(chan error, 1)
 		go func() {
 			_, err := Run(e, RunConfig{Store: db, Workload: w, Clients: 4, InitialRecords: 1000, Measure: 100 * sim.Millisecond})
@@ -327,9 +327,7 @@ func TestReusedBuffersMatchAllocatingRun(t *testing.T) {
 	const initial = 400
 	f := newFake(sim.Millisecond, 500*sim.Microsecond, 2*sim.Millisecond)
 	e := sim.NewEngine(77)
-	if err := Load(f, initial); err != nil {
-		t.Fatal(err)
-	}
+	Load(f, initial)
 	if _, err := Run(e, RunConfig{
 		Store: f, Workload: WorkloadW, Clients: 8,
 		InitialRecords: initial, Warmup: 50 * sim.Millisecond, Measure: 500 * sim.Millisecond,
