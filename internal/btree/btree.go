@@ -40,12 +40,6 @@ package btree
 
 import "repro/internal/slab"
 
-// Entry is a key with a view of its field values.
-type Entry struct {
-	Key    string
-	Fields slab.FieldsView
-}
-
 // Config parameterizes the tree.
 type Config struct {
 	PageSize    int64 // bytes per page (InnoDB: 16 KiB)
@@ -518,12 +512,12 @@ func (t *Tree) descend(key string, io *IOStats) (*node, pfx) {
 // chain. A leaf pays its page touch only when the walk reads from it, so a
 // zero-count scan pays just the index descent and the walk never touches
 // the leaf after the count-th entry.
-func (t *Tree) Scan(start string, count int) (out []Entry, io IOStats) {
+func (t *Tree) Scan(start string, count int) (out []slab.Entry, io IOStats) {
 	n, kp := t.descend(start, &io)
 	if count <= 0 {
 		return nil, io
 	}
-	out = make([]Entry, 0, min(count, t.n))
+	out = make([]slab.Entry, 0, min(count, t.n))
 	t.touch(&io, n, false)
 	for i := t.searchGE(n, start, kp); len(out) < count; i++ {
 		for i >= len(n.keys) {
@@ -533,7 +527,7 @@ func (t *Tree) Scan(start string, count int) (out []Entry, io IOStats) {
 			n, i = n.next, 0
 			t.touch(&io, n, false)
 		}
-		out = append(out, Entry{Key: t.keyStr(n.keys[i]), Fields: t.view(n.vals[i])})
+		out = append(out, slab.Entry{Key: t.keyStr(n.keys[i]), Fields: t.view(n.vals[i])})
 	}
 	return out, io
 }

@@ -1,9 +1,11 @@
-// Package dfs models a distributed filesystem in the HDFS mold: a NameNode
-// holding file-to-block metadata and DataNodes storing blocks on their local
+// Package dfs models the data path of a distributed filesystem in the HDFS
+// mold: a file is a list of blocks, each stored by a DataNode on its local
 // disks. HBase's region servers are colocated with DataNodes (as in the
 // paper's deployment, where every slave node ran DataNode, TaskTracker and
 // RegionServer), so flushes and most reads enjoy locality but still pay the
-// DataNode protocol overhead; non-local reads cross the network.
+// DataNode protocol overhead; non-local reads cross the network. The
+// NameNode's metadata path is not modeled: a caller builds its File values
+// itself and only appends to and reads from them.
 package dfs
 
 import (
@@ -18,13 +20,11 @@ const (
 	// dataNodeOverhead is CPU time spent in the DataNode/DFSClient path per
 	// block operation (checksumming, protocol, JVM copies).
 	dataNodeOverhead = 150 * sim.Microsecond
-	nameNode         = 0 // node index hosting the NameNode
 )
 
 // FS is a simulated HDFS instance over a cluster.
 type FS struct {
 	clust *cluster.Cluster
-	files map[string]*File
 }
 
 // File is a DFS file: an ordered list of blocks, each on one DataNode
@@ -40,34 +40,9 @@ type blockLoc struct {
 	bytes int64
 }
 
-// New creates an empty filesystem.
+// New returns a filesystem whose DataNodes are the cluster's nodes.
 func New(c *cluster.Cluster) *FS {
-	return &FS{clust: c, files: make(map[string]*File)}
-}
-
-// nameNodeRPC pays for a metadata round trip from the caller's node to the
-// NameNode (free if colocated).
-func (fs *FS) nameNodeRPC(p *sim.Proc, from int) {
-	nn := fs.clust.Nodes[nameNode]
-	src := fs.clust.Nodes[from]
-	if src == nn {
-		src.Compute(p, 20*sim.Microsecond)
-		return
-	}
-	src.RPC(p, nn, 256, 512, func() {
-		nn.Compute(p, 20*sim.Microsecond)
-	})
-}
-
-// Create registers a new file; the caller's node becomes the writer.
-func (fs *FS) Create(p *sim.Proc, name string, writerNode int) (*File, error) {
-	if _, ok := fs.files[name]; ok {
-		return nil, fmt.Errorf("dfs: file %q exists", name)
-	}
-	fs.nameNodeRPC(p, writerNode)
-	f := &File{Name: name}
-	fs.files[name] = f
-	return f, nil
+	return &FS{clust: c}
 }
 
 // Append writes bytes to the file from writerNode. With replication 1 and a
@@ -99,13 +74,6 @@ func (fs *FS) Append(p *sim.Proc, f *File, bytes int64, writerNode int) {
 	f.Size += bytes
 }
 
-// AppendDirect accounts an append without simulation timing (bulk load).
-func (fs *FS) AppendDirect(f *File, bytes int64, writerNode int) {
-	fs.clust.Nodes[writerNode].AddDiskUsage(bytes)
-	f.blocks = append(f.blocks, blockLoc{node: writerNode, bytes: bytes})
-	f.Size += bytes
-}
-
 // blockAt returns the block covering offset.
 func (f *File) blockAt(offset int64) (blockLoc, error) {
 	var pos int64
@@ -134,29 +102,3 @@ func (fs *FS) ReadAt(p *sim.Proc, f *File, offset, length int64, readerNode int,
 	}
 	return nil
 }
-
-// Delete removes a file, reclaiming its space.
-func (fs *FS) Delete(p *sim.Proc, name string, callerNode int) error {
-	f, ok := fs.files[name]
-	if !ok {
-		return fmt.Errorf("dfs: no such file %q", name)
-	}
-	fs.nameNodeRPC(p, callerNode)
-	for _, b := range f.blocks {
-		fs.clust.Nodes[b.node].AddDiskUsage(-b.bytes)
-	}
-	delete(fs.files, name)
-	return nil
-}
-
-// Open returns an existing file.
-func (fs *FS) Open(name string) (*File, bool) {
-	f, ok := fs.files[name]
-	return f, ok
-}
-
-// Files returns the number of live files.
-func (fs *FS) Files() int { return len(fs.files) }
-
-// Blocks returns the number of blocks in f.
-func (f *File) Blocks() int { return len(f.blocks) }

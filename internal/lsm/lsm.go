@@ -229,7 +229,7 @@ func (s *scanSource) key() string {
 	return s.tab.Key()
 }
 
-func (s *scanSource) entry() memtable.Entry {
+func (s *scanSource) entry() slab.Entry {
 	if s.isMem {
 		return s.mem.Entry()
 	}
@@ -281,7 +281,7 @@ func (h mergeHeap) down(i int) {
 // charges (table positioning I/O and its cache-miss RNG draws) land before
 // the merge starts; the k-way heap merge then pulls entries lazily, so it
 // never reads past the count-th distinct key.
-func (t *Tree) Scan(p *sim.Proc, start string, count int) []memtable.Entry {
+func (t *Tree) Scan(p *sim.Proc, start string, count int) []slab.Entry {
 	t.Seal()
 	// Snapshot both layers before parking on disk charges: t.tables is COW
 	// (the slice header is a consistent view) and t.mem must be captured
@@ -325,7 +325,7 @@ func (t *Tree) Scan(p *sim.Proc, start string, count int) []memtable.Entry {
 	for i := len(h)/2 - 1; i >= 0; i-- {
 		h.down(i)
 	}
-	out := make([]memtable.Entry, 0, count)
+	out := make([]slab.Entry, 0, count)
 	for len(out) < count && len(h) > 0 {
 		// First occurrence of a key comes from the newest generation
 		// (heap order); shadowed older versions are skipped here.
@@ -500,13 +500,14 @@ func (t *Tree) replaceTables(victims []*sstable.Table, merged *sstable.Table) {
 // The load is deferred: records are buffered in flush-sized batches
 // (sstable.Run), the flush and compaction schedule is replayed on their
 // sizes alone, and Seal builds each final table once, from the batches it
-// holds. Seal runs on first use: every read, write, scan and accessor
-// seals first, so the tree a caller sees is the one a per-record load
-// would have built, down to its generations, entries, shapes, filters,
-// payload chunks and memtable. A LoadDirect after Seal panics, and so
-// does a key repeated within a flushed batch or within the batches one
-// table merges, where a memtable replace or a compaction would drop a
-// version.
+// holds: a one-batch table as its flush would (Run.Build), a merged one
+// by the Merge a compaction runs. Seal runs on first use: every read,
+// write, scan and accessor seals first, so the tree a caller sees is the
+// one a per-record load would have built, down to its generations,
+// entries, shapes, filters, payload chunks and memtable. A LoadDirect
+// after Seal panics, and so does a key repeated within a flushed batch or
+// within the batches one table merges, where a memtable replace or a
+// compaction would drop a version.
 func (t *Tree) LoadDirect(key string, fields [][]byte) {
 	if t.sealed {
 		panic("lsm: LoadDirect after Seal")
@@ -539,8 +540,8 @@ type bulkLoad struct {
 }
 
 // plannedTable is one table of a replayed table list: its generation,
-// its DiskBytes, and the runs it holds, in the order its payload chunks
-// sit (see sstable.FromRuns).
+// its DiskBytes, and the runs it holds, in the order Merge adopts their
+// payload chunks: a merge's inputs newest first, each one's runs in place.
 type plannedTable struct {
 	gen  int
 	size int64
@@ -559,6 +560,7 @@ func (t *Tree) cutRun() {
 	b.cur = sstable.NewRun(r.Len() + 1)
 	b.runs = append(b.runs, r)
 	t.gen++
+	r.Gen = t.gen
 	size := r.DiskBytes(t.cfg.Overhead)
 	t.tableBytes += size
 	t.cfg.Node.AddDiskUsage(size)
@@ -610,22 +612,30 @@ func (t *Tree) Seal() {
 	}
 }
 
+// build builds each replayed table once from its runs: one by Run.Build,
+// several by one Merge. A merge that drops an entry met a key repeated
+// across runs, which breaks the load contract.
 func (t *Tree) build() {
 	b := t.bulk
 	t.bulk = nil
 	t.tables = make([]*sstable.Table, len(b.tables))
 	for i, pt := range b.tables {
-		runs := make([]*sstable.Run, len(pt.runs))
+		if len(pt.runs) == 1 {
+			t.tables[i] = b.runs[pt.runs[0]].Build(t.cfg.Overhead, bloomFPP)
+			b.runs[pt.runs[0]] = nil
+			continue
+		}
+		runs := make([]*sstable.Table, len(pt.runs))
+		n := 0
 		for j, r := range pt.runs {
 			// A merged table holds its runs' payload chunks, not their
 			// entries: drop each batch as its table is built.
-			runs[j], b.runs[r] = b.runs[r], nil
+			runs[j], b.runs[r] = &b.runs[r].Table, nil
+			n += runs[j].Len()
 		}
-		var order []uint32
-		if len(runs) > 1 {
-			order = sstable.MergeOrder(runs)
+		if t.tables[i] = sstable.Merge(runs, t.cfg.Overhead, bloomFPP); t.tables[i].Len() < n {
+			panic("sstable: merged runs repeat a key")
 		}
-		t.tables[i] = sstable.FromRuns(pt.gen, runs, order, t.cfg.Overhead, bloomFPP)
 	}
 	b.cur.Unflushed(t.mem)
 }

@@ -36,12 +36,6 @@ import "repro/internal/slab"
 // maxKeyLen bounds keys to the 16 bits reserved in the slot meta word.
 const maxKeyLen = 1<<16 - 1
 
-// Entry is one key/value pair. Fields views the record's column values.
-type Entry struct {
-	Key    string
-	Fields slab.FieldsView
-}
-
 // Node layout, in words relative to the node's arena offset. Slot j's
 // key prefix pair sits at nodePairs+2j: the key's first 16 bytes as two
 // big-endian integers (zero padded), so a search orders slots with one
@@ -148,9 +142,9 @@ func (m *Memtable) slotKey(nd []uint64, j int) string {
 }
 
 // slotEntry materializes the Entry view for leaf slot j.
-func (m *Memtable) slotEntry(nd []uint64, j int) Entry {
+func (m *Memtable) slotEntry(nd []uint64, j int) slab.Entry {
 	ref, meta := slab.Ref(nd[nodeRefs+j]), nd[nodeMetas+j]
-	return Entry{Key: m.data.String(ref, int(meta&0xffff)), Fields: m.fieldsAt(ref, meta)}
+	return slab.Entry{Key: m.data.String(ref, int(meta&0xffff)), Fields: m.fieldsAt(ref, meta)}
 }
 
 // fieldsAt returns the field view of the payload at ref with meta.
@@ -399,7 +393,7 @@ func (m *Memtable) Get(key string) (slab.FieldsView, bool) {
 // ScanAppend appends up to count entries with keys >= start, in key
 // order, to dst and returns the extended slice, so a caller can reuse one
 // buffer across scans.
-func (m *Memtable) ScanAppend(dst []Entry, start string, count int) []Entry {
+func (m *Memtable) ScanAppend(dst []slab.Entry, start string, count int) []slab.Entry {
 	for it := m.SeekIter(start); it.Valid() && count > 0; it.Next() {
 		dst = append(dst, it.Entry())
 		count--
@@ -421,9 +415,9 @@ func (m *Memtable) SlabBytes() int64 {
 
 // All returns every entry in key order (used by tests; the flush path
 // uses Freeze for a zero-copy handoff).
-func (m *Memtable) All() []Entry {
-	out := make([]Entry, 0, m.n)
-	m.Iter(func(e Entry) bool {
+func (m *Memtable) All() []slab.Entry {
+	out := make([]slab.Entry, 0, m.n)
+	m.Iter(func(e slab.Entry) bool {
 		out = append(out, e)
 		return true
 	})
@@ -432,7 +426,7 @@ func (m *Memtable) All() []Entry {
 
 // Iter calls fn for each entry in key order until fn returns false. fn
 // must not write to the memtable.
-func (m *Memtable) Iter(fn func(Entry) bool) {
+func (m *Memtable) Iter(fn func(slab.Entry) bool) {
 	for it := m.SeekIter(""); it.Valid(); it.Next() {
 		if !fn(it.Entry()) {
 			return
@@ -504,7 +498,7 @@ func (it Iterator) Valid() bool { return it.i < it.n }
 
 // Entry returns the current entry. It must not be called on an invalid
 // iterator.
-func (it Iterator) Entry() Entry { return it.m.slotEntry(it.m.node(it.leaf), it.i) }
+func (it Iterator) Entry() slab.Entry { return it.m.slotEntry(it.m.node(it.leaf), it.i) }
 
 // Key returns the current entry's key without building its field view.
 // It must not be called on an invalid iterator.

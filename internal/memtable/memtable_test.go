@@ -6,11 +6,13 @@ import (
 	"sort"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/slab"
 )
 
 func f1(s string) [][]byte { return [][]byte{[]byte(s)} }
 
-func field0(e Entry) string { return string(e.Fields.Field(0)) }
+func field0(e slab.Entry) string { return string(e.Fields.Field(0)) }
 
 func TestPutGet(t *testing.T) {
 	m := New()
@@ -110,7 +112,7 @@ func TestIterEarlyStop(t *testing.T) {
 		m.Put(fmt.Sprintf("k%d", i), f1("v"))
 	}
 	n := 0
-	m.Iter(func(Entry) bool { n++; return n < 3 })
+	m.Iter(func(slab.Entry) bool { n++; return n < 3 })
 	if n != 3 {
 		t.Fatalf("iter visited %d entries, want 3", n)
 	}
@@ -322,7 +324,7 @@ func TestSlabLayoutEquivalence(t *testing.T) {
 		}
 		return fs
 	}
-	checkEntry := func(op int, e Entry, key string) {
+	checkEntry := func(op int, e slab.Entry, key string) {
 		want := ref.vals[key]
 		if e.Fields.Len() != len(want) {
 			t.Fatalf("op %d: entry %q has %d fields, want %d", op, key, e.Fields.Len(), len(want))
@@ -347,7 +349,7 @@ func TestSlabLayoutEquivalence(t *testing.T) {
 				t.Fatalf("op %d: Get(%q) present=%v, want %v", op, key, ok, wok)
 			}
 			if ok {
-				checkEntry(op, Entry{Key: key, Fields: v}, key)
+				checkEntry(op, slab.Entry{Key: key, Fields: v}, key)
 			}
 		case 3: // scan from a random start
 			count := 1 + rng.Intn(8)
@@ -477,7 +479,7 @@ func checkModel(t *testing.T, m *Memtable, ref *refTable, rng *rand.Rand) {
 	if m.Len() != len(keys) || m.Bytes() != ref.bytes {
 		t.Fatalf("Len/Bytes = %d/%d, want %d/%d", m.Len(), m.Bytes(), len(keys), ref.bytes)
 	}
-	same := func(e Entry, k string) bool {
+	same := func(e slab.Entry, k string) bool {
 		want := ref.vals[k]
 		if e.Key != k || e.Fields.Len() != len(want) {
 			return false
@@ -491,7 +493,7 @@ func checkModel(t *testing.T, m *Memtable, ref *refTable, rng *rand.Rand) {
 	}
 	for _, k := range keys {
 		v, ok := m.Get(k)
-		if !ok || !same(Entry{Key: k, Fields: v}, k) {
+		if !ok || !same(slab.Entry{Key: k, Fields: v}, k) {
 			t.Fatalf("Get(%q) = %v, %v", k, v, ok)
 		}
 		if _, ok := m.Get(k + "\x00"); ok {

@@ -258,6 +258,13 @@ func total(ends []uint32) int {
 	return int(ends[len(ends)-1])
 }
 
+// Entry is one scan row: a key with a view of its field values. The
+// engines' scans return it, and stores pass it on as store.Record.
+type Entry struct {
+	Key    string
+	Fields FieldsView
+}
+
 // FieldsView is a read-only view of one record's field values. The slab
 // form references a contiguous payload region plus a shared shape; the
 // materialized form wraps a caller-built [][]byte. The zero value views

@@ -15,12 +15,15 @@
 // payload chunks by reference (slab.Adopt); when any entry died, it
 // copies the survivors into its own slab, which is what reclaims dead
 // versions. A deferred bulk load skips the intermediate tables: it
-// buffers flush batches as Runs, and FromRuns builds the table a chain of
-// flushes and lossless compactions would have produced, in one merge.
+// buffers flush batches as Runs, unfinished tables, and builds the table a
+// chain of flushes and lossless compactions would have produced in one
+// step: Run.Build for a table of one batch, one Merge of the batches for
+// a table of several.
 package sstable
 
 import (
 	"cmp"
+	"slices"
 	"strings"
 
 	"repro/internal/bloom"
@@ -82,8 +85,8 @@ func (t *Table) fieldsAt(i int) slab.FieldsView {
 	)
 }
 
-func (t *Table) entryAt(i int) memtable.Entry {
-	return memtable.Entry{Key: t.keyAt(i), Fields: t.fieldsAt(i)}
+func (t *Table) entryAt(i int) slab.Entry {
+	return slab.Entry{Key: t.keyAt(i), Fields: t.fieldsAt(i)}
 }
 
 // search returns the index of the first entry with key >= key, resolving
@@ -153,22 +156,21 @@ func FromMemtable(gen int, m *memtable.Memtable, ov Overhead, fpp float64) *Tabl
 
 // Run is one flush batch of a deferred bulk load: the records a memtable
 // would hold between two load-phase flushes, buffered without the
-// memtable's B+-tree. Add lays each record out exactly as memtable.Put
-// lays out a new key (payload carved from the run's slab and shape
-// interned, both in arrival order), so for distinct keys the table
-// FromRuns builds from a run is the one FromMemtable would build from that
-// memtable.
+// memtable's B+-tree as a table that is not yet finished. Add lays each
+// record out exactly as memtable.Put lays out a new key (payload carved
+// from the run's slab and shape interned, both in arrival order), so for
+// distinct keys the table Build finishes from a sorted run is the one
+// FromMemtable would build from that memtable, and Merge over sorted runs
+// builds the table that merging those flushed tables would build.
 type Run struct {
-	meta   []entryMeta // arrival order until Sort, key order after
-	data   slab.Slab
-	shapes slab.ShapeTable
+	Table        // entries in arrival order until Sort, key order after
 	bytes  int64 // key and field bytes: the memtable's Bytes for distinct keys
 	cells  int64 // fields, for DiskBytes
 	sorted bool
 }
 
 // NewRun returns an empty run with room for n entries.
-func NewRun(n int) *Run { return &Run{meta: make([]entryMeta, 0, n)} }
+func NewRun(n int) *Run { return &Run{Table: Table{meta: make([]entryMeta, 0, n)}} }
 
 // Add buffers one record, copying its key and field bytes.
 func (r *Run) Add(key string, fields [][]byte) {
@@ -191,9 +193,6 @@ func (r *Run) Add(key string, fields [][]byte) {
 	r.cells += int64(len(fields))
 }
 
-// Len returns the number of buffered records.
-func (r *Run) Len() int { return len(r.meta) }
-
 // Bytes returns the buffered key and field bytes.
 func (r *Run) Bytes() int64 { return r.bytes }
 
@@ -202,8 +201,6 @@ func (r *Run) Bytes() int64 { return r.bytes }
 func (r *Run) DiskBytes(ov Overhead) int64 {
 	return r.bytes + int64(len(r.meta))*ov.PerEntry + r.cells*ov.PerCell
 }
-
-func (r *Run) key(m *entryMeta) string { return r.data.String(m.ref, int(m.meta&0xffff)) }
 
 // Sort orders the entries by key, as a flush streams them. It panics on
 // a repeated key: a record the memtable would have replaced in place,
@@ -223,7 +220,7 @@ func (r *Run) Sort() {
 		items[i] = slab.PrefixItem{Hi: r.meta[i].keyPfx, Lo: r.meta[i].keyPfx2, I: uint32(i)}
 	}
 	if !slab.SortByPrefix(items, func(a, b uint32) int {
-		return strings.Compare(r.key(&r.meta[a]), r.key(&r.meta[b]))
+		return strings.Compare(r.keyAt(int(a)), r.keyAt(int(b)))
 	}) {
 		panic("sstable: a run repeats a key")
 	}
@@ -245,6 +242,16 @@ func (r *Run) Sort() {
 	}
 }
 
+// Build finishes a sorted run as the table a flush of its records
+// (FromMemtable) builds: the table keeps the run's entries, payload slab
+// and arrival-order shapes, and computes its filter, DiskBytes and key
+// range once. Several runs are finished together by Merge instead.
+func (r *Run) Build(ov Overhead, fpp float64) *Table {
+	t := r.Table
+	t.finalize(ov, fpp)
+	return &t
+}
+
 // Unflushed puts the run's records into the memtable m in arrival order,
 // as the per-record load would have. The run must not be sorted.
 func (r *Run) Unflushed(m *memtable.Memtable) {
@@ -253,146 +260,12 @@ func (r *Run) Unflushed(m *memtable.Memtable) {
 	}
 	var fields [][]byte
 	for i := range r.meta {
-		e := &r.meta[i]
-		keyLen := int(e.meta & 0xffff)
-		data := r.data.View(e.ref+slab.Ref(keyLen), int(e.meta>>16&0xffffffff))
-		v := slab.SlabView(data, r.shapes.Ends(uint32(e.meta>>48)))
+		v := r.fieldsAt(i)
 		fields = fields[:0]
 		for j := 0; j < v.Len(); j++ {
 			fields = append(fields, v.Field(j))
 		}
-		m.Put(r.key(e), fields)
-	}
-}
-
-// MergeOrder merges the keys of sorted runs and returns, for each entry of
-// the merged sequence, the index of the run it comes from; FromRuns builds
-// the table from it. It panics if two runs share a key: a merge would
-// have dropped the older version, which FromRuns cannot reproduce.
-//
-// The runs are merged once, through a heap: O(n log k) for n entries in k
-// runs, where the chain of merges it stands for re-merges every entry at
-// each tier it passes.
-func MergeOrder(runs []*Run) []uint32 {
-	total := 0
-	for _, r := range runs {
-		total += len(r.meta)
-	}
-	order := make([]uint32, 0, total)
-	h := runHeap{runs: runs, cur: make([]runCursor, 0, len(runs))}
-	for i, r := range runs {
-		if len(r.meta) > 0 {
-			h.cur = append(h.cur, runCursor{rest: r.meta, run: i})
-		}
-	}
-	for i := len(h.cur)/2 - 1; i >= 0; i-- {
-		h.down(i)
-	}
-	var prev *entryMeta
-	var prevData *slab.Slab
-	for len(h.cur) > 0 {
-		c := &h.cur[0]
-		r, m := runs[c.run], &c.rest[0]
-		// The output ascends, so a repeated key is the previous one.
-		if prev != nil && compareKeys(prev, prevData, m, &r.data) == 0 {
-			panic("sstable: merged runs repeat a key")
-		}
-		prev, prevData = m, &r.data
-		order = append(order, uint32(c.run))
-		if c.rest = c.rest[1:]; len(c.rest) == 0 {
-			h.cur[0] = h.cur[len(h.cur)-1]
-			h.cur = h.cur[:len(h.cur)-1]
-		}
-		h.down(0)
-	}
-	return order
-}
-
-// FromRuns builds the table that flushing each run into a table and
-// merging those tables would build: entries, shapes, payload chunks,
-// filter, DiskBytes and key range alike. runs must be sorted (Sort) and
-// listed in the order the merges adopt their payload chunks: a merge's
-// inputs newest first, each merged input's own runs in place. One run is a
-// flush (FromMemtable), which keeps the run's slab, entries and shape
-// table; several are a Merge in which every entry survives, which adopts
-// the runs' chunks and re-interns shapes in output order, taking entries
-// in order, which MergeOrder(runs) returned. The runs' payload chunks
-// live on in the table; their entry arrays may be dropped.
-func FromRuns(gen int, runs []*Run, order []uint32, ov Overhead, fpp float64) *Table {
-	if len(runs) == 1 {
-		r := runs[0]
-		t := &Table{Gen: gen, meta: r.meta, data: r.data, shapes: r.shapes}
-		t.finalize(ov, fpp)
-		return t
-	}
-	out := &Table{Gen: gen, meta: make([]entryMeta, 0, len(order))}
-	// next[i] is run i's first entry not yet taken; base[i] its first
-	// chunk in the table's slab.
-	next := make([]int, len(runs))
-	base := make([]slab.Ref, len(runs))
-	chunks := 0
-	for i, r := range runs {
-		base[i] = slab.Ref(chunks) << 32
-		chunks += r.data.Chunks()
-	}
-	for _, i := range order {
-		r := runs[i]
-		m := &r.meta[next[i]]
-		next[i]++
-		shape := out.shapes.InternEnds(r.shapes.Ends(uint32(m.meta >> 48)))
-		out.meta = append(out.meta, entryMeta{
-			keyPfx:  m.keyPfx,
-			keyPfx2: m.keyPfx2,
-			ref:     m.ref + base[i],
-			meta:    packMeta(int(m.meta&0xffff), int(m.meta>>16&0xffffffff), shape),
-		})
-	}
-	for _, r := range runs {
-		out.data.Adopt(&r.data)
-	}
-	out.finalize(ov, fpp)
-	return out
-}
-
-// runCursor is one run's entries not yet merged, in MergeOrder's merge.
-type runCursor struct {
-	rest []entryMeta
-	run  int
-}
-
-// runHeap is MergeOrder's min-heap of run cursors by current key.
-type runHeap struct {
-	runs []*Run
-	cur  []runCursor
-}
-
-// less orders cursors by current key, settling almost every pair on the
-// prefix words inline (compareKeys does not inline).
-func (h *runHeap) less(a, b *runCursor) bool {
-	ma, mb := &a.rest[0], &b.rest[0]
-	if ma.keyPfx != mb.keyPfx {
-		return ma.keyPfx < mb.keyPfx
-	}
-	if ma.keyPfx2 != mb.keyPfx2 {
-		return ma.keyPfx2 < mb.keyPfx2
-	}
-	return compareKeys(ma, &h.runs[a.run].data, mb, &h.runs[b.run].data) < 0
-}
-
-func (h *runHeap) down(i int) {
-	for {
-		min := i
-		if l := 2*i + 1; l < len(h.cur) && h.less(&h.cur[l], &h.cur[min]) {
-			min = l
-		}
-		if r := 2*i + 2; r < len(h.cur) && h.less(&h.cur[r], &h.cur[min]) {
-			min = r
-		}
-		if min == i {
-			return
-		}
-		h.cur[i], h.cur[min] = h.cur[min], h.cur[i]
-		i = min
+		m.Put(r.keyAt(i), fields)
 	}
 }
 
@@ -429,13 +302,13 @@ func (t *Table) Get(key string) (slab.FieldsView, bool) {
 }
 
 // Scan returns up to count entries with keys >= start.
-func (t *Table) Scan(start string, count int) []memtable.Entry {
+func (t *Table) Scan(start string, count int) []slab.Entry {
 	i := t.search(start)
 	end := i + count
 	if end > len(t.meta) {
 		end = len(t.meta)
 	}
-	out := make([]memtable.Entry, end-i)
+	out := make([]slab.Entry, end-i)
 	for j := range out {
 		out[j] = t.entryAt(i + j)
 	}
@@ -463,7 +336,7 @@ func (it Iterator) Valid() bool { return it.i < len(it.t.meta) }
 
 // Entry returns the current entry. It must not be called on an invalid
 // iterator.
-func (it Iterator) Entry() memtable.Entry { return it.t.entryAt(it.i) }
+func (it Iterator) Entry() slab.Entry { return it.t.entryAt(it.i) }
 
 // Key returns the current entry's key without building its field view.
 // It must not be called on an invalid iterator.
@@ -471,11 +344,6 @@ func (it Iterator) Key() string { return it.t.keyAt(it.i) }
 
 // Next advances to the following entry.
 func (it *Iterator) Next() { it.i++ }
-
-// compareEntries orders entry i of t against entry j of u by key.
-func compareEntries(t *Table, i int, u *Table, j int) int {
-	return compareKeys(&t.meta[i], &t.data, &u.meta[j], &u.data)
-}
 
 // compareKeys orders entry a, whose key is in slab da, against entry b,
 // whose key is in db: by key prefix pair in registers, by key bytes only
@@ -494,9 +362,11 @@ func compareKeys(a *entryMeta, da *slab.Slab, b *entryMeta, db *slab.Slab) int {
 // table with the highest generation wins (the earliest such table on a
 // generation tie). The result's generation is the maximum input
 // generation. Inputs are already sorted, so this is a streaming k-way
-// merge: O(n·k) comparisons with one pass and no intermediate map or
-// re-sort. Comparisons read the entries' prefix words and touch key bytes
-// only on a double tie.
+// merge of the tables' heads through a heap: O(n log k) comparisons for n
+// entries in k tables, in one pass with no intermediate map or re-sort.
+// A load's merged tables hold dozens of runs, where a linear selection
+// over the heads is several times slower. Comparisons read the entries'
+// prefix words and touch key bytes only on a double tie.
 //
 // Payloads are adopted or copied, by whether any entry died. If every
 // input entry survives (a load-phase compaction of distinct keys), the
@@ -506,80 +376,114 @@ func compareKeys(a *entryMeta, da *slab.Slab, b *entryMeta, db *slab.Slab) int {
 // the inputs are dropped. Either way the entries, shapes, filter,
 // DiskBytes and key range are the same.
 func Merge(tables []*Table, ov Overhead, fpp float64) *Table {
-	total := 0
-	maxGen := 0
-	for _, t := range tables {
-		total += t.Len()
-		if t.Gen > maxGen {
-			maxGen = t.Gen
-		}
-	}
-	// pos[i] is table i's cursor. base[i] is the index of table i's
-	// first payload chunk were every input's chunks laid end to end, as
-	// adopting them lays them: survivors carry their ref rebased by it,
-	// which both addresses an adopted payload and names a copied one's
-	// source.
-	k := len(tables)
-	scratch := make([]int, 2*k)
-	pos, base := scratch[:k], scratch[k:]
-	chunks := 0
+	total, maxGen, chunks := 0, 0, 0
+	var buf [8]mergeCursor // a timed compaction's cursors stay on the stack
+	h := mergeHeap(slices.Grow(buf[:0], len(tables)))
 	for i, t := range tables {
-		base[i] = chunks
+		total += t.Len()
+		maxGen = max(maxGen, t.Gen)
+		if t.Len() > 0 {
+			h = append(h, mergeCursor{rest: t.meta, t: t, in: i, base: slab.Ref(chunks) << 32})
+		}
 		chunks += t.data.Chunks()
 	}
+	for i := len(h)/2 - 1; i >= 0; i-- {
+		h.down(i)
+	}
 	out := &Table{Gen: maxGen, meta: make([]entryMeta, 0, total)}
-	for {
-		// Pick the smallest current key; among duplicates the entry from
-		// the highest-generation table wins and the others are skipped.
-		// Linear scan over k sources: compaction fan-in is small (a tier),
-		// so this beats maintaining a heap.
-		best := -1
-		for i, t := range tables {
-			if pos[i] == t.Len() {
-				continue
-			}
-			if best < 0 {
-				best = i
-				continue
-			}
-			if c := compareEntries(t, pos[i], tables[best], pos[best]); c < 0 || c == 0 && t.Gen > tables[best].Gen {
-				best = i
-			}
+	var last *entryMeta // the last entry taken, in its table's slab lastData
+	var lastData *slab.Slab
+	for len(h) > 0 {
+		c := &h[0]
+		m := &c.rest[0]
+		// Equal keys pop winner first, so only the first copy is kept.
+		if last == nil || compareKeys(last, lastData, m, &c.t.data) != 0 {
+			last, lastData = m, &c.t.data
+			shape := out.shapes.InternEnds(c.t.shapes.Ends(uint32(m.meta >> 48)))
+			out.meta = append(out.meta, entryMeta{
+				keyPfx:  m.keyPfx,
+				keyPfx2: m.keyPfx2,
+				ref:     m.ref + c.base,
+				meta:    packMeta(int(m.meta&0xffff), int(m.meta>>16&0xffffffff), shape),
+			})
 		}
-		if best < 0 {
-			break
+		if c.rest = c.rest[1:]; len(c.rest) == 0 {
+			h[0] = h[len(h)-1]
+			h = h[:len(h)-1]
 		}
-		src, at := tables[best], pos[best]
-		m := src.meta[at]
-		shape := out.shapes.InternEnds(src.shapes.Ends(uint32(m.meta >> 48)))
-		m.ref += slab.Ref(base[best]) << 32
-		m.meta = packMeta(int(m.meta&0xffff), int(m.meta>>16&0xffffffff), shape)
-		out.meta = append(out.meta, m)
-		// Consume this key from every source. A table holds each key at
-		// most once, so one step per source suffices.
-		for i, t := range tables {
-			if pos[i] < t.Len() && (i == best || compareEntries(t, pos[i], src, at) == 0) {
-				pos[i]++
-			}
-		}
+		h.down(0)
 	}
 	if len(out.meta) == total {
 		for _, t := range tables {
 			out.data.Adopt(&t.data)
 		}
 	} else {
-		copyPayloads(out, tables, base)
+		copyPayloads(out, tables)
 	}
 	out.finalize(ov, fpp)
 	return out
 }
 
+// mergeCursor is one input table's entries not yet merged. base is the
+// index of the table's first payload chunk were every input's chunks laid
+// end to end, as adopting them lays them, shifted into a ref's chunk
+// bits: merged entries carry their ref rebased by it, which both
+// addresses an adopted payload and names a copied one's source.
+type mergeCursor struct {
+	rest []entryMeta
+	t    *Table
+	in   int // the table's index among Merge's inputs
+	base slab.Ref
+}
+
+// mergeHeap is Merge's min-heap of cursors, ordered by current key, then
+// generation descending, then input index: equal keys pop in the order
+// of the copy that wins first.
+type mergeHeap []mergeCursor
+
+// less settles almost every pair on the prefix words inline (compareKeys
+// does not inline).
+func (h mergeHeap) less(i, j int) bool {
+	a, b := &h[i], &h[j]
+	ma, mb := &a.rest[0], &b.rest[0]
+	if ma.keyPfx != mb.keyPfx {
+		return ma.keyPfx < mb.keyPfx
+	}
+	if ma.keyPfx2 != mb.keyPfx2 {
+		return ma.keyPfx2 < mb.keyPfx2
+	}
+	if c := compareKeys(ma, &a.t.data, mb, &b.t.data); c != 0 {
+		return c < 0
+	}
+	if a.t.Gen != b.t.Gen {
+		return a.t.Gen > b.t.Gen
+	}
+	return a.in < b.in
+}
+
+func (h mergeHeap) down(i int) {
+	for {
+		min := i
+		if l := 2*i + 1; l < len(h) && h.less(l, min) {
+			min = l
+		}
+		if r := 2*i + 2; r < len(h) && h.less(r, min) {
+			min = r
+		}
+		if min == i {
+			return
+		}
+		h[i], h[min] = h[min], h[i]
+		i = min
+	}
+}
+
 // copyPayloads copies every merged entry's key+field bytes, in entry
 // order, into one chunk of out's sized to hold them exactly. Entry refs
-// arrive rebased by their source's chunk base in base: the source is the
-// last table whose base is at most the ref's chunk (a table without
-// chunks shares the next one's base and holds no entries).
-func copyPayloads(out *Table, tables []*Table, base []int) {
+// arrive rebased as Merge rebases them: the source is the table whose
+// chunks, laid end to end after the tables before it, hold the ref's
+// chunk.
+func copyPayloads(out *Table, tables []*Table) {
 	total := 0
 	for _, m := range out.meta {
 		total += int(m.meta&0xffff) + int(m.meta>>16&0xffffffff)
@@ -587,14 +491,14 @@ func copyPayloads(out *Table, tables []*Table, base []int) {
 	out.data.Grow(total)
 	for j := range out.meta {
 		m := &out.meta[j]
-		c := int(m.ref >> 32)
-		i := len(base) - 1
-		for base[i] > c {
-			i--
+		c, i, base := int(m.ref>>32), 0, 0
+		for base+tables[i].data.Chunks() <= c {
+			base += tables[i].data.Chunks()
+			i++
 		}
 		n := int(m.meta&0xffff) + int(m.meta>>16&0xffffffff)
 		ref, buf := out.data.Alloc(n)
-		copy(buf, tables[i].data.View(m.ref-slab.Ref(base[i])<<32, n))
+		copy(buf, tables[i].data.View(m.ref-slab.Ref(base)<<32, n))
 		m.ref = ref
 	}
 }

@@ -73,8 +73,8 @@ func (b *builder) add(key string, fields slab.FieldsView) {
 // win), the reference construction tests compare the production paths
 // against. Key and field bytes are copied into the table's own slab. fpp is
 // the Bloom filter false-positive target.
-func Build(gen int, entries []memtable.Entry, ov Overhead, fpp float64) *Table {
-	sorted := make([]memtable.Entry, len(entries))
+func Build(gen int, entries []slab.Entry, ov Overhead, fpp float64) *Table {
+	sorted := make([]slab.Entry, len(entries))
 	copy(sorted, entries)
 	// The stable sort keeps duplicates in input order, so keeping only the
 	// last of each run of equal keys preserves newest-write-wins.
@@ -90,12 +90,12 @@ func Build(gen int, entries []memtable.Entry, ov Overhead, fpp float64) *Table {
 	return b.t
 }
 
-func entry(k, v string) memtable.Entry {
-	return memtable.Entry{Key: k, Fields: slab.View([][]byte{[]byte(v)})}
+func entry(k, v string) slab.Entry {
+	return slab.Entry{Key: k, Fields: slab.View([][]byte{[]byte(v)})}
 }
 
 func TestBuildSortsAndGets(t *testing.T) {
-	tb := Build(1, []memtable.Entry{entry("c", "3"), entry("a", "1"), entry("b", "2")}, ov, 0.01)
+	tb := Build(1, []slab.Entry{entry("c", "3"), entry("a", "1"), entry("b", "2")}, ov, 0.01)
 	if tb.Len() != 3 {
 		t.Fatalf("Len = %d, want 3", tb.Len())
 	}
@@ -114,7 +114,7 @@ func TestBuildSortsAndGets(t *testing.T) {
 }
 
 func TestBuildDeduplicatesKeepingLast(t *testing.T) {
-	tb := Build(1, []memtable.Entry{entry("k", "old"), entry("k", "new")}, ov, 0.01)
+	tb := Build(1, []slab.Entry{entry("k", "old"), entry("k", "new")}, ov, 0.01)
 	if tb.Len() != 1 {
 		t.Fatalf("Len = %d, want 1", tb.Len())
 	}
@@ -125,7 +125,7 @@ func TestBuildDeduplicatesKeepingLast(t *testing.T) {
 }
 
 func TestMayContainRespectsRange(t *testing.T) {
-	tb := Build(1, []memtable.Entry{entry("m", "1"), entry("p", "2")}, ov, 0.01)
+	tb := Build(1, []slab.Entry{entry("m", "1"), entry("p", "2")}, ov, 0.01)
 	may := func(k string) bool { return tb.MayContain(k, bloom.HashKey(k)) }
 	if may("a") {
 		t.Fatal("key below range should be excluded without a filter probe")
@@ -140,8 +140,8 @@ func TestMayContainRespectsRange(t *testing.T) {
 
 func TestDiskBytesIncludesOverhead(t *testing.T) {
 	// one entry: key "kk" (2) + perEntry 10 + 2 cells of 5 bytes + 2*20.
-	e := memtable.Entry{Key: "kk", Fields: slab.View([][]byte{[]byte("12345"), []byte("67890")})}
-	tb := Build(1, []memtable.Entry{e}, ov, 0.01)
+	e := slab.Entry{Key: "kk", Fields: slab.View([][]byte{[]byte("12345"), []byte("67890")})}
+	tb := Build(1, []slab.Entry{e}, ov, 0.01)
 	want := int64(2 + 10 + 5 + 20 + 5 + 20)
 	if tb.DiskBytes != want {
 		t.Fatalf("DiskBytes = %d, want %d", tb.DiskBytes, want)
@@ -149,7 +149,7 @@ func TestDiskBytesIncludesOverhead(t *testing.T) {
 }
 
 func TestScan(t *testing.T) {
-	var es []memtable.Entry
+	var es []slab.Entry
 	for i := 0; i < 20; i++ {
 		es = append(es, entry(fmt.Sprintf("k%02d", i), "v"))
 	}
@@ -164,8 +164,8 @@ func TestScan(t *testing.T) {
 }
 
 func TestMergeNewestGenerationWins(t *testing.T) {
-	older := Build(1, []memtable.Entry{entry("k", "old"), entry("a", "1")}, ov, 0.01)
-	newer := Build(2, []memtable.Entry{entry("k", "new"), entry("b", "2")}, ov, 0.01)
+	older := Build(1, []slab.Entry{entry("k", "old"), entry("a", "1")}, ov, 0.01)
+	newer := Build(2, []slab.Entry{entry("k", "new"), entry("b", "2")}, ov, 0.01)
 	// Pass in arbitrary order; generation decides.
 	m := Merge([]*Table{newer, older}, ov, 0.01)
 	if m.Len() != 3 {
@@ -181,8 +181,8 @@ func TestMergeNewestGenerationWins(t *testing.T) {
 }
 
 func TestMergeReducesDiskBytesOnOverlap(t *testing.T) {
-	a := Build(1, []memtable.Entry{entry("k", "1")}, ov, 0.01)
-	b := Build(2, []memtable.Entry{entry("k", "2")}, ov, 0.01)
+	a := Build(1, []slab.Entry{entry("k", "1")}, ov, 0.01)
+	b := Build(2, []slab.Entry{entry("k", "2")}, ov, 0.01)
 	m := Merge([]*Table{a, b}, ov, 0.01)
 	if m.DiskBytes >= a.DiskBytes+b.DiskBytes {
 		t.Fatalf("merge of duplicates did not reclaim space: %d >= %d", m.DiskBytes, a.DiskBytes+b.DiskBytes)
@@ -203,7 +203,7 @@ func TestEmptyTable(t *testing.T) {
 // from the newer generation on conflicts.
 func TestPropertyMergeUnion(t *testing.T) {
 	f := func(aKeys, bKeys []uint8) bool {
-		var aes, bes []memtable.Entry
+		var aes, bes []slab.Entry
 		for _, k := range aKeys {
 			aes = append(aes, entry(fmt.Sprintf("k%03d", k), "a"))
 		}
@@ -276,17 +276,21 @@ func TestMergeMatchesReference(t *testing.T) {
 		fields [][]byte
 		gen    int
 	}
+	const rounds, wide = 100, 80 // rounds from wide on merge 8 to 64 inputs
 	adopted, multiChunk := 0, 0
-	for round := 0; round < 80; round++ {
+	for round := 0; round < rounds; round++ {
 		disjoint := round%4 == 3
 		var tables []*Table
 		var all []ent
 		nt := 3 + rng.Intn(4)
+		if round >= wide {
+			nt = 8 + rng.Intn(57)
+		}
 		for ti := 0; ti < nt; ti++ {
 			gen := 1 + rng.Intn(4)
 			n := rng.Intn(3) * rng.Intn(len(keyPool)) // a third of the inputs are empty
 			m := memtable.New()
-			var es []memtable.Entry
+			var es []slab.Entry
 			for range n {
 				k := keyPool[rng.Intn(len(keyPool))]
 				if disjoint {
@@ -294,7 +298,7 @@ func TestMergeMatchesReference(t *testing.T) {
 				}
 				f := randFields()
 				m.Put(k, f)
-				es = append(es, memtable.Entry{Key: k, Fields: slab.View(f)})
+				es = append(es, slab.Entry{Key: k, Fields: slab.View(f)})
 			}
 			var tab *Table
 			if ti%2 == 0 {
@@ -314,10 +318,10 @@ func TestMergeMatchesReference(t *testing.T) {
 			}
 			return all[i].gen > all[j].gen
 		})
-		var want []memtable.Entry
+		var want []slab.Entry
 		for i, e := range all {
 			if i == 0 || all[i-1].key != e.key {
-				want = append(want, memtable.Entry{Key: e.key, Fields: slab.View(e.fields)})
+				want = append(want, slab.Entry{Key: e.key, Fields: slab.View(e.fields)})
 			}
 		}
 		got := Merge(tables, ov, 0.01)
@@ -394,7 +398,7 @@ func TestMergeMatchesReference(t *testing.T) {
 		}
 	}
 	if adopted < 20 || multiChunk < 20 {
-		t.Fatalf("only %d of 80 rounds took the adopt path, with %d chunks past their inputs' first", adopted, multiChunk)
+		t.Fatalf("only %d of %d rounds took the adopt path, with %d chunks past their inputs' first", adopted, rounds, multiChunk)
 	}
 }
 
@@ -413,7 +417,7 @@ func sharedChunks(got, tab *Table) int {
 }
 
 func BenchmarkGet(b *testing.B) {
-	var es []memtable.Entry
+	var es []slab.Entry
 	for i := 0; i < 100000; i++ {
 		es = append(es, entry(fmt.Sprintf("key%09d", i), "0123456789"))
 	}
@@ -425,7 +429,7 @@ func BenchmarkGet(b *testing.B) {
 }
 
 func TestSeekIterWalksFromStart(t *testing.T) {
-	var es []memtable.Entry
+	var es []slab.Entry
 	for i := 0; i < 20; i++ {
 		es = append(es, entry(fmt.Sprintf("k%02d", i), "v"))
 	}
@@ -445,11 +449,11 @@ func TestSeekIterWalksFromStart(t *testing.T) {
 func TestBuildSortedMatchesBuild(t *testing.T) {
 	// Same logical input, once pre-sorted with adjacent duplicates (later
 	// wins) and once shuffled: Build must yield the same table.
-	sorted := []memtable.Entry{
+	sorted := []slab.Entry{
 		entry("a", "1"), entry("b", "old"), entry("b", "new"),
 		entry("c", "3"), entry("d", "4"),
 	}
-	shuffled := []memtable.Entry{
+	shuffled := []slab.Entry{
 		entry("d", "4"), entry("b", "old"), entry("a", "1"),
 		entry("b", "new"), entry("c", "3"),
 	}
@@ -479,7 +483,7 @@ func TestBuildSortedMatchesBuild(t *testing.T) {
 }
 
 func TestBuildSortedNoDuplicatesIsIdentity(t *testing.T) {
-	entries := []memtable.Entry{entry("a", "1"), entry("b", "2"), entry("c", "3")}
+	entries := []slab.Entry{entry("a", "1"), entry("b", "2"), entry("c", "3")}
 	tb := Build(1, entries, ov, 0.01)
 	if tb.Len() != 3 {
 		t.Fatalf("Len = %d, want 3", tb.Len())
@@ -541,13 +545,14 @@ func TestFromMemtableMatchesBuildSorted(t *testing.T) {
 }
 
 // TestFromRunsMatchesFlushAndMerge buffers random records in runs and
-// requires FromRuns to build, field by field, the table that flushing each
-// run's records through a memtable and merging the flushed tables builds:
+// requires the table built from them (Run.Build for one run, Merge for
+// several) to be, field by field, the table that flushing each run's
+// records through a memtable and merging the flushed tables builds:
 // entries, shapes, payload chunks, filter, key range and DiskBytes. Keys
 // share long prefixes, so the sort and the merge compare key bytes past
 // the prefix pair; a third of them carry a second field, so tables intern
-// several shapes. A key repeated within a run panics in Sort, and one
-// repeated across runs in MergeOrder.
+// several shapes. A key repeated within a run panics in Sort, and a key
+// repeated across runs leaves the merge short of their entries.
 func TestFromRunsMatchesFlushAndMerge(t *testing.T) {
 	rng := rand.New(rand.NewSource(24))
 	type rec struct {
@@ -558,6 +563,7 @@ func TestFromRunsMatchesFlushAndMerge(t *testing.T) {
 		k := 1 + rng.Intn(6)
 		perm := rng.Perm(k * 400)
 		runs := make([]*Run, k)
+		runTables := make([]*Table, k)
 		flushed := make([]*Table, k)
 		for i := range runs {
 			var recs []rec
@@ -576,19 +582,16 @@ func TestFromRunsMatchesFlushAndMerge(t *testing.T) {
 			}
 			runs[i].Sort()
 			// Runs are listed newest first, as a merge's inputs are.
+			runs[i].Gen = k - i
+			runTables[i] = &runs[i].Table
 			flushed[i] = FromMemtable(k-i, m, ov, 0.01)
 		}
-		want := flushed[0]
+		want, got := flushed[0], runs[0].Build(ov, 0.01)
 		if k > 1 {
-			want = Merge(flushed, ov, 0.01)
+			want, got = Merge(flushed, ov, 0.01), Merge(runTables, ov, 0.01)
 		}
-		var order []uint32
-		if k > 1 {
-			order = MergeOrder(runs)
-		}
-		got := FromRuns(k, runs, order, ov, 0.01)
 		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("round %d (%d runs): FromRuns built a different table", round, k)
+			t.Fatalf("round %d (%d runs): the runs built a different table", round, k)
 		}
 	}
 
@@ -606,7 +609,9 @@ func TestFromRunsMatchesFlushAndMerge(t *testing.T) {
 	}
 	a.Sort()
 	b.Sort()
-	mustPanic(t, "merged runs repeat a key", func() { MergeOrder([]*Run{a, b}) })
+	if n := Merge([]*Table{&a.Table, &b.Table}, ov, 0.01).Len(); n != 4 {
+		t.Fatalf("merging runs that share a key kept %d entries, want 4", n)
+	}
 }
 
 // mustPanic fails unless fn panics with a message containing want.
@@ -645,9 +650,9 @@ func benchMerge(b *testing.B, stride int) {
 	})
 	tables := make([]*Table, 4)
 	for ti := range tables {
-		es := make([]memtable.Entry, perTable)
+		es := make([]slab.Entry, perTable)
 		for i := range es {
-			es[i] = memtable.Entry{Key: fmt.Sprintf("user%021d", (ti*perTable/stride+i)*7919), Fields: fields}
+			es[i] = slab.Entry{Key: fmt.Sprintf("user%021d", (ti*perTable/stride+i)*7919), Fields: fields}
 		}
 		tables[ti] = Build(ti+1, es, ov, 0.01)
 	}

@@ -6,7 +6,6 @@ package stats
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"repro/internal/sim"
 )
@@ -291,30 +290,4 @@ func (c *Collector) Summarize() Summary {
 		Update:     summarize(c.hists[OpUpdate]),
 		Scan:       summarize(c.hists[OpScan]),
 	}
-}
-
-// Mean computes the arithmetic mean of a float slice.
-func Mean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	var s float64
-	for _, x := range xs {
-		s += x
-	}
-	return s / float64(len(xs))
-}
-
-// Median computes the median of a float slice.
-func Median(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	c := append([]float64(nil), xs...)
-	sort.Float64s(c)
-	m := len(c) / 2
-	if len(c)%2 == 1 {
-		return c[m]
-	}
-	return (c[m-1] + c[m]) / 2
 }

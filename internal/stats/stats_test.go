@@ -116,21 +116,6 @@ func TestOpKindString(t *testing.T) {
 	}
 }
 
-func TestMeanMedianHelpers(t *testing.T) {
-	if Mean(nil) != 0 || Median(nil) != 0 {
-		t.Fatal("empty helpers should be 0")
-	}
-	if got := Mean([]float64{1, 2, 3}); got != 2 {
-		t.Fatalf("Mean = %f", got)
-	}
-	if got := Median([]float64{5, 1, 3}); got != 3 {
-		t.Fatalf("Median odd = %f", got)
-	}
-	if got := Median([]float64{4, 1, 2, 3}); got != 2.5 {
-		t.Fatalf("Median even = %f", got)
-	}
-}
-
 // Property: quantiles are monotonic in q and bounded by min/max.
 func TestPropertyQuantileMonotonic(t *testing.T) {
 	f := func(vals []uint32) bool {

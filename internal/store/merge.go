@@ -8,19 +8,15 @@ import (
 // MergeRuns merges key-sorted runs into their first count distinct keys,
 // in ascending order: the gather step of a store that fans a scan out to
 // its shards. Each run must be ascending by key. When several runs hold the
-// same key, the row of the earliest run wins. Engine scan results
-// ([]memtable.Entry, []btree.Entry) share Record's underlying struct, so
-// they pass in as runs without a copy. MergeRuns consumes runs: it reslices
-// each run as its head is taken.
+// same key, the row of the earliest run wins. Engine scan results are
+// []Record already, so they pass in as runs without a copy. MergeRuns
+// consumes runs: it reslices each run as its head is taken.
 //
 // The run heads sit in a binary heap, so a page costs O(count × log runs)
 // compares. A linear selection over the heads is about as fast at 2 runs
 // but four times slower at 72 (voltdb at 12 hosts × 6 sites); see
 // BenchmarkMergeRuns.
-func MergeRuns[E ~struct {
-	Key    string
-	Fields FieldsView
-}](runs [][]E, count int) []Record {
+func MergeRuns(runs [][]Record, count int) []Record {
 	// h is a min-heap of the indices of non-empty runs, ordered by head key
 	// and then by run index.
 	var buf [16]int
@@ -33,7 +29,7 @@ func MergeRuns[E ~struct {
 		}
 	}
 	less := func(a, b int) bool {
-		c := strings.Compare(Record(runs[h[a]][0]).Key, Record(runs[h[b]][0]).Key)
+		c := strings.Compare(runs[h[a]][0].Key, runs[h[b]][0].Key)
 		return c < 0 || c == 0 && h[a] < h[b]
 	}
 	down := func(i int) {
@@ -56,7 +52,7 @@ func MergeRuns[E ~struct {
 	for len(h) > 0 && len(out) < count {
 		i := h[0]
 		// Equal keys pop in run order, so only the first copy is kept.
-		if rec := Record(runs[i][0]); len(out) == 0 || rec.Key != out[len(out)-1].Key {
+		if rec := runs[i][0]; len(out) == 0 || rec.Key != out[len(out)-1].Key {
 			out = append(out, rec)
 		}
 		if runs[i] = runs[i][1:]; len(runs[i]) == 0 {

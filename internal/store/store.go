@@ -39,11 +39,8 @@ type FieldsView = slab.FieldsView
 // ViewFields wraps materialized fields as a view without copying.
 func ViewFields(f Fields) FieldsView { return slab.View(f) }
 
-// Record is a key with a view of its fields.
-type Record struct {
-	Key    string
-	Fields FieldsView
-}
+// Record is a key with a view of its fields: the engines' scan row.
+type Record = slab.Entry
 
 // Key formats record number i as the fixed-width 25-byte benchmark key.
 // Like YCSB's default (insertorder=hashed), the record number is hashed so

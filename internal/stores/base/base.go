@@ -7,6 +7,7 @@ package base
 import (
 	"repro/internal/cluster"
 	"repro/internal/sim"
+	"repro/internal/store"
 )
 
 // Message size approximations (bytes) for request/response framing.
@@ -35,10 +36,10 @@ func Roundtrip(p *sim.Proc, n *cluster.Node, reqBytes, respBytes int64, handler 
 // scan whose process is killed mid-fan-out just leaves its buffer to the
 // garbage collector. The rows themselves view store-owned memory, not the
 // buffer, so the merged page outlives the buffer's reuse.
-type RunBufs[E any] struct{ free [][]E }
+type RunBufs struct{ free [][]store.Record }
 
 // Take returns an empty buffer with room for at least n rows.
-func (r *RunBufs[E]) Take(n int) []E {
+func (r *RunBufs) Take(n int) []store.Record {
 	if k := len(r.free) - 1; k >= 0 {
 		b := r.free[k]
 		r.free = r.free[:k]
@@ -46,8 +47,8 @@ func (r *RunBufs[E]) Take(n int) []E {
 			return b
 		}
 	}
-	return make([]E, 0, max(n, 0))
+	return make([]store.Record, 0, max(n, 0))
 }
 
 // Give returns b for reuse by a later Take.
-func (r *RunBufs[E]) Give(b []E) { r.free = append(r.free, b[:0]) }
+func (r *RunBufs) Give(b []store.Record) { r.free = append(r.free, b[:0]) }

@@ -20,7 +20,6 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/hashring"
 	"repro/internal/lsm"
-	"repro/internal/memtable"
 	"repro/internal/sim"
 	"repro/internal/sstable"
 	"repro/internal/store"
@@ -384,7 +383,7 @@ func (s *Store) Scan(p *sim.Proc, start string, count int) ([]store.Record, erro
 	if coord == nil {
 		return nil, store.ErrUnavailable
 	}
-	var runs [][]memtable.Entry
+	var runs [][]store.Record
 	got := 0 // rows returned by the nodes so far, replica copies included
 	base.Roundtrip(p, coord.machine, base.ReqHeader, int64(count)*base.RecordWire, func() {
 		coord.machine.Compute(p, coordCPU)

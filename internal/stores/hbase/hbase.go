@@ -278,9 +278,7 @@ func (s *Store) Scan(p *sim.Proc, start string, count int) ([]store.Record, erro
 			r.machine.Compute(p, scanCPU)
 			rows := r.tree.Scan(p, next, want)
 			r.machine.Compute(p, sim.Time(len(rows))*scanRowCPU)
-			for _, e := range rows {
-				out = append(out, store.Record{Key: e.Key, Fields: e.Fields})
-			}
+			out = append(out, rows...)
 			r.handlers.Release()
 		})
 		if ri < len(s.splits) {

@@ -292,7 +292,7 @@ func (s *Store) Scan(p *sim.Proc, start string, count int) ([]store.Record, erro
 	if s.downCount > 0 {
 		return nil, store.ErrUnavailable
 	}
-	runs := make([][]btree.Entry, len(s.shards))
+	runs := make([][]store.Record, len(s.shards))
 	for i, sh := range s.shards {
 		base.Roundtrip(p, sh.node, base.ReqHeader, int64(count)*base.RecordWire, func() {
 			runs[i] = s.scanShard(p, sh, start, count, len(s.shards) > 1)
@@ -310,7 +310,7 @@ func (s *Store) versionPenalty(sh *shard) sim.Time {
 // server pays for the sharded client's table-tail walk instead of the
 // returned rows, rescaled to paper-equivalent rows so the cost does not
 // depend on the simulation's dataset scale.
-func (s *Store) scanShard(p *sim.Proc, sh *shard, start string, count int, tail bool) []btree.Entry {
+func (s *Store) scanShard(p *sim.Proc, sh *shard, start string, count int, tail bool) []store.Record {
 	sh.node.Compute(p, readCPU)
 	rows, io := sh.db.Scan(start, count)
 	chargeIO(p, sh.node, io, 16<<10)

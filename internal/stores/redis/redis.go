@@ -71,7 +71,7 @@ type Store struct {
 	down      []bool
 	downCount int
 	// runBufs recycles the buffers Scan gathers its instances' rows in.
-	runBufs base.RunBufs[memtable.Entry]
+	runBufs base.RunBufs
 }
 
 // instance is one single-threaded Redis process.
@@ -221,7 +221,7 @@ func (s *Store) Scan(p *sim.Proc, start string, count int) ([]store.Record, erro
 	if s.downCount > 0 {
 		return nil, store.ErrUnavailable
 	}
-	runs := make([][]memtable.Entry, 0, len(s.insts))
+	runs := make([][]store.Record, 0, len(s.insts))
 	need := 0
 	for _, in := range s.insts {
 		need += min(count, in.data.Len())

@@ -63,7 +63,7 @@ type Store struct {
 	down      []bool
 	downCount int
 	// runBufs recycles the buffers Scan gathers its partitions' rows in.
-	runBufs base.RunBufs[memtable.Entry]
+	runBufs base.RunBufs
 }
 
 // host is one VoltDB server process.
@@ -210,7 +210,7 @@ func (s *Store) Scan(p *sim.Proc, start string, count int) ([]store.Record, erro
 		return nil, store.ErrUnavailable
 	}
 	arrival := s.hosts[ai]
-	runs := make([][]memtable.Entry, 0, len(s.hosts)*s.opts.SitesPerHost)
+	runs := make([][]store.Record, 0, len(s.hosts)*s.opts.SitesPerHost)
 	need := 0
 	for _, h := range s.hosts {
 		for _, st := range h.sites {
