@@ -4,12 +4,13 @@
 // return I/O statistics — pages touched, buffer-pool misses, dirty
 // write-backs — which the store models convert into simulated disk time.
 //
-// Retained state is pointer-free: key bytes and field payloads live in two
-// append-only slabs owned by the tree, and nodes hold packed scalar refs
-// ([]kref / []vref) instead of strings and [][]byte values, so a
-// multi-million-row table is a handful of large buffers plus small scalar
-// slices to the garbage collector. Field layouts are interned in a shared
-// shape table; a same-shape update overwrites payload bytes in place.
+// Retained state is pointer-free: records live in one append-only
+// slab.Records store owned by the tree, key bytes then field bytes, the
+// layout the memtable and the sstables use, and nodes hold slab.Rec
+// scalars instead of strings and [][]byte values, so a multi-million-row
+// table is a handful of large buffers plus small scalar slices to the
+// garbage collector. A same-shape update overwrites payload bytes in
+// place.
 //
 // Two host-side fast paths keep the model cheap to execute without changing
 // anything it simulates:
@@ -19,9 +20,9 @@
 //     compare only on a double tie (the same treatment the memtable's skip
 //     list got). Sound because zero-padded big-endian prefix order is a
 //     coarsening of lexicographic order.
-//   - The load phase is batched: Load buffers entries in fixed-size chunks
-//     (8,192 entries once past the first few), so the batch never regrows
-//     or moves, and the tree is built at Seal or on first use. Hash-
+//   - The load phase is batched: Load buffers records in a slab.Batch,
+//     whose entries never regrow or move, and the tree is built at Seal
+//     or on first use, taking the batch's records as its own. Hash-
 //     permuted keys produce an insertion-order-dependent page layout, and
 //     that layout is part of the model (it sets the disk footprint and the
 //     buffer-pool miss sequence), but it is a function of the keys' order
@@ -38,7 +39,11 @@
 //     the left node's arrays, so inserts never regrow a node's slices.
 package btree
 
-import "repro/internal/slab"
+import (
+	"slices"
+
+	"repro/internal/slab"
+)
 
 // Config parameterizes the tree.
 type Config struct {
@@ -87,34 +92,15 @@ func prefixOf(k string) pfx {
 	return pfx{hi: slab.KeyPrefix(k, 0), lo: slab.KeyPrefix(k, 8)}
 }
 
-// kref locates a key in the tree's key slab: length in the low 16 bits,
-// chunk offset in the next 32, chunk index in the top 16. Key regions are
-// never overwritten, so zero-copy string views of them are sound.
-type kref uint64
-
-func makeKref(r slab.Ref, n int) kref {
-	if n > 0xffff {
-		panic("btree: key too long")
-	}
-	return kref(uint64(n) | uint64(uint32(r))<<16 | (uint64(r)>>32)<<48)
-}
-
-func (k kref) ref() slab.Ref { return slab.Ref(uint64(k)>>48<<32 | uint64(k)>>16&0xffffffff) }
-func (k kref) len() int      { return int(k & 0xffff) }
-
-// vref locates a row's field payload in the tree's value slab:
-// fieldsLen(32) | shape(32) packed alongside the region ref.
-type vref struct {
-	ref  slab.Ref
-	meta uint64
-}
-
 type node struct {
-	leaf     bool
-	keys     []kref // internal: separators (len == len(children)-1); leaf: entry keys
-	pfxs     []pfx  // keys[i]'s 16-byte prefix, kept parallel to keys
+	leaf bool
+	// recs are a leaf's rows, or an inner node's separators (len ==
+	// len(children)-1), each the record of a row whose key it is. Key
+	// bytes are never overwritten, so a separator stays valid when its
+	// row moves.
+	recs     []slab.Rec
+	pfxs     []pfx // recs[i]'s key prefix, kept parallel to recs
 	children []*node
-	vals     []vref
 	next     *node // leaf chain
 
 	// Intrusive buffer-pool bookkeeping: the pool is a doubly linked list
@@ -133,33 +119,16 @@ type Tree struct {
 	n      int
 	pages  int
 
-	keySlab slab.Slab
-	valSlab slab.Slab
-	shapes  slab.ShapeTable
+	recs slab.Records
 
 	pool pool
 
-	// pending is the buffered load batch, in fixed chunks of pendingChunk
-	// entries so it never regrows; the tree is built from it on first use
-	// (see Load and Seal). Keys and payloads are already in the slabs, so
-	// each chunk is pointer-free.
-	pending [][]pentry
+	// batch is the buffered load; the tree is built from it on first use
+	// (see Load and Seal).
+	batch *slab.Batch
 	// sealed is set by the first Seal, which every accessor calls: from
 	// then on the tree takes no Load.
 	sealed bool
-}
-
-// pendingChunk is the load batch's full chunk length: 8,192 entries,
-// 192 KiB. The first five chunks double up to it from 256 entries, so a
-// small tree's batch stays small.
-const pendingChunk = 8192
-
-// pentry is one buffered load record: its key ref and its ingested
-// payload. The key's prefix is recomputed from the key slab when the batch
-// is built, which keeps the batch at 24 bytes a record.
-type pentry struct {
-	kr kref
-	v  vref
 }
 
 // New creates an empty tree. It panics on leaves that hold no entry or
@@ -185,62 +154,19 @@ func New(cfg Config) *Tree {
 func (t *Tree) newNode(leaf bool) *node {
 	t.pages++
 	n := &node{leaf: leaf}
-	if leaf {
-		c := t.cfg.LeafCap + 1
-		n.keys, n.pfxs, n.vals = make([]kref, 0, c), make([]pfx, 0, c), make([]vref, 0, c)
-	} else {
-		c := t.cfg.InternalCap
-		n.keys, n.pfxs, n.children = make([]kref, 0, c), make([]pfx, 0, c), make([]*node, 0, c+1)
+	c := t.cfg.LeafCap + 1
+	if !leaf {
+		c = t.cfg.InternalCap
+		n.children = make([]*node, 0, c+1)
 	}
+	n.recs, n.pfxs = make([]slab.Rec, 0, c), make([]pfx, 0, c)
 	return n
 }
 
-// keyStr returns the key bytes for kr as a zero-copy string view.
-func (t *Tree) keyStr(kr kref) string { return t.keySlab.String(kr.ref(), kr.len()) }
+// key returns slot i's key as a zero-copy string view.
+func (t *Tree) key(n *node, i int) string { return t.recs.Key(n.recs[i]) }
 
-// ingestKey copies key into the key slab.
-func (t *Tree) ingestKey(key string) kref {
-	return makeKref(t.keySlab.AppendString(key), len(key))
-}
-
-// ingestFields interns the layout and copies the payload into the value
-// slab.
-func (t *Tree) ingestFields(fields [][]byte) vref {
-	shape, n := t.shapes.Intern(fields)
-	ref, buf := t.valSlab.Alloc(n)
-	p := 0
-	for _, f := range fields {
-		p += copy(buf[p:], f)
-	}
-	return vref{ref: ref, meta: uint64(uint32(n)) | uint64(shape)<<32}
-}
-
-// replace overwrites an existing row's payload. Same shape — the steady
-// state, since update workloads rewrite like-sized fields — writes the
-// bytes in place; a layout change carves a new region and abandons the
-// old one (arena semantics, reclaimed only when the tree is dropped).
-func (t *Tree) replace(v *vref, fields [][]byte) {
-	shape, n := t.shapes.Intern(fields)
-	if uint32(v.meta>>32) == shape {
-		buf := t.valSlab.View(v.ref, n)
-		p := 0
-		for _, f := range fields {
-			p += copy(buf[p:], f)
-		}
-		return
-	}
-	*v = t.ingestFields(fields)
-}
-
-// view returns the field view for a row.
-func (t *Tree) view(v vref) slab.FieldsView {
-	return slab.SlabView(
-		t.valSlab.View(v.ref, int(uint32(v.meta))),
-		t.shapes.Ends(uint32(v.meta>>32)),
-	)
-}
-
-// keyLess reports keys[i] < k, resolving by prefix words when they differ.
+// keyLess reports key i < k, resolving by prefix words when they differ.
 func (t *Tree) keyLess(n *node, i int, k string, kp pfx) bool {
 	p := n.pfxs[i]
 	if p.hi != kp.hi {
@@ -249,10 +175,10 @@ func (t *Tree) keyLess(n *node, i int, k string, kp pfx) bool {
 	if p.lo != kp.lo {
 		return p.lo < kp.lo
 	}
-	return t.keyStr(n.keys[i]) < k
+	return t.key(n, i) < k
 }
 
-// keyGreater reports keys[i] > k.
+// keyGreater reports key i > k.
 func (t *Tree) keyGreater(n *node, i int, k string, kp pfx) bool {
 	p := n.pfxs[i]
 	if p.hi != kp.hi {
@@ -261,13 +187,13 @@ func (t *Tree) keyGreater(n *node, i int, k string, kp pfx) bool {
 	if p.lo != kp.lo {
 		return p.lo > kp.lo
 	}
-	return t.keyStr(n.keys[i]) > k
+	return t.key(n, i) > k
 }
 
-// searchGE returns the first index with keys[i] >= k
+// searchGE returns the first index with key i >= k
 // (sort.SearchStrings equivalent, prefix-accelerated).
 func (t *Tree) searchGE(n *node, k string, kp pfx) int {
-	lo, hi := 0, len(n.keys)
+	lo, hi := 0, len(n.recs)
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
 		if t.keyLess(n, mid, k, kp) {
@@ -279,10 +205,10 @@ func (t *Tree) searchGE(n *node, k string, kp pfx) int {
 	return lo
 }
 
-// searchGT returns the first index with keys[i] > k: the child index for a
-// descent (children[i] covers keys < keys[i]).
+// searchGT returns the first index with key i > k: the child index for a
+// descent (children[i] covers keys below key i).
 func (t *Tree) searchGT(n *node, k string, kp pfx) int {
-	lo, hi := 0, len(n.keys)
+	lo, hi := 0, len(n.recs)
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
 		if t.keyGreater(n, mid, k, kp) {
@@ -319,7 +245,7 @@ func (t *Tree) admit(io *IOStats, n *node) {
 
 // Load buffers an entry for the deferred bulk build, charging nothing: the
 // benchmark's load phase runs outside measured time. Key and payload bytes
-// are copied into the tree's slabs immediately (the caller's slices are not
+// are copied into the batch immediately (the caller's slices are not
 // retained). The tree is built by Seal, which every read, write, scan and
 // size accessor calls first; the build computes the pages from the keys'
 // order and arrival order. A Load after Seal panics, and Seal panics on a
@@ -331,16 +257,10 @@ func (t *Tree) Load(key string, fields [][]byte) {
 	if t.sealed {
 		panic("btree: Load after Seal")
 	}
-	last := len(t.pending) - 1
-	if last < 0 || len(t.pending[last]) == cap(t.pending[last]) {
-		size := pendingChunk
-		if last < 4 {
-			size >>= 4 - last // 256, 512, …, 4096, then 8,192 for good
-		}
-		t.pending = append(t.pending, make([]pentry, 0, size))
-		last++
+	if t.batch == nil {
+		t.batch = new(slab.Batch)
 	}
-	t.pending[last] = append(t.pending[last], pentry{kr: t.ingestKey(key), v: t.ingestFields(fields)})
+	t.batch.Append(key, fields)
 }
 
 // Seal ends the load phase, building the tree from the buffered load
@@ -353,7 +273,7 @@ func (t *Tree) Seal() {
 		return
 	}
 	t.sealed = true
-	if t.pending != nil {
+	if t.batch != nil {
 		t.build()
 	}
 }
@@ -368,8 +288,8 @@ func (t *Tree) Get(key string) (slab.FieldsView, bool, IOStats) {
 		t.touch(&io, n, false)
 		if n.leaf {
 			i := t.searchGE(n, key, kp)
-			if i < len(n.keys) && t.keyStr(n.keys[i]) == key {
-				return t.view(n.vals[i]), true, io
+			if i < len(n.recs) && t.key(n, i) == key {
+				return t.recs.Fields(n.recs[i]), true, io
 			}
 			return slab.FieldsView{}, false, io
 		}
@@ -381,23 +301,18 @@ func (t *Tree) Get(key string) (slab.FieldsView, bool, IOStats) {
 func (t *Tree) Put(key string, fields [][]byte) IOStats {
 	t.Seal()
 	var io IOStats
-	t.put(key, prefixOf(key), t.ingestKey(key), t.ingestFields(fields), &io)
-	return io
-}
-
-// put inserts a pre-ingested entry. A duplicate key abandons the fresh key
-// region and repoints the row at the fresh payload (last write wins).
-func (t *Tree) put(key string, kp pfx, kr kref, v vref, io *IOStats) {
-	sep, sepPfx, right := t.insert(t.root, key, kp, kr, v, io)
+	kp := prefixOf(key)
+	sep, sepPfx, right := t.insert(t.root, key, kp, t.recs.Append(key, fields), &io)
 	if right != nil {
 		newRoot := t.newNode(false)
-		newRoot.keys = append(newRoot.keys, sep)
+		newRoot.recs = append(newRoot.recs, sep)
 		newRoot.pfxs = append(newRoot.pfxs, sepPfx)
 		newRoot.children = append(newRoot.children, t.root, right)
 		t.root = newRoot
 		t.height++
-		t.admit(io, newRoot)
+		t.admit(&io, newRoot)
 	}
+	return io
 }
 
 // Update overwrites the fields of an existing key in place: an index
@@ -409,84 +324,69 @@ func (t *Tree) Update(key string, fields [][]byte) (bool, IOStats) {
 	var io IOStats
 	n, kp := t.descend(key, &io)
 	i := t.searchGE(n, key, kp)
-	found := i < len(n.keys) && t.keyStr(n.keys[i]) == key
+	found := i < len(n.recs) && t.key(n, i) == key
 	t.touch(&io, n, found)
 	if found {
-		t.replace(&n.vals[i], fields)
+		n.recs[i] = t.recs.Replace(n.recs[i], fields)
 	}
 	return found, io
 }
 
-// insert descends to the leaf; returns a separator (with its prefix) and
-// new right node if this subtree split.
-func (t *Tree) insert(n *node, key string, kp pfx, kr kref, v vref, io *IOStats) (kref, pfx, *node) {
+// insert descends to the leaf and places the record r of key there (a
+// duplicate key's row becomes r: last write wins); returns a separator
+// (with its prefix) and new right node if this subtree split.
+func (t *Tree) insert(n *node, key string, kp pfx, r slab.Rec, io *IOStats) (slab.Rec, pfx, *node) {
 	t.touch(io, n, true)
 	if n.leaf {
 		i := t.searchGE(n, key, kp)
-		if i < len(n.keys) && t.keyStr(n.keys[i]) == key {
-			n.vals[i] = v
-			return 0, pfx{}, nil
+		if i < len(n.recs) && t.key(n, i) == key {
+			n.recs[i] = r
+			return slab.Rec{}, pfx{}, nil
 		}
-		n.keys = append(n.keys, 0)
-		copy(n.keys[i+1:], n.keys[i:])
-		n.keys[i] = kr
-		n.pfxs = append(n.pfxs, pfx{})
-		copy(n.pfxs[i+1:], n.pfxs[i:])
-		n.pfxs[i] = kp
-		n.vals = append(n.vals, vref{})
-		copy(n.vals[i+1:], n.vals[i:])
-		n.vals[i] = v
+		n.recs = slices.Insert(n.recs, i, r)
+		n.pfxs = slices.Insert(n.pfxs, i, kp)
 		t.n++
-		if len(n.keys) <= t.cfg.LeafCap {
-			return 0, pfx{}, nil
+		if len(n.recs) <= t.cfg.LeafCap {
+			return slab.Rec{}, pfx{}, nil
 		}
 		return t.splitLeaf(n, io)
 	}
 	ci := t.searchGT(n, key, kp)
-	sep, sepPfx, right := t.insert(n.children[ci], key, kp, kr, v, io)
+	sep, sepPfx, right := t.insert(n.children[ci], key, kp, r, io)
 	if right == nil {
-		return 0, pfx{}, nil
+		return slab.Rec{}, pfx{}, nil
 	}
-	n.keys = append(n.keys, 0)
-	copy(n.keys[ci+1:], n.keys[ci:])
-	n.keys[ci] = sep
-	n.pfxs = append(n.pfxs, pfx{})
-	copy(n.pfxs[ci+1:], n.pfxs[ci:])
-	n.pfxs[ci] = sepPfx
-	n.children = append(n.children, nil)
-	copy(n.children[ci+2:], n.children[ci+1:])
-	n.children[ci+1] = right
+	n.recs = slices.Insert(n.recs, ci, sep)
+	n.pfxs = slices.Insert(n.pfxs, ci, sepPfx)
+	n.children = slices.Insert(n.children, ci+1, right)
 	if len(n.children) <= t.cfg.InternalCap {
-		return 0, pfx{}, nil
+		return slab.Rec{}, pfx{}, nil
 	}
 	return t.splitInternal(n, io)
 }
 
-func (t *Tree) splitLeaf(n *node, io *IOStats) (kref, pfx, *node) {
-	mid := len(n.keys) / 2
+func (t *Tree) splitLeaf(n *node, io *IOStats) (slab.Rec, pfx, *node) {
+	mid := len(n.recs) / 2
 	right := t.newNode(true)
-	right.keys = append(right.keys, n.keys[mid:]...)
+	right.recs = append(right.recs, n.recs[mid:]...)
 	right.pfxs = append(right.pfxs, n.pfxs[mid:]...)
-	right.vals = append(right.vals, n.vals[mid:]...)
-	n.keys = n.keys[:mid]
+	n.recs = n.recs[:mid]
 	n.pfxs = n.pfxs[:mid]
-	n.vals = n.vals[:mid]
 	right.next = n.next
 	n.next = right
 	t.admit(io, right)
-	// The separator shares the leaf key's slab region (key bytes are never
-	// overwritten, so the shared view stays sound).
-	return right.keys[0], right.pfxs[0], right
+	// The separator is the right leaf's first row.
+	return right.recs[0], right.pfxs[0], right
 }
 
-func (t *Tree) splitInternal(n *node, io *IOStats) (kref, pfx, *node) {
-	midKey := len(n.keys) / 2
-	sep, sepPfx := n.keys[midKey], n.pfxs[midKey]
+func (t *Tree) splitInternal(n *node, io *IOStats) (slab.Rec, pfx, *node) {
+	midKey := len(n.recs) / 2
+	sep, sepPfx := n.recs[midKey], n.pfxs[midKey]
 	right := t.newNode(false)
-	right.keys = append(right.keys, n.keys[midKey+1:]...)
+	right.recs = append(right.recs, n.recs[midKey+1:]...)
 	right.pfxs = append(right.pfxs, n.pfxs[midKey+1:]...)
 	right.children = append(right.children, n.children[midKey+1:]...)
-	n.keys = n.keys[:midKey]
+	n.recs = n.recs[:midKey]
 	n.pfxs = n.pfxs[:midKey]
 	clear(n.children[midKey+1:])
 	n.children = n.children[:midKey+1]
@@ -520,14 +420,14 @@ func (t *Tree) Scan(start string, count int) (out []slab.Entry, io IOStats) {
 	out = make([]slab.Entry, 0, min(count, t.n))
 	t.touch(&io, n, false)
 	for i := t.searchGE(n, start, kp); len(out) < count; i++ {
-		for i >= len(n.keys) {
+		for i >= len(n.recs) {
 			if n.next == nil {
 				return out, io
 			}
 			n, i = n.next, 0
 			t.touch(&io, n, false)
 		}
-		out = append(out, slab.Entry{Key: t.keyStr(n.keys[i]), Fields: t.view(n.vals[i])})
+		out = append(out, t.recs.Entry(n.recs[i]))
 	}
 	return out, io
 }
@@ -540,7 +440,7 @@ func (t *Tree) ScanAllFrom(start string) (entries int, io IOStats) {
 	n, kp := t.descend(start, &io)
 	for i := t.searchGE(n, start, kp); n != nil; n, i = n.next, 0 {
 		t.touch(&io, n, false)
-		entries += len(n.keys) - i
+		entries += len(n.recs) - i
 	}
 	return entries, io
 }
@@ -557,9 +457,9 @@ func (t *Tree) Pages() int { t.Seal(); return t.pages }
 // DiskBytes returns the on-disk footprint (pages x page size).
 func (t *Tree) DiskBytes() int64 { t.Seal(); return int64(t.pages) * t.cfg.PageSize }
 
-// SlabBytes returns the heap footprint of the tree's key and payload
-// slabs (apmbench -memstats).
-func (t *Tree) SlabBytes() int64 { return t.keySlab.Allocated() + t.valSlab.Allocated() }
+// SlabBytes returns the heap footprint of the tree's record slab
+// (apmbench -memstats).
+func (t *Tree) SlabBytes() int64 { t.Seal(); return t.recs.Data.Allocated() }
 
 // pool is a fixed-capacity page cache with dirty tracking, threaded
 // intrusively through the nodes it caches.

@@ -297,8 +297,8 @@ func TestBulkBuildEquivalence(t *testing.T) {
 		records              int
 	}{
 		{"fanout8", 8, 8, 3000},
-		{"voldemort", 11, 128, 2*pendingChunk + 3617}, // 20,001: seven chunks
-		{"mysql", 94, 512, 2*pendingChunk + 3617},
+		{"voldemort", 11, 128, 20_001}, // seven load-batch chunks
+		{"mysql", 94, 512, 20_001},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			bulkEquivalence(t, Config{PageSize: 4096, LeafCap: tc.leafCap, InternalCap: tc.internalCap,
@@ -516,7 +516,7 @@ func TestCursorMatchesScanEntriesAndIO(t *testing.T) {
 		n = n.children[0]
 	}
 	for ; n != nil; n = n.next {
-		first, last := tr.keyStr(n.keys[0]), tr.keyStr(n.keys[len(n.keys)-1])
+		first, last := tr.key(n, 0), tr.key(n, len(n.recs)-1)
 		if last >= "k0030" && first <= "k0054" {
 			leaves++
 		}

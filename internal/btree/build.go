@@ -2,7 +2,6 @@ package btree
 
 import (
 	"math/bits"
-	"strings"
 
 	"repro/internal/slab"
 )
@@ -80,51 +79,25 @@ func grow[T any](s []T, n int) []T {
 	return s[:n]
 }
 
-// firstChunks is the number of entries in the load batch's first five
-// chunks, which Load sizes 256, 512, …, 4,096 before every chunk is
-// pendingChunk long.
-const firstChunks = pendingChunk - pendingChunk>>5
-
-// at returns the j-th buffered record of a load batch.
-func at(batch [][]pentry, j uint32) *pentry {
-	if j < firstChunks {
-		c := bits.Len32(j>>8+1) - 1
-		return &batch[c][j-(256<<c-256)]
-	}
-	j -= firstChunks
-	return &batch[5+j/pendingChunk][j%pendingChunk]
-}
-
-// build builds the tree from the load batch into New's empty tree. It
-// panics if the batch repeats a key.
+// build builds the tree from the load batch into New's empty tree, which
+// takes the batch's records: New wrote none, so every ref is the one Put
+// would have carved. It panics if the batch repeats a key.
 func (t *Tree) build() {
-	batch := t.pending
-	t.pending = nil
-	n := 0
-	for _, chunk := range batch {
-		n += len(chunk)
-	}
+	batch := t.batch
+	t.batch = nil
+	n := batch.Len()
 	if n >= 1<<32-1 {
 		panic("btree: load batch of 2^32 records or more")
 	}
 	s := getScratch(n)
 	defer putScratch(s)
-	j := uint32(0)
-	for _, chunk := range batch {
-		for i := range chunk {
-			k := t.keyStr(chunk[i].kr)
-			s.items[j] = slab.PrefixItem{Hi: slab.KeyPrefix(k, 0), Lo: slab.KeyPrefix(k, 8), I: j}
-			j++
-		}
-	}
-	if !slab.SortByPrefix(s.items, func(a, b uint32) int {
-		return strings.Compare(t.keyStr(at(batch, a).kr), t.keyStr(at(batch, b).kr))
-	}) {
+	if !batch.Sort(s.items) {
 		panic("btree: load batch repeats a key")
 	}
 	s.simulate(t.cfg, n)
 	t.assemble(s, batch, n)
 	t.restorePool(s)
+	t.recs = batch.Take()
 }
 
 // simulate runs every level's splits: the leaves take the records in
@@ -261,7 +234,7 @@ func nthSet(b []uint64, from uint32, k int) uint32 {
 // leaf leftmost, and above them the node holding separators a..b-1 of a
 // level with children a..b of the level below. It records each page's
 // creation and last in-range arrival for restorePool.
-func (t *Tree) assemble(s *buildScratch, batch [][]pentry, n int) {
+func (t *Tree) assemble(s *buildScratch, batch *slab.Batch, n int) {
 	pages := 0
 	for _, b := range s.sorted[:s.height] {
 		pages += len(b) + 1
@@ -284,10 +257,8 @@ func (t *Tree) assemble(s *buildScratch, batch [][]pentry, n int) {
 		}
 		rmax := int64(-1)
 		for _, it := range s.items[lo:hi] {
-			e := at(batch, it.I)
-			leaf.keys = append(leaf.keys, e.kr)
+			leaf.recs = append(leaf.recs, batch.At(it.I))
 			leaf.pfxs = append(leaf.pfxs, pfx{hi: it.Hi, lo: it.Lo})
-			leaf.vals = append(leaf.vals, e.v)
 			rmax = max(rmax, int64(it.I))
 		}
 		s.pages = append(s.pages, page{nd: leaf, create: create, rmax: rmax})
@@ -317,7 +288,7 @@ func (t *Tree) assemble(s *buildScratch, batch [][]pentry, n int) {
 			}
 			cur := &s.pages[len(s.pages)-1]
 			it := &s.items[sp.pos]
-			cur.nd.keys = append(cur.nd.keys, at(batch, it.I).kr)
+			cur.nd.recs = append(cur.nd.recs, batch.At(it.I))
 			cur.nd.pfxs = append(cur.nd.pfxs, pfx{hi: it.Hi, lo: it.Lo})
 			cur.nd.children = append(cur.nd.children, s.pages[child].nd)
 			cur.rmax = max(cur.rmax, s.pages[child].rmax)

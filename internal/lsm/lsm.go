@@ -462,33 +462,32 @@ func (t *Tree) maybeCompact(e *sim.Engine) {
 	})
 }
 
+// newestFirst inserts x into a table list sorted by generation
+// descending, as its merged replacement goes in: above every older
+// generation.
+func newestFirst[T any](list []T, x T, gen func(T) int) []T {
+	at := slices.IndexFunc(list, func(y T) bool { return gen(x) > gen(y) })
+	if at < 0 {
+		at = len(list)
+	}
+	return slices.Insert(list, at, x)
+}
+
 // replaceTables swaps victims for merged, updating accounting. The new list
 // is built copy-on-write (readers may hold the old slice across disk parks)
-// and keeps the newest-generation-first order, inserting merged at its
-// sorted position.
+// and keeps the newest-generation-first order.
 func (t *Tree) replaceTables(victims []*sstable.Table, merged *sstable.Table) {
-	dead := map[*sstable.Table]bool{}
 	var deadBytes int64
 	for _, v := range victims {
-		dead[v] = true
 		deadBytes += v.DiskBytes
 	}
 	kept := make([]*sstable.Table, 0, len(t.tables)-len(victims)+1)
-	inserted := false
 	for _, tab := range t.tables {
-		if dead[tab] {
-			continue
+		if !slices.Contains(victims, tab) {
+			kept = append(kept, tab)
 		}
-		if !inserted && merged.Gen > tab.Gen {
-			kept = append(kept, merged)
-			inserted = true
-		}
-		kept = append(kept, tab)
 	}
-	if !inserted {
-		kept = append(kept, merged)
-	}
-	t.tables = kept
+	t.tables = newestFirst(kept, merged, func(tab *sstable.Table) int { return tab.Gen })
 	t.tableBytes += merged.DiskBytes - deadBytes
 	t.cfg.Node.AddDiskUsage(merged.DiskBytes - deadBytes)
 }
@@ -498,13 +497,15 @@ func (t *Tree) replaceTables(victims []*sstable.Table, merged *sstable.Table) {
 // accounted as the load proceeds.
 //
 // The load is deferred: records are buffered in flush-sized batches
-// (sstable.Run), the flush and compaction schedule is replayed on their
-// sizes alone, and Seal builds each final table once, from the batches it
-// holds: a one-batch table as its flush would (Run.Build), a merged one
-// by the Merge a compaction runs. Seal runs on first use: every read,
-// write, scan and accessor seals first, so the tree a caller sees is the
-// one a per-record load would have built, down to its generations,
-// entries, shapes, filters, payload chunks and memtable. A LoadDirect
+// (slab.Batch), each cut into an unfinished table (sstable.FromBatch)
+// where a per-record load flushes, the compaction schedule is replayed on
+// the tables' sizes alone, and Seal builds each final table once, from
+// the batches it holds: a one-batch table as its flush would
+// (Table.Finish), a merged one by the Merge a compaction runs. Seal runs
+// on first use: every read, write, scan and accessor seals first, so the
+// tree a caller sees is the one a per-record load would have built, down
+// to its generations, entries, shapes, filters, payload chunks and
+// memtable. A LoadDirect
 // after Seal panics, and so does a key repeated within a flushed batch or
 // within the batches one table merges, where a memtable replace or a
 // compaction would drop a version.
@@ -512,15 +513,12 @@ func (t *Tree) LoadDirect(key string, fields [][]byte) {
 	if t.sealed {
 		panic("lsm: LoadDirect after Seal")
 	}
-	n := payloadBytes(key, fields)
-	t.log.AppendDirect(n)
+	t.log.AppendDirect(payloadBytes(key, fields))
 	if t.bulk == nil {
-		// Size the first batch for records of this one's size, up to 2 MiB
-		// of entries; cutRun sizes each later one by its predecessor.
-		t.bulk = &bulkLoad{cur: sstable.NewRun(int(min(t.cfg.FlushBytes/max(1, n)+1, 1<<16)))}
+		t.bulk = new(bulkLoad)
 	}
 	b := t.bulk
-	b.cur.Add(key, fields)
+	b.cur.Append(key, fields)
 	if b.cur.Bytes() >= t.cfg.FlushBytes {
 		t.cutRun()
 	}
@@ -530,8 +528,8 @@ func (t *Tree) LoadDirect(key string, fields [][]byte) {
 // the batches a per-record load would have flushed, and the table list
 // it would have built from them, replayed on sizes alone.
 type bulkLoad struct {
-	runs []*sstable.Run // cut batches, sorted, in cut order
-	cur  *sstable.Run   // the batch being filled: the memtable's records
+	runs []*sstable.Table // cut batches as unfinished tables, in cut order
+	cur  slab.Batch       // the batch being filled: the memtable's records
 	// tables is the replayed table list, newest first.
 	tables []plannedTable
 	// sizes and victims are pickCompaction's scratch.
@@ -554,17 +552,13 @@ type plannedTable struct {
 // entries', so a merge's is the sum of its inputs'.
 func (t *Tree) cutRun() {
 	b := t.bulk
-	r := b.cur
-	r.Sort()
-	// Same-shaped records fill each batch to the same count.
-	b.cur = sstable.NewRun(r.Len() + 1)
-	b.runs = append(b.runs, r)
+	t.log.Truncate(b.cur.Bytes())
 	t.gen++
-	r.Gen = t.gen
-	size := r.DiskBytes(t.cfg.Overhead)
+	r := sstable.FromBatch(t.gen, &b.cur, t.cfg.Overhead)
+	b.runs = append(b.runs, r)
+	size := r.DiskBytes
 	t.tableBytes += size
 	t.cfg.Node.AddDiskUsage(size)
-	t.log.Truncate(r.Bytes())
 	b.tables = slices.Insert(b.tables, 0, plannedTable{gen: t.gen, size: size, runs: []int{len(b.runs) - 1}})
 	for {
 		b.sizes = b.sizes[:0]
@@ -587,15 +581,7 @@ func (t *Tree) cutRun() {
 			}
 			kept = append(kept, pt)
 		}
-		// As replaceTables: above every older generation.
-		at := len(kept)
-		for i, pt := range kept {
-			if merged.gen > pt.gen {
-				at = i
-				break
-			}
-		}
-		b.tables = slices.Insert(kept, at, merged)
+		b.tables = newestFirst(kept, merged, func(pt plannedTable) int { return pt.gen })
 		t.compactions++
 	}
 }
@@ -612,17 +598,19 @@ func (t *Tree) Seal() {
 	}
 }
 
-// build builds each replayed table once from its runs: one by Run.Build,
-// several by one Merge. A merge that drops an entry met a key repeated
-// across runs, which breaks the load contract.
+// build builds each replayed table once from its runs: one by
+// Table.Finish, several by one Merge. A merge that drops an entry met a
+// key repeated across runs, which breaks the load contract. The
+// unflushed batch goes to the memtable in arrival order, as the
+// per-record load put it there.
 func (t *Tree) build() {
 	b := t.bulk
 	t.bulk = nil
 	t.tables = make([]*sstable.Table, len(b.tables))
 	for i, pt := range b.tables {
 		if len(pt.runs) == 1 {
-			t.tables[i] = b.runs[pt.runs[0]].Build(t.cfg.Overhead, bloomFPP)
-			b.runs[pt.runs[0]] = nil
+			t.tables[i], b.runs[pt.runs[0]] = b.runs[pt.runs[0]], nil
+			t.tables[i].Finish(bloomFPP)
 			continue
 		}
 		runs := make([]*sstable.Table, len(pt.runs))
@@ -630,14 +618,14 @@ func (t *Tree) build() {
 		for j, r := range pt.runs {
 			// A merged table holds its runs' payload chunks, not their
 			// entries: drop each batch as its table is built.
-			runs[j], b.runs[r] = &b.runs[r].Table, nil
+			runs[j], b.runs[r] = b.runs[r], nil
 			n += runs[j].Len()
 		}
 		if t.tables[i] = sstable.Merge(runs, t.cfg.Overhead, bloomFPP); t.tables[i].Len() < n {
 			panic("sstable: merged runs repeat a key")
 		}
 	}
-	b.cur.Unflushed(t.mem)
+	b.cur.Replay(t.mem.Put)
 }
 
 // TableCount returns the number of live SSTables.

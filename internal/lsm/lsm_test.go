@@ -243,10 +243,10 @@ func reachableSlabBytes(t *Tree) int64 {
 	}
 	mem := reflect.ValueOf(t.mem).Elem()
 	addChunks(mem.FieldByName("arena").FieldByName("chunks"))
-	addChunks(mem.FieldByName("data").FieldByName("chunks"))
+	addChunks(mem.FieldByName("recs").FieldByName("Data").FieldByName("chunks"))
 	for _, tab := range t.tables {
 		v := reflect.ValueOf(tab).Elem()
-		addChunks(v.FieldByName("data").FieldByName("chunks"))
+		addChunks(v.FieldByName("recs").FieldByName("Data").FieldByName("chunks"))
 		meta := v.FieldByName("meta")
 		total += int64(meta.Len()) * int64(meta.Type().Elem().Size())
 	}
@@ -723,7 +723,7 @@ func requireSameTree(t *testing.T, got, want *Tree) {
 	}
 	for i, w := range want.tables {
 		g := got.tables[i]
-		for _, f := range []string{"Gen", "meta", "shapes", "filter", "minKey", "maxKey", "data", "DiskBytes"} {
+		for _, f := range []string{"Gen", "meta", "recs", "filter", "minKey", "maxKey", "DiskBytes"} {
 			if !reflect.DeepEqual(field(g, f), field(w, f)) {
 				t.Fatalf("table %d (gen %d): %s differs", i, w.Gen, f)
 			}
@@ -749,7 +749,7 @@ func requireSameTree(t *testing.T, got, want *Tree) {
 			t.Fatalf("%s = %d, want %d", c.name, c.got, c.want)
 		}
 	}
-	ge, we := got.mem.All(), want.mem.All()
+	ge, we := got.mem.ScanAppend(nil, "", got.mem.Len()), want.mem.ScanAppend(nil, "", want.mem.Len())
 	for i := range we {
 		if ge[i].Key != we[i].Key || !reflect.DeepEqual(ge[i].Fields.Materialize(), we[i].Fields.Materialize()) {
 			t.Fatalf("memtable entry %d = %q, want %q", i, ge[i].Key, we[i].Key)

@@ -10,9 +10,9 @@
 // their child offsets. Leaves are linked left to right for iteration.
 // A lookup binary-searches one node per level, touching a handful of
 // cache lines each, and the garbage collector sees a few large scalar
-// buffers instead of millions of linked nodes. Keys and field payloads live contiguously in a
-// slab.Slab; field layouts are interned in a slab.ShapeTable so
-// uniform-schema records pay no per-record header storage.
+// buffers instead of millions of linked nodes. Records are kept in a
+// slab.Records store, key and field bytes contiguous, with field layouts
+// interned so uniform-schema records pay no per-record header storage.
 //
 // Field bytes are COPIED on insert — the memtable owns its payload
 // memory — which is what lets callers reuse one fields buffer across
@@ -33,18 +33,14 @@ package memtable
 
 import "repro/internal/slab"
 
-// maxKeyLen bounds keys to the 16 bits reserved in the slot meta word.
-const maxKeyLen = 1<<16 - 1
-
 // Node layout, in words relative to the node's arena offset. Slot j's
 // key prefix pair sits at nodePairs+2j: the key's first 16 bytes as two
 // big-endian integers (zero padded), so a search orders slots with one
 // or two register compares and falls back to a byte-wise compare only
 // on a double tie — sound because zero-padded big-endian prefix order is
-// a coarsening of lexicographic order. Slot j's ref locates its key in
-// the payload slab (leaf slots: key bytes, then field bytes
-// contiguously after). Its meta packs keyLen(16) | fieldsLen(32) |
-// shape(16), the same packing as the sstable's entry meta. Inner slots
+// a coarsening of lexicographic order. Slot j's ref and meta are the two
+// words of a slab.Rec: a leaf slot's record, key bytes then field bytes
+// in the payload slab, as the sstable's entries hold it. Inner slots
 // are separators: slot j's key is the smallest key under child j (slot
 // 0's key is never compared), and its ref points at that key's bytes in
 // the payload slab for the rare full-key tie.
@@ -109,9 +105,8 @@ func keyPrefix(k string, off int) uint64 { return slab.KeyPrefix(k, off) }
 // as a flat-arena B+-tree. It is not safe for concurrent use (simulated
 // processes run one at a time).
 type Memtable struct {
-	arena  wordArena
-	data   slab.Slab
-	shapes slab.ShapeTable
+	arena wordArena
+	recs  slab.Records
 
 	root   uint64
 	height int // inner levels above the leaves; 0 = the root is a leaf
@@ -135,27 +130,14 @@ func (m *Memtable) node(off uint64) []uint64 {
 	return m.arena.chunks[off>>arenaShift][off&arenaMask:]
 }
 
+// rec returns slot j's record.
+func rec(nd []uint64, j int) slab.Rec {
+	return slab.Rec{Ref: slab.Ref(nd[nodeRefs+j]), Meta: nd[nodeMetas+j]}
+}
+
 // slotKey returns slot j's key bytes as a zero-copy string view (key
 // bytes are never overwritten, so the view is stable).
-func (m *Memtable) slotKey(nd []uint64, j int) string {
-	return m.data.String(slab.Ref(nd[nodeRefs+j]), int(nd[nodeMetas+j]&0xffff))
-}
-
-// slotEntry materializes the Entry view for leaf slot j.
-func (m *Memtable) slotEntry(nd []uint64, j int) slab.Entry {
-	ref, meta := slab.Ref(nd[nodeRefs+j]), nd[nodeMetas+j]
-	return slab.Entry{Key: m.data.String(ref, int(meta&0xffff)), Fields: m.fieldsAt(ref, meta)}
-}
-
-// fieldsAt returns the field view of the payload at ref with meta.
-// Payload regions are contiguous within one chunk, so the field bytes
-// sit at ref+keyLen.
-func (m *Memtable) fieldsAt(ref slab.Ref, meta uint64) slab.FieldsView {
-	return slab.SlabView(
-		m.data.View(ref+slab.Ref(meta&0xffff), int(meta>>16&0xffffffff)),
-		m.shapes.Ends(uint32(meta>>48)),
-	)
-}
+func (m *Memtable) slotKey(nd []uint64, j int) string { return m.recs.Key(rec(nd, j)) }
 
 // search returns the first slot in [lo, n) whose key is >= k, or > k
 // when strict, by binary search over the interleaved prefix pairs.
@@ -322,70 +304,28 @@ func (m *Memtable) Put(key string, fields [][]byte) {
 	if m.frozen {
 		panic("memtable: Put on a frozen (flushed) memtable")
 	}
-	if len(key) > maxKeyLen {
-		panic("memtable: key longer than 64 KiB")
-	}
 	var path [maxDepth]step
 	leaf, nd, j, found := m.seek(key, &path)
 	if found {
-		m.replace(nd, j, fields)
+		// A replace of another shape moves the record to a new region
+		// (slab.Records.Replace); separators pointing at the old key
+		// bytes stay valid.
+		old := rec(nd, j)
+		r := m.recs.Replace(old, fields)
+		nd[nodeRefs+j], nd[nodeMetas+j] = uint64(r.Ref), r.Meta
+		m.bytes += int64(r.FieldsLen() - old.FieldsLen())
 		return
 	}
-	meta, fieldsLen := m.meta(len(key), fields)
-	ref, buf := m.data.Alloc(len(key) + fieldsLen)
-	p := copy(buf, key)
-	for _, f := range fields {
-		p += copy(buf[p:], f)
-	}
-	m.insert(leaf, 0, j, slot{keyPrefix(key, 0), keyPrefix(key, 8), uint64(ref), meta, 0}, &path)
+	r := m.recs.Append(key, fields)
+	m.insert(leaf, 0, j, slot{keyPrefix(key, 0), keyPrefix(key, 8), uint64(r.Ref), r.Meta, 0}, &path)
 	m.n++
-	m.bytes += int64(len(key) + fieldsLen)
-}
-
-// replace overwrites leaf slot j's fields. When the new field set has the
-// same shape (count and per-field length) the bytes are copied in place;
-// otherwise a fresh slab region is carved — including a new copy of the
-// key, so key+fields stay contiguous — and the old region is left to the
-// slab (reclaimed when the memtable is dropped after flush). Separators
-// that point at the old key bytes stay valid: key bytes are never
-// overwritten.
-func (m *Memtable) replace(nd []uint64, j int, fields [][]byte) {
-	old := nd[nodeMetas+j]
-	keyLen := int(old & 0xffff)
-	meta, fieldsLen := m.meta(keyLen, fields)
-	if meta == old {
-		buf := m.data.View(slab.Ref(nd[nodeRefs+j])+slab.Ref(keyLen), fieldsLen)
-		p := 0
-		for _, f := range fields {
-			p += copy(buf[p:], f)
-		}
-	} else {
-		oldKey := m.data.View(slab.Ref(nd[nodeRefs+j]), keyLen)
-		ref, buf := m.data.Alloc(keyLen + fieldsLen)
-		p := copy(buf, oldKey)
-		for _, f := range fields {
-			p += copy(buf[p:], f)
-		}
-		nd[nodeRefs+j] = uint64(ref)
-		nd[nodeMetas+j] = meta
-	}
-	m.bytes += int64(fieldsLen) - int64(old>>16&0xffffffff)
-}
-
-// meta interns fields' layout and packs a slot meta word for a key of
-// keyLen bytes. Equal metas for one key mean equal shapes.
-func (m *Memtable) meta(keyLen int, fields [][]byte) (meta uint64, fieldsLen int) {
-	shape, fieldsLen := m.shapes.Intern(fields)
-	if shape > 0xffff {
-		panic("memtable: shape table overflow")
-	}
-	return uint64(keyLen) | uint64(fieldsLen)<<16 | uint64(shape)<<48, fieldsLen
+	m.bytes += int64(r.Len())
 }
 
 // Get returns a view of the fields for key and whether it was present.
 func (m *Memtable) Get(key string) (slab.FieldsView, bool) {
 	if _, nd, j, found := m.seek(key, nil); found {
-		return m.fieldsAt(slab.Ref(nd[nodeRefs+j]), nd[nodeMetas+j]), true
+		return m.recs.Fields(rec(nd, j)), true
 	}
 	return slab.FieldsView{}, false
 }
@@ -410,62 +350,29 @@ func (m *Memtable) Bytes() int64 { return m.bytes }
 // SlabBytes returns the heap footprint of the memtable's arenas: node
 // words plus payload slab capacity (apmbench -memstats).
 func (m *Memtable) SlabBytes() int64 {
-	return m.arena.allocated + m.data.Allocated()
+	return m.arena.allocated + m.recs.Data.Allocated()
 }
 
-// All returns every entry in key order (used by tests; the flush path
-// uses Freeze for a zero-copy handoff).
-func (m *Memtable) All() []slab.Entry {
-	out := make([]slab.Entry, 0, m.n)
-	m.Iter(func(e slab.Entry) bool {
-		out = append(out, e)
-		return true
-	})
-	return out
-}
-
-// Iter calls fn for each entry in key order until fn returns false. fn
-// must not write to the memtable.
-func (m *Memtable) Iter(fn func(slab.Entry) bool) {
-	for it := m.SeekIter(""); it.Valid(); it.Next() {
-		if !fn(it.Entry()) {
-			return
-		}
-	}
-}
-
-// FlushEntry locates one record inside the slabs handed over by Freeze:
-// payload at Ref (key bytes, then field bytes), layout as a shape index
-// into the transferred ShapeTable.
+// FlushEntry is one record inside the store handed over by Freeze, with
+// its key's prefix pair.
 type FlushEntry struct {
 	KeyPfx, KeyPfx2 uint64
-	Ref             slab.Ref
-	KeyLen          int
-	FieldsLen       int
-	Shape           uint32
+	Rec             slab.Rec
 }
 
 // Freeze marks the memtable immutable, streams every entry in key order
-// to fn, and returns the payload slab and shape table for zero-copy
-// reuse by the flushed sstable. The slabs are shared, not moved:
-// outstanding readers of the frozen tree stay valid, since nothing
-// writes to it again; the word arena is freed with the memtable while the
-// payload chunks live on inside the table.
-func (m *Memtable) Freeze(fn func(FlushEntry)) (slab.Slab, slab.ShapeTable) {
+// to fn, and returns its record store for zero-copy reuse by the flushed
+// sstable. The store is shared, not moved: outstanding readers of the
+// frozen tree stay valid, since nothing writes to it again; the word
+// arena is freed with the memtable while the payload chunks live on
+// inside the table.
+func (m *Memtable) Freeze(fn func(FlushEntry)) slab.Records {
 	m.frozen = true
 	for it := m.SeekIter(""); it.Valid(); it.Next() {
 		nd, j := m.node(it.leaf), it.i
-		meta := nd[nodeMetas+j]
-		fn(FlushEntry{
-			KeyPfx:    nd[nodePairs+2*j],
-			KeyPfx2:   nd[nodePairs+2*j+1],
-			Ref:       slab.Ref(nd[nodeRefs+j]),
-			KeyLen:    int(meta & 0xffff),
-			FieldsLen: int(meta >> 16 & 0xffffffff),
-			Shape:     uint32(meta >> 48),
-		})
+		fn(FlushEntry{KeyPfx: nd[nodePairs+2*j], KeyPfx2: nd[nodePairs+2*j+1], Rec: rec(nd, j)})
 	}
-	return m.data, m.shapes
+	return m.recs
 }
 
 // Iterator is a forward cursor over the linked leaves. It is a small
@@ -498,7 +405,7 @@ func (it Iterator) Valid() bool { return it.i < it.n }
 
 // Entry returns the current entry. It must not be called on an invalid
 // iterator.
-func (it Iterator) Entry() slab.Entry { return it.m.slotEntry(it.m.node(it.leaf), it.i) }
+func (it Iterator) Entry() slab.Entry { return it.m.recs.Entry(rec(it.m.node(it.leaf), it.i)) }
 
 // Key returns the current entry's key without building its field view.
 // It must not be called on an invalid iterator.

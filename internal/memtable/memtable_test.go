@@ -97,28 +97,28 @@ func TestAllReturnsSorted(t *testing.T) {
 	for _, k := range keys {
 		m.Put(k, f1("v"))
 	}
-	all := m.All()
+	all := m.ScanAppend(nil, "", m.Len())
 	if len(all) != len(keys) {
-		t.Fatalf("All returned %d entries, want %d", len(all), len(keys))
+		t.Fatalf("full scan returned %d entries, want %d", len(all), len(keys))
 	}
 	if !sort.SliceIsSorted(all, func(i, j int) bool { return all[i].Key < all[j].Key }) {
-		t.Fatalf("All not sorted: %v", all)
+		t.Fatalf("full scan not sorted: %v", all)
 	}
 }
 
+// A scan stops at its count and appends to the caller's buffer.
 func TestIterEarlyStop(t *testing.T) {
 	m := New()
 	for i := 0; i < 10; i++ {
 		m.Put(fmt.Sprintf("k%d", i), f1("v"))
 	}
-	n := 0
-	m.Iter(func(slab.Entry) bool { n++; return n < 3 })
-	if n != 3 {
-		t.Fatalf("iter visited %d entries, want 3", n)
+	got := m.ScanAppend([]slab.Entry{{Key: "x"}}, "", 3)
+	if len(got) != 4 || got[0].Key != "x" || got[1].Key != "k0" || got[3].Key != "k2" {
+		t.Fatalf("ScanAppend(count 3) after one entry = %v, want x, k0, k1, k2", got)
 	}
 }
 
-// Property: the memtable agrees with a reference map and All() is sorted.
+// Property: the memtable agrees with a reference map and a full scan is sorted.
 func TestPropertyAgainstMap(t *testing.T) {
 	f := func(ops []struct {
 		K string
@@ -139,7 +139,7 @@ func TestPropertyAgainstMap(t *testing.T) {
 				return false
 			}
 		}
-		all := m.All()
+		all := m.ScanAppend(nil, "", m.Len())
 		return sort.SliceIsSorted(all, func(i, j int) bool { return all[i].Key < all[j].Key })
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
@@ -302,10 +302,10 @@ func (r *refTable) sortedKeys() []string {
 // TestSlabLayoutEquivalence pins the slab-backed memtable against the
 // PR-4 layout's observable behavior op-for-op: after every operation of
 // a seeded random workload (inserts, same-shape replaces, reshaping
-// replaces, point gets, scans), Len/Bytes/Get/Scan/All/SeekIter must
+// replaces, point gets, scans), Len/Bytes/Get/Scan/SeekIter must
 // agree exactly with a reference model implementing the documented PR-4
 // semantics. This is the contract that makes the layout swap host-side
-// only: Bytes() drives flush timing, All() order drives sstable
+// only: Bytes() drives flush timing, key order drives sstable
 // contents, and both must be bit-for-bit what the pointer-based
 // implementation produced.
 func TestSlabLayoutEquivalence(t *testing.T) {
@@ -377,16 +377,16 @@ func TestSlabLayoutEquivalence(t *testing.T) {
 			t.Fatalf("op %d: Bytes = %d, want %d", op, m.Bytes(), ref.bytes)
 		}
 	}
-	// Full-table sweep: All and SeekIter("") agree with the model.
+	// Full-table sweep: a full scan and SeekIter("") agree with the model.
 	keys := ref.sortedKeys()
-	all := m.All()
+	all := m.ScanAppend(nil, "", m.Len())
 	if len(all) != len(keys) {
-		t.Fatalf("All len = %d, want %d", len(all), len(keys))
+		t.Fatalf("full scan len = %d, want %d", len(all), len(keys))
 	}
 	it := m.SeekIter("")
 	for i, k := range keys {
 		if all[i].Key != k {
-			t.Fatalf("All[%d] = %q, want %q", i, all[i].Key, k)
+			t.Fatalf("full scan[%d] = %q, want %q", i, all[i].Key, k)
 		}
 		checkEntry(-1, all[i], k)
 		if !it.Valid() || it.Entry().Key != k {
@@ -405,20 +405,20 @@ func TestFreezeHandsOffEntries(t *testing.T) {
 		m.Put(fmt.Sprintf("k%03d", i), f1(fmt.Sprintf("v%d", i)))
 	}
 	var keys []string
-	data, shapes := m.Freeze(func(e FlushEntry) {
-		keys = append(keys, data0(m, e))
+	recs := m.Freeze(func(e FlushEntry) {
+		keys = append(keys, m.recs.Key(e.Rec))
 	})
 	if len(keys) != 100 || !sort.StringsAreSorted(keys) {
 		t.Fatalf("Freeze yielded %d keys (sorted=%v)", len(keys), sort.StringsAreSorted(keys))
 	}
 	// The handed-off slab resolves the same payload the memtable held.
 	v, _ := m.Get("k042")
-	got := data.View(0, 1) // probe: slab is alive and indexable
+	got := recs.Data.View(0, 1) // probe: slab is alive and indexable
 	_ = got
 	if string(v.Field(0)) != "v42" {
 		t.Fatalf("frozen memtable Get = %q", v.Field(0))
 	}
-	if shapes.Len() == 0 {
+	if recs.Shapes.Len() == 0 {
 		t.Fatal("shape table handed off empty")
 	}
 	defer func() {
@@ -471,7 +471,7 @@ func TestDeepTreesMatchReference(t *testing.T) {
 }
 
 // checkModel compares every observable of m against ref: Len, Bytes,
-// Get of each key and of absent neighbours, All, a full SeekIter walk,
+// Get of each key and of absent neighbours, a full scan, a full SeekIter walk,
 // and Scans from random present and absent starts.
 func checkModel(t *testing.T, m *Memtable, ref *refTable, rng *rand.Rand) {
 	t.Helper()
@@ -500,11 +500,11 @@ func checkModel(t *testing.T, m *Memtable, ref *refTable, rng *rand.Rand) {
 			t.Fatalf("Get(%q) found an absent key", k+"\x00")
 		}
 	}
-	all := m.All()
+	all := m.ScanAppend(nil, "", m.Len())
 	it := m.SeekIter("")
 	for i, k := range keys {
 		if !same(all[i], k) {
-			t.Fatalf("All[%d] = %q, want %q", i, all[i].Key, k)
+			t.Fatalf("full scan[%d] = %q, want %q", i, all[i].Key, k)
 		}
 		if !it.Valid() || !same(it.Entry(), k) {
 			t.Fatalf("iterator at %d: valid=%v, want key %q", i, it.Valid(), k)
@@ -512,7 +512,7 @@ func checkModel(t *testing.T, m *Memtable, ref *refTable, rng *rand.Rand) {
 		it.Next()
 	}
 	if len(all) != len(keys) || it.Valid() {
-		t.Fatalf("All len = %d (iterator valid past end: %v), want %d", len(all), it.Valid(), len(keys))
+		t.Fatalf("full scan len = %d (iterator valid past end: %v), want %d", len(all), it.Valid(), len(keys))
 	}
 	for i := 0; i < 500; i++ {
 		start := keys[rng.Intn(len(keys))]
@@ -551,17 +551,12 @@ func TestNodeBytesPerEntry(t *testing.T) {
 		for i := 0; i < n; i++ {
 			m.Put(key(i), f1("0123456789"))
 		}
-		perEntry := float64(m.SlabBytes()-m.data.Allocated()) / n
+		perEntry := float64(m.SlabBytes()-m.recs.Data.Allocated()) / n
 		t.Logf("%s: %.1f node bytes/entry", name, perEntry)
 		if perEntry > 51 {
 			t.Errorf("%s load: %.1f node bytes/entry, want <= 51 (the skip list's)", name, perEntry)
 		}
 	}
-}
-
-// data0 resolves a FlushEntry's key through the memtable's own slab.
-func data0(m *Memtable, e FlushEntry) string {
-	return m.data.String(e.Ref, e.KeyLen)
 }
 
 // BenchmarkMemtablePut measures the steady-state insert path with keys

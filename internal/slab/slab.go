@@ -5,7 +5,7 @@
 // 10M-record table is a handful of large pointer-free buffers to the
 // garbage collector rather than tens of millions of scannable objects.
 //
-// The package has three pieces:
+// The package has these pieces:
 //
 //   - Slab: a chunked append-only byte arena. Alloc carves a region and
 //     returns a Ref; View/String recover the bytes later. Chunks are
@@ -16,6 +16,14 @@
 //     lengths are stored once as a cumulative-end-offset slice shared by
 //     every record with that shape, so uniform-schema workloads (the
 //     benchmark's 5×90-byte rows) pay zero per-record layout storage.
+//   - Records and Rec (record.go): the one record layout. A record is its
+//     key bytes then its field bytes, contiguous in a Slab, and a Rec is
+//     its ref plus keyLen(16) | fieldsLen(32) | shape(16) packed. The
+//     memtable, the sstables and the B-tree all keep records this way,
+//     and Records appends, reads and replaces them.
+//   - Batch (record.go): the load batch. It buffers records in arrival
+//     order for a bulk build, and SortByPrefix (sort.go) puts them in
+//     key order; an LSM flush-sized cut and a B-tree build both take it.
 //   - FieldsView: a read-only view of one record's field values, backed
 //     either by a slab region plus a shape, or by a materialized
 //     [][]byte (for callers that still build records by hand).

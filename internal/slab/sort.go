@@ -115,8 +115,8 @@ func insertionSort(items []PrefixItem) {
 }
 
 // Items keeps SortByPrefix item slices between sorts. Every caller shares
-// it, so a load's sstable-run sorts and B-tree builds reuse the same few
-// slices.
+// it, so a load's batch sorts, for LSM cuts and B-tree builds alike,
+// reuse the same few slices.
 var Items Spares[[]PrefixItem]
 
 // Spares keeps scratch values between uses, up to one per processor.

@@ -6,19 +6,19 @@
 // version information with every cell.
 //
 // A table's retained state is pointer-free: entries are fixed-size scalar
-// records ([]entryMeta — key prefix pair, slab ref, packed lengths) over
-// key+field payload bytes held in a slab.Slab, so a multi-million-entry
+// records ([]entryMeta — key prefix pair and a slab.Rec) over key+field
+// payload bytes held in a slab.Records store, so a multi-million-entry
 // table is a few large buffers the garbage collector never has to walk.
-// The flush path (FromMemtable) adopts the frozen memtable's payload slab
+// The flush path (FromMemtable) adopts the frozen memtable's records
 // without copying a byte. A compaction adopts or copies by one rule:
 // when every input entry survives, the merged table adopts its inputs'
 // payload chunks by reference (slab.Adopt); when any entry died, it
 // copies the survivors into its own slab, which is what reclaims dead
-// versions. A deferred bulk load skips the intermediate tables: it
-// buffers flush batches as Runs, unfinished tables, and builds the table a
-// chain of flushes and lossless compactions would have produced in one
-// step: Run.Build for a table of one batch, one Merge of the batches for
-// a table of several.
+// versions. A deferred bulk load skips the intermediate tables: FromBatch
+// turns each flush-sized slab.Batch into an unfinished table, and the
+// load builds the table a chain of flushes and lossless compactions would
+// have produced in one step: Finish for a table of one batch, one Merge
+// of the batches for a table of several.
 package sstable
 
 import (
@@ -31,29 +31,19 @@ import (
 	"repro/internal/slab"
 )
 
-// entryMeta is one entry's location: the key's 16-byte prefix pair for
-// register compares, the payload ref (key bytes then field bytes,
-// contiguous), and keyLen(16) | fieldsLen(32) | shape(16) packed.
+// entryMeta is one entry: the key's 16-byte prefix pair for register
+// compares, and the record.
 type entryMeta struct {
 	keyPfx  uint64
 	keyPfx2 uint64
-	ref     slab.Ref
-	meta    uint64
-}
-
-func packMeta(keyLen, fieldsLen int, shape uint32) uint64 {
-	if shape > 0xffff {
-		panic("sstable: shape table overflow")
-	}
-	return uint64(keyLen) | uint64(fieldsLen)<<16 | uint64(shape)<<48
+	rec     slab.Rec
 }
 
 // Table is an immutable sorted run.
 type Table struct {
 	Gen    int // generation: higher = newer data wins during merges
 	meta   []entryMeta
-	data   slab.Slab
-	shapes slab.ShapeTable
+	recs   slab.Records
 	filter *bloom.Filter
 	minKey string
 	maxKey string
@@ -68,26 +58,13 @@ type Overhead struct {
 	PerCell  int64 // per column: column name, timestamp, length, version info
 }
 
+// bytes returns the modeled on-disk size of the record r of rs.
+func (ov Overhead) bytes(rs *slab.Records, r slab.Rec) int64 {
+	return int64(r.Len()) + ov.PerEntry + int64(len(rs.Shapes.Ends(r.Shape())))*ov.PerCell
+}
+
 // keyAt returns entry i's key as a zero-copy view into the slab.
-func (t *Table) keyAt(i int) string {
-	m := t.meta[i]
-	return t.data.String(m.ref, int(m.meta&0xffff))
-}
-
-// fieldsAt returns entry i's field view.
-func (t *Table) fieldsAt(i int) slab.FieldsView {
-	m := t.meta[i]
-	keyLen := m.meta & 0xffff
-	fieldsLen := int(m.meta >> 16 & 0xffffffff)
-	return slab.SlabView(
-		t.data.View(m.ref+slab.Ref(keyLen), fieldsLen),
-		t.shapes.Ends(uint32(m.meta>>48)),
-	)
-}
-
-func (t *Table) entryAt(i int) slab.Entry {
-	return slab.Entry{Key: t.keyAt(i), Fields: t.fieldsAt(i)}
-}
+func (t *Table) keyAt(i int) string { return t.recs.Key(t.meta[i].rec) }
 
 // search returns the index of the first entry with key >= key, resolving
 // almost every probe with the prefix pair in registers.
@@ -114,19 +91,22 @@ func (t *Table) search(key string) int {
 	return lo
 }
 
-// finalize computes the Bloom filter, disk accounting and key range. The
-// filter is built from the sorted entry sequence, so any construction
-// path (flush handoff, test build, merge) yields an identical filter for
-// identical contents.
+// finalize computes the disk accounting, then finishes the table.
 func (t *Table) finalize(ov Overhead, fpp float64) {
+	for i := range t.meta {
+		t.DiskBytes += ov.bytes(&t.recs, t.meta[i].rec)
+	}
+	t.Finish(fpp)
+}
+
+// Finish computes the Bloom filter and key range of a table FromBatch
+// built. The filter is built from the sorted entry sequence, so any
+// construction path (flush handoff, test build, batch, merge) yields an
+// identical filter for identical contents.
+func (t *Table) Finish(fpp float64) {
 	t.filter = bloom.New(len(t.meta), fpp)
 	for i := range t.meta {
 		t.filter.Add(t.keyAt(i))
-		md := t.meta[i].meta
-		keyLen := int64(md & 0xffff)
-		fieldsLen := int64(md >> 16 & 0xffffffff)
-		cells := int64(len(t.shapes.Ends(uint32(md >> 48))))
-		t.DiskBytes += keyLen + ov.PerEntry + fieldsLen + cells*ov.PerCell
 	}
 	if len(t.meta) > 0 {
 		t.minKey = t.keyAt(0)
@@ -136,137 +116,46 @@ func (t *Table) finalize(ov Overhead, fpp float64) {
 
 // FromMemtable flushes a memtable into a table without copying payload
 // bytes: the memtable freezes, streams its leaf slots in key order and
-// hands its payload slab and shape table over; only the fixed-size
-// entryMeta records are built fresh. The memtable must not be written
-// again (Freeze enforces this); outstanding readers of the frozen
-// memtable remain valid because the slabs are shared, not moved.
+// hands its record store over; only the fixed-size entryMeta records are
+// built fresh. The memtable must not be written again (Freeze enforces
+// this); outstanding readers of the frozen memtable remain valid because
+// the slabs are shared, not moved.
 func FromMemtable(gen int, m *memtable.Memtable, ov Overhead, fpp float64) *Table {
 	t := &Table{Gen: gen, meta: make([]entryMeta, 0, m.Len())}
-	t.data, t.shapes = m.Freeze(func(e memtable.FlushEntry) {
-		t.meta = append(t.meta, entryMeta{
-			keyPfx:  e.KeyPfx,
-			keyPfx2: e.KeyPfx2,
-			ref:     e.Ref,
-			meta:    packMeta(e.KeyLen, e.FieldsLen, e.Shape),
-		})
+	t.recs = m.Freeze(func(e memtable.FlushEntry) {
+		t.meta = append(t.meta, entryMeta{keyPfx: e.KeyPfx, keyPfx2: e.KeyPfx2, rec: e.Rec})
 	})
 	t.finalize(ov, fpp)
 	return t
 }
 
-// Run is one flush batch of a deferred bulk load: the records a memtable
-// would hold between two load-phase flushes, buffered without the
-// memtable's B+-tree as a table that is not yet finished. Add lays each
-// record out exactly as memtable.Put lays out a new key (payload carved
-// from the run's slab and shape interned, both in arrival order), so for
-// distinct keys the table Build finishes from a sorted run is the one
-// FromMemtable would build from that memtable, and Merge over sorted runs
-// builds the table that merging those flushed tables would build.
-type Run struct {
-	Table        // entries in arrival order until Sort, key order after
-	bytes  int64 // key and field bytes: the memtable's Bytes for distinct keys
-	cells  int64 // fields, for DiskBytes
-	sorted bool
-}
-
-// NewRun returns an empty run with room for n entries.
-func NewRun(n int) *Run { return &Run{Table: Table{meta: make([]entryMeta, 0, n)}} }
-
-// Add buffers one record, copying its key and field bytes.
-func (r *Run) Add(key string, fields [][]byte) {
-	if len(key) > 0xffff {
-		panic("sstable: key longer than 64 KiB")
-	}
-	shape, fieldsLen := r.shapes.Intern(fields)
-	ref, buf := r.data.Alloc(len(key) + fieldsLen)
-	p := copy(buf, key)
-	for _, f := range fields {
-		p += copy(buf[p:], f)
-	}
-	r.meta = append(r.meta, entryMeta{
-		keyPfx:  slab.KeyPrefix(key, 0),
-		keyPfx2: slab.KeyPrefix(key, 8),
-		ref:     ref,
-		meta:    packMeta(len(key), fieldsLen, shape),
-	})
-	r.bytes += int64(len(key) + fieldsLen)
-	r.cells += int64(len(fields))
-}
-
-// Bytes returns the buffered key and field bytes.
-func (r *Run) Bytes() int64 { return r.bytes }
-
-// DiskBytes returns the DiskBytes of the table built from the run alone,
-// by finalize's formula.
-func (r *Run) DiskBytes(ov Overhead) int64 {
-	return r.bytes + int64(len(r.meta))*ov.PerEntry + r.cells*ov.PerCell
-}
-
-// Sort orders the entries by key, as a flush streams them. It panics on
-// a repeated key: a record the memtable would have replaced in place,
-// which a run cannot reproduce (see store.LoadAll for the contract). The
-// entries are ordered by slab.SortByPrefix, whose distinct result is the
-// check of adjacent keys, then moved into that order in place.
-func (r *Run) Sort() {
-	r.sorted = true
-	n := len(r.meta)
+// FromBatch builds the table that flushing a memtable fed b's records
+// would build, but unfinished: it has its entries in key order and its
+// DiskBytes, and gets its filter and key range from Finish, or from the
+// Merge that finishes several batches together. The table takes b's
+// records (slab.Batch.Take), which a memtable fed them by Put would hold
+// as they are, and leaves b empty for the next batch. It panics on a
+// repeated key: a record the memtable would have replaced in place,
+// which a batch cannot reproduce (see store.LoadAll for the contract).
+func FromBatch(gen int, b *slab.Batch, ov Overhead) *Table {
+	n := b.Len()
 	items := slab.Items.Get()
 	if cap(items) < n {
 		items = make([]slab.PrefixItem, n)
 	}
 	items = items[:n]
 	defer slab.Items.Put(items)
-	for i := range r.meta {
-		items[i] = slab.PrefixItem{Hi: r.meta[i].keyPfx, Lo: r.meta[i].keyPfx2, I: uint32(i)}
-	}
-	if !slab.SortByPrefix(items, func(a, b uint32) int {
-		return strings.Compare(r.keyAt(int(a)), r.keyAt(int(b)))
-	}) {
+	if !b.Sort(items) {
 		panic("sstable: a run repeats a key")
 	}
-	// Entry k becomes old entry items[k].I: follow each cycle of the
-	// permutation once, marking a filled slot by pointing it at itself.
-	for k := range items {
-		if items[k].I == uint32(k) {
-			continue
-		}
-		first := r.meta[k]
-		j := k
-		for src := int(items[j].I); src != k; src = int(items[j].I) {
-			r.meta[j] = r.meta[src]
-			items[j].I = uint32(j)
-			j = src
-		}
-		r.meta[j] = first
-		items[j].I = uint32(j)
+	t := &Table{Gen: gen, meta: make([]entryMeta, n)}
+	for k, it := range items {
+		r := b.At(it.I)
+		t.meta[k] = entryMeta{keyPfx: it.Hi, keyPfx2: it.Lo, rec: r}
+		t.DiskBytes += ov.bytes(&b.Records, r)
 	}
-}
-
-// Build finishes a sorted run as the table a flush of its records
-// (FromMemtable) builds: the table keeps the run's entries, payload slab
-// and arrival-order shapes, and computes its filter, DiskBytes and key
-// range once. Several runs are finished together by Merge instead.
-func (r *Run) Build(ov Overhead, fpp float64) *Table {
-	t := r.Table
-	t.finalize(ov, fpp)
-	return &t
-}
-
-// Unflushed puts the run's records into the memtable m in arrival order,
-// as the per-record load would have. The run must not be sorted.
-func (r *Run) Unflushed(m *memtable.Memtable) {
-	if r.sorted {
-		panic("sstable: Unflushed on a sorted run")
-	}
-	var fields [][]byte
-	for i := range r.meta {
-		v := r.fieldsAt(i)
-		fields = fields[:0]
-		for j := 0; j < v.Len(); j++ {
-			fields = append(fields, v.Field(j))
-		}
-		m.Put(r.keyAt(i), fields)
-	}
+	t.recs = b.Take()
+	return t
 }
 
 // Len returns the number of entries.
@@ -280,7 +169,7 @@ func (t *Table) KeyRange() (string, string) { return t.minKey, t.maxKey }
 // the table, which outlives the memtable they came from, and adopted
 // chunks to the merged table, which replaces its inputs.
 func (t *Table) SlabBytes() int64 {
-	return t.data.Allocated() + int64(len(t.meta))*32
+	return t.recs.Data.Allocated() + int64(len(t.meta))*32
 }
 
 // MayContain consults the key range and the Bloom filter; h is key's
@@ -296,7 +185,7 @@ func (t *Table) MayContain(key string, h bloom.Hash) bool {
 func (t *Table) Get(key string) (slab.FieldsView, bool) {
 	i := t.search(key)
 	if i < len(t.meta) && t.keyAt(i) == key {
-		return t.fieldsAt(i), true
+		return t.recs.Fields(t.meta[i].rec), true
 	}
 	return slab.FieldsView{}, false
 }
@@ -310,7 +199,7 @@ func (t *Table) Scan(start string, count int) []slab.Entry {
 	}
 	out := make([]slab.Entry, end-i)
 	for j := range out {
-		out[j] = t.entryAt(i + j)
+		out[j] = t.recs.Entry(t.meta[i+j].rec)
 	}
 	return out
 }
@@ -336,7 +225,7 @@ func (it Iterator) Valid() bool { return it.i < len(it.t.meta) }
 
 // Entry returns the current entry. It must not be called on an invalid
 // iterator.
-func (it Iterator) Entry() slab.Entry { return it.t.entryAt(it.i) }
+func (it Iterator) Entry() slab.Entry { return it.t.recs.Entry(it.t.meta[it.i].rec) }
 
 // Key returns the current entry's key without building its field view.
 // It must not be called on an invalid iterator.
@@ -345,17 +234,17 @@ func (it Iterator) Key() string { return it.t.keyAt(it.i) }
 // Next advances to the following entry.
 func (it *Iterator) Next() { it.i++ }
 
-// compareKeys orders entry a, whose key is in slab da, against entry b,
-// whose key is in db: by key prefix pair in registers, by key bytes only
+// compareKeys orders entry a, whose key is in store ra, against entry b,
+// whose key is in rb: by key prefix pair in registers, by key bytes only
 // on a double tie.
-func compareKeys(a *entryMeta, da *slab.Slab, b *entryMeta, db *slab.Slab) int {
+func compareKeys(a *entryMeta, ra *slab.Records, b *entryMeta, rb *slab.Records) int {
 	switch {
 	case a.keyPfx != b.keyPfx:
 		return cmp.Compare(a.keyPfx, b.keyPfx)
 	case a.keyPfx2 != b.keyPfx2:
 		return cmp.Compare(a.keyPfx2, b.keyPfx2)
 	}
-	return strings.Compare(da.String(a.ref, int(a.meta&0xffff)), db.String(b.ref, int(b.meta&0xffff)))
+	return strings.Compare(ra.Key(a.rec), rb.Key(b.rec))
 }
 
 // Merge combines tables into one run; for duplicate keys the entry from the
@@ -385,27 +274,23 @@ func Merge(tables []*Table, ov Overhead, fpp float64) *Table {
 		if t.Len() > 0 {
 			h = append(h, mergeCursor{rest: t.meta, t: t, in: i, base: slab.Ref(chunks) << 32})
 		}
-		chunks += t.data.Chunks()
+		chunks += t.recs.Data.Chunks()
 	}
 	for i := len(h)/2 - 1; i >= 0; i-- {
 		h.down(i)
 	}
 	out := &Table{Gen: maxGen, meta: make([]entryMeta, 0, total)}
-	var last *entryMeta // the last entry taken, in its table's slab lastData
-	var lastData *slab.Slab
+	var last *entryMeta // the last entry taken, in its table's store lastRecs
+	var lastRecs *slab.Records
 	for len(h) > 0 {
 		c := &h[0]
 		m := &c.rest[0]
 		// Equal keys pop winner first, so only the first copy is kept.
-		if last == nil || compareKeys(last, lastData, m, &c.t.data) != 0 {
-			last, lastData = m, &c.t.data
-			shape := out.shapes.InternEnds(c.t.shapes.Ends(uint32(m.meta >> 48)))
-			out.meta = append(out.meta, entryMeta{
-				keyPfx:  m.keyPfx,
-				keyPfx2: m.keyPfx2,
-				ref:     m.ref + c.base,
-				meta:    packMeta(int(m.meta&0xffff), int(m.meta>>16&0xffffffff), shape),
-			})
+		if last == nil || compareKeys(last, lastRecs, m, &c.t.recs) != 0 {
+			last, lastRecs = m, &c.t.recs
+			r := m.rec.WithShape(out.recs.Shapes.InternEnds(c.t.recs.Shapes.Ends(m.rec.Shape())))
+			r.Ref += c.base
+			out.meta = append(out.meta, entryMeta{keyPfx: m.keyPfx, keyPfx2: m.keyPfx2, rec: r})
 		}
 		if c.rest = c.rest[1:]; len(c.rest) == 0 {
 			h[0] = h[len(h)-1]
@@ -415,7 +300,7 @@ func Merge(tables []*Table, ov Overhead, fpp float64) *Table {
 	}
 	if len(out.meta) == total {
 		for _, t := range tables {
-			out.data.Adopt(&t.data)
+			out.recs.Data.Adopt(&t.recs.Data)
 		}
 	} else {
 		copyPayloads(out, tables)
@@ -452,7 +337,7 @@ func (h mergeHeap) less(i, j int) bool {
 	if ma.keyPfx2 != mb.keyPfx2 {
 		return ma.keyPfx2 < mb.keyPfx2
 	}
-	if c := compareKeys(ma, &a.t.data, mb, &b.t.data); c != 0 {
+	if c := compareKeys(ma, &a.t.recs, mb, &b.t.recs); c != 0 {
 		return c < 0
 	}
 	if a.t.Gen != b.t.Gen {
@@ -486,19 +371,16 @@ func (h mergeHeap) down(i int) {
 func copyPayloads(out *Table, tables []*Table) {
 	total := 0
 	for _, m := range out.meta {
-		total += int(m.meta&0xffff) + int(m.meta>>16&0xffffffff)
+		total += m.rec.Len()
 	}
-	out.data.Grow(total)
+	out.recs.Data.Grow(total)
 	for j := range out.meta {
-		m := &out.meta[j]
-		c, i, base := int(m.ref>>32), 0, 0
-		for base+tables[i].data.Chunks() <= c {
-			base += tables[i].data.Chunks()
+		r := &out.meta[j].rec
+		c, i, base := int(r.Ref>>32), 0, 0
+		for base+tables[i].recs.Data.Chunks() <= c {
+			base += tables[i].recs.Data.Chunks()
 			i++
 		}
-		n := int(m.meta&0xffff) + int(m.meta>>16&0xffffffff)
-		ref, buf := out.data.Alloc(n)
-		copy(buf, tables[i].data.View(m.ref-slab.Ref(base)<<32, n))
-		m.ref = ref
+		r.Ref = out.recs.Data.Append(tables[i].recs.Data.View(r.Ref-slab.Ref(base)<<32, r.Len()))
 	}
 }

@@ -22,7 +22,7 @@ var ov = Overhead{PerEntry: 10, PerCell: 20}
 // builder assembles a table by copying entries into its own slabs.
 type builder struct {
 	t       *Table
-	scratch []uint32
+	scratch [][]byte
 }
 
 func newBuilder(gen, n int) *builder {
@@ -32,41 +32,12 @@ func newBuilder(gen, n int) *builder {
 // add appends one entry (keys must arrive in ascending order, no
 // duplicates), copying key and field bytes into the table's slab.
 func (b *builder) add(key string, fields slab.FieldsView) {
-	t := b.t
-	var shape uint32
-	fieldsLen := int(fields.Bytes())
-	if data, ends, ok := fields.Slab(); ok {
-		shape = t.shapes.InternEnds(ends)
-		ref, buf := t.data.Alloc(len(key) + fieldsLen)
-		p := copy(buf, key)
-		copy(buf[p:], data)
-		t.meta = append(t.meta, entryMeta{
-			keyPfx:  slab.KeyPrefix(key, 0),
-			keyPfx2: slab.KeyPrefix(key, 8),
-			ref:     ref,
-			meta:    packMeta(len(key), fieldsLen, shape),
-		})
-		return
-	}
-	n := fields.Len()
 	b.scratch = b.scratch[:0]
-	acc := uint32(0)
-	for i := 0; i < n; i++ {
-		acc += uint32(len(fields.Field(i)))
-		b.scratch = append(b.scratch, acc)
+	for i := range fields.Len() {
+		b.scratch = append(b.scratch, fields.Field(i))
 	}
-	shape = t.shapes.InternEnds(b.scratch)
-	ref, buf := t.data.Alloc(len(key) + fieldsLen)
-	p := copy(buf, key)
-	for i := 0; i < n; i++ {
-		p += copy(buf[p:], fields.Field(i))
-	}
-	t.meta = append(t.meta, entryMeta{
-		keyPfx:  slab.KeyPrefix(key, 0),
-		keyPfx2: slab.KeyPrefix(key, 8),
-		ref:     ref,
-		meta:    packMeta(len(key), fieldsLen, shape),
-	})
+	r := b.t.recs.Append(key, b.scratch)
+	b.t.meta = append(b.t.meta, entryMeta{keyPfx: slab.KeyPrefix(key, 0), keyPfx2: slab.KeyPrefix(key, 8), rec: r})
 }
 
 // Build creates a table from entries (they will be sorted; later duplicates
@@ -338,12 +309,12 @@ func TestMergeMatchesReference(t *testing.T) {
 			inputBytes += tab.SlabBytes()
 			want := 0
 			if nothingDied {
-				want = tab.data.Chunks()
+				want = tab.recs.Data.Chunks()
 				multiChunk += max(0, want-1)
 			}
 			if n := sharedChunks(got, tab); n != want {
 				t.Fatalf("round %d: merged table shares %d of input %d's %d chunks, want %d (nothing died: %v)",
-					round, n, ti, tab.data.Chunks(), want, nothingDied)
+					round, n, ti, tab.recs.Data.Chunks(), want, nothingDied)
 			}
 		}
 		if nothingDied {
@@ -351,8 +322,8 @@ func TestMergeMatchesReference(t *testing.T) {
 			if got.SlabBytes() != inputBytes {
 				t.Fatalf("round %d: adopting merge holds %d slab bytes, inputs %d", round, got.SlabBytes(), inputBytes)
 			}
-		} else if got.data.Chunks() > 1 {
-			t.Fatalf("round %d: copied payloads fill %d chunks, want one at most", round, got.data.Chunks())
+		} else if got.recs.Data.Chunks() > 1 {
+			t.Fatalf("round %d: copied payloads fill %d chunks, want one at most", round, got.recs.Data.Chunks())
 		}
 		if got.Len() != len(want) || got.DiskBytes != ref.DiskBytes || got.FilterBytes() != ref.FilterBytes() {
 			t.Fatalf("round %d: Len/DiskBytes/FilterBytes = %d/%d/%d, want %d/%d/%d", round,
@@ -364,7 +335,7 @@ func TestMergeMatchesReference(t *testing.T) {
 			t.Fatalf("round %d: range = [%q,%q], want [%q,%q]", round, gmin, gmax, rmin, rmax)
 		}
 		for i := range want {
-			g, w := got.entryAt(i), want[i]
+			g, w := got.recs.Entry(got.meta[i].rec), want[i]
 			if g.Key != w.Key || g.Fields.Len() != w.Fields.Len() {
 				t.Fatalf("round %d entry %d = %q (%d fields), want %q (%d fields)",
 					round, i, g.Key, g.Fields.Len(), w.Key, w.Fields.Len())
@@ -377,10 +348,10 @@ func TestMergeMatchesReference(t *testing.T) {
 			// Same packed key length, field length and shape index, and
 			// the same shape behind the index.
 			_, gEnds, _ := g.Fields.Slab()
-			_, rEnds, _ := ref.fieldsAt(i).Slab()
-			if got.meta[i].meta != ref.meta[i].meta || fmt.Sprint(gEnds) != fmt.Sprint(rEnds) {
+			_, rEnds, _ := ref.recs.Fields(ref.meta[i].rec).Slab()
+			if got.meta[i].rec.Meta != ref.meta[i].rec.Meta || fmt.Sprint(gEnds) != fmt.Sprint(rEnds) {
 				t.Fatalf("round %d key %q: meta %#x ends %v, want %#x ends %v",
-					round, g.Key, got.meta[i].meta, gEnds, ref.meta[i].meta, rEnds)
+					round, g.Key, got.meta[i].rec.Meta, gEnds, ref.meta[i].rec.Meta, rEnds)
 			}
 			if !got.MayContain(w.Key, bloom.HashKey(w.Key)) {
 				t.Fatalf("round %d: merged filter rejects %q", round, w.Key)
@@ -405,10 +376,10 @@ func TestMergeMatchesReference(t *testing.T) {
 // sharedChunks counts tab's payload chunks that got's slab holds too.
 func sharedChunks(got, tab *Table) int {
 	n := 0
-	for ci := 0; ci < tab.data.Chunks(); ci++ {
-		c := tab.data.View(slab.Ref(ci)<<32, 0)
-		for gi := 0; gi < got.data.Chunks(); gi++ {
-			if unsafe.SliceData(got.data.View(slab.Ref(gi)<<32, 0)) == unsafe.SliceData(c) {
+	for ci := 0; ci < tab.recs.Data.Chunks(); ci++ {
+		c := tab.recs.Data.View(slab.Ref(ci)<<32, 0)
+		for gi := 0; gi < got.recs.Data.Chunks(); gi++ {
+			if unsafe.SliceData(got.recs.Data.View(slab.Ref(gi)<<32, 0)) == unsafe.SliceData(c) {
 				n++
 			}
 		}
@@ -513,7 +484,8 @@ func TestFromMemtableMatchesBuildSorted(t *testing.T) {
 		m.Put("user000000074", [][]byte{[]byte("reshaped")})
 		return m
 	}
-	ref := Build(3, mkMem().All(), ov, 0.01)
+	mem := mkMem()
+	ref := Build(3, mem.ScanAppend(nil, "", mem.Len()), ov, 0.01)
 	got := FromMemtable(3, mkMem(), ov, 0.01)
 	if got.Len() != ref.Len() || got.DiskBytes != ref.DiskBytes {
 		t.Fatalf("Len/DiskBytes = %d/%d, want %d/%d", got.Len(), got.DiskBytes, ref.Len(), ref.DiskBytes)
@@ -544,15 +516,16 @@ func TestFromMemtableMatchesBuildSorted(t *testing.T) {
 	}
 }
 
-// TestFromRunsMatchesFlushAndMerge buffers random records in runs and
-// requires the table built from them (Run.Build for one run, Merge for
-// several) to be, field by field, the table that flushing each run's
-// records through a memtable and merging the flushed tables builds:
-// entries, shapes, payload chunks, filter, key range and DiskBytes. Keys
+// TestFromRunsMatchesFlushAndMerge buffers random records in batches
+// (runs) and requires the table built from them (FromBatch and Finish
+// for one run, Merge for several) to be, field by field, the table that
+// flushing each run's records through a memtable and merging the flushed
+// tables builds: entries, shapes, payload chunks, filter, key range and
+// DiskBytes. One batch is reused for every run, as a load reuses it. Keys
 // share long prefixes, so the sort and the merge compare key bytes past
 // the prefix pair; a third of them carry a second field, so tables intern
-// several shapes. A key repeated within a run panics in Sort, and a key
-// repeated across runs leaves the merge short of their entries.
+// several shapes. A key repeated within a run panics in FromBatch, and a
+// key repeated across runs leaves the merge short of their entries.
 func TestFromRunsMatchesFlushAndMerge(t *testing.T) {
 	rng := rand.New(rand.NewSource(24))
 	type rec struct {
@@ -562,10 +535,10 @@ func TestFromRunsMatchesFlushAndMerge(t *testing.T) {
 	for round := 0; round < 40; round++ {
 		k := 1 + rng.Intn(6)
 		perm := rng.Perm(k * 400)
-		runs := make([]*Run, k)
+		var batch slab.Batch
 		runTables := make([]*Table, k)
 		flushed := make([]*Table, k)
-		for i := range runs {
+		for i := range runTables {
 			var recs []rec
 			for _, id := range perm[i*400 : i*400+50+rng.Intn(350)] {
 				f := [][]byte{[]byte(fmt.Sprintf("v%0*d", 1+rng.Intn(40), id))}
@@ -574,42 +547,39 @@ func TestFromRunsMatchesFlushAndMerge(t *testing.T) {
 				}
 				recs = append(recs, rec{fmt.Sprintf("tenant/%04d/series/%08d", id%7, id), f})
 			}
-			runs[i] = NewRun(0)
 			m := memtable.New()
 			for _, r := range recs {
-				runs[i].Add(r.key, r.fields)
+				batch.Append(r.key, r.fields)
 				m.Put(r.key, r.fields)
 			}
-			runs[i].Sort()
 			// Runs are listed newest first, as a merge's inputs are.
-			runs[i].Gen = k - i
-			runTables[i] = &runs[i].Table
+			runTables[i] = FromBatch(k-i, &batch, ov)
 			flushed[i] = FromMemtable(k-i, m, ov, 0.01)
 		}
-		want, got := flushed[0], runs[0].Build(ov, 0.01)
+		want, got := flushed[0], runTables[0]
 		if k > 1 {
 			want, got = Merge(flushed, ov, 0.01), Merge(runTables, ov, 0.01)
+		} else {
+			got.Finish(0.01)
 		}
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("round %d (%d runs): the runs built a different table", round, k)
 		}
 	}
 
-	dup := NewRun(0)
+	var dup slab.Batch
 	for _, key := range []string{"b", "a", "b"} {
-		dup.Add(key, [][]byte{[]byte(key)})
+		dup.Append(key, [][]byte{[]byte(key)})
 	}
-	mustPanic(t, "a run repeats a key", dup.Sort)
-	a, b := NewRun(0), NewRun(0)
+	mustPanic(t, "a run repeats a key", func() { FromBatch(1, &dup, ov) })
+	var a, b slab.Batch
 	for _, key := range []string{"a", "c", "e"} {
-		a.Add(key, nil)
+		a.Append(key, nil)
 	}
 	for _, key := range []string{"b", "e"} {
-		b.Add(key, nil)
+		b.Append(key, nil)
 	}
-	a.Sort()
-	b.Sort()
-	if n := Merge([]*Table{&a.Table, &b.Table}, ov, 0.01).Len(); n != 4 {
+	if n := Merge([]*Table{FromBatch(2, &a, ov), FromBatch(1, &b, ov)}, ov, 0.01).Len(); n != 4 {
 		t.Fatalf("merging runs that share a key kept %d entries, want 4", n)
 	}
 }
