@@ -125,8 +125,8 @@ const (
 )
 
 // Decode reconstructs a measurement from its key and a view of its fields
-// (a record read or scanned back from a store; use store.ViewFields to
-// decode a hand-built field set).
+// (a record read or scanned back from a store; slab.View makes one of a
+// hand-built field set).
 func Decode(key string, f store.FieldsView) (Measurement, error) {
 	return decode(key, f, ColAll)
 }

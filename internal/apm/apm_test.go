@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/sim"
+	"repro/internal/slab"
 	"repro/internal/store"
 	"repro/internal/stores/hbase"
 )
@@ -25,7 +26,7 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 		Metric: "HostA/AgentX/ServletB/AverageResponseTime",
 		Value:  4, Min: 1, Max: 6, Timestamp: 1332988833, Duration: 15,
 	}
-	got, err := Decode(m.Key(), store.ViewFields(m.Fields()))
+	got, err := Decode(m.Key(), slab.View(m.Fields()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,13 +36,13 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 }
 
 func TestDecodeRejectsMalformed(t *testing.T) {
-	if _, err := Decode("nopipe", store.ViewFields(store.Fields{[]byte("1")})); err == nil {
+	if _, err := Decode("nopipe", slab.View(store.Fields{[]byte("1")})); err == nil {
 		t.Fatal("accepted key without separator")
 	}
 	m := Measurement{Metric: "a/b", Timestamp: 5}
 	f := m.Fields()
 	f[0] = []byte("notanumber")
-	if _, err := Decode(m.Key(), store.ViewFields(f)); err == nil {
+	if _, err := Decode(m.Key(), slab.View(f)); err == nil {
 		t.Fatal("accepted non-numeric value")
 	}
 }
@@ -146,7 +147,7 @@ func TestPropertyRoundTrip(t *testing.T) {
 	f := func(val, min, max float64, ts uint32, dur uint16) bool {
 		m := Measurement{Metric: "Host/A/B/Metric", Value: val, Min: min, Max: max,
 			Timestamp: int64(ts), Duration: int64(dur)}
-		got, err := Decode(m.Key(), store.ViewFields(m.Fields()))
+		got, err := Decode(m.Key(), slab.View(m.Fields()))
 		return err == nil && got == m
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {

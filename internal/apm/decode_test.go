@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"repro/internal/sim"
+	"repro/internal/slab"
 	"repro/internal/store"
 )
 
@@ -25,7 +26,7 @@ func FuzzDecodeColumns(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, value, min, max, ts, dur []byte) {
 		key := Measurement{Metric: "HostA/AgentX/ServletB/AverageResponseTime", Timestamp: 1}.Key()
-		fields := store.ViewFields(store.Fields{value, min, max, ts, dur})
+		fields := slab.View(store.Fields{value, min, max, ts, dur})
 		want, wantErr := Decode(key, fields)
 		for cols := Columns(0); cols <= ColAll; cols++ {
 			got, err := decode(key, fields, cols)
@@ -63,7 +64,7 @@ func TestSeriesValidatesUnreadColumns(t *testing.T) {
 		f := bad.Fields()
 		f[i] = []byte("7x")
 		s.put(bad.Key(), f)
-		_, want := Decode(bad.Key(), store.ViewFields(f))
+		_, want := Decode(bad.Key(), slab.View(f))
 		if want == nil || !strings.Contains(want.Error(), "bad "+field) {
 			t.Fatalf("Decode accepted a bad %s: %v", field, want)
 		}

@@ -4,7 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/apm"
-	"repro/internal/store"
+	"repro/internal/slab"
 )
 
 // An APM measurement as in the paper's Figure 2, encoded to a storage
@@ -19,7 +19,7 @@ func ExampleMeasurement() {
 		Duration:  15,
 	}
 	fmt.Println(m.Key())
-	back, _ := apm.Decode(m.Key(), store.ViewFields(m.Fields()))
+	back, _ := apm.Decode(m.Key(), slab.View(m.Fields()))
 	fmt.Println(back.Value, back.Min, back.Max, back.Duration)
 	// Output:
 	// HostA/AgentX/ServletB/AverageResponseTime|001332988833

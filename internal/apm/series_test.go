@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/sim"
+	"repro/internal/slab"
 	"repro/internal/store"
 )
 
@@ -21,12 +22,12 @@ type scanCall struct {
 // so tests can pin the exact page sequence a reader issues.
 type scanLog struct {
 	keys    []string
-	recs    map[string]store.Fields
+	recs    map[string]store.FieldsView
 	calls   []scanCall
 	scanErr error
 }
 
-func newScanLog() *scanLog { return &scanLog{recs: map[string]store.Fields{}} }
+func newScanLog() *scanLog { return &scanLog{recs: map[string]store.FieldsView{}} }
 
 func (s *scanLog) Name() string { return "scanlog" }
 
@@ -38,7 +39,7 @@ func (s *scanLog) put(key string, f store.Fields) error {
 		copy(s.keys[i+1:], s.keys[i:])
 		s.keys[i] = key
 	}
-	s.recs[key] = f
+	s.recs[key] = slab.View(f)
 	return nil
 }
 
@@ -56,7 +57,7 @@ func (s *scanLog) Read(p *sim.Proc, key string) (store.FieldsView, error) {
 	if !ok {
 		return store.FieldsView{}, store.ErrNotFound
 	}
-	return store.ViewFields(f), nil
+	return f, nil
 }
 
 func (s *scanLog) Scan(p *sim.Proc, start string, count int) ([]store.Record, error) {
@@ -68,7 +69,7 @@ func (s *scanLog) Scan(p *sim.Proc, start string, count int) ([]store.Record, er
 	}
 	var out []store.Record
 	for i := sort.SearchStrings(s.keys, start); i < len(s.keys) && len(out) < count; i++ {
-		out = append(out, store.Record{Key: s.keys[i], Fields: store.ViewFields(s.recs[s.keys[i]])})
+		out = append(out, store.Record{Key: s.keys[i], Fields: s.recs[s.keys[i]]})
 	}
 	return out, nil
 }

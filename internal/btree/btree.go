@@ -75,13 +75,6 @@ type IOStats struct {
 	DirtyWritebacks int // dirty pages evicted to make room
 }
 
-// Add accumulates other into s.
-func (s *IOStats) Add(other IOStats) {
-	s.PagesTouched += other.PagesTouched
-	s.Misses += other.Misses
-	s.DirtyWritebacks += other.DirtyWritebacks
-}
-
 // pfx is a key's first 16 bytes as two big-endian words, zero padded.
 // pfx order is a coarsening of key order: if two prefixes differ they
 // decide the comparison; equal prefixes decide nothing either way.

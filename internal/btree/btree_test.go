@@ -103,7 +103,9 @@ func TestBufferPoolMissesWhenSmall(t *testing.T) {
 	tr := New(cfg)
 	var loadIO IOStats
 	for i := 0; i < 5000; i++ {
-		loadIO.Add(tr.Put(fmt.Sprintf("k%07d", i), fields("v")))
+		io := tr.Put(fmt.Sprintf("k%07d", i), fields("v"))
+		loadIO.Misses += io.Misses
+		loadIO.DirtyWritebacks += io.DirtyWritebacks
 	}
 	if loadIO.Misses == 0 {
 		t.Fatal("no buffer pool misses with a 4-page pool")

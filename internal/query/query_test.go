@@ -10,6 +10,7 @@ import (
 	"repro/internal/apm"
 	"repro/internal/cluster"
 	"repro/internal/sim"
+	"repro/internal/slab"
 	"repro/internal/store"
 	"repro/internal/stores/redis"
 	"repro/internal/stores/voltdb"
@@ -20,24 +21,24 @@ import (
 // simulated time) and serves records in key order like any real store.
 type memStore struct {
 	keys []string
-	recs map[string]store.Fields
+	recs map[string]store.FieldsView
 }
 
-func newMemStore() *memStore { return &memStore{recs: map[string]store.Fields{}} }
+func newMemStore() *memStore { return &memStore{recs: map[string]store.FieldsView{}} }
 
 func (m *memStore) Name() string { return "mem" }
 
 // put stores a record, replacing any with its key.
 func (m *memStore) put(key string, f store.Fields) error {
 	// Stores copy on ingest: loaders reuse their key and field buffers.
-	key, f = strings.Clone(key), f.Clone()
+	key = strings.Clone(key)
 	if _, ok := m.recs[key]; !ok {
 		i := sort.SearchStrings(m.keys, key)
 		m.keys = append(m.keys, "")
 		copy(m.keys[i+1:], m.keys[i:])
 		m.keys[i] = key
 	}
-	m.recs[key] = f
+	m.recs[key] = slab.View(f)
 	return nil
 }
 
@@ -60,7 +61,7 @@ func (m *memStore) Read(p *sim.Proc, key string) (store.FieldsView, error) {
 	if !ok {
 		return store.FieldsView{}, store.ErrNotFound
 	}
-	return store.ViewFields(f), nil
+	return f, nil
 }
 
 func (m *memStore) Scan(p *sim.Proc, start string, count int) ([]store.Record, error) {
@@ -68,7 +69,7 @@ func (m *memStore) Scan(p *sim.Proc, start string, count int) ([]store.Record, e
 	i := sort.SearchStrings(m.keys, start)
 	out := make([]store.Record, 0, count)
 	for ; i < len(m.keys) && len(out) < count; i++ {
-		out = append(out, store.Record{Key: m.keys[i], Fields: store.ViewFields(m.recs[m.keys[i]])})
+		out = append(out, store.Record{Key: m.keys[i], Fields: m.recs[m.keys[i]]})
 	}
 	return out, nil
 }
@@ -194,8 +195,8 @@ func TestDatasetDeterministicAndOrdered(t *testing.T) {
 			t.Fatalf("load not deterministic at %d: %q vs %q", i, k, b.keys[i])
 		}
 		av, bv := a.recs[k], b.recs[k]
-		for j := range av {
-			if string(av[j]) != string(bv[j]) {
+		for j := range av.Len() {
+			if string(av.Field(j)) != string(bv.Field(j)) {
 				t.Fatalf("field %d of %q differs across loads", j, k)
 			}
 		}
@@ -246,7 +247,7 @@ func expectedRows(t testing.TB, ds Dataset, host int, s Spec) []ResultRow {
 	for _, metric := range ds.HostMetrics(host) {
 		for k := int64(0); k < ds.Intervals; k++ {
 			enc := ds.synth(metric, k)
-			m, err := apm.Decode(enc.Key(), store.ViewFields(enc.Fields()))
+			m, err := apm.Decode(enc.Key(), slab.View(enc.Fields()))
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -100,7 +100,7 @@ func (rs *Records) Key(r Rec) string { return rs.Data.String(r.Ref, r.KeyLen()) 
 
 // Fields returns the view of r's field values.
 func (rs *Records) Fields(r Rec) FieldsView {
-	return SlabView(rs.Data.View(r.Ref+Ref(r.KeyLen()), r.FieldsLen()), rs.Shapes.Ends(r.Shape()))
+	return FieldsView{data: rs.Data.View(r.Ref+Ref(r.KeyLen()), r.FieldsLen()), ends: rs.Shapes.Ends(r.Shape())}
 }
 
 // Entry returns r as a scan row.

@@ -57,9 +57,10 @@ func checkRecord(t *testing.T, rs *Records, r Rec, key string, fields [][]byte) 
 
 // TestBatchRoundTrip appends random records to a batch past each entry
 // chunk boundary (256, 768, …, 7,936, then every 8,192) and reads every
-// one back by arrival index: key, fields and shape. It then takes the
-// batch's records, which must still resolve, and refills the batch, which
-// must reuse its entry chunks.
+// one back by arrival index: key, fields (through Records.Fields) and
+// shape. Each fill starts with a record of no fields and one of three
+// empty fields. It then takes the batch's records, which must still
+// resolve, and refills the batch, which must reuse its entry chunks.
 func TestBatchRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(28))
 	type record struct {
@@ -73,8 +74,14 @@ func TestBatchRoundTrip(t *testing.T) {
 	fill := func(n int) {
 		recs = recs[:0]
 		size = 0
-		for range n {
+		for j := range n {
 			key, fields := randomRecord(rng)
+			switch j {
+			case 0: // a record of no fields
+				key, fields = "zero", nil
+			case 1: // a record whose fields are all empty
+				key, fields = "empty", [][]byte{{}, {}, {}}
+			}
 			b.Append(key, fields)
 			recs = append(recs, record{key, fields})
 			size += int64(len(key))

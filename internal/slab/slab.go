@@ -24,13 +24,15 @@
 //   - Batch (record.go): the load batch. It buffers records in arrival
 //     order for a bulk build, and SortByPrefix (sort.go) puts them in
 //     key order; an LSM flush-sized cut and a B-tree build both take it.
-//   - FieldsView: a read-only view of one record's field values, backed
-//     either by a slab region plus a shape, or by a materialized
-//     [][]byte (for callers that still build records by hand).
+//   - FieldsView and Entry: a read-only view of one record's field
+//     values, its field bytes plus its shape's end offsets, and a scan
+//     row, a key with that view. Records.Fields and Records.Entry build
+//     them, so a read or a scan copies no record bytes.
 package slab
 
 import (
 	"encoding/binary"
+	"slices"
 	"unsafe"
 )
 
@@ -266,48 +268,44 @@ func total(ends []uint32) int {
 	return int(ends[len(ends)-1])
 }
 
-// Entry is one scan row: a key with a view of its field values. The
-// engines' scans return it, and stores pass it on as store.Record.
+// Entry is one scan row: a key with a view of its field values, 64 bytes.
+// The engines' scans return it, and stores pass it on as store.Record.
 type Entry struct {
 	Key    string
 	Fields FieldsView
 }
 
-// FieldsView is a read-only view of one record's field values. The slab
-// form references a contiguous payload region plus a shared shape; the
-// materialized form wraps a caller-built [][]byte. The zero value views
-// zero fields.
+// FieldsView is a read-only view of one record's field values: the
+// record's concatenated field bytes plus its shape's cumulative end
+// offsets, shared by every record of that shape. Records.Fields builds
+// it over a store's slab; View builds one over copied bytes. The zero
+// value views zero fields.
 type FieldsView struct {
-	data   []byte   // concatenated field payload (slab form)
-	ends   []uint32 // cumulative end offsets, len = field count (slab form)
-	fields [][]byte // materialized form; nil in slab form
+	data []byte   // concatenated field payload
+	ends []uint32 // cumulative end offsets, len = field count
 }
 
-// SlabView builds the slab-backed form: data is the record's
-// concatenated field payload, ends the shared cumulative offsets.
-func SlabView(data []byte, ends []uint32) FieldsView {
-	return FieldsView{data: data, ends: ends}
+// View copies fields into a view that owns its bytes: one payload buffer
+// and one offsets slice. Stores hand out views of their slabs instead
+// (Records.Fields); View is for a caller that holds a record as [][]byte.
+func View(fields [][]byte) FieldsView {
+	ends := make([]uint32, len(fields))
+	n := uint32(0)
+	for i, f := range fields {
+		n += uint32(len(f))
+		ends[i] = n
+	}
+	return FieldsView{data: slices.Concat(fields...), ends: ends}
 }
-
-// View wraps a materialized field set without copying.
-func View(fields [][]byte) FieldsView { return FieldsView{fields: fields} }
 
 // Len returns the number of fields.
-func (v FieldsView) Len() int {
-	if v.fields != nil {
-		return len(v.fields)
-	}
-	return len(v.ends)
-}
+func (v FieldsView) Len() int { return len(v.ends) }
 
 // Field returns the i'th field's bytes. The slice aliases the record's
 // backing store and must be treated as read-only; a later same-shape
 // replace overwrites it in place (the memtable's documented "state as of
 // the last positioning I/O" semantics).
 func (v FieldsView) Field(i int) []byte {
-	if v.fields != nil {
-		return v.fields[i]
-	}
 	start := uint32(0)
 	if i > 0 {
 		start = v.ends[i-1]
@@ -316,28 +314,7 @@ func (v FieldsView) Field(i int) []byte {
 }
 
 // Bytes returns the total payload length across all fields.
-func (v FieldsView) Bytes() int64 {
-	if v.fields != nil {
-		var n int64
-		for _, f := range v.fields {
-			n += int64(len(f))
-		}
-		return n
-	}
-	if len(v.ends) == 0 {
-		return 0
-	}
-	return int64(v.ends[len(v.ends)-1])
-}
-
-// Slab reports whether the view is slab-backed, and if so returns its
-// payload region and shape (for zero-copy handoff between slab owners).
-func (v FieldsView) Slab() (data []byte, ends []uint32, ok bool) {
-	if v.fields != nil {
-		return nil, nil, false
-	}
-	return v.data, v.ends, true
-}
+func (v FieldsView) Bytes() int64 { return int64(total(v.ends)) }
 
 // Materialize copies the fields out into a fresh [][]byte.
 func (v FieldsView) Materialize() [][]byte {
@@ -347,8 +324,7 @@ func (v FieldsView) Materialize() [][]byte {
 	}
 	out := make([][]byte, n)
 	for i := 0; i < n; i++ {
-		f := v.Field(i)
-		out[i] = append([]byte(nil), f...)
+		out[i] = append([]byte(nil), v.Field(i)...)
 	}
 	return out
 }

@@ -7,6 +7,7 @@ import (
 	"sort"
 	"strings"
 	"testing"
+	"unsafe"
 )
 
 func TestAllocViewRoundTrip(t *testing.T) {
@@ -191,44 +192,44 @@ func TestInternEndsMatchesIntern(t *testing.T) {
 	}
 }
 
+// TestFieldsViewSlabForm reads the same fields through a store's view
+// (Records.Fields) and through View, which must own a copy of them.
 func TestFieldsViewSlabForm(t *testing.T) {
-	var s Slab
-	var st ShapeTable
 	fields := [][]byte{[]byte("aaa"), []byte(""), []byte("cccccc")}
-	shape, n := st.Intern(fields)
-	ref, dst := s.Alloc(n)
-	p := 0
-	for _, f := range fields {
-		p += copy(dst[p:], f)
-	}
-	v := SlabView(s.View(ref, n), st.Ends(shape))
-	if v.Len() != 3 || v.Bytes() != 9 {
-		t.Fatalf("Len=%d Bytes=%d, want 3/9", v.Len(), v.Bytes())
-	}
-	for i, f := range fields {
-		if !bytes.Equal(v.Field(i), f) {
-			t.Fatalf("Field(%d) = %q, want %q", i, v.Field(i), f)
+	var rs Records
+	stored := rs.Fields(rs.Append("k", fields))
+	copied := View(fields)
+	for _, v := range []FieldsView{stored, copied} {
+		if v.Len() != 3 || v.Bytes() != 9 {
+			t.Fatalf("Len=%d Bytes=%d, want 3/9", v.Len(), v.Bytes())
+		}
+		for i, f := range fields {
+			if !bytes.Equal(v.Field(i), f) {
+				t.Fatalf("Field(%d) = %q, want %q", i, v.Field(i), f)
+			}
+		}
+		mat := v.Materialize()
+		for i, f := range fields {
+			if !bytes.Equal(mat[i], f) {
+				t.Fatalf("Materialize[%d] = %q, want %q", i, mat[i], f)
+			}
 		}
 	}
-	mat := v.Materialize()
-	for i, f := range fields {
-		if !bytes.Equal(mat[i], f) {
-			t.Fatalf("Materialize[%d] = %q, want %q", i, mat[i], f)
-		}
+	fields[0][0] = 'x'
+	if string(copied.Field(0)) != "aaa" {
+		t.Fatalf("View aliases its input: field 0 reads %q", copied.Field(0))
 	}
 }
 
-func TestFieldsViewMaterializedForm(t *testing.T) {
-	fields := [][]byte{[]byte("xy"), []byte("z")}
-	v := View(fields)
-	if v.Len() != 2 || v.Bytes() != 3 {
-		t.Fatalf("Len=%d Bytes=%d, want 2/3", v.Len(), v.Bytes())
+// TestLayoutSizes pins the read path's row: a view is its payload slice
+// and its offsets slice, and a scan row is a key plus a view. A second
+// form of view would grow every read result and scan row.
+func TestLayoutSizes(t *testing.T) {
+	if n := unsafe.Sizeof(FieldsView{}); n != 48 {
+		t.Fatalf("FieldsView is %d bytes, want 48", n)
 	}
-	if string(v.Field(0)) != "xy" || string(v.Field(1)) != "z" {
-		t.Fatalf("fields = %q/%q", v.Field(0), v.Field(1))
-	}
-	if _, _, ok := v.Slab(); ok {
-		t.Fatal("materialized view claims slab backing")
+	if n := unsafe.Sizeof(Entry{}); n != 64 {
+		t.Fatalf("Entry is %d bytes, want 64", n)
 	}
 }
 

@@ -190,20 +190,6 @@ func (t *Table) Get(key string) (slab.FieldsView, bool) {
 	return slab.FieldsView{}, false
 }
 
-// Scan returns up to count entries with keys >= start.
-func (t *Table) Scan(start string, count int) []slab.Entry {
-	i := t.search(start)
-	end := i + count
-	if end > len(t.meta) {
-		end = len(t.meta)
-	}
-	out := make([]slab.Entry, end-i)
-	for j := range out {
-		out[j] = t.recs.Entry(t.meta[i+j].rec)
-	}
-	return out
-}
-
 // FilterBytes returns the Bloom filter's memory footprint.
 func (t *Table) FilterBytes() int64 { return t.filter.SizeBytes() }
 

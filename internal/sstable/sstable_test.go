@@ -119,18 +119,30 @@ func TestDiskBytesIncludesOverhead(t *testing.T) {
 	}
 }
 
+// scan walks a SeekIter from start and returns up to count entries.
+func scan(tb *Table, start string, count int) []slab.Entry {
+	var out []slab.Entry
+	for it := tb.SeekIter(start); it.Valid() && len(out) < count; it.Next() {
+		out = append(out, it.Entry())
+	}
+	return out
+}
+
 func TestScan(t *testing.T) {
 	var es []slab.Entry
 	for i := 0; i < 20; i++ {
 		es = append(es, entry(fmt.Sprintf("k%02d", i), "v"))
 	}
 	tb := Build(1, es, ov, 0.01)
-	got := tb.Scan("k05", 3)
+	got := scan(tb, "k05", 3)
 	if len(got) != 3 || got[0].Key != "k05" || got[2].Key != "k07" {
 		t.Fatalf("scan = %v", got)
 	}
-	if got := tb.Scan("k19", 10); len(got) != 1 {
+	if got := scan(tb, "k19", 10); len(got) != 1 {
 		t.Fatalf("tail scan length = %d, want 1", len(got))
+	}
+	if got := scan(tb, "k055", 1); len(got) != 1 || got[0].Key != "k06" {
+		t.Fatalf("scan from between keys = %v, want k06", got)
 	}
 }
 
@@ -165,7 +177,7 @@ func TestEmptyTable(t *testing.T) {
 	if tb.Len() != 0 || tb.MayContain("x", bloom.HashKey("x")) {
 		t.Fatal("empty table misbehaves")
 	}
-	if got := tb.Scan("", 10); len(got) != 0 {
+	if got := scan(tb, "", 10); len(got) != 0 {
 		t.Fatal("scan of empty table returned entries")
 	}
 }
@@ -347,8 +359,8 @@ func TestMergeMatchesReference(t *testing.T) {
 			}
 			// Same packed key length, field length and shape index, and
 			// the same shape behind the index.
-			_, gEnds, _ := g.Fields.Slab()
-			_, rEnds, _ := ref.recs.Fields(ref.meta[i].rec).Slab()
+			gEnds := got.recs.Shapes.Ends(got.meta[i].rec.Shape())
+			rEnds := ref.recs.Shapes.Ends(ref.meta[i].rec.Shape())
 			if got.meta[i].rec.Meta != ref.meta[i].rec.Meta || fmt.Sprint(gEnds) != fmt.Sprint(rEnds) {
 				t.Fatalf("round %d key %q: meta %#x ends %v, want %#x ends %v",
 					round, g.Key, got.meta[i].rec.Meta, gEnds, ref.meta[i].rec.Meta, rEnds)
@@ -459,7 +471,7 @@ func TestBuildSortedNoDuplicatesIsIdentity(t *testing.T) {
 	if tb.Len() != 3 {
 		t.Fatalf("Len = %d, want 3", tb.Len())
 	}
-	got := tb.Scan("", 3)
+	got := scan(tb, "", 3)
 	for i, k := range []string{"a", "b", "c"} {
 		if got[i].Key != k {
 			t.Fatalf("entry %d = %q, want %q", i, got[i].Key, k)

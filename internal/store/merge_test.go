@@ -6,6 +6,8 @@ import (
 	"slices"
 	"strings"
 	"testing"
+
+	"repro/internal/slab"
 )
 
 // taggedRuns builds runs of Records whose single field names the run that
@@ -14,7 +16,7 @@ func taggedRuns(keys [][]string) [][]Record {
 	runs := make([][]Record, len(keys))
 	for i, ks := range keys {
 		for _, k := range ks {
-			runs[i] = append(runs[i], Record{Key: k, Fields: ViewFields(Fields{[]byte{byte('a' + i)}})})
+			runs[i] = append(runs[i], Record{Key: k, Fields: slab.View([][]byte{{byte('a' + i)}})})
 		}
 	}
 	return runs

@@ -29,15 +29,12 @@ const RawRecordBytes = NumFields*FieldBytes + KeyBytes
 type Fields [][]byte
 
 // FieldsView is the read-side counterpart: an allocation-free, read-only
-// view of a record's field values, usually backed by a store-owned slab
-// region (see package slab). Read and Scan return views so a point read
-// over slab-backed engines touches no per-record heap objects; call
-// Materialize (or View per field) only when bytes must outlive the
+// view of a record's field values, backed by a store-owned slab region
+// (see package slab). Read and Scan return views so a point read over
+// slab-backed engines touches no per-record heap objects; copy a field
+// out (Field, then append) only when its bytes must outlive the
 // operation.
 type FieldsView = slab.FieldsView
-
-// ViewFields wraps materialized fields as a view without copying.
-func ViewFields(f Fields) FieldsView { return slab.View(f) }
 
 // Record is a key with a view of its fields: the engines' scan row.
 type Record = slab.Entry
@@ -182,10 +179,6 @@ var ErrNotFound = errors.New("store: key not found")
 // ErrScansUnsupported is returned by stores without scan support (the
 // Voldemort YCSB client in the paper).
 var ErrScansUnsupported = errors.New("store: scans not supported")
-
-// ErrOverloaded is returned when a store rejects work (e.g. a Redis shard
-// out of memory).
-var ErrOverloaded = errors.New("store: node overloaded")
 
 // ErrUnavailable is returned when the node(s) that must serve an operation
 // are down (fault injection) and no replica can fail over. Clients should

@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/sim"
+	"repro/internal/slab"
 	"repro/internal/store"
 	"repro/internal/stores/voldemort"
 )
@@ -18,18 +19,18 @@ import (
 // reused key and fields buffers cannot alias retained records.
 type fakeStore struct {
 	readLat, writeLat, scanLat sim.Time
-	data                       map[string]store.Fields
+	data                       map[string]store.FieldsView
 	reads, writes, scans       int
 }
 
 func newFake(r, w, s sim.Time) *fakeStore {
-	return &fakeStore{readLat: r, writeLat: w, scanLat: s, data: map[string]store.Fields{}}
+	return &fakeStore{readLat: r, writeLat: w, scanLat: s, data: map[string]store.FieldsView{}}
 }
 
 func (f *fakeStore) Name() string { return "fake" }
 func (f *fakeStore) Insert(p *sim.Proc, key string, fl store.Fields) error {
 	p.Sleep(f.writeLat)
-	f.data[strings.Clone(key)] = fl.Clone()
+	f.data[strings.Clone(key)] = slab.View(fl)
 	f.writes++
 	return nil
 }
@@ -40,7 +41,7 @@ func (f *fakeStore) Read(p *sim.Proc, key string) (store.FieldsView, error) {
 	p.Sleep(f.readLat)
 	f.reads++
 	if v, ok := f.data[key]; ok {
-		return store.ViewFields(v), nil
+		return v, nil
 	}
 	return store.FieldsView{}, store.ErrNotFound
 }
@@ -54,7 +55,7 @@ func (f *fakeStore) Scan(p *sim.Proc, start string, count int) ([]store.Record, 
 func (f *fakeStore) Nodes() int                            { return 1 }
 func (f *fakeStore) LoadNodes(dst []int, key string) []int { return append(dst, 0) }
 func (f *fakeStore) LoadNode(_ int, key string, fl store.Fields) {
-	f.data[strings.Clone(key)] = fl.Clone()
+	f.data[strings.Clone(key)] = slab.View(fl)
 }
 func (f *fakeStore) SealNode(int)     {}
 func (f *fakeStore) DiskUsage() int64 { return 0 }
@@ -352,8 +353,8 @@ func TestReusedBuffersMatchAllocatingRun(t *testing.T) {
 		}
 		want := store.MakeFields(id)
 		for j := range want {
-			if string(fl[j]) != string(want[j]) {
-				t.Fatalf("record %d field %d = %q, want %q (aliased buffer?)", id, j, fl[j], want[j])
+			if string(fl.Field(j)) != string(want[j]) {
+				t.Fatalf("record %d field %d = %q, want %q (aliased buffer?)", id, j, fl.Field(j), want[j])
 			}
 		}
 	}

@@ -2,7 +2,7 @@
 # Emit a JSON perf baseline (ns/op, B/op, allocs/op) for the tracked
 # hot-path benchmarks, so future PRs have a trajectory to diff against:
 #
-#   scripts/bench_baseline.sh             # writes BENCH_PR25.json
+#   scripts/bench_baseline.sh             # writes BENCH_PR29.json
 #   scripts/bench_baseline.sh out.json    # custom path
 #   BENCHTIME=1000000x scripts/bench_baseline.sh   # higher fidelity
 #
@@ -13,17 +13,20 @@
 # compact 100k entries per op (20 iterations), BenchmarkLSMLoadDirect
 # loads and seals 100k records in a deferred LSM load (10 iterations), and
 # BenchmarkBTreeSeal builds a 100k-record B-tree in the Voldemort and
-# MySQL page shapes (10 iterations each).
+# MySQL page shapes (10 iterations each). Five more do the same work in
+# every op whatever the count, so their B/op compares across BENCHTIMEs
+# too: BenchmarkLSMScan and BenchmarkShardedScan return one page of rows
+# per op, and BenchmarkMergeRuns/runs={2,12,72} merge one 60-row page.
 set -euo pipefail
 cd "$(dirname "$0")/.."
-out="${1:-BENCH_PR25.json}"
+out="${1:-BENCH_PR29.json}"
 bt="${BENCHTIME:-100000x}"
 
 {
   go test -run '^$' -bench 'BenchmarkEngineSchedule$|BenchmarkLSMGet$|BenchmarkLSMScan$|BenchmarkLSMInsert$|BenchmarkBTreeInsert$|BenchmarkBTreeBulkLoad$|BenchmarkBTreeUpdate$' -benchtime "$bt" -benchmem .
   go test -run '^$' -bench 'BenchmarkLSMLoadDirect$|BenchmarkBTreeSeal$' -benchtime 10x -benchmem .
   go test -run '^$' -bench 'BenchmarkProcSleepSwitch$|BenchmarkResourceUse$|BenchmarkProcSpawn$' -benchtime "$bt" -benchmem ./internal/sim
-  go test -run '^$' -bench 'BenchmarkStoreKey$|BenchmarkStoreAppendKey$|BenchmarkMakeFields$' -benchtime "$bt" -benchmem ./internal/store
+  go test -run '^$' -bench 'BenchmarkStoreKey$|BenchmarkStoreAppendKey$|BenchmarkMakeFields$|BenchmarkMergeRuns$' -benchtime "$bt" -benchmem ./internal/store
   go test -run '^$' -bench 'BenchmarkMemtablePut$|BenchmarkMemtableGet$|BenchmarkMemtableScan$' -benchtime "$bt" -benchmem ./internal/memtable
   go test -run '^$' -bench 'BenchmarkSSTableMerge$|BenchmarkSSTableMergeDisjoint$' -benchtime 20x -benchmem ./internal/sstable
   go test -run '^$' -bench 'BenchmarkSlabAppend$|BenchmarkShapeIntern$' -benchtime "$bt" -benchmem ./internal/slab
